@@ -14,7 +14,7 @@ import sys
 import time
 from pathlib import Path
 
-from .opf import IpmOptions, ipm_solve, opf_build
+from .opf import IpmOptions, NumericalBreakdownError, ipm_solve, opf_build
 from .parsers import (
     YamlConfigError,
     apply_yaml_file,
@@ -22,7 +22,7 @@ from .parsers import (
     case_to_network,
 )
 from .powerflow import PfOptions, model_build, nr_solve
-from .simlib import ChannelWriter
+from .simlib import ChannelWriter, PowerFlowAbort
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -104,6 +104,9 @@ def cmd_opf(args) -> int:
         sol.build_s = build_s
     except ValueError as exc:
         return _fail(str(exc))
+    except NumericalBreakdownError as exc:
+        print(f"error: {case.name}: optimization broke down: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     report = {
         "command": "opf",
         "case": case.name,
@@ -142,6 +145,9 @@ def cmd_sim(args) -> int:
                     ctx.sim.run()
             else:
                 ctx.sim.run()
+    except PowerFlowAbort as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     except Exception as exc:
         return _fail(f"simulation failed: {exc}")
     if not args.quiet:

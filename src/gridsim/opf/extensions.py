@@ -38,8 +38,12 @@ class LinearConstraint:
 class CallbackConstraint:
     """A smooth scalar inequality value(x) <= 0 over the full variable vector.
 
-    ``grad`` returns the dense gradient; ``hess``, if given, returns the
-    multiplier-weighted Hessian contribution.  Callbacks must be pure
+    ``grad`` returns the gradient as a dense vector over the full
+    variables; ``hess``, if given, returns the multiplier-weighted Hessian
+    contribution as a dense full-by-full array.  The sparse model stores
+    both as dense rows and blocks, so every callback couples all free
+    variables in the KKT matrix: keep them few, and state linear
+    constraints as :class:`LinearConstraint`.  Callbacks must be pure
     functions of x.
     """
 

@@ -2,9 +2,10 @@
 
 Monotone barrier strategy: a damped Newton method on the perturbed KKT
 conditions at fixed barrier parameter, shrinking the barrier by a constant
-factor once the inner system is solved to the barrier's own scale.  Dense
-linear algebra throughout — the model sizes this library targets stay in
-the low hundreds of variables.
+factor once the inner system is solved to the barrier's own scale.  Sparse
+linear algebra throughout: each iteration refills the values of the KKT
+structure that :func:`~gridsim.opf.problem.opf_build` froze and factors it
+with SuperLU.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.linalg import splu
 
 
 class NumericalBreakdownError(RuntimeError):
@@ -104,9 +106,13 @@ class OpfSolution:
         }
 
 
-def _kkt_norms(res, lam, mu, s):
+def _dual_residual(res, lam, mu):
+    """Gradient of the Lagrangian."""
+    return res.grad + res.jac_g.T @ lam + res.jac_h.T @ mu
+
+
+def _kkt_norms(res, r_d, lam, mu, s):
     """Scaled residual norms of the (unperturbed) KKT system."""
-    r_d = res.grad + res.jac_g.T @ lam + res.jac_h.T @ mu
     scale_d = 1.0 + max(
         np.max(np.abs(lam)) if len(lam) else 0.0,
         np.max(np.abs(mu)) if len(mu) else 0.0,
@@ -122,7 +128,8 @@ def _kkt_norms(res, lam, mu, s):
 def kkt_residual(problem, solution) -> dict:
     """Recompute the four KKT residual norms at a solution point."""
     res = problem.eval_all(solution.x_free)
-    return _kkt_norms(res, solution.lam, solution.mu, solution.s)
+    r_d = _dual_residual(res, solution.lam, solution.mu)
+    return _kkt_norms(res, r_d, solution.lam, solution.mu, solution.s)
 
 
 def ipm_solve(problem, opts: IpmOptions | None = None) -> OpfSolution:
@@ -137,45 +144,30 @@ def ipm_solve(problem, opts: IpmOptions | None = None) -> OpfSolution:
     s = np.maximum(-res.h, 1e-2)
     mu_b = opts.mu0
     mu = np.full(n_in, mu_b) / s if n_in else np.zeros(0)
+    r_d = _dual_residual(res, lam, mu)
 
     status = "max_iter"
     it = 0
     for it in range(1, opts.max_iter + 1):
-        norms = _kkt_norms(res, lam, mu, s)
+        norms = _kkt_norms(res, r_d, lam, mu, s)
         if max(norms.values()) <= opts.tol:
             status = "optimal"
             break
 
         # Newton step on the barrier KKT system with the slack/multiplier
         # block eliminated
-        r_d = res.grad + res.jac_g.T @ lam + res.jac_h.T @ mu
         r_g = res.g
         r_h = res.h + s
         r_c = mu * s - mu_b
 
         H = res.hess(lam, mu, sigma=1.0)
-        if n_in:
-            sigma = mu / s
-            Hbar = H + res.jac_h.T @ (sigma[:, None] * res.jac_h)
-            rhs_x = -r_d - res.jac_h.T @ ((mu * r_h - r_c) / s)
-        else:
-            Hbar = H
-            rhs_x = -r_d
-
-        kkt = np.zeros((nx + n_eq, nx + n_eq))
-        kkt[:nx, :nx] = Hbar
-        kkt[:nx, nx:] = res.jac_g.T
-        kkt[nx:, :nx] = res.jac_g
-        rhs = np.concatenate([rhs_x, -r_g])
-        step = _solve_reg(kkt, rhs, nx)
+        rhs_x = -r_d - res.jac_h.T @ ((mu * r_h - r_c) / s)
+        kkt_values = problem.kkt.values(H, res.jac_g, res.jac_h, mu / s)
+        step = _solve_reg(problem.kkt, kkt_values, np.concatenate([rhs_x, -r_g]))
         dx = step[:nx]
         dlam = step[nx:]
-        if n_in:
-            ds = -r_h - res.jac_h @ dx
-            dmu = (mu_b - mu * s - mu * ds) / s
-        else:
-            ds = np.zeros(0)
-            dmu = np.zeros(0)
+        ds = -r_h - res.jac_h @ dx
+        dmu = (mu_b - mu * s - mu * ds) / s
 
         tau = opts.fraction_to_boundary
         alpha_p = _max_step(s, ds, tau)
@@ -192,14 +184,15 @@ def ipm_solve(problem, opts: IpmOptions | None = None) -> OpfSolution:
             mu = np.clip(mu, mu_b / (kappa * s), kappa * mu_b / s)
 
         res = problem.eval_all(x)
+        r_d = _dual_residual(res, lam, mu)
 
         # monotone barrier update once the inner system is solved to the
         # barrier's own scale
-        inner = _kkt_norms_barrier(res, lam, mu, s, mu_b)
+        inner = _kkt_norms_barrier(res, r_d, mu, s, mu_b)
         if inner <= max(mu_b, opts.tol):
             mu_b = max(mu_b * opts.mu_shrink, opts.mu_min)
 
-    norms = _kkt_norms(res, lam, mu, s)
+    norms = _kkt_norms(res, r_d, lam, mu, s)
     if status != "optimal" and max(norms.values()) <= opts.tol:
         status = "optimal"
     if status == "max_iter":
@@ -225,8 +218,7 @@ def ipm_solve(problem, opts: IpmOptions | None = None) -> OpfSolution:
     )
 
 
-def _kkt_norms_barrier(res, lam, mu, s, mu_b) -> float:
-    r_d = res.grad + res.jac_g.T @ lam + res.jac_h.T @ mu
+def _kkt_norms_barrier(res, r_d, mu, s, mu_b) -> float:
     parts = [np.max(np.abs(r_d)) if len(r_d) else 0.0]
     if len(res.g):
         parts.append(np.max(np.abs(res.g)))
@@ -245,28 +237,27 @@ def _max_step(z, dz, tau) -> float:
 
 def _domain_step(problem, x, dx) -> float:
     """Largest step keeping every free voltage magnitude positive."""
-    free = problem.free
-    v_mask = np.isin(free, problem.iv)
-    v = x[v_mask]
-    dv = dx[v_mask]
+    v = x[problem.v_free]
+    dv = dx[problem.v_free]
     neg = dv < 0
     if not np.any(neg):
         return 1.0
     return float(min(1.0, 0.9 * np.min(-v[neg] / dv[neg])))
 
 
-def _solve_reg(kkt, rhs, nx):
+def _solve_reg(kkt, values, rhs):
     """Solve the KKT system, adding diagonal regularization on breakdown."""
+    nx = kkt.n_var
     reg = 0.0
     for attempt in range(6):
-        m = kkt
+        m = values
         if reg > 0.0:
-            m = kkt.copy()
-            m[:nx, :nx] += reg * np.eye(nx)
-            m[nx:, nx:] -= reg * np.eye(kkt.shape[0] - nx)
+            m = values.copy()
+            m[kkt.diag[:nx]] += reg
+            m[kkt.diag[nx:]] -= reg
         try:
-            step = np.linalg.solve(m, rhs)
-        except np.linalg.LinAlgError:
+            step = splu(kkt.matrix(m)).solve(rhs)
+        except RuntimeError:        # SuperLU: factor is exactly singular
             reg = max(reg * 100.0, 1e-10)
             continue
         if np.all(np.isfinite(step)):

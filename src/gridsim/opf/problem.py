@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..powerflow.model import PQ, SL, model_build
+from ..powerflow.pattern import FrozenCsc
 
 
 class OpfBuildError(ValueError):
@@ -62,23 +64,72 @@ class _LinearRow:
 
 @dataclass
 class EvalResult:
-    """Values and first derivatives at a point, plus a Hessian closure."""
+    """Values and first derivatives at a point, plus a Hessian closure.
+
+    ``jac_g`` and ``jac_h`` are CSC matrices over the free variables.  Their
+    structure is fixed by :func:`opf_build`; only the values change from
+    point to point.
+    """
 
     f: float
     grad: np.ndarray
     g: np.ndarray
-    jac_g: np.ndarray
+    jac_g: sp.csc_matrix
     h: np.ndarray
-    jac_h: np.ndarray
-    hess: object  # hess(lam_eq, mu_ineq, sigma=1.0) -> dense matrix over free vars
+    jac_h: sp.csc_matrix
+    # hess(lam_eq, mu_ineq, sigma=1.0) -> symmetric CSC matrix over the free
+    # vars, structure fixed by opf_build like jac_g and jac_h
+    hess: object
+
+
+class KktPattern:
+    """Frozen structure of the condensed Newton matrix of the IPM.
+
+    The matrix is ``[[H + J_hᵀ Σ J_h, J_gᵀ], [J_g, 0]]`` over the free
+    variables and the equality rows, with both diagonals stored so that a
+    regularization changes values, never the structure.  ``diag`` holds
+    the stored position of each diagonal entry.
+    """
+
+    def __init__(self, hess: FrozenCsc, jac_g: FrozenCsc, jac_h: FrozenCsc):
+        n_eq, nx = jac_g.shape
+        self.n_var = nx
+        # J_hᵀ Σ J_h couples every pair of entries in one inequality row
+        p1, p2 = _row_pairs(jac_h.rows)
+        self._pairs = (jac_h.rows[p1], p1, p2)
+        d = np.arange(nx + n_eq)
+        rows = np.concatenate(
+            [hess.rows, jac_h.cols[p1], nx + jac_g.rows, jac_g.cols, d])
+        cols = np.concatenate(
+            [hess.cols, jac_h.cols[p2], jac_g.cols, nx + jac_g.rows, d])
+        self._pattern = FrozenCsc(rows, cols, (nx + n_eq, nx + n_eq))
+        self.diag = self._pattern.position(d, d)
+        self._zeros = np.zeros(nx + n_eq)
+
+    def values(self, hess, jac_g, jac_h, sigma) -> np.ndarray:
+        """Stored values of the matrix for ``Σ = diag(sigma)``.
+
+        ``hess``, ``jac_g`` and ``jac_h`` must carry the structure the
+        problem fixed (as :meth:`OpfProblem.eval_all` returns them).
+        """
+        row, p1, p2 = self._pairs
+        dh = jac_h.data
+        return self._pattern.sum(np.concatenate([
+            hess.data, sigma[row] * dh[p1] * dh[p2],
+            jac_g.data, jac_g.data, self._zeros,
+        ]))
+
+    def matrix(self, values) -> sp.csc_matrix:
+        return self._pattern.matrix(values)
 
 
 class OpfProblem:
     """Assembled optimization model over a network.
 
     Public attributes of note: ``n_var`` (free variable count), ``x0``
-    (strictly interior start), ``names`` (full-variable names), and the
-    evaluation entry point :meth:`eval_all`.
+    (strictly interior start), ``names`` (full-variable names), the
+    evaluation entry point :meth:`eval_all`, and ``kkt``, the frozen
+    structure of the IPM's Newton matrix.
     """
 
     def __init__(self):
@@ -89,7 +140,7 @@ class OpfProblem:
         self.free = None            # indices of free variables
         self.fixed_values = None    # full-length template with fixed entries set
         self.index = None           # NodeIndex
-        self.y = None               # dense nodal admittance (pu)
+        self.y = None               # sparse nodal admittance (pu)
         self.s_wye = None
         self.i_wye = None
         self.s_base_mva = 100.0
@@ -103,10 +154,12 @@ class OpfProblem:
         self.cost0 = 0.0
         self.iv = None              # full positions of v per node
         self.ith = None             # full positions of theta per node
+        self.v_free = None          # free-vector positions of the free v's
         self.box_ub = None          # free-var box rows (indices into full vector)
         self.box_lb = None
         self.eq_names: list[str] = []
         self.ineq_names: list[str] = []
+        self.kkt: KktPattern | None = None
 
     # -- sizes ---------------------------------------------------------------
 
@@ -140,9 +193,15 @@ class OpfProblem:
             raise KeyError(f"unknown variable {name!r}") from None
 
     def node_index(self, bus_id, phase=None) -> int:
-        for i, (bid, ph) in enumerate(self.index.nodes):
-            if bid == bus_id and (phase is None or ph == phase):
-                return i
+        """Node of ``bus_id`` on ``phase``, or the bus's first node."""
+        try:
+            if phase is not None:
+                return self.index.index(bus_id, phase)
+            nodes = self.index.bus_nodes(bus_id)
+            if nodes.start < nodes.stop:
+                return nodes.start
+        except KeyError:
+            pass
         raise KeyError(f"no node for bus {bus_id!r} phase {phase!r}")
 
     # -- free/full mapping ---------------------------------------------------
@@ -167,6 +226,102 @@ class OpfProblem:
     def ub_free(self) -> np.ndarray:
         return self.ub[self.free]
 
+    # -- sparsity ------------------------------------------------------------
+
+    def _freeze(self):
+        """Fix the structure of jac_g, jac_h, the Hessian and the KKT matrix.
+
+        Every entry position depends only on the network and the variable
+        set, so it is computed here once; :meth:`eval_all` and its Hessian
+        closure compute value arrays laid out like the positions below.
+        """
+        n = self.n_nodes
+        nx = self.n_var
+        col = np.full(self.n_full, -1)      # free position of each variable
+        col[self.free] = np.arange(nx)
+        th, vm = col[self.ith], col[self.iv]
+        self.v_free = vm[vm >= 0]
+        nodes = np.arange(n)
+
+        y = self.y.tocoo()
+        self._y_coo = (y.row, y.col, y.data)
+
+        # generator incidence: each gen's P and Q split evenly over its nodes
+        gn = [ge.n_phase for ge in self.gens]
+        g_node = _cat([ge.node_idx for ge in self.gens])
+        g_p = np.repeat([ge.p_pos for ge in self.gens], gn).astype(int)
+        g_q = np.repeat([ge.q_pos for ge in self.gens], gn).astype(int)
+        g_w = np.repeat([1.0 / k for k in gn], gn)
+        self._gen = (g_node, g_p, g_q, g_w)
+
+        self._lin_eq = a_eq = _LinearRows(self.lin_eq)
+        self._lin_in = a_in = _LinearRows(self.lin_ineq)
+
+        ds_r, ds_c = _ds_pattern(y.row, y.col, nodes, th, vm)
+        self._jac_g = FrozenCsc(
+            np.concatenate([ds_r, n + ds_r, g_node, n + g_node, 2 * n + a_eq.row]),
+            np.concatenate([ds_c, ds_c, col[g_p], col[g_q], col[a_eq.col]]),
+            (self.n_eq, nx),
+        )
+        self._jac_g_const = np.concatenate([g_w, g_w, a_eq.coeffs])
+
+        # branch limits over their terminals: a block-diagonal terminal
+        # admittance, and the flow row (2k or 2k+1) each terminal sums into
+        t_node, t_row, t_r, t_c, t_y = [], [], [], [], []
+        off = 0
+        for k, bl in enumerate(self.branch_limits):
+            m = len(bl.node_idx)
+            loc = np.arange(m)
+            t_node.append(bl.node_idx)
+            t_row.append(np.where(bl.side0, 2 * k, 2 * k + 1))
+            t_r.append(off + np.repeat(loc, m))
+            t_c.append(off + np.tile(loc, m))
+            t_y.append(bl.y.ravel())
+            off += m
+        t_node, t_row, t_r, t_c = (_cat(a) for a in (t_node, t_row, t_r, t_c))
+        t_y = _cat(t_y, complex)
+        self._flow = (t_node, t_row, t_r, t_c, t_y)
+        self._y_term = sp.csr_matrix((t_y, (t_r, t_c)), shape=(off, off))
+        self._s_max2 = np.repeat(
+            [bl.s_max_pu ** 2 for bl in self.branch_limits], 2)
+        fr, fc = _ds_pattern(t_r, t_c, t_node, th, vm)
+        n_flow = 2 * len(self.branch_limits)
+        self._flow_grad = fg = FrozenCsc(t_row[fr], fc, (n_flow, nx))
+
+        nb_u, nb_l = len(self.box_ub), len(self.box_lb)
+        base_lin = nb_u + nb_l + n_flow
+        base_cb = base_lin + len(self.lin_ineq)
+        n_cb = len(self.callback_ineq)
+        self._jac_h = FrozenCsc(
+            np.concatenate([
+                np.arange(nb_u + nb_l), nb_u + nb_l + fg.rows,
+                base_lin + a_in.row, base_cb + np.repeat(np.arange(n_cb), nx),
+            ]),
+            np.concatenate([
+                col[self.box_ub], col[self.box_lb], fg.cols,
+                col[a_in.col], np.tile(np.arange(nx), n_cb),
+            ]),
+            (self.n_ineq, nx),
+        )
+        self._box_coeffs = np.concatenate([np.ones(nb_u), -np.ones(nb_l)])
+
+        # Hessian: cost diagonal, network and flow second derivatives, the
+        # flow rows' outer product of gradients, and a dense block for callbacks
+        self._flow_pairs = _row_pairs(fg.rows)
+        p1, p2 = self._flow_pairs
+        h2_r, h2_c = _d2s_pattern(y.row, y.col, nodes, th, vm)
+        f2_r, f2_c = _d2s_pattern(t_r, t_c, t_node, th, vm)
+        free = np.arange(nx)
+        rows = [free, h2_r, f2_r, fg.cols[p1]]
+        cols = [free, h2_c, f2_c, fg.cols[p2]]
+        if any(c.hess is not None for c in self.callback_ineq):
+            rows.append(np.repeat(free, nx))
+            cols.append(np.tile(free, nx))
+        self._hess = FrozenCsc(np.concatenate(rows), np.concatenate(cols), (nx, nx))
+        self._hess_t = self._hess.position(self._hess.cols, self._hess.rows)
+
+        self.kkt = KktPattern(self._hess, self._jac_g, self._jac_h)
+
     # -- evaluation ----------------------------------------------------------
 
     def node_voltages(self, x_full: np.ndarray) -> np.ndarray:
@@ -185,7 +340,6 @@ class OpfProblem:
         if np.any(v <= 0.0):
             raise DomainViolationError("voltage magnitude must stay positive")
         V = self.node_voltages(x)
-        E = V / v
         I = self.y @ V
         S = V * np.conj(I)
 
@@ -193,176 +347,170 @@ class OpfProblem:
         f = float(np.dot(self.q_cost, x * x) + np.dot(self.c_cost, x) + self.cost0)
         grad_full = 2.0 * self.q_cost * x + self.c_cost
 
-        dS_dva, dS_dvm = _ds_dv(self.y, V, I, E)
-
         # equality values: per-node P and Q balance, then linear rows
-        g = np.empty(self.n_eq)
-        inj = np.zeros(n, dtype=complex)
-        for ge in self.gens:
-            s_g = complex(x[ge.p_pos], x[ge.q_pos]) / ge.n_phase
-            for ni in ge.node_idx:
-                inj[ni] += s_g
+        g_node, g_p, g_q, g_w = self._gen
+        inj = (np.bincount(g_node, x[g_p] * g_w, n)
+               + 1j * np.bincount(g_node, x[g_q] * g_w, n))
         bal = inj - S - self.s_wye - np.conj(self.i_wye) * v
-        g[:n] = bal.real
-        g[n:2 * n] = bal.imag
-        for r, row in enumerate(self.lin_eq):
-            g[2 * n + r] = float(np.dot(row.coeffs, x[row.cols]) + row.const)
+        g = np.concatenate([bal.real, bal.imag, self._lin_eq.values(x)])
 
-        jac_g = np.zeros((self.n_eq, self.n_full))
-        jac_g[:n, self.ith] = -dS_dva.real
-        jac_g[n:2 * n, self.ith] = -dS_dva.imag
-        jac_g[:n, self.iv] = -dS_dvm.real
-        jac_g[n:2 * n, self.iv] = -dS_dvm.imag
-        jac_g[np.arange(n), self.iv] -= self.i_wye.real
-        jac_g[np.arange(n) + n, self.iv] += self.i_wye.imag
-        for ge in self.gens:
-            for ni in ge.node_idx:
-                jac_g[ni, ge.p_pos] += 1.0 / ge.n_phase
-                jac_g[n + ni, ge.q_pos] += 1.0 / ge.n_phase
-        for r, row in enumerate(self.lin_eq):
-            jac_g[2 * n + r, row.cols] = row.coeffs
+        y_r, y_c, y_v = self._y_coo
+        ds = _ds(y_r, y_c, y_v, V, I)
+        ds[-n:] += np.conj(self.i_wye)      # constant-current loads, d/d|V|
+        jac_g = self._jac_g.assemble(
+            np.concatenate([-ds.real, -ds.imag, self._jac_g_const]))
 
-        # inequalities
-        h = np.empty(self.n_ineq)
-        jac_h = np.zeros((self.n_ineq, self.n_full))
-        pos = 0
-        for j in self.box_ub:
-            h[pos] = x[j] - self.ub[j]
-            jac_h[pos, j] = 1.0
-            pos += 1
-        for j in self.box_lb:
-            h[pos] = self.lb[j] - x[j]
-            jac_h[pos, j] = -1.0
-            pos += 1
-        flow_cache = []
-        for bl in self.branch_limits:
-            vals, grads, cache = _flow_rows(self, bl, V, v)
-            flow_cache.append(cache)
-            for side in (0, 1):
-                h[pos] = vals[side]
-                jac_h[pos] = grads[side]
-                pos += 1
-        for row in self.lin_ineq:
-            h[pos] = float(np.dot(row.coeffs, x[row.cols]) + row.const)
-            jac_h[pos, row.cols] = row.coeffs
-            pos += 1
-        for con in self.callback_ineq:
-            h[pos] = float(con.value(x))
-            jac_h[pos] = con.grad(x)
-            pos += 1
+        # inequalities: boxes, branch flows, linear rows, callbacks
+        t_node, t_row, t_r, t_c, t_y = self._flow
+        Vt = V[t_node]
+        It = self._y_term @ Vt
+        St = Vt * np.conj(It)
+        n_flow = len(self._s_max2)
+        s_flow = (np.bincount(t_row, St.real, n_flow)
+                  + 1j * np.bincount(t_row, St.imag, n_flow))
+        fg = self._flow_grad
+        gs = fg.sum(_ds(t_r, t_c, t_y, Vt, It))    # dS_row/dx, complex
+        cbs = self.callback_ineq
+        h = np.concatenate([
+            x[self.box_ub] - self.ub[self.box_ub],
+            self.lb[self.box_lb] - x[self.box_lb],
+            np.abs(s_flow) ** 2 - self._s_max2,
+            self._lin_in.values(x),
+            [float(con.value(x)) for con in cbs],
+        ])
+        jac_h = self._jac_h.assemble(np.concatenate([
+            self._box_coeffs,
+            2.0 * (np.conj(s_flow[fg.rows]) * gs).real,
+            self._lin_in.coeffs,
+            *(np.asarray(con.grad(x), dtype=float)[self.free] for con in cbs),
+        ]))
 
         problem = self
+        base_flow = len(self.box_ub) + len(self.box_lb)
+        base_cb = self.n_ineq - len(cbs)
 
         def hess(lam_eq, mu_ineq, sigma=1.0):
-            H = np.zeros((problem.n_full, problem.n_full))
-            if sigma != 0.0:
-                H[np.arange(problem.n_full), np.arange(problem.n_full)] = \
-                    sigma * 2.0 * problem.q_cost
             lam_c = lam_eq[:n] - 1j * lam_eq[n:2 * n]
-            Haa, Hav, Hva, Hvv = _d2s(problem.y, V, I, lam_c)
-            H[np.ix_(problem.ith, problem.ith)] -= Haa.real
-            H[np.ix_(problem.ith, problem.iv)] -= Hav.real
-            H[np.ix_(problem.iv, problem.ith)] -= Hva.real
-            H[np.ix_(problem.iv, problem.iv)] -= Hvv.real
-            base = len(problem.box_ub) + len(problem.box_lb)
-            for k, bl in enumerate(problem.branch_limits):
-                mu0 = mu_ineq[base + 2 * k]
-                mu1 = mu_ineq[base + 2 * k + 1]
-                _flow_hessian(problem, bl, flow_cache[k], mu0, mu1, H)
-            cb_base = problem.n_ineq - len(problem.callback_ineq)
-            for k, con in enumerate(problem.callback_ineq):
-                if con.hess is not None:
-                    H += con.hess(x, mu_ineq[cb_base + k])
-            Hf = H[np.ix_(problem.free, problem.free)]
-            return 0.5 * (Hf + Hf.T)
+            mu_flow = mu_ineq[base_flow:base_flow + n_flow]
+            p1, p2 = problem._flow_pairs
+            parts = [
+                sigma * 2.0 * problem.q_cost[problem.free],
+                _d2s(y_r, y_c, y_v, V, I, -lam_c),
+                # d²|S|² = 2 Re(conj(S) d²S) + 2 Re(conj(dS) dSᵀ)
+                _d2s(t_r, t_c, t_y, Vt, It, 2.0 * (mu_flow * np.conj(s_flow))[t_row]),
+                2.0 * mu_flow[fg.rows[p1]] * (np.conj(gs[p1]) * gs[p2]).real,
+            ]
+            if any(con.hess is not None for con in cbs):
+                Hc = np.zeros((problem.n_full, problem.n_full))
+                for k, con in enumerate(cbs):
+                    if con.hess is not None:
+                        Hc += con.hess(x, mu_ineq[base_cb + k])
+                parts.append(Hc[np.ix_(problem.free, problem.free)].ravel())
+            vals = problem._hess.sum(np.concatenate(parts))
+            return problem._hess.matrix(0.5 * (vals + vals[problem._hess_t]))
 
         return EvalResult(
             f=f,
             grad=grad_full[self.free],
             g=g,
-            jac_g=jac_g[:, self.free],
+            jac_g=jac_g,
             h=h,
-            jac_h=jac_h[:, self.free],
+            jac_h=jac_h,
             hess=hess,
         )
 
 
-def _ds_dv(y, V, I, E):
-    """Partial derivatives of nodal complex power wrt angles and magnitudes."""
+def _cat(parts, dtype=int) -> np.ndarray:
+    return np.concatenate(parts) if len(parts) else np.zeros(0, dtype=dtype)
+
+
+class _LinearRows:
+    """Linear rows in COO form over the full variables."""
+
+    def __init__(self, rows):
+        self.row = np.repeat(np.arange(len(rows)), [len(r.cols) for r in rows])
+        self.col = _cat([r.cols for r in rows])
+        self.coeffs = _cat([r.coeffs for r in rows], float)
+        self.const = np.array([r.const for r in rows], dtype=float)
+
+    def values(self, x):
+        return np.bincount(self.row, self.coeffs * x[self.col],
+                           len(self.const)) + self.const
+
+
+def _row_pairs(rows):
+    """Every ordered pair (i, j) of entries with rows[i] == rows[j]."""
+    order = np.argsort(rows, kind="stable")
+    grouped = rows[order]
+    size = np.bincount(rows)[grouped]
+    first = np.searchsorted(grouped, grouped)
+    i = np.repeat(order, size)
+    offset = np.arange(len(i)) - np.repeat(np.cumsum(size) - size, size)
+    j = order[np.repeat(first, size) + offset]
+    return i, j
+
+
+# The derivative kernels below follow MATPOWER's dSbus_dV and d2Sbus_dV2 in
+# polar form, with values on the COO entries (r, c, y) of an admittance
+# matrix and on its diagonal, so that their positions never change.  ``node``
+# maps the matrix's rows to network nodes; ``th`` and ``vm`` give each
+# node's free-variable position for angle and magnitude (-1 when fixed).
+
+
+def _ds_pattern(r, c, node, th, vm):
+    """(local row, free column) of each value :func:`_ds` returns."""
+    d = np.arange(len(node))
+    rows = np.concatenate([r, d, r, d])
+    cols = np.concatenate([th[node[c]], th[node], vm[node[c]], vm[node]])
+    return rows, cols
+
+
+def _ds(r, c, y, V, I):
+    """dS/dθ then dS/d|V| of S = V·conj(I), I = Y V, in COO form."""
+    E = V / np.abs(V)
+    return np.concatenate([
+        -1j * V[r] * np.conj(y * V[c]),
+        1j * V * np.conj(I),
+        V[r] * np.conj(y * E[c]),
+        np.conj(I) * E,
+    ])
+
+
+def _d2s_pattern(r, c, node, th, vm):
+    """(free row, free column) of each value :func:`_d2s` returns."""
+    n = node
+    tr, tc, td = th[n[r]], th[n[c]], th[n]
+    vr, vc, vd = vm[n[r]], vm[n[c]], vm[n]
+    rows = np.concatenate([tr, tc, td, tr, tc, td, vr, vc, vd, vr, vc])
+    cols = np.concatenate([tc, tr, td, vc, vr, vd, tc, tr, td, vc, vr])
+    return rows, cols
+
+
+def _d2s(r, c, y, V, I, lam):
+    """Hessian of Re(lamᵀS) over (θ, |V|): θθ, θ|V|, |V|θ, |V||V| blocks.
+
+    Each Y entry k = (r, c) gives C_k = lam_r V_r conj(y_k V_c) at both
+    (r, c) and its transpose; the diagonal gathers the terms of
+    conj(V)·(Yᴴ(lam V)) and lam·V·conj(I).
+    """
     n = len(V)
-    YdV = y * V[None, :]
-    dS_dva = 1j * V[:, None] * np.conj(np.diag(I) - YdV)
-    dS_dvm = V[:, None] * np.conj(y * E[None, :])
-    dS_dvm[np.arange(n), np.arange(n)] += np.conj(I) * E
-    return dS_dva, dS_dvm
-
-
-def _d2s(y, V, I, lam):
-    """Hessian blocks of lamᵀS(V) wrt (angle, magnitude) pairs."""
-    n = len(V)
-    C = (lam * V)[:, None] * np.conj(y * V[None, :])
-    D = y.conj().T * V[None, :]
-    Dlam = D @ lam
-    E = np.conj(V)[:, None] * (D * lam[None, :])
-    E[np.arange(n), np.arange(n)] -= np.conj(V) * Dlam
-    F = C.copy()
-    F[np.arange(n), np.arange(n)] -= (lam * V) * np.conj(I)
-    g = 1.0 / np.abs(V)
-    Haa = E + F
-    Hva = 1j * g[:, None] * (E - F)
-    Hav = Hva.T
-    Hvv = g[:, None] * (C + C.T) * g[None, :]
-    return Haa, Hav, Hva, Hvv
-
-
-def _flow_rows(problem, bl, V, v):
-    """Apparent-power-limit values and gradients for both branch sides."""
-    idx = bl.node_idx
-    Vt = V[idx]
-    It = bl.y @ Vt
-    St = Vt * np.conj(It)
-    m = len(idx)
-    Et = Vt / np.abs(Vt)
-    dS_dva, dS_dvm = _ds_dv(bl.y, Vt, It, Et)
-    vals = []
-    grads = []
-    row_grads = []
-    sides = []
-    for w in (bl.side0, bl.side1):
-        s_side = complex(np.sum(St[w]))
-        gs_a = w.astype(float) @ dS_dva
-        gs_v = w.astype(float) @ dS_dvm
-        vals.append(abs(s_side) ** 2 - bl.s_max_pu ** 2)
-        grow = np.zeros(problem.n_full)
-        grow[problem.ith[idx]] = 2.0 * (np.conj(s_side) * gs_a).real
-        grow[problem.iv[idx]] = 2.0 * (np.conj(s_side) * gs_v).real
-        grads.append(grow)
-        row_grads.append((gs_a, gs_v))
-        sides.append(s_side)
-    cache = (Vt, It, sides, row_grads)
-    return vals, grads, cache
-
-
-def _flow_hessian(problem, bl, cache, mu0, mu1, H):
-    """Accumulate μ-weighted Hessians of both squared-flow rows into H."""
-    Vt, It, sides, row_grads = cache
-    idx = bl.node_idx
-    m = len(idx)
-    pos_a = problem.ith[idx]
-    pos_v = problem.iv[idx]
-    pos = np.concatenate([pos_a, pos_v])
-    for w, s_side, (gs_a, gs_v), mu in (
-        (bl.side0, sides[0], row_grads[0], mu0),
-        (bl.side1, sides[1], row_grads[1], mu1),
-    ):
-        if mu == 0.0:
-            continue
-        Haa, Hav, Hva, Hvv = _d2s(bl.y, Vt, It, w.astype(complex))
-        Hc = np.block([[Haa, Hav], [Hva, Hvv]])
-        gs = np.concatenate([gs_a, gs_v])
-        Hsub = 2.0 * (np.conj(s_side) * Hc).real \
-            + 2.0 * np.outer(np.conj(gs), gs).real
-        H[np.ix_(pos, pos)] += mu * Hsub
+    lv = lam * V
+    C = lv[r] * np.conj(y * V[c])
+    w = np.conj(y) * lv[r]
+    yh_lv = np.bincount(c, w.real, n) + 1j * np.bincount(c, w.imag, n)
+    e_d = np.conj(V) * yh_lv
+    f_d = lv * np.conj(I)
+    gv = 1.0 / np.abs(V)
+    a_rc = 1j * gv[c] * C
+    a_cr = -1j * gv[r] * C
+    va_d = -1j * gv * (e_d - f_d)
+    vv = gv[r] * gv[c] * C
+    return np.concatenate([
+        C, C, -(e_d + f_d),
+        a_rc, a_cr, va_d,
+        a_cr, a_rc, va_d,
+        vv, vv,
+    ]).real
 
 
 def opf_build(net, extensions=(), hold_gen_voltage=False,
@@ -386,7 +534,7 @@ def opf_build(net, extensions=(), hold_gen_voltage=False,
         )
     p = OpfProblem()
     p.index = model.index
-    p.y = model.y.toarray()
+    p.y = model.y.tocsr()
     p.s_wye = model.s_wye.copy()
     p.i_wye = model.i_wye.copy()
     p.s_base_mva = model.s_base_mva
@@ -596,10 +744,8 @@ def opf_build(net, extensions=(), hold_gen_voltage=False,
             x0[j] = min(x0[j], hi - margin)
     p.x0_full = x0
 
-    p.box_ub = np.array(
-        [j for j in p.free if np.isfinite(p.ub[j])], dtype=int)
-    p.box_lb = np.array(
-        [j for j in p.free if np.isfinite(p.lb[j])], dtype=int)
+    p.box_ub = p.free[np.isfinite(p.ub[p.free])]
+    p.box_lb = p.free[np.isfinite(p.lb[p.free])]
 
     p.eq_names = (
         [f"P_bal:{bid}:{ph.name}" for bid, ph in model.index.nodes]
@@ -614,6 +760,7 @@ def opf_build(net, extensions=(), hold_gen_voltage=False,
         + [getattr(c, "name", f"callback:{k}")
            for k, c in enumerate(p.callback_ineq)]
     )
+    p._freeze()
     return p
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .model import PowerFlowModel
+from .pattern import FrozenCsc
 
 
 def wirtinger_parts(
@@ -123,9 +124,9 @@ class JacobianAssembler:
 
     The complex entries of A+B and A-B live at fixed positions (the Y
     pattern, the diagonal, and the delta-load triplets), so the expanded
-    real pattern, its restriction to non-slack nodes, and the CSC
-    structure with its duplicate-summing map are all computed once; each
-    call only rebuilds the value array.
+    real pattern, its restriction to non-slack nodes, and the frozen CSC
+    structure (:class:`FrozenCsc`) are all computed once; each call only
+    rebuilds the value array.
 
     ``extra_pattern`` is (rows, cols, n_extra_var) appending fixed
     positions (e.g. PV magnitude rows and reactive-power columns) beyond
@@ -162,20 +163,7 @@ class JacobianAssembler:
             cols = np.concatenate([cols, ec])
             size += n_extra
         self.size = size
-        # Freeze the CSC structure: sort entries column-major, locate the
-        # runs of duplicate positions, and record where each summed run
-        # lands.
-        order = np.lexsort((rows, cols))
-        r_s, c_s = rows[order], cols[order]
-        new_run = np.ones(len(order), dtype=bool)
-        new_run[1:] = (r_s[1:] != r_s[:-1]) | (c_s[1:] != c_s[:-1])
-        starts = np.flatnonzero(new_run)
-        self._order = order
-        self._starts = starts
-        self._indices = r_s[starts].astype(np.int32)
-        self._indptr = np.searchsorted(
-            c_s[starts], np.arange(size + 1)
-        ).astype(np.int32)
+        self._pattern = FrozenCsc(rows, cols, (size, size))
 
     def assemble(
         self, v: np.ndarray, s_g: np.ndarray, extra_vals=None
@@ -192,8 +180,4 @@ class JacobianAssembler:
         data = np.concatenate([apb.real, -amb.imag, apb.imag, amb.real])
         if extra_vals is not None:
             data = np.concatenate([data, extra_vals])
-        summed = np.add.reduceat(data[self._order], self._starts)
-        return sp.csc_matrix(
-            (summed, self._indices, self._indptr),
-            shape=(self.size, self.size),
-        )
+        return self._pattern.assemble(data)

@@ -7,6 +7,9 @@ DATA = ROOT / "src" / "gridsim" / "data"
 CASES = DATA / "cases"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
+# one PASS/FAIL line per acceptance criterion, appended as each runs
+VERDICTS: list[str] = []
+
 
 @pytest.fixture
 def case_path():

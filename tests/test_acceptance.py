@@ -38,6 +38,7 @@ from gridsim.powerflow import (
 from gridsim.simlib import Battery, Building
 from gridsim.simulation import Simulation
 
+import conftest
 from conftest import CASES, DATA, GOLDEN
 
 

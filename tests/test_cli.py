@@ -128,3 +128,44 @@ def test_sim_config_errors(tmp_path, capsys):
 def test_schema_is_valid_draft():
     schema = report_schema()
     jsonschema.validators.Draft202012Validator.check_schema(schema)
+
+
+def test_opf_numerical_breakdown_exit_code(monkeypatch, capsys):
+    from gridsim.opf import ipm
+
+    def singular(matrix):
+        raise RuntimeError("Factor is exactly singular")
+
+    # every factorization fails, regularized retries included
+    monkeypatch.setattr(ipm, "splu", singular)
+    assert main(["opf", str(CASES / "case14.m"), "--quiet"]) == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1
+    assert "numerically singular" in err[0]
+
+
+def test_sim_power_flow_abort_exit_code(tmp_path, capsys):
+    cfg = textwrap.dedent(
+        f"""
+        - simulation:
+            start_time: 0
+            end_time: 600
+        - matpower:
+            input_file: {CASES / 'case14.m'}
+            id: grid
+        - time_series:
+            id: ld
+            times: [0, 600]
+            values: [[5000.0, 2000.0], [5000.0, 2000.0]]
+        - time_series_zip:
+            id: drive
+            zip: load_2
+            series: ld
+        """
+    )
+    path = tmp_path / "abort.yaml"
+    path.write_text(cfg)
+    assert main(["sim", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1
+    assert "power flow did not converge" in err[0]

@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
 
-from gridsim.network import Branch, Bus, CommonBranch, Gen, Network, Phase, Zip
+from gridsim.network import (
+    Branch,
+    Bus,
+    CommonBranch,
+    Gen,
+    GenericBranch,
+    Network,
+    Phase,
+    Transformer,
+    Zip,
+    clock_ratio,
+)
 from gridsim.opf import (
     CallbackConstraint,
     InconsistentBoundsError,
@@ -66,10 +77,10 @@ def test_eval_all_derivatives_match_finite_differences():
 
     for row in range(len(res.g)):
         fd = _fd_grad(lambda z, r=row: prob.eval_all(z).g[r], x)
-        np.testing.assert_allclose(res.jac_g[row], fd, atol=1e-5)
+        np.testing.assert_allclose(res.jac_g.toarray()[row], fd, atol=1e-5)
     for row in range(len(res.h)):
         fd = _fd_grad(lambda z, r=row: prob.eval_all(z).h[r], x)
-        np.testing.assert_allclose(res.jac_h[row], fd, atol=1e-5)
+        np.testing.assert_allclose(res.jac_h.toarray()[row], fd, atol=1e-5)
 
 
 def test_lagrangian_hessian_matches_finite_differences():
@@ -94,7 +105,7 @@ def test_lagrangian_hessian_matches_finite_differences():
         step[j] = eps
         fd_h[:, j] = (lag_grad(x + step) - lag_grad(x - step)) / (2 * eps)
     fd_h = 0.5 * (fd_h + fd_h.T)
-    np.testing.assert_allclose(res.hess(lam, mu), fd_h, atol=2e-4)
+    np.testing.assert_allclose(res.hess(lam, mu).toarray(), fd_h, atol=2e-4)
 
 
 def test_economic_dispatch_merit_order():
@@ -270,3 +281,139 @@ def test_standard_case_objectives(case, objective):
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(objective, rel=1e-3)
     assert max(kkt_residual(prob, sol).values()) <= 1e-6
+
+
+def _three_phase_opf():
+    """Unbalanced three-phase feeder behind a delta/wye-grounded bank.
+
+    It carries every row family of the model: the equal-magnitude and
+    angle-spacing rows of multi-phase generators (``lin_eq``), a soft
+    voltage band (``lin_ineq``), a callback constraint with a Hessian, and
+    a branch flow limit.
+    """
+    abc = (Phase.A, Phase.B, Phase.C)
+    net = Network(s_base_mva=1.0)
+    net.add_bus(Bus("s", phases=abc, bus_type="SL", v_mag_min=0.9, v_mag_max=1.1))
+    net.add_bus(Bus("m", phases=abc, bus_type="PV", v_mag_min=0.9, v_mag_max=1.1))
+    net.add_bus(Bus("l", phases=abc, v_mag_min=0.8, v_mag_max=1.2))
+    bank = Transformer("delta", "wye-grounded", ratio1=clock_ratio(1) / np.sqrt(3),
+                       y_leak=1.0 / (0.01 + 0.08j))
+    net.add_branch(Branch("t", bank), "s", "m")
+    y6 = np.zeros((6, 6), dtype=complex)
+    ys = 1.0 / (0.02 + 0.1j)
+    for i in range(3):
+        y6[i, i] = y6[i + 3, i + 3] = ys
+        y6[i, i + 3] = y6[i + 3, i] = -ys
+    y6[0, 4] = y6[4, 0] = y6[1, 3] = y6[3, 1] = 0.1 * ys
+    net.add_branch(Branch("ln", GenericBranch(y6, 3, 3), s_max_mva=0.9), "m", "l")
+    net.add_gen(Gen("g", n_phase=3, p_min=0, p_max=3, q_min=-2, q_max=2,
+                    cost=(0, 10, 0.5)), "s")
+    net.add_gen(Gen("g2", n_phase=3, p_min=0, p_max=1, q_min=-1, q_max=1,
+                    cost=(0, 20, 1.0)), "m")
+    z = Zip("ld", n_phase=3)
+    z.set_wye(0, s=0.3 + 0.1j)
+    z.set_wye(1, s=0.25 + 0.08j, i=0.05 - 0.01j)
+    z.set_wye(2, i=0.1 + 0.02j)
+    net.add_zip(z, "l")
+
+    vslack = voltage_slack_extension(net, v_min=0.95, v_max=1.05, weight=10.0,
+                                      bus_ids=["l"])
+    names = opf_build(net, extensions=(vslack,)).names
+    j, a, b = (names.index(k) for k in ("pg:g2", "v:l:A", "v:l:B"))
+
+    def value(x):
+        return x[j] ** 2 + x[a] * x[b] - 1.5
+
+    def grad(x):
+        g = np.zeros(len(x))
+        g[j] = 2.0 * x[j]
+        g[a] = x[b]
+        g[b] = x[a]
+        return g
+
+    def hess(x, mu):
+        h = np.zeros((len(x), len(x)))
+        h[j, j] = 2.0 * mu
+        h[a, b] = h[b, a] = mu
+        return h
+
+    cap = OpfExtension(name="cap", callback_constraints=[
+        CallbackConstraint("cap", value, grad, hess)])
+    prob = opf_build(net, extensions=(vslack, cap))
+    assert prob.lin_eq and prob.lin_ineq and prob.branch_limits
+    assert prob.callback_ineq[0].hess is not None
+    return prob
+
+
+def test_three_phase_derivatives_match_finite_differences():
+    prob = _three_phase_opf()
+    rng = np.random.default_rng(12)
+    x = prob.x0 + 0.02 * rng.standard_normal(prob.n_var)
+    res = prob.eval_all(x)
+    n = prob.n_var
+    eps = 1e-6
+
+    def fd(fn):
+        cols = []
+        for k in range(n):
+            step = np.zeros(n)
+            step[k] = eps
+            cols.append((fn(x + step) - fn(x - step)) / (2 * eps))
+        return np.array(cols).T
+
+    np.testing.assert_allclose(res.grad, fd(lambda z: prob.eval_all(z).f), atol=1e-5)
+    np.testing.assert_allclose(res.jac_g.toarray(),
+                               fd(lambda z: prob.eval_all(z).g), atol=1e-5)
+    np.testing.assert_allclose(res.jac_h.toarray(),
+                               fd(lambda z: prob.eval_all(z).h), atol=1e-5)
+
+    lam = rng.standard_normal(len(res.g))
+    mu = np.abs(rng.standard_normal(len(res.h)))
+
+    def lag_grad(z):
+        r = prob.eval_all(z)
+        return r.grad + r.jac_g.T @ lam + r.jac_h.T @ mu
+
+    fd_h = fd(lag_grad)
+    np.testing.assert_allclose(res.hess(lam, mu).toarray(),
+                               0.5 * (fd_h + fd_h.T), atol=2e-4)
+
+
+def test_kkt_pattern_matches_dense_assembly():
+    prob = _three_phase_opf()
+    rng = np.random.default_rng(13)
+    x = prob.x0 + 0.02 * rng.standard_normal(prob.n_var)
+    res = prob.eval_all(x)
+    lam = rng.standard_normal(len(res.g))
+    mu = np.abs(rng.standard_normal(len(res.h)))
+    sigma = np.abs(rng.standard_normal(len(res.h)))
+    H = res.hess(lam, mu)
+    jg, jh = res.jac_g.toarray(), res.jac_h.toarray()
+    nx = prob.n_var
+    dense = np.zeros((nx + len(res.g),) * 2)
+    dense[:nx, :nx] = H.toarray() + jh.T @ (sigma[:, None] * jh)
+    dense[:nx, nx:] = jg.T
+    dense[nx:, :nx] = jg
+    values = prob.kkt.values(H, res.jac_g, res.jac_h, sigma)
+    np.testing.assert_allclose(prob.kkt.matrix(values).toarray(), dense,
+                               atol=1e-12, rtol=1e-12)
+    # both diagonals are stored, so regularization keeps the structure
+    assert len(prob.kkt.diag) == nx + len(res.g)
+
+
+@pytest.mark.parametrize(
+    "case,iterations,objective",
+    [
+        ("case3", 18, 3996.335932270492),
+        ("case14", 11, 8081.530236429117),
+        ("case30", 13, 802.2047003999057),
+        ("case57", 14, 41737.7885707136),
+    ],
+)
+def test_standard_case_iterations_pinned(case, iterations, objective):
+    # recorded with the dense KKT solve this sparse path replaced; the
+    # iterates agree to round-off, so the counts must not move
+    net, _ = load_network(CASES / f"{case}.m")
+    sol = ipm_solve(opf_build(net), IpmOptions(tol=1e-6))
+    assert sol.iterations == iterations
+    assert sol.objective == pytest.approx(objective, rel=1e-8)
