@@ -21,7 +21,7 @@ from .parsers import (
     load_case,
     case_to_network,
 )
-from .powerflow import PfOptions, model_build, nr_solve
+from .powerflow import PfOptions, solve_network
 from .simlib import ChannelWriter, PowerFlowAbort
 
 EXIT_OK = 0
@@ -58,22 +58,12 @@ def _write_json(path, report) -> None:
     Path(path).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
 
 
-def _solve_pf(net, tol, max_iter):
-    """Build-plus-solve with timing split; returns (solution, build_s)."""
-    t0 = time.perf_counter()
-    model = model_build(net)
-    build_s = time.perf_counter() - t0
-    opts = PfOptions(tol_pu=tol, max_iter=max_iter, start="flat")
-    sol = nr_solve(model, opts)
-    sol.build_s = build_s
-    return sol
-
-
 def cmd_pf(args) -> int:
     case = _read_case(args.case)
     try:
         net = case_to_network(case)
-        sol = _solve_pf(net, args.tol, args.max_iter)
+        opts = PfOptions(tol_pu=args.tol, max_iter=args.max_iter)
+        sol = solve_network(net, opts)
     except ValueError as exc:
         return _fail(str(exc))
     report = {
@@ -161,13 +151,15 @@ def _bench_case(path, repeat, tol):
     row = {"case": case.name, "n_bus": case.n_bus, "status": "ok",
            "pf_ms": None, "opf_ms": None, "pf_iters": None, "opf_iters": None}
     try:
+        opts = PfOptions(tol_pu=tol)
         pf_times = []
         for _ in range(repeat):
             net = case_to_network(case)
-            sol = _solve_pf(net, tol, 50)
+            t0 = time.perf_counter()
+            sol = solve_network(net, opts)
+            pf_times.append(time.perf_counter() - t0)
             if not sol.converged:
                 raise RuntimeError("power flow did not converge")
-            pf_times.append(sol.build_s + sol.solve_s)
             row["pf_iters"] = sol.iterations
         opf_times = []
         for _ in range(repeat):

@@ -77,6 +77,10 @@ class NodeIndex:
     def bus_nodes(self, bus_id: str) -> slice:
         return self.bus_slices[bus_id]
 
+    def terminal_nodes(self, terminal) -> list[int]:
+        """Node of each phase slot of a connected terminal."""
+        return [self._lookup[(terminal.bus_id, p)] for p in terminal.phase_map]
+
 
 class Network:
     def __init__(self, s_base_mva: float = 100.0, frequency_hz: float = 50.0):
@@ -177,9 +181,6 @@ class Network:
     def _z_base_ohm(self, bus: Bus) -> float:
         return bus.v_base**2 / (self.s_base_mva * 1e6)
 
-    def _terminal_nodes(self, terminal, index: NodeIndex) -> list[int]:
-        return [index.index(terminal.bus_id, p) for p in terminal.phase_map]
-
     def branch_y_pu(self, branch: Branch) -> np.ndarray:
         """Branch terminal admittance in per unit."""
         y = branch.model.y_matrix()
@@ -224,9 +225,8 @@ class Network:
                         f"branch {branch.id} terminal {t_idx} is not connected"
                     )
             y = self.branch_y_pu(branch)
-            gidx = self._terminal_nodes(
-                branch.terminals[0], index
-            ) + self._terminal_nodes(branch.terminals[1], index)
+            gidx = index.terminal_nodes(branch.terminals[0])
+            gidx += index.terminal_nodes(branch.terminals[1])
             for a, ga in enumerate(gidx):
                 for b, gb in enumerate(gidx):
                     if y[a, b] != 0.0:
@@ -239,7 +239,7 @@ class Network:
                 raise UnconnectedTerminalError(
                     f"zip {zip_.id} terminal is not connected"
                 )
-            gidx = self._terminal_nodes(zip_.terminal, index)
+            gidx = index.terminal_nodes(zip_.terminal)
             yc = zip_.y_const
             m = zip_.n_phase
             for i in range(m):

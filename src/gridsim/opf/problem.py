@@ -578,10 +578,9 @@ def opf_build(net, extensions=(), hold_gen_voltage=False,
 
     # generators
     total_load = float(np.sum(model.s_wye.real))
-    in_service = [(g, t) for g, t in _gen_terminals(net) if g.in_service]
-    n_gen = max(len(in_service), 1)
-    for g, term in in_service:
-        node_idx = _terminal_nodes(model.index, term)
+    n_gen = max(len(model.gens), 1)
+    ends = np.cumsum([g.n_phase for g in model.gens])
+    for g, node_idx in zip(model.gens, np.split(model.gen_node, ends[:-1])):
         p_lo, p_hi = g.p_min / p.s_base_mva, g.p_max / p.s_base_mva
         q_lo, q_hi = g.q_min / p.s_base_mva, g.q_max / p.s_base_mva
         if p_lo > p_hi or q_lo > q_hi:
@@ -642,13 +641,10 @@ def opf_build(net, extensions=(), hold_gen_voltage=False,
         if not br.in_service or not np.isfinite(br.s_max_mva):
             continue
         y_br = net.branch_y_pu(br)
-        node_idx = []
-        for term in br.terminals:
-            node_idx.extend(_terminal_nodes(model.index, term))
-        m0 = len(_terminal_nodes(model.index, br.terminals[0]))
-        m = len(node_idx)
-        side0 = np.zeros(m, dtype=bool)
-        side0[:m0] = True
+        nodes0, nodes1 = (model.index.terminal_nodes(t) for t in br.terminals)
+        node_idx = nodes0 + nodes1
+        side0 = np.zeros(len(node_idx), dtype=bool)
+        side0[: len(nodes0)] = True
         p.branch_limits.append(_BranchLimit(
             key=br.id, node_idx=np.asarray(node_idx, dtype=int),
             y=np.asarray(y_br, dtype=complex),
@@ -762,13 +758,3 @@ def opf_build(net, extensions=(), hold_gen_voltage=False,
     )
     p._freeze()
     return p
-
-
-def _gen_terminals(net):
-    for g in net.gens:
-        if g.terminal.connected:
-            yield g, g.terminal
-
-
-def _terminal_nodes(index, term):
-    return [index.index(term.bus_id, ph) for ph in term.phase_map]

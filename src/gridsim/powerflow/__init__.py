@@ -1,4 +1,4 @@
-from .jacobian import jacobian_rect, real_block_jacobian, wirtinger_derivatives
+from .jacobian import jacobian_rect
 from .model import (
     NoSlackInIslandError,
     PfOptions,
@@ -29,8 +29,6 @@ __all__ = [
     "residual_power",
     "network_current",
     "jacobian_rect",
-    "wirtinger_derivatives",
-    "real_block_jacobian",
     "nr_solve",
     "flat_start",
     "apply_solution",

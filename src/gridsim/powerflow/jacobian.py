@@ -9,9 +9,12 @@ follows from
 
 A is -Y plus state-dependent terms and B has state-dependent terms only,
 all of them on the diagonal or at the delta-load triplets.  Their
-positions come from the index sets of an :class:`~.residuals.Injections`,
-so the Newton solver (:class:`JacobianAssembler`) fills the constant -Y
-part once per solve and rewrites only those entries per iteration.
+positions come from the index sets of an :class:`~.residuals.Injections`.
+
+:class:`JacobianAssembler` is the one builder of the real matrix: it
+fills the constant -Y part once and rewrites only those entries per
+call.  The Newton solver runs it over the non-slack nodes, once per
+solve; :func:`jacobian_rect` is the same assembler over all nodes.
 """
 
 from __future__ import annotations
@@ -67,51 +70,6 @@ def wirtinger_parts(
         a_diag, b_diag,
         (inj.a_rows, inj.a_cols, a_v), (inj.b_rows, inj.b_cols, b_v),
     )
-
-
-def wirtinger_derivatives(
-    model: PowerFlowModel, v: np.ndarray, s_g: np.ndarray | None = None
-) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Return (dr/dV, dr/dV*) of residual_current at state v."""
-    if s_g is None:
-        s_g = model.s_g
-    n = model.n_node
-    inj = Injections(model, np.flatnonzero(s_g))
-    v = np.asarray(v, dtype=complex)
-    a_diag, b_diag, a_x, b_x = wirtinger_parts(inj, v, s_g)
-    y = model.y.tocsr()
-    a = sp.csr_matrix((-y.data, y.indices, y.indptr), shape=(n, n))
-    if np.any(a_diag):
-        a = a + sp.diags(a_diag)
-    if len(a_x[2]):
-        a = a + sp.csr_matrix((a_x[2], (a_x[0], a_x[1])), shape=(n, n))
-    b = sp.diags(b_diag, format="csr")
-    if len(b_x[2]):
-        b = b + sp.csr_matrix((b_x[2], (b_x[0], b_x[1])), shape=(n, n))
-    return a.tocsr(), b.tocsr()
-
-
-def real_block_jacobian(
-    a: sp.csr_matrix, b: sp.csr_matrix
-) -> sp.csr_matrix:
-    """Assemble [[dRer/dReV, dRer/dImV], [dImr/dReV, dImr/dImV]]."""
-    n = a.shape[0]
-    apb = (a + b).tocoo()
-    amb = (a - b).tocoo()
-    rows = np.concatenate([apb.row, amb.row, apb.row + n, amb.row + n])
-    cols = np.concatenate([apb.col, amb.col + n, apb.col, amb.col + n])
-    data = np.concatenate(
-        [apb.data.real, -amb.data.imag, apb.data.imag, amb.data.real]
-    )
-    return sp.coo_matrix((data, (rows, cols)), shape=(2 * n, 2 * n)).tocsr()
-
-
-def jacobian_rect(
-    model: PowerFlowModel, v: np.ndarray, s_g: np.ndarray | None = None
-) -> sp.csr_matrix:
-    """Real Jacobian d(Re r, Im r)/d(Re V, Im V) over all nodes."""
-    a, b = wirtinger_derivatives(model, v, s_g)
-    return real_block_jacobian(a, b)
 
 
 def _real_values(apb, amb):
@@ -200,3 +158,14 @@ class JacobianAssembler:
         if extra_vals is not None:
             data[self._extra_pos] = extra_vals
         return self._jac
+
+
+def jacobian_rect(
+    model: PowerFlowModel, v: np.ndarray, s_g: np.ndarray | None = None
+) -> sp.csc_matrix:
+    """Real Jacobian d(Re r, Im r)/d(Re V, Im V) over all nodes."""
+    if s_g is None:
+        s_g = model.s_g
+    inj = Injections(model, np.flatnonzero(s_g))
+    assembler = JacobianAssembler(inj, np.arange(model.n_node))
+    return assembler.assemble(np.asarray(v, dtype=complex), s_g)

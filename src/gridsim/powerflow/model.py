@@ -58,6 +58,10 @@ class PowerFlowModel:
     dk: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     ds: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=complex))
     dc: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=complex))
+    # In-service, connected generators in network order, and the node of
+    # each of their phase slots (the gens' slots concatenated).
+    gens: list = field(default_factory=list)
+    gen_node: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
 
     @property
     def n_node(self) -> int:
@@ -88,29 +92,29 @@ def model_build(net: Network) -> PowerFlowModel:
     i_wye = np.zeros(n, dtype=complex)
     v_nom = np.zeros(n, dtype=complex)
 
-    gens_by_bus: dict[str, list] = {}
-    for gen in net.gens:
-        if gen.in_service and gen.terminal.connected:
-            gens_by_bus.setdefault(gen.terminal.bus_id, []).append(gen)
+    gens = [g for g in net.gens if g.in_service and g.terminal.connected]
+    gen_node = np.array(
+        [node for g in gens for node in index.terminal_nodes(g.terminal)],
+        dtype=int,
+    )
+    # a regulated bus takes the setpoint of its first generator
+    setpoint: dict[str, float] = {}
+    for gen in gens:
+        setpoint.setdefault(gen.terminal.bus_id, gen.v_setpoint)
 
     for bus in net.buses:
         sl = index.bus_nodes(bus.id)
         v_nom[sl] = bus.v_nom
-        bus_gens = gens_by_bus.get(bus.id, [])
-        btype = bus.bus_type
-        if btype in ("PV", "SL") and not bus_gens:
-            btype = "PQ"
-        code = _TYPE_CODE[btype]
+        code = _TYPE_CODE[bus.bus_type] if bus.id in setpoint else PQ
         node_type[sl] = code
         if code == SL:
             v_sl[sl] = bus.v_nom
         elif code == PV:
-            v_set_pv[sl] = bus_gens[0].v_setpoint
+            v_set_pv[sl] = setpoint[bus.id]
 
-    for bus_id, bus_gens in gens_by_bus.items():
-        for gen in bus_gens:
-            nodes = [index.index(bus_id, p) for p in gen.terminal.phase_map]
-            s_g[nodes] += gen.s / net.s_base_mva
+    if gens:
+        slot_s = np.concatenate([g.s for g in gens]) / net.s_base_mva
+        np.add.at(s_g, gen_node, slot_s)
 
     di: list[int] = []
     dk: list[int] = []
@@ -119,9 +123,7 @@ def model_build(net: Network) -> PowerFlowModel:
     for zip_ in net.zips:
         if not (zip_.in_service and zip_.terminal.connected):
             continue
-        nodes = [
-            index.index(zip_.terminal.bus_id, p) for p in zip_.terminal.phase_map
-        ]
+        nodes = index.terminal_nodes(zip_.terminal)
         m = zip_.n_phase
         for i in range(m):
             s_wye[nodes[i]] += zip_.s_const[i + 1, 0]
@@ -154,6 +156,8 @@ def model_build(net: Network) -> PowerFlowModel:
         dk=np.asarray(dk, dtype=int),
         ds=np.asarray(ds, dtype=complex),
         dc=np.asarray(dc, dtype=complex),
+        gens=gens,
+        gen_node=gen_node,
     )
 
 

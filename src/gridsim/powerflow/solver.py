@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 
 from ..network import Network
 from .jacobian import JacobianAssembler
-from .model import PQ, PV, SL, PfOptions, PowerFlowModel, model_build
+from .model import PV, SL, PfOptions, PowerFlowModel, model_build
 from .residuals import Injections, network_current
 
 
@@ -215,46 +215,31 @@ def nr_solve(model: PowerFlowModel, opts: PfOptions | None = None) -> PfSolution
 
 
 def apply_solution(net: Network, sol: PfSolution) -> None:
-    """Write solved voltages and recovered generation back to the network."""
+    """Write solved voltages and recovered generation back to the network.
+
+    The generators on a slack node share its recovered power equally; those
+    on a PV node share equally the reactive power their fixed output lacks.
+    Generators on PQ nodes keep their output.
+    """
     model = sol.model
     index = model.index
     for bus in net.buses:
         bus.v = sol.v[index.bus_nodes(bus.id)].copy()
+    if not model.gens:
+        return
 
-    gens_by_bus: dict[str, list] = {}
-    for gen in net.gens:
-        if gen.in_service and gen.terminal.connected:
-            gens_by_bus.setdefault(gen.terminal.bus_id, []).append(gen)
-    for bus in net.buses:
-        bus_gens = gens_by_bus.get(bus.id)
-        if not bus_gens:
-            continue
-        sl = index.bus_slices[bus.id]
-        node_codes = model.node_type[sl]
-        if np.all(node_codes == PQ):
-            continue
-        nodes = list(range(sl.start, sl.stop))
-        for node_pos, node in enumerate(nodes):
-            code = model.node_type[node]
-            phase = bus.phases[node_pos]
-            attached = [
-                g for g in bus_gens if phase in g.terminal.phase_map
-            ]
-            if not attached:
-                continue
-            if code == SL:
-                share = sol.s_g[node] * net.s_base_mva / len(attached)
-                for gen in attached:
-                    gen.s[gen.terminal.phase_map.index(phase)] = share
-            elif code == PV:
-                q_total = sol.s_g[node].imag * net.s_base_mva
-                q_fixed = sum(
-                    g.s[g.terminal.phase_map.index(phase)].imag for g in attached
-                )
-                dq = (q_total - q_fixed) / len(attached)
-                for gen in attached:
-                    slot = gen.terminal.phase_map.index(phase)
-                    gen.s[slot] = gen.s[slot].real + 1j * (gen.s[slot].imag + dq)
+    node = model.gen_node
+    code = model.node_type[node]
+    count = np.bincount(node)[node]
+    s = np.concatenate([g.s for g in model.gens])
+    q_fixed = np.zeros(model.n_node)
+    np.add.at(q_fixed, node, s.imag)
+    dq = (sol.s_g[node].imag * net.s_base_mva - q_fixed[node]) / count
+    s = np.where(code == SL, sol.s_g[node] * net.s_base_mva / count, s)
+    s = np.where(code == PV, s.real + 1j * (s.imag + dq), s)
+    ends = np.cumsum([g.n_phase for g in model.gens])
+    for gen, part in zip(model.gens, np.split(s, ends[:-1])):
+        gen.s[:] = part
 
 
 def solve_network(
@@ -282,11 +267,7 @@ def recover_flows(net: Network, sol: PfSolution) -> dict:
         if not branch.in_service:
             continue
         y = net.branch_y_pu(branch)
-        gidx = [
-            index.index(t.bus_id, p)
-            for t in branch.terminals
-            for p in t.phase_map
-        ]
+        gidx = [k for t in branch.terminals for k in index.terminal_nodes(t)]
         v_term = sol.v[gidx]
         i_term = y @ v_term
         s_term = v_term * np.conj(i_term)

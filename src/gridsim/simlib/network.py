@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..core import TimeSeries
-from ..powerflow import PfOptions, apply_solution, nr_solve, solve_network
+from ..powerflow import PfOptions, apply_solution, solve_network
 from ..simulation import SimComponent, SimulationError
 
 
@@ -81,7 +79,6 @@ class SimNetwork(SimComponent):
 
     def output_channels(self):
         def rows(t):
-            index = self.network.node_index()
             out = []
             for bus in self.network.buses:
                 for j, phase in enumerate(bus.phases):

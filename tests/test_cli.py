@@ -26,6 +26,8 @@ def test_pf_json_report_matches_schema(tmp_path, capsys):
     assert report["status"] == "converged"
     assert report["residual_pu"] < 1e-8
     assert len(report["solution"]["nodes"]) == 14
+    assert report["timing"]["build_s"] > 0
+    assert report["timing"]["solve_s"] > 0
 
 
 def test_pf_non_convergence_exit_code(tmp_path, capsys):

@@ -3,13 +3,7 @@ import pytest
 
 from gridsim.network import Branch, Bus, CommonBranch, Gen, GenericBranch, Network, Phase, Zip
 from gridsim.parsers import load_network
-from gridsim.powerflow import (
-    jacobian_rect,
-    model_build,
-    real_block_jacobian,
-    residual_current,
-    wirtinger_derivatives,
-)
+from gridsim.powerflow import jacobian_rect, model_build, residual_current
 from gridsim.powerflow.solver import NewtonSystem
 
 from conftest import CASES
@@ -102,23 +96,6 @@ def test_jacobian_standard_cases(case):
     rng = np.random.default_rng(7)
     for _ in range(3):
         _check(model, _random_state(model, rng, spread=0.05), rtol=2e-6)
-
-
-def test_wirtinger_consistency():
-    # the real block form must match the complex chain rule identities
-    net = _zip_net(delta=True)
-    model = model_build(net)
-    rng = np.random.default_rng(3)
-    v = _random_state(model, rng)
-    a, b = wirtinger_derivatives(model, v)
-    jac = real_block_jacobian(a, b).toarray()
-    n = model.n_node
-    apb = (a + b).toarray()
-    amb = (a - b).toarray()
-    np.testing.assert_allclose(jac[:n, :n], apb.real, atol=1e-14)
-    np.testing.assert_allclose(jac[:n, n:], -amb.imag, atol=1e-14)
-    np.testing.assert_allclose(jac[n:, :n], apb.imag, atol=1e-14)
-    np.testing.assert_allclose(jac[n:, n:], amb.real, atol=1e-14)
 
 
 def test_jacobian_directional_derivative():

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridsim.network import Branch, Bus, CommonBranch, Gen, Network, Phase, Zip
+from gridsim.network import (
+    Branch,
+    Bus,
+    CommonBranch,
+    Gen,
+    GenericBranch,
+    Network,
+    Phase,
+    Zip,
+)
 from gridsim.parsers import load_network
 from gridsim.powerflow import (
     NoSlackInIslandError,
@@ -150,6 +159,83 @@ def test_apply_solution_updates_network():
     assert abs(net.gens["g1"].s[0]) > 0
     # PV gen kept its active power, gained reactive
     assert net.gens["g2"].s[0].real == pytest.approx(40.0)
+
+
+def _three_phase_line(z):
+    y6 = np.zeros((6, 6), dtype=complex)
+    for i in range(3):
+        y6[i, i] = y6[i + 3, i + 3] = 1.0 / z
+        y6[i, i + 3] = y6[i + 3, i] = -1.0 / z
+    return GenericBranch(y6, 3, 3)
+
+
+def _shared_gen_net():
+    """Three-phase slack, load and PV buses with generators sharing nodes.
+
+    Two gens share every slack node and a single-phase gen adds a third on
+    phase B.  Two gens with unequal fixed Q share every PV node and a
+    single-phase gen adds a third on phase C; an out-of-service gen sits on
+    the PV bus too.  A single-phase gen on the load bus is a PQ injection.
+    """
+    abc = (Phase.A, Phase.B, Phase.C)
+    net = Network(s_base_mva=10.0)
+    net.add_bus(Bus("s", phases=abc, bus_type="SL"))
+    net.add_bus(Bus("l", phases=abc))
+    net.add_bus(Bus("p", phases=abc, bus_type="PV"))
+    net.add_branch(Branch("sl", _three_phase_line(0.02 + 0.1j)), "s", "l")
+    net.add_branch(Branch("lp", _three_phase_line(0.03 + 0.12j)), "l", "p")
+    net.add_gen(Gen("s1", n_phase=3), "s")
+    net.add_gen(Gen("s2", n_phase=3, s=[1 + 0.5j, 2.0, 0.0]), "s")
+    net.add_gen(Gen("s3", s=0.5 + 0.1j), "s", phase_map=(Phase.B,))
+    net.add_gen(Gen("q1", s=0.5 + 0.1j), "l", phase_map=(Phase.A,))
+    net.add_gen(Gen("p1", n_phase=3, s=2.0 + 0.3j, v_setpoint=1.02), "p")
+    net.add_gen(Gen("p2", n_phase=3, s=[1 - 0.4j, 1 + 0.1j, 1 + 0.7j],
+                    v_setpoint=0.95), "p")
+    net.add_gen(Gen("off", n_phase=3, s=5 + 5j, in_service=False), "p")
+    net.add_gen(Gen("p3", s=0.8 + 0.2j), "p", phase_map=(Phase.C,))
+    z = Zip("ld", n_phase=3)
+    z.set_wye(0, s=0.6 + 0.2j)
+    z.set_wye(1, s=0.5 + 0.25j, i=0.05)
+    z.set_wye(2, s=0.7 + 0.1j)
+    net.add_zip(z, "l")
+    return net
+
+
+# gen.s (MVA) after solve_network, recorded before model_build kept the
+# generator-to-node map: slack output split equally, the missing PV
+# reactive power split equally, PQ and out-of-service gens untouched
+SHARED_GEN_S = {
+    "s1": [1.273886376024319 + 0.19141659631083385j,
+           0.8485116933672205 + 0.23872875669656812j,
+           1.63398725516506 - 0.01023074720390111j],
+    "s2": [1.273886376024319 + 0.19141659631083385j,
+           0.8485116933672205 + 0.23872875669656812j,
+           1.63398725516506 - 0.01023074720390111j],
+    "s3": [0.8485116933672205 + 0.23872875669656812j],
+    "q1": [0.5 + 0.1j],
+    "p1": [2 + 1.2107666150358376j, 2 + 1.10193054161759j,
+           2 + 0.33790656262470775j],
+    "p2": [1 + 0.5107666150358375j, 1 + 0.9019305416175899j,
+           1 + 0.7379065626247078j],
+    "off": [5 + 5j, 5 + 5j, 5 + 5j],
+    "p3": [0.8 + 0.2379065626247078j],
+}
+
+
+def test_apply_solution_shares_generation():
+    net = _shared_gen_net()
+    sol = solve_network(net)
+    assert sol.converged
+    assert [g.id for g in sol.model.gens] == [
+        "s1", "s2", "s3", "q1", "p1", "p2", "p3"
+    ]
+    # the PV bus holds the setpoint of its first generator
+    np.testing.assert_allclose(np.abs(net.buses["p"].v), 1.02, atol=1e-8)
+    for gen in net.gens:
+        np.testing.assert_allclose(
+            gen.s, SHARED_GEN_S[gen.id], rtol=0, atol=1e-12, err_msg=gen.id
+        )
+    assert net.gens["off"].s.tolist() == [5 + 5j] * 3
 
 
 def test_warm_start_resumes_from_state():
