@@ -21,7 +21,7 @@ from .parsers import (
     load_case,
     case_to_network,
 )
-from .powerflow import PfOptions, solve_network
+from .powerflow import PfOptions, SingularJacobianError, solve_network
 from .simlib import ChannelWriter, PowerFlowAbort
 
 EXIT_OK = 0
@@ -66,6 +66,9 @@ def cmd_pf(args) -> int:
         sol = solve_network(net, opts)
     except ValueError as exc:
         return _fail(str(exc))
+    except SingularJacobianError as exc:
+        print(f"error: {case.name}: power flow broke down: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     report = {
         "command": "pf",
         "case": case.name,
@@ -74,6 +77,7 @@ def cmd_pf(args) -> int:
         "residual_pu": sol.residual_norm,
         "timing": {"build_s": sol.build_s, "solve_s": sol.solve_s},
         "solution": sol.to_json_dict() if sol.converged else None,
+        "trace": sol.trace,
     }
     if args.json:
         _write_json(args.json, report)

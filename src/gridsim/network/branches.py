@@ -32,6 +32,12 @@ class BranchModel:
     def y_matrix(self) -> np.ndarray:
         raise NotImplementedError
 
+    @classmethod
+    def y_stack(cls, models: list["BranchModel"]) -> np.ndarray:
+        """Admittance matrices of several models of this class and one
+        terminal size, stacked into a (k, m, m) array."""
+        return np.stack([model.y_matrix() for model in models])
+
 
 class GenericBranch(BranchModel):
     """Branch given directly by its nodal admittance matrix (per unit)."""
@@ -87,21 +93,23 @@ class CommonBranch(BranchModel):
     def n_phase1(self) -> int:
         return 1
 
-    @property
-    def complex_tap(self) -> complex:
-        return self.tap * cmath.exp(1j * cmath.pi / 180.0 * self.phase_shift_deg)
-
     def y_matrix(self) -> np.ndarray:
-        y = self.y_series
-        ysh2 = self.y_shunt / 2.0
-        t = self.complex_tap
-        return np.array(
-            [
-                [(y + ysh2) / (self.tap * self.tap), -y / t.conjugate()],
-                [-y / t, y + ysh2],
-            ],
-            dtype=complex,
-        )
+        return self.y_stack([self])[0]
+
+    @classmethod
+    def y_stack(cls, models: list["CommonBranch"]) -> np.ndarray:
+        """The pi-model admittance of each branch, vectorised over them."""
+        y = np.array([m.y_series for m in models])
+        ysh2 = np.array([m.y_shunt for m in models]) / 2.0
+        tap = np.array([m.tap for m in models])
+        shift = np.array([m.phase_shift_deg for m in models])
+        t = tap * np.exp(1j * np.pi / 180.0 * shift)
+        out = np.empty((len(models), 2, 2), dtype=complex)
+        out[:, 0, 0] = (y + ysh2) / (tap * tap)
+        out[:, 0, 1] = -y / t.conj()
+        out[:, 1, 0] = -y / t
+        out[:, 1, 1] = y + ysh2
+        return out
 
 
 class OverheadLine(BranchModel):

@@ -20,6 +20,22 @@ from .components import (
 from .phases import Phase, parse_phase
 
 
+def _zip_blocks(y_const: np.ndarray) -> np.ndarray:
+    """Nodal admittance blocks (k, m, m) of a (k, m+1, m+1) stack of ZIP
+    constant-admittance matrices (slot 0 is ground, see :class:`Zip`).
+
+    A wye term adds to its phase's diagonal; a delta term between slots i
+    and k (read from the upper triangle) adds to both diagonals and
+    subtracts from the (i, k) and (k, i) entries.
+    """
+    upper = np.triu(y_const[:, 1:, 1:], 1)
+    delta = upper + upper.transpose(0, 2, 1)
+    out = -delta
+    m = out.shape[1]
+    out[:, np.arange(m), np.arange(m)] = y_const[:, 1:, 0] + delta.sum(axis=2)
+    return out
+
+
 class UnknownIdError(NetworkModelError):
     pass
 
@@ -134,8 +150,9 @@ class Network:
     def connect_terminal(self, device, terminal_index: int, bus_id: str, phase_map=None):
         """Bind one device terminal to a bus through a phase map.
 
-        phase_map lists the bus phase wired to each device phase slot; by
-        default slots map onto the bus phases in order.
+        phase_map lists the bus phase wired to each device phase slot, each
+        bus phase at most once; by default slots map onto the bus phases in
+        order.
         """
         if isinstance(device, str):
             device = self.find_device(device)
@@ -170,6 +187,10 @@ class Network:
                 raise PhaseNotOnBusError(
                     f"{device.id}: phase {phase.name} not on bus {bus_id}"
                 )
+            if phase_map.count(phase) > 1:
+                raise NetworkModelError(
+                    f"{device.id}: phase map names bus phase {phase.name} twice"
+                )
         terminal.bus_id = bus_id
         terminal.phase_map = phase_map
 
@@ -181,41 +202,42 @@ class Network:
     def _z_base_ohm(self, bus: Bus) -> float:
         return bus.v_base**2 / (self.s_base_mva * 1e6)
 
+    def _pu_scale(self, branch: Branch) -> float:
+        """Factor turning the branch model's admittance into per unit."""
+        if not branch.model.physical_units:
+            return 1.0
+        buses = [
+            self.buses[t.bus_id]
+            for t in branch.terminals
+            if t.connected
+        ]
+        if len(buses) < 2:
+            raise UnconnectedTerminalError(
+                f"branch {branch.id}: both terminals must be connected"
+            )
+        zb0, zb1 = (self._z_base_ohm(b) for b in buses)
+        if not np.isclose(zb0, zb1):
+            raise NetworkModelError(
+                f"branch {branch.id}: physical-unit model between buses "
+                "with different impedance bases"
+            )
+        return zb0
+
     def branch_y_pu(self, branch: Branch) -> np.ndarray:
         """Branch terminal admittance in per unit."""
-        y = branch.model.y_matrix()
-        if branch.model.physical_units:
-            buses = [
-                self.buses[t.bus_id]
-                for t in branch.terminals
-                if t.connected
-            ]
-            if len(buses) < 2:
-                raise UnconnectedTerminalError(
-                    f"branch {branch.id}: both terminals must be connected"
-                )
-            zb0, zb1 = (self._z_base_ohm(b) for b in buses)
-            if not np.isclose(zb0, zb1):
-                raise NetworkModelError(
-                    f"branch {branch.id}: physical-unit model between buses "
-                    "with different impedance bases"
-                )
-            y = y * zb0
-        return y
+        return branch.model.y_matrix() * self._pu_scale(branch)
 
     def ybus(self) -> tuple[sp.csr_matrix, NodeIndex]:
-        """Assemble the sparse nodal admittance matrix, per unit on S_base."""
+        """Assemble the sparse nodal admittance matrix, per unit on S_base.
+
+        In-service branches are grouped by model class and block size, and
+        each group's admittance blocks come from one ``y_stack`` call; ZIP
+        constant-admittance terms become nodal blocks grouped by phase
+        count.  Every nonzero block entry is then stamped in one COO build.
+        """
         index = self.node_index()
         n = len(index)
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[complex] = []
-
-        def stamp(i: int, k: int, y: complex):
-            rows.append(i)
-            cols.append(k)
-            vals.append(y)
-
+        branches: dict[tuple[type, int], list[Branch]] = {}
         for branch in self.branches:
             if not branch.in_service:
                 continue
@@ -224,14 +246,11 @@ class Network:
                     raise UnconnectedTerminalError(
                         f"branch {branch.id} terminal {t_idx} is not connected"
                     )
-            y = self.branch_y_pu(branch)
-            gidx = index.terminal_nodes(branch.terminals[0])
-            gidx += index.terminal_nodes(branch.terminals[1])
-            for a, ga in enumerate(gidx):
-                for b, gb in enumerate(gidx):
-                    if y[a, b] != 0.0:
-                        stamp(ga, gb, y[a, b])
+            model = branch.model
+            key = (type(model), model.n_phase0 + model.n_phase1)
+            branches.setdefault(key, []).append(branch)
 
+        zips: dict[int, list[Zip]] = {}
         for zip_ in self.zips:
             if not zip_.in_service:
                 continue
@@ -239,20 +258,7 @@ class Network:
                 raise UnconnectedTerminalError(
                     f"zip {zip_.id} terminal is not connected"
                 )
-            gidx = index.terminal_nodes(zip_.terminal)
-            yc = zip_.y_const
-            m = zip_.n_phase
-            for i in range(m):
-                y_gnd = yc[i + 1, 0]
-                if y_gnd != 0.0:
-                    stamp(gidx[i], gidx[i], y_gnd)
-                for k in range(i + 1, m):
-                    y_pp = yc[i + 1, k + 1]
-                    if y_pp != 0.0:
-                        stamp(gidx[i], gidx[i], y_pp)
-                        stamp(gidx[k], gidx[k], y_pp)
-                        stamp(gidx[i], gidx[k], -y_pp)
-                        stamp(gidx[k], gidx[i], -y_pp)
+            zips.setdefault(zip_.n_phase, []).append(zip_)
 
         for gen in self.gens:
             if gen.in_service and not gen.terminal.connected:
@@ -260,9 +266,38 @@ class Network:
                     f"gen {gen.id} terminal is not connected"
                 )
 
-        y = sp.coo_matrix(
-            (np.asarray(vals, complex), (rows, cols)), shape=(n, n)
-        ).tocsr()
+        # (k, m) node numbers and (k, m, m) admittance blocks per group
+        blocks = []
+        for (cls, _), group in branches.items():
+            scale = np.array([self._pu_scale(b) for b in group])
+            blocks.append((
+                np.array([
+                    index.terminal_nodes(b.terminals[0])
+                    + index.terminal_nodes(b.terminals[1])
+                    for b in group
+                ]),
+                cls.y_stack([b.model for b in group]) * scale[:, None, None],
+            ))
+        for group in zips.values():
+            blocks.append((
+                np.array([index.terminal_nodes(z.terminal) for z in group]),
+                _zip_blocks(np.stack([z.y_const for z in group])),
+            ))
+
+        # entry (a, b) of a block sits at (nodes[a], nodes[b])
+        rows = [np.zeros(0, int)]
+        cols = [np.zeros(0, int)]
+        vals = [np.zeros(0, complex)]
+        for nodes, y in blocks:
+            m = nodes.shape[1]
+            rows.append(np.repeat(nodes, m, axis=1).ravel())
+            cols.append(np.repeat(nodes[:, None, :], m, axis=1).ravel())
+            vals.append(y.ravel())
+        vals = np.concatenate(vals)
+        keep = vals != 0.0
+        rows = np.concatenate(rows)[keep]
+        cols = np.concatenate(cols)[keep]
+        y = sp.coo_matrix((vals[keep], (rows, cols)), shape=(n, n)).tocsr()
         return y, index
 
     # -- diagnostics --------------------------------------------------------

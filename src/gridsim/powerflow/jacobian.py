@@ -83,9 +83,9 @@ class JacobianAssembler:
     The complex entries of A+B and A-B live at fixed positions: the Y
     pattern, the diagonal, and the delta-load triplets that ``inj`` lists.
     The real pattern restricted to the ``free`` nodes, its CSC structure
-    (:class:`FrozenCsc`) and the constant ``-Y`` values are fixed once, in
-    one CSC matrix that every call reuses: a call rewrites only the
-    state-dependent diagonal, delta and extra entries.
+    (the :class:`FrozenCsc` ``pattern``) and the constant ``-Y`` values are
+    fixed once, in one CSC matrix that every call reuses: a call rewrites
+    only the state-dependent diagonal, delta and extra entries.
 
     ``extra_pattern`` is (rows, cols, n_extra_var) appending fixed
     positions (e.g. PV magnitude rows and reactive-power columns) beyond
@@ -117,8 +117,9 @@ class JacobianAssembler:
             cols.append(ec)
             size += n_extra
         self.size = size
-        pattern = FrozenCsc(np.concatenate(rows), np.concatenate(cols),
-                            (size, size))
+        self.pattern = pattern = FrozenCsc(
+            np.concatenate(rows), np.concatenate(cols), (size, size)
+        )
         slots = pattern.slots[: 4 * m].reshape(4, m)
         self._diag_pos = slots[:, ny : ny + nf].ravel()
         delta = slots[:, ny + nf :].ravel()

@@ -37,7 +37,10 @@ class PfSolution:
     residual_norm: float
     build_s: float = 0.0
     solve_s: float = 0.0
-    factor_s: float = 0.0
+    factor_s: float = 0.0          # summed over iterations
+    # One entry per iteration: max residual before the step (pu), the step
+    # length taken, how often it was halved, and the factor time.
+    trace: list[dict] = field(default_factory=list, repr=False)
     model: PowerFlowModel | None = field(default=None, repr=False)
 
     def to_json_dict(self) -> dict:
@@ -85,7 +88,7 @@ class NewtonSystem:
     generation at each PV node; equations are (Re r, Im r) at the same
     nodes, then |V|^2 = setpoint^2 at each PV node.  The index sets, the
     :class:`Injections` and the Jacobian pattern are built once, for a
-    whole solve.
+    whole solve, and so is the LU ordering (see :meth:`factor`).
     """
 
     def __init__(self, model: PowerFlowModel):
@@ -108,6 +111,50 @@ class NewtonSystem:
                 npv,
             )
         self.assembler = JacobianAssembler(self.inj, free, extra_pattern)
+        self._order = None
+
+    def _keep_order(self, perm_c: np.ndarray) -> None:
+        """Set up the symmetric permutation P J P^T, P from ``perm_c``.
+
+        Stored entry (r, c) of J moves to (perm_c[r], perm_c[c]); one sort
+        of the moved positions gives the permuted CSC layout and the map
+        that gathers its values from the Jacobian's.
+        """
+        pattern = self.assembler.pattern
+        n = pattern.shape[0]
+        perm_c = perm_c.astype(np.int64)
+        rows, cols = perm_c[pattern.rows], perm_c[pattern.cols]
+        self._gather = gather = np.argsort(cols * n + rows)
+        self._order = np.empty_like(perm_c)
+        self._order[perm_c] = np.arange(n)
+        self._inverse = perm_c
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+        self._permuted = sp.csc_matrix(
+            (np.empty(len(gather)), rows[gather].astype(np.int32), indptr),
+            shape=pattern.shape,
+        )
+        # sorted and duplicate-free by construction; saves splu the check
+        self._permuted.has_canonical_format = True
+
+    def factor(self, jac: sp.csc_matrix):
+        """LU-factor the Newton matrix; returns its ``solve``.
+
+        The first call of a solve orders the columns with COLAMD, as
+        ``splu`` does by default.  Every later call reuses that order as a
+        symmetric permutation of the (same-pattern) matrix and factors it
+        in natural order, so COLAMD runs once per solve; partial pivoting
+        keeps SuperLU's default threshold.  A singular matrix raises
+        SuperLU's ``RuntimeError``.
+        """
+        if self._order is None:
+            lu = spla.splu(jac)
+            self._keep_order(lu.perm_c)
+            return lu.solve
+        np.take(jac.data, self._gather, out=self._permuted.data)
+        lu = spla.splu(self._permuted, permc_spec="NATURAL")
+        p, q = self._order, self._inverse
+        return lambda rhs: lu.solve(rhs[p])[q]
 
     def residual(self, v: np.ndarray, s_g: np.ndarray) -> np.ndarray:
         """Stacked real residual: Re r, Im r at free nodes, then PV |V|."""
@@ -133,8 +180,11 @@ def nr_solve(model: PowerFlowModel, opts: PfOptions | None = None) -> PfSolution
     PV nodes keep |V| at the setpoint through an added magnitude equation
     with the reactive generation as a matching extra unknown.  Slack nodes
     are held fixed and their generation recovered afterwards.  The index
-    sets of the injections and the Jacobian pattern are located once per
-    call (:class:`NewtonSystem`); each iteration refills values only.
+    sets of the injections, the Jacobian pattern and the LU ordering are
+    fixed once per call (:class:`NewtonSystem`); each iteration refills
+    values only.  A singular Jacobian, or a Newton step or trial residual
+    that is not finite, raises :class:`SingularJacobianError` naming the
+    iteration.
     """
     if opts is None:
         opts = PfOptions()
@@ -153,7 +203,7 @@ def nr_solve(model: PowerFlowModel, opts: PfOptions | None = None) -> PfSolution
     q_g = model.s_g[pv_nodes].imag.copy()
     s_g = model.s_g.copy()
 
-    factor_s = 0.0
+    trace = []
     iterations = 0
     converged = False
     fvec = system.residual(v, s_g)
@@ -168,17 +218,25 @@ def nr_solve(model: PowerFlowModel, opts: PfOptions | None = None) -> PfSolution
         jac = system.jacobian(v, s_g)
         tf = time.perf_counter()
         try:
-            lu = spla.splu(jac)
+            solve = system.factor(jac)
         except RuntimeError as exc:
-            raise SingularJacobianError(f"singular Jacobian: {exc}") from None
-        factor_s += time.perf_counter() - tf
-        dx = lu.solve(-fvec)
+            raise SingularJacobianError(
+                f"singular Jacobian at iteration {iterations}: {exc}"
+            ) from None
+        factor_s = time.perf_counter() - tf
+        dx = solve(-fvec)
+        del solve  # free this factor before the next one is built
+        if not np.isfinite(dx).all():
+            raise SingularJacobianError(
+                f"non-finite Newton step at iteration {iterations}"
+            )
         dv = dx[:nf] + 1j * dx[nf : 2 * nf]
         dq = dx[2 * nf :]
 
         alpha = opts.damping
-        best = None
-        for _ in range(5):
+        for halvings in range(5):
+            if halvings:
+                alpha *= 0.5
             v_try = v.copy()
             v_try[free] = v[free] + alpha * dv
             q_try = q_g + alpha * dq
@@ -186,11 +244,15 @@ def nr_solve(model: PowerFlowModel, opts: PfOptions | None = None) -> PfSolution
             s_try[pv_nodes] = p_g + 1j * q_try
             f_try = system.residual(v_try, s_try)
             norm_try = float(np.abs(f_try).max()) if len(f_try) else 0.0
-            best = (v_try, q_try, s_try, f_try, norm_try)
-            if norm_try < norm or norm <= opts.tol_pu:
+            if not np.isfinite(norm_try):
+                raise SingularJacobianError(
+                    f"non-finite residual after the step at iteration {iterations}"
+                )
+            if norm_try < norm:
                 break
-            alpha *= 0.5
-        v, q_g, s_g, fvec, norm = best
+        trace.append({"residual_pu": norm, "alpha": alpha,
+                      "halvings": halvings, "factor_s": factor_s})
+        v, q_g, s_g, fvec, norm = v_try, q_try, s_try, f_try, norm_try
 
     if norm <= opts.tol_pu:
         converged = True
@@ -209,7 +271,8 @@ def nr_solve(model: PowerFlowModel, opts: PfOptions | None = None) -> PfSolution
         converged=converged,
         residual_norm=norm,
         solve_s=time.perf_counter() - t0,
-        factor_s=factor_s,
+        factor_s=sum(it["factor_s"] for it in trace),
+        trace=trace,
         model=model,
     )
 

@@ -28,6 +28,13 @@ def test_pf_json_report_matches_schema(tmp_path, capsys):
     assert len(report["solution"]["nodes"]) == 14
     assert report["timing"]["build_s"] > 0
     assert report["timing"]["solve_s"] > 0
+    trace = report["trace"]
+    assert len(trace) == report["iterations"]
+    assert trace[0]["residual_pu"] > trace[-1]["residual_pu"] > report["residual_pu"]
+    assert all(it["factor_s"] > 0 for it in trace)
+    trace[0]["alpha"] = 0.0
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(report, report_schema())
 
 
 def test_pf_non_convergence_exit_code(tmp_path, capsys):
@@ -36,6 +43,17 @@ def test_pf_non_convergence_exit_code(tmp_path, capsys):
     hard = tmp_path / "impossible.m"
     hard.write_text(text.replace("mpc.baseMVA = 100", "mpc.baseMVA = 1"))
     assert main(["pf", str(hard), "--max-iter", "10", "--quiet"]) == 2
+
+
+def test_pf_singular_jacobian_exit_code(capsys, monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "splu", singular)
+    assert main(["pf", str(CASES / "case14.m"), "--quiet"]) == 2
+    assert "singular Jacobian at iteration 1" in capsys.readouterr().err
 
 
 def test_pf_input_error_exit_code(tmp_path, capsys):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from gridsim.network import Branch, Bus, CommonBranch, Gen, GenericBranch, Network, Phase, Zip
 from gridsim.parsers import load_network
-from gridsim.powerflow import jacobian_rect, model_build, residual_current
+from gridsim.powerflow import jacobian_rect, model_build, nr_solve, residual_current
 from gridsim.powerflow.solver import NewtonSystem
 
 from conftest import CASES
@@ -176,3 +177,40 @@ def test_newton_matrix_matches_finite_differences(net_fn):
         fd = _newton_fd(system, v, s_g)
         scale = max(1.0, np.max(np.abs(fd)))
         np.testing.assert_allclose(analytic, fd, atol=2e-6 * scale)
+
+
+@pytest.mark.parametrize(
+    "net_fn",
+    [lambda: load_network(CASES / "case57.m")[0], _pv_delta_net],
+    ids=["case57", "pv_delta"],
+)
+def test_kept_ordering_step_matches_fresh_factor(net_fn, monkeypatch):
+    # every Newton step, the first (COLAMD) one and those from the kept
+    # symmetric ordering, against a fresh default splu of the same matrix
+    steps, specs = [], []
+    factor, splu = NewtonSystem.factor, spla.splu
+
+    def spy(jac, permc_spec="COLAMD", **kwargs):
+        specs.append(permc_spec)
+        return splu(jac, permc_spec=permc_spec, **kwargs)
+
+    def checked(self, jac):
+        solve, fresh = factor(self, jac), splu(jac).solve
+
+        def both(rhs):
+            dx = solve(rhs)
+            steps.append((dx, fresh(rhs)))
+            return dx
+
+        return both
+
+    monkeypatch.setattr(NewtonSystem, "factor", checked)
+    monkeypatch.setattr(spla, "splu", spy)
+    sol = nr_solve(model_build(net_fn()))
+    assert sol.converged
+    assert len(steps) == sol.iterations >= 3
+    assert specs == ["COLAMD"] + ["NATURAL"] * (sol.iterations - 1)
+    for dx, ref in steps:
+        np.testing.assert_allclose(
+            dx, ref, rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max())
+        )

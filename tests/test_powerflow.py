@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from gridsim.network import (
@@ -19,6 +20,7 @@ from gridsim.powerflow import (
     NoSlackInIslandError,
     PfOptions,
     PowerFlowDidNotConverge,
+    SingularJacobianError,
     ZeroVoltageError,
     apply_solution,
     flat_start,
@@ -31,6 +33,7 @@ from gridsim.powerflow import (
     total_balance,
 )
 from gridsim.powerflow.model import PQ, PV, SL
+from gridsim.powerflow.solver import NewtonSystem
 
 from conftest import CASES, DATA, GOLDEN
 
@@ -124,6 +127,84 @@ def test_flat_start_iterates_pinned(case):
     assert sol.iterations == pinned["iterations"]
     v = np.array(pinned["v_re"]) + 1j * np.array(pinned["v_im"])
     np.testing.assert_allclose(sol.v, v, rtol=0, atol=1e-12)
+
+
+def test_solve_trace():
+    net, _ = load_network(CASES / "case57.m")
+    model = model_build(net)
+    sol = nr_solve(model)
+    assert sol.converged and len(sol.trace) == sol.iterations
+    system = NewtonSystem(model)
+    first = np.abs(system.residual(flat_start(model), model.s_g)).max()
+    assert sol.trace[0]["residual_pu"] == first
+    norms = [it["residual_pu"] for it in sol.trace] + [sol.residual_norm]
+    assert all(a > b for a, b in zip(norms, norms[1:]))
+    assert all(it["alpha"] == 1.0 and it["halvings"] == 0 for it in sol.trace)
+    assert sol.factor_s == pytest.approx(sum(it["factor_s"] for it in sol.trace))
+    assert all(it["factor_s"] > 0 for it in sol.trace)
+
+
+def test_trace_records_halvings():
+    # the absurd load of test_non_convergence_reported: no full step helps
+    net = _small_net()
+    net.zips["ld"].set_wye(0, s=500.0 + 100.0j)
+    sol = nr_solve(model_build(net), PfOptions(max_iter=15, damping=0.8))
+    assert len(sol.trace) == 15
+    for it in sol.trace:
+        assert it["alpha"] == 0.8 * 0.5 ** it["halvings"]
+    assert max(it["halvings"] for it in sol.trace) == 4
+
+
+def test_singular_later_factor_reported(monkeypatch):
+    # a factor in the kept ordering fails as the first (COLAMD) one would
+    splu = spla.splu
+
+    def failing(jac, permc_spec="COLAMD", **kwargs):
+        if permc_spec == "NATURAL":
+            raise RuntimeError("Factor is exactly singular")
+        return splu(jac, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", failing)
+    net, _ = load_network(CASES / "case14.m")
+    with pytest.raises(SingularJacobianError, match="at iteration 2"):
+        nr_solve(model_build(net))
+
+
+def test_non_finite_step_reported(monkeypatch):
+    splu = spla.splu
+
+    class Overflowing:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            return self.lu.solve(rhs) * np.inf
+
+    def natural_overflows(jac, permc_spec="COLAMD", **kwargs):
+        lu = splu(jac, permc_spec=permc_spec, **kwargs)
+        return Overflowing(lu) if permc_spec == "NATURAL" else lu
+
+    monkeypatch.setattr(spla, "splu", natural_overflows)
+    net, _ = load_network(CASES / "case14.m")
+    with pytest.raises(SingularJacobianError,
+                       match="non-finite Newton step at iteration 2"):
+        nr_solve(model_build(net))
+
+
+def test_non_finite_residual_reported(monkeypatch):
+    # before, a NaN trial residual was taken and Newton ran to max_iter
+    residual = NewtonSystem.residual
+    calls = []
+
+    def nan_after_first_step(self, v, s_g):
+        calls.append(1)
+        r = residual(self, v, s_g)
+        return r * np.nan if len(calls) > 2 else r
+
+    monkeypatch.setattr(NewtonSystem, "residual", nan_after_first_step)
+    net, _ = load_network(CASES / "case14.m")
+    with pytest.raises(SingularJacobianError, match="residual .* at iteration 2"):
+        nr_solve(model_build(net))
 
 
 def test_non_convergence_reported():
