@@ -1,17 +1,9 @@
 from .collections import (
     ComponentCollection,
     DuplicateKeyError,
-    Handle,
     MissingKeyError,
 )
 from .events import ActionToken, Event, StaleTokenError
-from .properties import (
-    PropertyBag,
-    PropertyTypeError,
-    ReadOnlyPropertyError,
-    UnknownPropertyError,
-    to_json_value,
-)
 from .timeseries import (
     CLAMP,
     ERROR,
@@ -25,16 +17,10 @@ from .timeseries import (
 __all__ = [
     "ComponentCollection",
     "DuplicateKeyError",
-    "Handle",
     "MissingKeyError",
     "ActionToken",
     "Event",
     "StaleTokenError",
-    "PropertyBag",
-    "PropertyTypeError",
-    "ReadOnlyPropertyError",
-    "UnknownPropertyError",
-    "to_json_value",
     "TimeSeries",
     "TimeSeriesRangeError",
     "parse_time",

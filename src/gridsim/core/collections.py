@@ -1,10 +1,9 @@
-"""Ordered, keyed collections with replacement-stable handles.
+"""Ordered, keyed collections of components.
 
-A ComponentCollection behaves like a dict that remembers insertion order
-and additionally supports positional access.  Handles obtained from the
-collection keep resolving after the underlying item is replaced, which is
-what lets long-lived references (e.g. a terminal pointing at a bus) survive
-in-place swaps of a component.
+A ComponentCollection is an insertion-ordered ``dict[str, item]`` with
+checked insertion: keys must be non-empty and unique, and addressing a
+missing key raises :class:`MissingKeyError`.  Iteration yields the items
+in insertion order.
 """
 
 from __future__ import annotations
@@ -20,106 +19,42 @@ class MissingKeyError(KeyError):
     """Raised when addressing a key that is not present."""
 
 
-class _Slot:
-    __slots__ = ("key", "item")
-
-    def __init__(self, key: str, item: Any):
-        self.key = key
-        self.item = item
-
-
-class Handle:
-    """Stable reference to one slot of a ComponentCollection.
-
-    Resolves to whatever item currently occupies the slot, so a handle
-    taken before ``replace()`` sees the replacement afterwards.
-    """
-
-    __slots__ = ("_slot",)
-
-    def __init__(self, slot: _Slot):
-        self._slot = slot
-
-    @property
-    def key(self) -> str:
-        return self._slot.key
-
-    @property
-    def item(self) -> Any:
-        return self._slot.item
-
-    def __call__(self) -> Any:
-        return self._slot.item
-
-    def __repr__(self) -> str:
-        return f"Handle({self._slot.key!r} -> {self._slot.item!r})"
-
-
 class ComponentCollection:
-    """Insertion-ordered map with index access and stable handles."""
+    """Insertion-ordered map of components by id."""
 
     def __init__(self) -> None:
-        self._slots: list[_Slot] = []
-        self._by_key: dict[str, _Slot] = {}
+        self._items: dict[str, Any] = {}
 
-    def insert(self, key: str, item: Any) -> Handle:
+    def insert(self, key: str, item: Any) -> None:
         if not key:
             raise ValueError("collection keys must be non-empty strings")
-        if key in self._by_key:
+        if key in self._items:
             raise DuplicateKeyError(key)
-        slot = _Slot(key, item)
-        self._slots.append(slot)
-        self._by_key[key] = slot
-        return Handle(slot)
-
-    def replace(self, key: str, item: Any) -> None:
-        slot = self._by_key.get(key)
-        if slot is None:
-            raise MissingKeyError(key)
-        slot.item = item
-
-    def handle(self, key: str) -> Handle:
-        slot = self._by_key.get(key)
-        if slot is None:
-            raise MissingKeyError(key)
-        return Handle(slot)
-
-    def by_index(self, index: int) -> Any:
-        return self._slots[index].item
-
-    def key_at(self, index: int) -> str:
-        return self._slots[index].key
-
-    def index_of(self, key: str) -> int:
-        slot = self._by_key.get(key)
-        if slot is None:
-            raise MissingKeyError(key)
-        return self._slots.index(slot)
+        self._items[key] = item
 
     def get(self, key: str, default: Any = None) -> Any:
-        slot = self._by_key.get(key)
-        return default if slot is None else slot.item
+        return self._items.get(key, default)
 
     def __getitem__(self, key: str) -> Any:
-        slot = self._by_key.get(key)
-        if slot is None:
-            raise MissingKeyError(key)
-        return slot.item
+        try:
+            return self._items[key]
+        except KeyError:
+            raise MissingKeyError(key) from None
 
     def __contains__(self, key: str) -> bool:
-        return key in self._by_key
+        return key in self._items
 
     def __len__(self) -> int:
-        return len(self._slots)
+        return len(self._items)
 
     def __iter__(self) -> Iterator[Any]:
-        return (slot.item for slot in self._slots)
+        return iter(self._items.values())
 
     def keys(self) -> Iterator[str]:
-        return (slot.key for slot in self._slots)
+        return iter(self._items)
 
     def items(self) -> Iterator[tuple[str, Any]]:
-        return ((slot.key, slot.item) for slot in self._slots)
+        return iter(self._items.items())
 
     def __repr__(self) -> str:
-        return f"ComponentCollection({list(self.keys())!r})"
+        return f"ComponentCollection({list(self._items)!r})"

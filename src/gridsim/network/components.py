@@ -6,7 +6,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..core import PropertyBag
 from .phases import Phase, nominal_voltage, sorted_phases
 
 
@@ -47,7 +46,7 @@ class Terminal:
         return f"Terminal(bus={self.bus_id!r}, phases={[p.name for p in self.phase_map]})"
 
 
-class Bus(PropertyBag):
+class Bus:
     def __init__(
         self,
         id: str,
@@ -90,14 +89,7 @@ class Bus(PropertyBag):
         return f"Bus({self.id!r}, {[p.name for p in self.phases]}, {self.bus_type})"
 
 
-Bus.declare_property("VMagPu", lambda bus: np.abs(bus.v))
-Bus.declare_property(
-    "VAngDeg", lambda bus: np.angle(bus.v, deg=True)
-)
-Bus.declare_property("type", lambda bus: bus.bus_type)
-
-
-class Gen(PropertyBag):
+class Gen:
     """Generator injecting complex power at one terminal.
 
     Powers are in MW / MVAr; the per-unit conversion happens when a solver
@@ -145,12 +137,7 @@ class Gen(PropertyBag):
         return f"Gen({self.id!r}, S={self.s})"
 
 
-Gen.declare_property("P_MW", lambda g: g.s.real.sum())
-Gen.declare_property("Q_MVAr", lambda g: g.s.imag.sum())
-Gen.declare_property("inService", lambda g: g.in_service)
-
-
-class Zip(PropertyBag):
+class Zip:
     """ZIP load between phases and/or phase to ground, in per unit.
 
     The component matrices are (n+1) x (n+1) with slot 0 representing
@@ -201,7 +188,3 @@ class Zip(PropertyBag):
 
     def __repr__(self) -> str:
         return f"Zip({self.id!r}, n_phase={self.n_phase})"
-
-
-Zip.declare_property("SConstTotal", lambda z: complex(z.s_const.sum()))
-Zip.declare_property("inService", lambda z: z.in_service)

@@ -7,7 +7,7 @@ from typing import Iterable, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from ..core import ComponentCollection, PropertyBag
+from ..core import ComponentCollection
 from .branches import BranchModel
 from .components import (
     Bus,
@@ -44,7 +44,7 @@ class UnconnectedTerminalError(NetworkModelError):
     pass
 
 
-class Branch(PropertyBag):
+class Branch:
     """A branch instance: a model plus its two terminals and a rating."""
 
     def __init__(

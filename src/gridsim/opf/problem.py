@@ -218,14 +218,6 @@ class OpfProblem:
     def x0(self) -> np.ndarray:
         return self.restrict(self.x0_full)
 
-    @property
-    def lb_free(self) -> np.ndarray:
-        return self.lb[self.free]
-
-    @property
-    def ub_free(self) -> np.ndarray:
-        return self.ub[self.free]
-
     # -- sparsity ------------------------------------------------------------
 
     def _freeze(self):

@@ -5,7 +5,6 @@ from .components import (
     Heartbeat,
     Inverter,
     PvInverter,
-    RealTimeClock,
     SolarPv,
 )
 from .control import VoltVarController
@@ -31,7 +30,6 @@ __all__ = [
     "TimeSeriesTapChanger",
     "PowerFlowAbort",
     "Heartbeat",
-    "RealTimeClock",
     "Battery",
     "SolarPv",
     "Inverter",

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import time as _time
 
 import numpy as np
 
@@ -26,40 +25,6 @@ class Heartbeat(SimComponent):
 
     def update(self, t: float) -> None:
         self.tick_count += 1
-        self.next_update_time = t + self.interval_s
-
-
-class RealTimeClock(SimComponent):
-    """Paces the simulation against the wall clock.
-
-    Each update sleeps until the wall-clock time corresponding to the
-    simulation instant (scaled by ``speedup``) has passed, then schedules
-    the next tick.  Intended for interactive runs; never used in automated
-    test runs.
-    """
-
-    def __init__(self, id: str, interval_s: float, speedup: float = 1.0,
-                 sleep=_time.sleep, clock=_time.monotonic):
-        super().__init__(id)
-        self.interval_s = float(interval_s)
-        self.speedup = float(speedup)
-        self._sleep = sleep
-        self._clock = clock
-        self._wall_anchor = None
-        self._sim_anchor = None
-
-    def initialize(self, sim) -> None:
-        self.next_update_time = sim.start_time
-
-    def update(self, t: float) -> None:
-        if self._wall_anchor is None:
-            self._wall_anchor = self._clock()
-            self._sim_anchor = t
-        else:
-            target = self._wall_anchor + (t - self._sim_anchor) / self.speedup
-            delay = target - self._clock()
-            if delay > 0:
-                self._sleep(delay)
         self.next_update_time = t + self.interval_s
 
 

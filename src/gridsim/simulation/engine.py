@@ -4,8 +4,10 @@ Components declare dependencies on other components; the engine ranks them
 by longest-path depth in the dependency DAG so that, whenever several
 components act at the same instant, dependencies always run before their
 dependents.  Each timestep first runs every update scheduled for that
-instant (in rank order), then drains the set of contingent updates raised
-by those updates until a fixpoint.
+instant, then drains the set of contingent updates raised by those updates
+until a fixpoint.  Both phases order components by the key
+``(rank, insertion position)``; the position is recorded when the
+component is added.
 """
 
 from __future__ import annotations
@@ -95,6 +97,7 @@ class Simulation:
     def __init__(self, start_time: float = 0.0, end_time: float = 0.0,
                  contingent_round_cap: int = 100):
         self.components = ComponentCollection()
+        self._position: dict[str, int] = {}
         self.start_time = float(start_time)
         self.end_time = float(end_time)
         self.current_time = float(start_time)
@@ -117,6 +120,7 @@ class Simulation:
 
     def add(self, component: SimComponent) -> SimComponent:
         self.components.insert(component.id, component)
+        self._position[component.id] = len(self._position)
         component.sim = self
         self._ranked = False
         return component
@@ -171,18 +175,14 @@ class Simulation:
             visit(comp)
         self._ranked = True
 
-    def _rank_order(self, ids):
-        return sorted(
-            ids,
-            key=lambda cid: (self.components[cid].rank,
-                             self.components.index_of(cid)),
-        )
+    def _order_key(self, cid):
+        return self.components[cid].rank, self._position[cid]
 
     def initialize(self) -> None:
         """Two passes in rank order: set state, then resolve references."""
         if not self._ranked:
             self.rank_components()
-        order = self._rank_order([c.id for c in self.components])
+        order = sorted(self.components.keys(), key=self._order_key)
         self.current_time = self.start_time
         for cid in order:
             comp = self.components[cid]
@@ -247,8 +247,9 @@ class Simulation:
         t = self.next_event_time()
         if t == math.inf:
             raise NoPendingUpdateError("no component has a pending update")
-        scheduled = self._rank_order(
-            [c.id for c in self.components if c.next_update_time == t]
+        scheduled = sorted(
+            (c.id for c in self.components if c.next_update_time == t),
+            key=self._order_key,
         )
         self.current_time = t
         self._phase = "scheduled"
@@ -266,7 +267,7 @@ class Simulation:
             self._phase = "contingent"
             counts: dict[str, int] = {}
             while self._contingent:
-                cid = self._rank_order(self._contingent.keys())[0]
+                cid = min(self._contingent, key=self._order_key)
                 del self._contingent[cid]
                 counts[cid] = counts.get(cid, 0) + 1
                 if counts[cid] > self.contingent_round_cap:

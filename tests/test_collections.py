@@ -21,10 +21,8 @@ def test_positional_and_key_access():
     coll = ComponentCollection()
     coll.insert("x", 1)
     coll.insert("y", 2)
-    assert coll.by_index(0) == 1
-    assert coll.key_at(1) == "y"
-    assert coll.index_of("y") == 1
     assert coll["x"] == 1
+    assert coll["y"] == 2
     assert coll.get("missing") is None
     assert coll.get("missing", 42) == 42
     assert "x" in coll
@@ -36,18 +34,17 @@ def test_duplicate_key_rejected():
     coll.insert("x", 1)
     with pytest.raises(DuplicateKeyError):
         coll.insert("x", 2)
+    assert coll["x"] == 1
+    assert len(coll) == 1
 
 
 def test_missing_key_errors():
     coll = ComponentCollection()
     with pytest.raises(MissingKeyError):
         coll["nope"]
+    coll.insert("x", 1)
     with pytest.raises(MissingKeyError):
-        coll.handle("nope")
-    with pytest.raises(MissingKeyError):
-        coll.index_of("nope")
-    with pytest.raises(MissingKeyError):
-        coll.replace("nope", 0)
+        coll["nope"]
 
 
 def test_empty_key_rejected():
@@ -56,52 +53,13 @@ def test_empty_key_rejected():
         coll.insert("", 1)
 
 
-def test_handle_survives_replace():
-    coll = ComponentCollection()
-    handle = coll.insert("x", "old")
-    assert handle() == "old"
-    coll.replace("x", "new")
-    assert handle() == "new"
-    assert handle.item == "new"
-    assert handle.key == "x"
-    # a handle taken later sees the same slot
-    assert coll.handle("x")() == "new"
-
-
-def test_replace_keeps_position():
-    coll = ComponentCollection()
-    coll.insert("a", 1)
-    coll.insert("b", 2)
-    coll.replace("a", 10)
-    assert coll.by_index(0) == 10
-    assert list(coll.keys()) == ["a", "b"]
-
-
 @given(st.lists(st.text(min_size=1, max_size=5), unique=True, max_size=20))
 def test_order_matches_insertion(keys):
     coll = ComponentCollection()
     for i, key in enumerate(keys):
         coll.insert(key, i)
     assert list(coll.keys()) == keys
+    assert list(coll) == list(range(len(keys)))
+    assert list(coll.items()) == [(key, i) for i, key in enumerate(keys)]
     for i, key in enumerate(keys):
-        assert coll.index_of(key) == i
-        assert coll.by_index(i) == i
-
-
-@given(
-    st.lists(st.text(min_size=1, max_size=4), unique=True, min_size=1, max_size=10),
-    st.data(),
-)
-def test_handles_stable_under_replacements(keys, data):
-    coll = ComponentCollection()
-    handles = {k: coll.insert(k, f"v0:{k}") for k in keys}
-    n_ops = data.draw(st.integers(0, 20))
-    current = {k: f"v0:{k}" for k in keys}
-    for i in range(n_ops):
-        k = data.draw(st.sampled_from(keys))
-        value = f"v{i + 1}:{k}"
-        coll.replace(k, value)
-        current[k] = value
-    for k in keys:
-        assert handles[k]() == current[k]
-        assert coll[k] == current[k]
+        assert coll[key] == i

@@ -165,6 +165,39 @@ def test_contingent_exactly_once_per_flag_burst():
     assert [cid for _, cid in log] == ["p", "target"]
 
 
+def test_contingent_drain_in_rank_then_insertion_order():
+    sink = ListSink()
+    sim = Simulation(0, 1)
+
+    class MultiPoker(Ticker):
+        targets = ["t3", "t2", "t1"]  # reverse insertion order
+
+        def update(self, t):
+            super().update(t)
+            for target in self.targets:
+                self.sim.flag_contingent(target)
+
+    sim.add(MultiPoker("poker", 1))
+    sim.add(SimComponent("t1"))
+    sim.add(SimComponent("t2", dependencies=("poker",)))
+    sim.add(SimComponent("t3"))
+    sim.add_sink(sink)
+    sim.initialize()
+    assert [sim.get(c).rank for c in ("t1", "t2", "t3")] == [0, 1, 0]
+    sim.do_timestep()
+    contingent = [cid for _, cid, kind, _ in sink.records if kind == "contingent"]
+    assert contingent == ["t1", "t3", "t2"]
+
+    # a component added after initialize keeps rank 0 and orders after
+    # every component inserted before it
+    sim.add(SimComponent("late"))
+    sim.get("poker").targets = ["late", "t3", "t2", "t1"]
+    sink.records.clear()
+    sim.do_timestep()
+    contingent = [cid for _, cid, kind, _ in sink.records if kind == "contingent"]
+    assert contingent == ["t1", "t3", "late", "t2"]
+
+
 def test_livelock_detection():
     sim = Simulation(0, 0, contingent_round_cap=10)
 
