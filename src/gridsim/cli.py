@@ -22,7 +22,7 @@ from .parsers import (
     case_to_network,
 )
 from .powerflow import PfOptions, SingularJacobianError, solve_network
-from .simlib import ChannelWriter, PowerFlowAbort
+from .simlib import ChannelWriter, PowerFlowAbort, SimNetwork
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -145,8 +145,15 @@ def cmd_sim(args) -> int:
     except Exception as exc:
         return _fail(f"simulation failed: {exc}")
     if not args.quiet:
-        print(f"simulation complete at t={ctx.sim.current_time:g}; "
-              f"outputs in {out_dir}")
+        parts = [f"simulation complete at t={ctx.sim.current_time:g}",
+                 f"outputs in {out_dir}"]
+        for comp in ctx.sim.components:
+            if isinstance(comp, SimNetwork):
+                mean = comp.newton_iterations / max(comp.solve_count, 1)
+                parts.append(f"network {comp.id}: {comp.solve_count} solves, "
+                             f"{mean:.2f} iterations per solve, "
+                             f"{comp.model_builds} model builds")
+        print("; ".join(parts))
     return EXIT_OK
 
 

@@ -506,7 +506,8 @@ def _d2s(r, c, y, V, I, lam):
 
 
 def opf_build(net, extensions=(), hold_gen_voltage=False,
-              v_min=None, v_max=None, theta_bound=None, start="nominal"):
+              v_min=None, v_max=None, theta_bound=None, start="nominal",
+              model=None):
     """Construct an :class:`OpfProblem` from a network.
 
     ``hold_gen_voltage`` pins each generator-bus voltage magnitude to the
@@ -515,11 +516,14 @@ def opf_build(net, extensions=(), hold_gen_voltage=False,
     per-bus magnitude bounds with scalars.  ``start="state"`` seeds the
     iterate from the network's current voltages and generator injections
     instead of the nominal profile — useful when re-optimizing around an
-    already-solved operating point.
+    already-solved operating point.  ``model`` is a power-flow model of
+    ``net`` as it stands (a simulation passes the one it holds); it is
+    built from ``net`` when omitted.
     """
     if start not in ("nominal", "state"):
         raise ValueError(f"unknown start mode {start!r}")
-    model = model_build(net)
+    if model is None:
+        model = model_build(net)
     if len(model.di):
         raise UnsupportedLoadError(
             "delta-connected ZIP loads are not supported in the optimization model"

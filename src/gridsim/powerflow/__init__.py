@@ -8,6 +8,7 @@ from .model import (
 )
 from .residuals import network_current, residual_current, residual_power
 from .solver import (
+    HeldPowerFlow,
     PfSolution,
     PowerFlowDidNotConverge,
     SingularJacobianError,
@@ -33,6 +34,7 @@ __all__ = [
     "flat_start",
     "apply_solution",
     "solve_network",
+    "HeldPowerFlow",
     "recover_flows",
     "total_balance",
     "PfSolution",

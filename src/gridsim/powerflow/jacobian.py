@@ -34,8 +34,9 @@ def wirtinger_parts(
 
     The constant part of A is -Y; everything else is returned here as a
     diagonal vector per matrix plus off-diagonal COO triplets (from delta
-    loads).  The triplet positions are fixed by ``inj`` (never by the
-    state), so callers may freeze sparsity patterns across iterations.
+    loads).  The triplet positions are fixed by the model's structure
+    (never by the state or the injection values), so callers may freeze
+    sparsity patterns across iterations and across refreshed models.
     """
     n = inj.model.n_node
     a_diag = np.zeros(n, dtype=complex)
@@ -56,16 +57,12 @@ def wirtinger_parts(
     b_v = np.zeros(0, dtype=complex)
     if len(inj.di):
         vd = v[inj.di] - v[inj.dk]
-        # Constant-power delta component.
-        ws = inj.dsw
-        d_bs = inj.ds_conj[ws] / vd[ws].conj() ** 2
-        # Constant-current delta component.
-        wc = inj.dcw
-        mag = np.abs(vd[wc])
-        d_a = -inj.dc[wc] / (2.0 * mag)
-        d_bc = inj.dc[wc] * vd[wc] ** 2 / (2.0 * mag**3)
+        mag = np.abs(vd)
+        # constant-current part in A and B, constant-power part in B
+        d_a = -inj.dc / (2.0 * mag)
+        d_b = inj.ds_conj / vd.conj() ** 2 + inj.dc * vd**2 / (2.0 * mag**3)
         a_v = np.concatenate([d_a, -d_a])
-        b_v = np.concatenate([d_bs, -d_bs, d_bc, -d_bc])
+        b_v = np.concatenate([d_b, -d_b])
     return (
         a_diag, b_diag,
         (inj.a_rows, inj.a_cols, a_v), (inj.b_rows, inj.b_cols, b_v),

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,6 +25,16 @@ _TYPE_CODE = {"SL": SL, "PV": PV, "PQ": PQ}
 
 @dataclass
 class PfOptions:
+    """Newton settings.
+
+    ``start="flat"`` begins at the nominal angles, with unit magnitude at
+    PQ nodes and the setpoint magnitude at PV nodes.  ``start="warm"``
+    begins at the network's bus voltages as they were when the model was
+    built (``PowerFlowModel.v_state``), so re-solving a solved network
+    starts at its answer; slack nodes still start at their setpoint, and
+    a node whose state voltage is 0 takes its flat-start value.
+    """
+
     tol_pu: float = 1e-8
     max_iter: int = 50
     damping: float = 1.0
@@ -52,6 +62,7 @@ class PowerFlowModel:
     s_wye: np.ndarray              # constant-power wye component per node (pu)
     i_wye: np.ndarray              # constant-current wye component per node (pu)
     v_nom: np.ndarray              # nominal complex voltage per node (pu)
+    v_state: np.ndarray            # bus voltages when built (pu): the warm start
     s_base_mva: float
     # Directed delta entries: entry j couples node di[j] to node dk[j].
     di: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
@@ -85,11 +96,7 @@ def model_build(net: Network) -> PowerFlowModel:
     y, index = net.ybus()
     n = len(index)
     node_type = np.full(n, PQ, dtype=int)
-    s_g = np.zeros(n, dtype=complex)
     v_sl = np.zeros(n, dtype=complex)
-    v_set_pv = np.ones(n, dtype=float)
-    s_wye = np.zeros(n, dtype=complex)
-    i_wye = np.zeros(n, dtype=complex)
     v_nom = np.zeros(n, dtype=complex)
 
     gens = [g for g in net.gens if g.in_service and g.terminal.connected]
@@ -97,20 +104,68 @@ def model_build(net: Network) -> PowerFlowModel:
         [node for g in gens for node in index.terminal_nodes(g.terminal)],
         dtype=int,
     )
+    regulated = {g.terminal.bus_id for g in gens}
+    for bus in net.buses:
+        sl = index.bus_nodes(bus.id)
+        v_nom[sl] = bus.v_nom
+        code = _TYPE_CODE[bus.bus_type] if bus.id in regulated else PQ
+        node_type[sl] = code
+        if code == SL:
+            v_sl[sl] = bus.v_nom
+
+    _check_islands(y, node_type, index)
+
+    return PowerFlowModel(
+        y=y,
+        index=index,
+        node_type=node_type,
+        v_sl=v_sl,
+        v_nom=v_nom,
+        s_base_mva=net.s_base_mva,
+        gens=gens,
+        gen_node=gen_node,
+        **_injections(net, index, node_type, gens, gen_node),
+    )
+
+
+def model_refresh(model: PowerFlowModel, net: Network) -> PowerFlowModel | None:
+    """``model`` with the injection values and state voltages of ``net``.
+
+    The structure (Y-bus, node index, node types, generators and delta
+    entries) is taken from ``model`` unchanged and shared; every value
+    array is new, so ``model`` itself is left as it was.  The caller
+    vouches that nothing structural changed since ``model`` was built.
+    Returns None when the set of delta entries, which fixes the Jacobian
+    pattern, has changed (a delta term became or stopped being zero): the
+    model must then be rebuilt with :func:`model_build`.
+    """
+    fresh = _injections(net, model.index, model.node_type, model.gens,
+                        model.gen_node)
+    if not (np.array_equal(fresh["di"], model.di)
+            and np.array_equal(fresh["dk"], model.dk)):
+        return None
+    fresh["di"], fresh["dk"] = model.di, model.dk
+    return replace(model, **fresh)
+
+
+def _injections(net: Network, index: NodeIndex, node_type: np.ndarray,
+                gens: list, gen_node: np.ndarray) -> dict:
+    """The value fields of a model: injections, setpoints, state voltages.
+
+    Delta entries are kept where a power or current term is nonzero.
+    """
+    n = len(node_type)
+    s_g = np.zeros(n, dtype=complex)
+    v_set_pv = np.ones(n, dtype=float)
+    s_wye = np.zeros(n, dtype=complex)
+    i_wye = np.zeros(n, dtype=complex)
+
     # a regulated bus takes the setpoint of its first generator
     setpoint: dict[str, float] = {}
     for gen in gens:
         setpoint.setdefault(gen.terminal.bus_id, gen.v_setpoint)
-
-    for bus in net.buses:
-        sl = index.bus_nodes(bus.id)
-        v_nom[sl] = bus.v_nom
-        code = _TYPE_CODE[bus.bus_type] if bus.id in setpoint else PQ
-        node_type[sl] = code
-        if code == SL:
-            v_sl[sl] = bus.v_nom
-        elif code == PV:
-            v_set_pv[sl] = setpoint[bus.id]
+    for node in (node_type == PV).nonzero()[0]:
+        v_set_pv[node] = setpoint[index.nodes[node][0]]
 
     if gens:
         slot_s = np.concatenate([g.s for g in gens]) / net.s_base_mva
@@ -139,25 +194,18 @@ def model_build(net: Network) -> PowerFlowModel:
                     ds.append(s_d)
                     dc.append(i_d)
 
-    _check_islands(y, node_type, index)
-
-    return PowerFlowModel(
-        y=y,
-        index=index,
-        node_type=node_type,
+    # node order is bus order, then phase order within a bus
+    v_state = np.concatenate([np.zeros(0, complex)] + [b.v for b in net.buses])
+    return dict(
         s_g=s_g,
-        v_sl=v_sl,
         v_set_pv=v_set_pv,
         s_wye=s_wye,
         i_wye=i_wye,
-        v_nom=v_nom,
-        s_base_mva=net.s_base_mva,
+        v_state=v_state,
         di=np.asarray(di, dtype=int),
         dk=np.asarray(dk, dtype=int),
         ds=np.asarray(ds, dtype=complex),
         dc=np.asarray(dc, dtype=complex),
-        gens=gens,
-        gen_node=gen_node,
     )
 
 

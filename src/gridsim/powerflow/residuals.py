@@ -6,7 +6,7 @@ wye constant-current and delta entries) are located once in an
 and scatters over those index sets instead of re-deriving masks from the
 model.  :func:`residual_current`, :func:`residual_power` and
 :func:`network_current` are one-call conveniences that locate the sets
-and evaluate once; a solver builds one :class:`Injections` per solve.
+and evaluate once; a solver builds one :class:`Injections` per model.
 """
 
 from __future__ import annotations
@@ -23,15 +23,19 @@ class Injections:
     ``s_g`` later passed in must vanish outside them.  It defaults to the
     nonzeros of ``model.s_g`` (a solver that moves PV reactive power adds
     the PV nodes).  The zero-voltage guard covers the nodes where
-    ``model.s_g``, ``model.s_wye`` or ``model.i_wye`` is nonzero, and the
-    delta entries with a nonzero power or current term.
+    ``model.s_g``, ``model.s_wye`` or ``model.i_wye`` is nonzero, and every
+    delta entry (a model keeps only those with a nonzero term).
+
+    Every delta entry carries both its power and its current term, a zero
+    one adding nothing, so the Jacobian positions located here depend on
+    the model's structure alone: a solver may keep its pattern across
+    models that share a structure and differ in injection values.
     """
 
-    # Delta sets of a model without delta entries.  ``dsw``/``dcw`` index
-    # the entries with a constant-power/-current term; ``a_*``/``b_*`` are
-    # the positions of their off-diagonal Jacobian triplets (see
+    # Delta sets of a model without delta entries: ``a_*``/``b_*`` are the
+    # positions of the off-diagonal Jacobian triplets (see
     # jacobian.wirtinger_parts).
-    d_guard = dsw = dcw = a_rows = a_cols = b_rows = b_cols = np.zeros(0, int)
+    a_rows = a_cols = b_rows = b_cols = np.zeros(0, int)
     _vd_empty = np.zeros(0, dtype=complex)
 
     def __init__(self, model: PowerFlowModel, gens: np.ndarray | None = None):
@@ -50,13 +54,8 @@ class Injections:
             return
         self.ds_conj = model.ds.conj()
         self.dc = model.dc
-        self.d_guard = ((model.ds != 0.0) | (model.dc != 0.0)).nonzero()[0]
-        self.dsw = ws = model.ds.nonzero()[0]
-        self.dcw = wc = model.dc.nonzero()[0]
-        self.a_rows = np.concatenate([di[wc], di[wc]])
-        self.a_cols = np.concatenate([di[wc], dk[wc]])
-        self.b_rows = np.concatenate([di[ws], di[ws], di[wc], di[wc]])
-        self.b_cols = np.concatenate([di[ws], dk[ws], di[wc], dk[wc]])
+        self.a_rows = self.b_rows = np.concatenate([di, di])
+        self.a_cols = self.b_cols = np.concatenate([di, dk])
 
     def check_voltages(self, v: np.ndarray) -> np.ndarray:
         """Guard the divisions: wye terms divide by V_i, delta terms by V_ik.
@@ -72,8 +71,8 @@ class Injections:
         if not len(self.di):
             return self._vd_empty
         vd = v[self.di] - v[self.dk]
-        if not vd[self.d_guard].all():
-            j = int(self.d_guard[vd[self.d_guard] == 0.0][0])
+        if not vd.all():
+            j = int((vd == 0.0).nonzero()[0][0])
             bus, phase = self.model.index.nodes[int(self.di[j])]
             raise ZeroVoltageError(
                 f"zero phase-phase voltage on delta load at {bus}:{phase.name}"

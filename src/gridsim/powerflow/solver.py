@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 
 from ..network import Network
 from .jacobian import JacobianAssembler
-from .model import PV, SL, PfOptions, PowerFlowModel, model_build
+from .model import PV, SL, PfOptions, PowerFlowModel, model_build, model_refresh
 from .residuals import Injections, network_current
 
 
@@ -81,26 +81,35 @@ def flat_start(model: PowerFlowModel) -> np.ndarray:
     return np.where(code == SL, model.v_sl, v)
 
 
+def warm_start(model: PowerFlowModel) -> np.ndarray:
+    """The state voltages, with flat-start values at slack nodes and
+    wherever the state voltage is 0."""
+    keep = (model.v_state != 0.0) & (model.node_type != SL)
+    return np.where(keep, model.v_state, flat_start(model))
+
+
 class NewtonSystem:
     """The reduced real Newton system that :func:`nr_solve` iterates on.
 
     Unknowns are (Re V, Im V) at the non-slack nodes, then the reactive
     generation at each PV node; equations are (Re r, Im r) at the same
-    nodes, then |V|^2 = setpoint^2 at each PV node.  The index sets, the
-    :class:`Injections` and the Jacobian pattern are built once, for a
-    whole solve, and so is the LU ordering (see :meth:`factor`).
+    nodes, then |V|^2 = setpoint^2 at each PV node.  The index sets and
+    the Jacobian pattern are built once, for at least a whole solve, and
+    so is the LU ordering (see :meth:`factor`).  They depend on the
+    model's structure only, and ``y`` is the Y-bus they were built on:
+    :meth:`load` moves the system to another model of that structure
+    (new injection values, so new :class:`Injections`) and keeps them.
     """
 
+    assembler = None
+
     def __init__(self, model: PowerFlowModel):
+        self.y = model.y
         self.free = free = (model.node_type != SL).nonzero()[0]
         self.pv = pv = (model.node_type == PV).nonzero()[0]
         self.nf = nf = len(free)
         npv = len(pv)
-        self.v_set2 = model.v_set_pv[pv] ** 2
-        # PV nodes carry generation even while their reactive power is 0
-        self.inj = Injections(
-            model, ((model.s_g != 0.0) | (model.node_type == PV)).nonzero()[0]
-        )
+        self.load(model)
         extra_pattern = None
         if npv:
             pv_cols = np.searchsorted(free, pv)
@@ -112,6 +121,16 @@ class NewtonSystem:
             )
         self.assembler = JacobianAssembler(self.inj, free, extra_pattern)
         self._order = None
+
+    def load(self, model: PowerFlowModel) -> None:
+        """Take the injection values and setpoints of ``model``."""
+        self.v_set2 = model.v_set_pv[self.pv] ** 2
+        # PV nodes carry generation even while their reactive power is 0
+        self.inj = Injections(
+            model, ((model.s_g != 0.0) | (model.node_type == PV)).nonzero()[0]
+        )
+        if self.assembler is not None:
+            self.assembler.inj = self.inj
 
     def _keep_order(self, perm_c: np.ndarray) -> None:
         """Set up the symmetric permutation P J P^T, P from ``perm_c``.
@@ -140,10 +159,10 @@ class NewtonSystem:
     def factor(self, jac: sp.csc_matrix):
         """LU-factor the Newton matrix; returns its ``solve``.
 
-        The first call of a solve orders the columns with COLAMD, as
+        The first call on a system orders the columns with COLAMD, as
         ``splu`` does by default.  Every later call reuses that order as a
         symmetric permutation of the (same-pattern) matrix and factors it
-        in natural order, so COLAMD runs once per solve; partial pivoting
+        in natural order, so COLAMD runs once per system; partial pivoting
         keeps SuperLU's default threshold.  A singular matrix raises
         SuperLU's ``RuntimeError``.
         """
@@ -174,30 +193,29 @@ class NewtonSystem:
         ))
 
 
-def nr_solve(model: PowerFlowModel, opts: PfOptions | None = None) -> PfSolution:
+def nr_solve(
+    model: PowerFlowModel,
+    opts: PfOptions | None = None,
+    held: HeldPowerFlow | None = None,
+) -> PfSolution:
     """Newton iteration on the current-injection residuals.
 
     PV nodes keep |V| at the setpoint through an added magnitude equation
     with the reactive generation as a matching extra unknown.  Slack nodes
     are held fixed and their generation recovered afterwards.  The index
     sets of the injections, the Jacobian pattern and the LU ordering are
-    fixed once per call (:class:`NewtonSystem`); each iteration refills
-    values only.  A singular Jacobian, or a Newton step or trial residual
-    that is not finite, raises :class:`SingularJacobianError` naming the
-    iteration.
+    fixed once per call (:class:`NewtonSystem`), or once per structure
+    when ``held`` keeps the system of ``model``'s structure between calls;
+    each iteration refills values only.  A singular Jacobian, or a Newton
+    step or trial residual that is not finite, raises
+    :class:`SingularJacobianError` naming the iteration.
     """
     if opts is None:
         opts = PfOptions()
     t0 = time.perf_counter()
-    system = NewtonSystem(model)
+    system = NewtonSystem(model) if held is None else held.system(model)
     free, pv_nodes, nf = system.free, system.pv, system.nf
-
-    if opts.start == "flat":
-        v = flat_start(model)
-    else:
-        v = np.array(model.v_nom, dtype=complex)
-        sl = model.node_type == SL
-        v[sl] = model.v_sl[sl]
+    v = flat_start(model) if opts.start == "flat" else warm_start(model)
 
     p_g = model.s_g[pv_nodes].real
     q_g = model.s_g[pv_nodes].imag.copy()
@@ -305,14 +323,63 @@ def apply_solution(net: Network, sol: PfSolution) -> None:
         gen.s[:] = part
 
 
+class HeldPowerFlow:
+    """One network's power-flow structure, held across solves.
+
+    The first :meth:`model` builds the model with :func:`model_build`;
+    later calls refresh only its injection values and state voltages
+    (:func:`model_refresh`) on the same Y-bus, node index and node types,
+    until :meth:`invalidate` says the structure changed.  The
+    :class:`NewtonSystem` of that structure, with its Jacobian pattern and
+    kept LU ordering, is built by the first :func:`nr_solve` on it and
+    reloaded by the later ones.  The holder never notices a structural
+    edit by itself: whoever edits the network calls :meth:`invalidate`.
+    """
+
+    def __init__(self):
+        self._model = None
+        self._system = None
+        self.builds = 0
+
+    def invalidate(self) -> None:
+        """Forget the structure; the next :meth:`model` rebuilds it."""
+        self._model = self._system = None
+
+    def model(self, net: Network) -> PowerFlowModel:
+        """The model of ``net`` as it stands, on the held structure."""
+        model = None
+        if self._model is not None:
+            model = model_refresh(self._model, net)
+        if model is None:
+            model = model_build(net)
+            self.builds += 1
+        self._model = model
+        return model
+
+    def system(self, model: PowerFlowModel) -> NewtonSystem:
+        """The Newton system of ``model``'s structure, loaded with it."""
+        if self._system is None or self._system.y is not model.y:
+            self._system = NewtonSystem(model)
+        else:
+            self._system.load(model)
+        return self._system
+
+
 def solve_network(
-    net: Network, opts: PfOptions | None = None, raise_on_failure: bool = False
+    net: Network,
+    opts: PfOptions | None = None,
+    raise_on_failure: bool = False,
+    held: HeldPowerFlow | None = None,
 ) -> PfSolution:
-    """Build the model, run Newton, and write the solution back."""
+    """Build the model, run Newton, and write the solution back.
+
+    With ``held`` the model and Newton system come from, and stay in, that
+    holder instead of being built for this call alone.
+    """
     t0 = time.perf_counter()
-    model = model_build(net)
+    model = model_build(net) if held is None else held.model(net)
     build_s = time.perf_counter() - t0
-    sol = nr_solve(model, opts)
+    sol = nr_solve(model, opts, held)
     sol.build_s = build_s
     if sol.converged:
         apply_solution(net, sol)

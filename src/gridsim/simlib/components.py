@@ -226,7 +226,7 @@ class PvInverter(Inverter):
         cap = self.q_capability_kvar()
         self.q_ac_kvar = float(np.clip(q, -cap, cap))
         self._write_gen()
-        self._net.mark_dirty()
+        self._net.mark_dirty(structure=False)
 
     def _write_gen(self) -> None:
         s_mva = complex(self.p_ac_kw, self.q_ac_kvar) / 1000.0
@@ -247,7 +247,7 @@ class PvInverter(Inverter):
             cap = self.q_capability_kvar()
             self.q_ac_kvar = float(np.clip(self.q_ac_kvar, -cap, cap))
         self._write_gen()
-        self._net.mark_dirty()
+        self._net.mark_dirty(structure=False)
         self.next_update_time = t + self.update_interval_s
 
 
@@ -401,7 +401,7 @@ class Building(SimComponent):
         if self._zip is not None:
             s_mva = complex(self.p_hvac_kw, 0.0) / 1000.0
             self._zip.set_wye(0, s=s_mva / self._net.network.s_base_mva)
-            self._net.mark_dirty()
+            self._net.mark_dirty(structure=False)
         self.next_update_time = t + self.update_interval_s
 
     def output_channels(self):

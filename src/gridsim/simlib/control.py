@@ -83,7 +83,8 @@ class VoltVarController(SimComponent):
                 g.q_min, g.q_max = -math.inf, math.inf
         try:
             problem = opf_build(net, extensions=[ext], hold_gen_voltage=True,
-                                v_min=0.5, v_max=1.5, start="state")
+                                v_min=0.5, v_max=1.5, start="state",
+                                model=self._net.pf_model())
             solution = ipm_solve(problem, self.ipm_options)
         finally:
             for g, p_lo, p_hi, q_lo, q_hi in saved:

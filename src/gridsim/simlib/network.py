@@ -5,7 +5,10 @@ from __future__ import annotations
 import math
 
 from ..core import TimeSeries
-from ..powerflow import PfOptions, apply_solution, solve_network
+from ..powerflow import HeldPowerFlow, PfOptions, solve_network
+# solve_network writes the solution back; apply_solution stays importable
+# here for code that wraps it by module attribute
+from ..powerflow import apply_solution  # noqa: F401
 from ..simulation import SimComponent, SimulationError
 
 
@@ -24,6 +27,13 @@ class SimNetwork(SimComponent):
     Components that change network state call :meth:`mark_dirty`; the engine
     then runs this component's contingent update, which performs exactly one
     solve per timestep no matter how many members changed.
+
+    The power-flow structure (Y-bus, model, Newton pattern and LU order) is
+    held across solves and rebuilt only after a structural change; each
+    solve refreshes the injections and, with the default warm start,
+    resumes from the current bus voltages.  ``solve_count``,
+    ``newton_iterations`` and ``model_builds`` count the solves, their
+    Newton iterations and the structure builds.
     """
 
     def __init__(self, id: str, network, pf_options: PfOptions | None = None):
@@ -32,7 +42,13 @@ class SimNetwork(SimComponent):
         self.pf_options = pf_options or PfOptions(start="warm")
         self.solution = None
         self.solve_count = 0
+        self.newton_iterations = 0
         self.dirty = True
+        self._held = HeldPowerFlow()
+
+    @property
+    def model_builds(self) -> int:
+        return self._held.builds
 
     def pre_rank(self, sim) -> None:
         # Every component that feeds this network must update first.
@@ -43,7 +59,17 @@ class SimNetwork(SimComponent):
                     and self.id not in comp.dependencies):
                 self.depends_on(comp.id)
 
-    def mark_dirty(self) -> None:
+    def mark_dirty(self, structure: bool = True) -> None:
+        """Ask for a re-solve after an edit of the network.
+
+        ``structure=False`` promises that the edit changed injections
+        only: ZIP constant-power or constant-current terms, generator
+        output or voltage setpoints.  Every other edit (taps, branch or ZIP
+        admittances, in-service flags, wiring, buses, bus types) keeps the
+        default, which rebuilds the Y-bus and model before the next solve.
+        """
+        if structure:
+            self._held.invalidate()
         self.dirty = True
         # between timesteps the flag alone is enough: the next update
         # (scheduled or contingent) performs the solve
@@ -52,19 +78,24 @@ class SimNetwork(SimComponent):
             self.needs_update.trigger()
 
     def initialize(self, sim) -> None:
+        self._held.invalidate()
         self.dirty = True
         self.next_update_time = sim.start_time
 
+    def pf_model(self):
+        """The power-flow model of the network as it stands now."""
+        return self._held.model(self.network)
+
     def solve(self, t: float) -> None:
         try:
-            sol = solve_network(self.network, self.pf_options)
+            sol = solve_network(self.network, self.pf_options, held=self._held)
         except Exception as exc:
             raise PowerFlowAbort(t, exc) from exc
         if not sol.converged:
             raise PowerFlowAbort(t, f"residual {sol.residual_norm:.3e}")
-        apply_solution(self.network, sol)
         self.solution = sol
         self.solve_count += 1
+        self.newton_iterations += sol.iterations
         self.dirty = False
 
     def update(self, t: float) -> None:
@@ -130,7 +161,7 @@ class TimeSeriesZip(SimComponent):
         for slot in range(self._zip.n_phase):
             p, q = value[2 * slot], value[2 * slot + 1]
             self._zip.set_wye(slot, s=complex(p, q) / base)
-        self._net.mark_dirty()
+        self._net.mark_dirty(structure=False)
         if self.series.interpolation == "stepwise":
             nxt = self.series.next_knot_after(t)
             self.next_update_time = math.inf if nxt is None else float(nxt)

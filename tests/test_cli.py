@@ -1,4 +1,5 @@
 import json
+import re
 import textwrap
 
 import jsonschema
@@ -124,6 +125,10 @@ def test_sim_run_writes_outputs(tmp_path, capsys):
     path.write_text(cfg)
     out_dir = tmp_path / "out"
     assert main(["sim", str(path), "--out", str(out_dir), "--log"]) == 0
+    # one solve per knot; the structure is built once for the run
+    assert re.search(
+        r"; network grid: 3 solves, \d+\.\d\d iterations per solve, "
+        r"1 model builds$", capsys.readouterr().out.rstrip())
     network_csv = (out_dir / "network.csv").read_text().strip().split("\n")
     assert network_csv[0] == "time,node,Vmag_pu"
     assert len(network_csv) == 1 + 3 * 14  # 3 timesteps x 14 nodes

@@ -1,10 +1,21 @@
+import copy
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 from gridsim.network import Branch, Bus, CommonBranch, Gen, GenericBranch, Network, Phase, Zip
 from gridsim.parsers import load_network
-from gridsim.powerflow import jacobian_rect, model_build, nr_solve, residual_current
+from gridsim.powerflow import (
+    HeldPowerFlow,
+    PfOptions,
+    jacobian_rect,
+    model_build,
+    nr_solve,
+    residual_current,
+    solve_network,
+)
+from gridsim.powerflow.model import model_refresh
 from gridsim.powerflow.solver import NewtonSystem
 
 from conftest import CASES
@@ -214,3 +225,48 @@ def test_kept_ordering_step_matches_fresh_factor(net_fn, monkeypatch):
         np.testing.assert_allclose(
             dx, ref, rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max())
         )
+
+
+def test_loaded_system_equals_a_fresh_one():
+    # new injection values, one delta power term dropping to zero while
+    # its current term keeps the entry: same pattern, same matrix
+    net = _pv_delta_net()
+    built = model_build(net)
+    system = NewtonSystem(built)
+    net.zips["ld"].set_delta(0, 1, s=0.0, i=0.04)
+    net.zips["ld"].set_wye(1, s=0.5 + 0.1j)
+    net.gens["gp"].s[:] = [0.3, 0.0, 0.2]
+    model = model_refresh(built, net)
+    assert model.y is built.y
+    system.load(model)
+    fresh = NewtonSystem(model)
+    rng = np.random.default_rng(5)
+    v = _random_state(model, rng, spread=0.05)
+    s_g = model.s_g.copy()
+    s_g[system.pv] += 1j * rng.uniform(-0.3, 0.3, len(system.pv))
+    held_jac, fresh_jac = system.jacobian(v, s_g), fresh.jacobian(v, s_g)
+    assert np.array_equal(held_jac.indptr, fresh_jac.indptr)
+    assert np.array_equal(held_jac.indices, fresh_jac.indices)
+    assert np.array_equal(held_jac.data, fresh_jac.data)
+    assert np.array_equal(system.residual(v, s_g), fresh.residual(v, s_g))
+
+
+def test_held_power_flow_rebuilds_when_a_delta_entry_goes():
+    net = _pv_delta_net()
+    held = HeldPowerFlow()
+    opts = PfOptions(start="warm", tol_pu=1e-10)
+
+    def solve():
+        cold = solve_network(copy.deepcopy(net), PfOptions(tol_pu=1e-10))
+        sol = solve_network(net, opts, held=held)
+        assert np.max(np.abs(sol.v - cold.v)) < 1e-8
+        return sol
+
+    first = solve()
+    net.zips["ld"].set_wye(1, s=0.4 + 0.1j)
+    second = solve()
+    assert held.builds == 1 and second.model.y is first.model.y
+    # a delta entry with both terms at zero leaves the model: new pattern
+    net.zips["ds"].set_delta(0, 2, s=0.0, i=0.0)
+    third = solve()
+    assert held.builds == 2 and len(third.model.di) == len(first.model.di) - 2

@@ -329,6 +329,27 @@ def test_warm_start_resumes_from_state():
     assert sol.iterations <= 1
 
 
+def test_warm_start_resolves_a_solved_network_at_once():
+    net, _ = load_network(CASES / "case57.m")
+    flat = solve_network(net, PfOptions(start="flat"))
+    assert flat.iterations > 1
+    warm = solve_network(net, PfOptions(start="warm"))
+    assert warm.converged
+    assert warm.iterations <= 1
+    assert np.max(np.abs(warm.v - flat.v)) < 1e-8
+
+
+def test_warm_start_falls_back_to_flat_at_zero_state():
+    net = _small_net()
+    for bus in net.buses:
+        bus.v[:] = 0.0
+    model = model_build(net)
+    flat = nr_solve(model, PfOptions(start="flat"))
+    warm = nr_solve(model, PfOptions(start="warm"))
+    assert warm.iterations == flat.iterations
+    assert np.array_equal(warm.v, flat.v)
+
+
 @pytest.mark.parametrize("case", ["case14", "case30", "case57"])
 def test_standard_cases_converge(case):
     net, _ = load_network(CASES / f"{case}.m")

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 
 from gridsim.core import TimeSeries
 from gridsim.network import Branch, Bus, CommonBranch, Gen, Network, Zip
-from gridsim.powerflow import PfOptions
+from gridsim.parsers import apply_yaml_file
+from gridsim.powerflow import PfOptions, model_build, solve_network
+from gridsim.powerflow import solver as solver_mod
 from gridsim.simlib import (
     AutoTapChanger,
     Battery,
@@ -28,7 +31,11 @@ from gridsim.simlib.weather import (
     panel_incidence_cos,
     solar_position,
 )
+from gridsim.simlib import control as control_mod
+from gridsim.simlib import network as simnet_mod
 from gridsim.simulation import Simulation
+
+from conftest import DATA
 
 
 NOON = 12 * 3600.0
@@ -409,3 +416,135 @@ def test_channel_writer(tmp_path):
     assert content[0] == "time,node,Vmag_pu"
     assert len(content) == 1 + 2 * 2  # 2 timesteps x 2 nodes
     assert content[1].startswith("0,src:BAL,1")
+
+
+# -- the power-flow state a SimNetwork holds across solves --------------------
+
+
+def _after_each_solve(monkeypatch, check):
+    """Call ``check(before, sol, fresh)`` after every SimNetwork solve.
+
+    ``before`` is a copy of the network as the solve found it and
+    ``fresh`` a model built from it from scratch.
+    """
+    real = simnet_mod.solve_network
+
+    def solve(net, *args, **kwargs):
+        before = copy.deepcopy(net)
+        fresh = model_build(before)
+        sol = real(net, *args, **kwargs)
+        check(before, sol, fresh)
+        return sol
+
+    monkeypatch.setattr(simnet_mod, "solve_network", solve)
+
+
+def _assert_same_model(held, fresh):
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(held.y, name), getattr(fresh.y, name))
+    for name in ("node_type", "v_set_pv", "s_g", "s_wye", "i_wye", "v_sl",
+                 "v_nom", "v_state", "di", "dk", "ds", "dc", "gen_node"):
+        assert np.array_equal(getattr(held, name), getattr(fresh, name)), name
+    assert held.index.nodes == fresh.index.nodes
+    assert [g.id for g in held.gens] == [g.id for g in fresh.gens]
+
+
+def test_sim_network_applies_each_solution_once(monkeypatch):
+    calls = []
+    real = solver_mod.apply_solution
+    for module in (solver_mod, simnet_mod):
+        monkeypatch.setattr(module, "apply_solution",
+                            lambda net, sol: calls.append(sol) or real(net, sol))
+    net = _grid()
+    sim = Simulation(0, 1200)
+    grid = sim.add(SimNetwork("grid", net))
+    series = TimeSeries([0, 600, 1200], [[40.0, 10.0], [80.0, 20.0], [20.0, 5.0]])
+    sim.add(TimeSeriesZip("ld_drive", "grid", "load", series))
+    sim.run()
+    assert grid.solve_count == 3
+    assert len(calls) == 3
+
+
+def test_held_model_matches_a_fresh_build_over_pvdemo(monkeypatch):
+    """Six hours of pvdemo: each solve's model, and the model handed to the
+    volt-VAR optimization, equal a from-scratch build of the network as it
+    stood, although the structure is built once for the whole run."""
+    solves = []
+
+    def check(_before, sol, fresh):
+        _assert_same_model(sol.model, fresh)
+        if solves:
+            # one structure, and earlier solutions keep their own values
+            prev, s_wye = solves[-1]
+            assert sol.model.y is prev.model.y
+            assert np.array_equal(prev.model.s_wye, s_wye)
+        solves.append((sol, sol.model.s_wye.copy()))
+
+    _after_each_solve(monkeypatch, check)
+    opf_models = []
+    real_opf_build = control_mod.opf_build
+
+    def opf_build(net, *args, model=None, **kwargs):
+        _assert_same_model(model, model_build(net))
+        opf_models.append(model)
+        return real_opf_build(net, *args, model=model, **kwargs)
+
+    monkeypatch.setattr(control_mod, "opf_build", opf_build)
+    sim = apply_yaml_file(DATA / "pvdemo" / "pvdemo_ieee57.yaml").sim
+    sim.end_time = 6 * 3600.0
+    grid = next(c for c in sim.components if isinstance(c, SimNetwork))
+    sim.run()
+    assert grid.solve_count == len(solves) > 36
+    assert len(opf_models) == 37
+    assert grid.model_builds == 1
+    # a held solve resumes from the last state
+    assert grid.newton_iterations < 3 * grid.solve_count
+
+
+def _tapped_grid():
+    """Slack, a tapped line to a middle bus, a tapped line to a load."""
+    net = Network(s_base_mva=100.0)
+    net.add_bus(Bus("src", bus_type="SL"))
+    net.add_bus(Bus("mid"))
+    net.add_bus(Bus("ld"))
+    ys = 1.0 / (0.01 + 0.05j)
+    net.add_branch(Branch("feed", CommonBranch(ys, tap=1.0)), "src", "mid")
+    net.add_branch(Branch("line", CommonBranch(ys, tap=1.0)), "mid", "ld")
+    net.add_gen(Gen("slack"), "src")
+    z = Zip("load", n_phase=1)
+    net.add_zip(z, "ld")
+    return net
+
+
+def test_every_tap_move_rebuilds_the_held_model(monkeypatch):
+    net = _tapped_grid()
+
+    def taps(n):
+        return tuple(n.branches[b].model.tap for b in ("feed", "line"))
+
+    seen = {"taps": None, "builds": 0, "moves": 0, "solves": 0}
+    sim = Simulation(0, 3600)
+    grid = sim.add(SimNetwork("grid", net, PfOptions(start="warm", tol_pu=1e-10)))
+
+    def check(before, sol, fresh):
+        moved = seen["taps"] is not None and taps(before) != seen["taps"]
+        assert grid.model_builds == seen["builds"] + (moved or seen["taps"] is None)
+        _assert_same_model(sol.model, fresh)
+        cold = solve_network(before, PfOptions(start="flat", tol_pu=1e-10))
+        assert np.max(np.abs(sol.v - cold.v)) < 1e-8
+        seen.update(taps=taps(before), builds=grid.model_builds,
+                    moves=seen["moves"] + moved, solves=seen["solves"] + 1)
+
+    _after_each_solve(monkeypatch, check)
+    load = TimeSeries([0, 900, 1800, 2700],
+                      [[120.0, 60.0], [150.0, 70.0], [110.0, 50.0], [130.0, 65.0]])
+    sim.add(TimeSeriesZip("drive", "grid", "load", load))
+    sim.add(TimeSeriesTapChanger(
+        "sched", "grid", "feed", TimeSeries([0, 1200, 2400], [1.0, 0.975, 0.95])))
+    atc = sim.add(AutoTapChanger("atc", "grid", "line", "ld", v_ref_pu=1.0,
+                                 deadband_pu=0.01, tap_step=0.0125, delay_s=60.0))
+    sim.run()
+    assert atc.move_count >= 2
+    # tap moves and injection-only solves both happened
+    assert 3 <= seen["moves"] < seen["solves"] == grid.solve_count
+    assert grid.model_builds == 1 + seen["moves"]
