@@ -22,7 +22,7 @@ from .parsers import (
     case_to_network,
 )
 from .powerflow import PfOptions, SingularJacobianError, solve_network
-from .simlib import ChannelWriter, PowerFlowAbort, SimNetwork
+from .simlib import ChannelWriter, PowerFlowAbort, SimNetwork, VoltVarController
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -110,6 +110,7 @@ def cmd_opf(args) -> int:
         "kkt": {k: float(v) for k, v in sol.kkt.items()},
         "timing": {"build_s": sol.build_s, "solve_s": sol.solve_s},
         "solution": sol.to_json_dict() if sol.converged else None,
+        "trace": sol.trace,
     }
     if args.json:
         _write_json(args.json, report)
@@ -153,6 +154,11 @@ def cmd_sim(args) -> int:
                 parts.append(f"network {comp.id}: {comp.solve_count} solves, "
                              f"{mean:.2f} iterations per solve, "
                              f"{comp.model_builds} model builds")
+            elif isinstance(comp, VoltVarController):
+                mean = comp.ipm_iterations / max(comp.solve_count, 1)
+                parts.append(f"volt-var {comp.id}: {comp.solve_count} solves, "
+                             f"{mean:.2f} IPM iterations per solve, "
+                             f"{comp.problem_builds} problem builds")
         print("; ".join(parts))
     return EXIT_OK
 

@@ -20,11 +20,13 @@ from .problem import (
     OpfProblem,
     UnsupportedLoadError,
     opf_build,
+    opf_refresh,
 )
 
 __all__ = [
     "OpfProblem",
     "opf_build",
+    "opf_refresh",
     "EvalResult",
     "OpfBuildError",
     "InconsistentBoundsError",

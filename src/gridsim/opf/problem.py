@@ -9,6 +9,7 @@ branch apparent-power limits form the inequality set.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,6 +161,7 @@ class OpfProblem:
         self.eq_names: list[str] = []
         self.ineq_names: list[str] = []
         self.kkt: KktPattern | None = None
+        self._options: dict = {}    # opf_build's keyword options
 
     # -- sizes ---------------------------------------------------------------
 
@@ -518,7 +520,8 @@ def opf_build(net, extensions=(), hold_gen_voltage=False,
     instead of the nominal profile — useful when re-optimizing around an
     already-solved operating point.  ``model`` is a power-flow model of
     ``net`` as it stands (a simulation passes the one it holds); it is
-    built from ``net`` when omitted.
+    built from ``net`` when omitted.  :func:`opf_refresh` later moves the
+    values of the problem onto a changed network without rebuilding it.
     """
     if start not in ("nominal", "state"):
         raise ValueError(f"unknown start mode {start!r}")
@@ -529,91 +532,28 @@ def opf_build(net, extensions=(), hold_gen_voltage=False,
             "delta-connected ZIP loads are not supported in the optimization model"
         )
     p = OpfProblem()
+    p._options = dict(hold_gen_voltage=hold_gen_voltage, v_min=v_min,
+                      v_max=v_max, theta_bound=theta_bound, start=start)
     p.index = model.index
     p.y = model.y.tocsr()
-    p.s_wye = model.s_wye.copy()
-    p.i_wye = model.i_wye.copy()
     p.s_base_mva = model.s_base_mva
+    for name, value in _values(net, model, extensions, **p._options).items():
+        setattr(p, name, value)
+    names = p.names
+    position = {name: j for j, name in enumerate(names)}
     n = len(model.index.nodes)
-    names = []
-    lb = []
-    ub = []
-    x0 = []
+    v_nom = model.v_nom
 
-    # voltage magnitudes, then angles, one per node
+    # voltage magnitudes, then angles, one per node; then P and Q per
+    # generator; then the extension variables
     p.iv = np.arange(n)
     p.ith = np.arange(n, 2 * n)
-    v_lo = np.zeros(n)
-    v_hi = np.zeros(n)
-    for b in net.buses:
-        sl = model.index.bus_slices[b.id]
-        v_lo[sl] = b.v_mag_min if v_min is None else v_min
-        v_hi[sl] = b.v_mag_max if v_max is None else v_max
-    v_nom = model.v_nom
-    v_start = v_nom
-    if start == "state":
-        v_start = np.zeros(n, dtype=complex)
-        for b in net.buses:
-            v_start[model.index.bus_slices[b.id]] = b.v
-    for i, (bid, ph) in enumerate(model.index.nodes):
-        names.append(f"v:{bid}:{ph.name}")
-        lb.append(v_lo[i])
-        ub.append(v_hi[i])
-        x0.append(abs(v_start[i]) if abs(v_start[i]) > 0 else 1.0)
-    tb = np.inf if theta_bound is None else float(theta_bound)
-    for i, (bid, ph) in enumerate(model.index.nodes):
-        names.append(f"th:{bid}:{ph.name}")
-        ang = float(np.angle(v_start[i])) if abs(v_start[i]) > 0 else 0.0
-        if model.node_type[i] == SL:
-            lb.append(ang)
-            ub.append(ang)
-        else:
-            lb.append(ang - tb)
-            ub.append(ang + tb)
-        x0.append(ang)
-
-    # generators
-    total_load = float(np.sum(model.s_wye.real))
-    n_gen = max(len(model.gens), 1)
-    ends = np.cumsum([g.n_phase for g in model.gens])
-    for g, node_idx in zip(model.gens, np.split(model.gen_node, ends[:-1])):
-        p_lo, p_hi = g.p_min / p.s_base_mva, g.p_max / p.s_base_mva
-        q_lo, q_hi = g.q_min / p.s_base_mva, g.q_max / p.s_base_mva
-        if p_lo > p_hi or q_lo > q_hi:
-            raise InconsistentBoundsError(
-                f"gen {g.id!r} has empty dispatch box"
-            )
-        if start == "state":
-            p_start = float(g.s.real.sum()) / p.s_base_mva
-            q_start = float(g.s.imag.sum()) / p.s_base_mva
-        else:
-            p_start, q_start = total_load / n_gen, 0.0
-        p_pos = len(names)
-        names.append(f"pg:{g.id}")
-        lb.append(p_lo)
-        ub.append(p_hi)
-        x0.append(float(np.clip(p_start, p_lo, p_hi)))
-        q_pos = len(names)
-        names.append(f"qg:{g.id}")
-        lb.append(q_lo)
-        ub.append(q_hi)
-        x0.append(float(np.clip(q_start, q_lo, q_hi)))
+    for k, (g, node_idx) in enumerate(zip(model.gens, _gen_nodes(model))):
         p.gens.append(_GenEntry(
             key=g.id, node_idx=np.asarray(node_idx, dtype=int),
-            n_phase=len(node_idx), cost=tuple(g.cost), p_pos=p_pos, q_pos=q_pos,
+            n_phase=len(node_idx), cost=tuple(g.cost),
+            p_pos=2 * n + 2 * k, q_pos=2 * n + 2 * k + 1,
         ))
-        if hold_gen_voltage:
-            # only buses a power-flow solve would regulate (PV/slack);
-            # a generator on a PQ bus is just a negative load there
-            setpoint = g.v_setpoint
-            for ni in node_idx:
-                if model.node_type[ni] == PQ:
-                    continue
-                if setpoint is None or setpoint <= 0:
-                    pin = abs(v_nom[ni]) if abs(v_nom[ni]) > 0 else 1.0
-                else:
-                    pin = float(setpoint)
-                lb[ni] = ub[ni] = x0[ni] = pin
         # equal magnitudes and nominal angle spacing across a multi-phase
         # generator bus
         if len(node_idx) > 1:
@@ -648,26 +588,6 @@ def opf_build(net, extensions=(), hold_gen_voltage=False,
             s_max_pu=br.s_max_mva / p.s_base_mva,
         ))
 
-    # extensions
-    ext_positions: dict[str, int] = {}
-    for ext in extensions:
-        for var in ext.variables:
-            key = f"x:{ext.name}:{var.name}"
-            if key in ext_positions:
-                raise OpfBuildError(f"duplicate extension variable {key}")
-            if var.lb > var.ub:
-                raise InconsistentBoundsError(f"extension variable {key} has lb > ub")
-            ext_positions[key] = len(names)
-            names.append(key)
-            lb.append(var.lb)
-            ub.append(var.ub)
-            x0.append(float(np.clip(var.x0, var.lb, var.ub)))
-
-    p.names = names
-    p.lb = np.asarray(lb, dtype=float)
-    p.ub = np.asarray(ub, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-
     # objective: generator polynomial cost on MW plus extension terms
     nf = len(names)
     p.q_cost = np.zeros(nf)
@@ -680,7 +600,7 @@ def opf_build(net, extensions=(), hold_gen_voltage=False,
         p.cost0 += c0
     for ext in extensions:
         for var in ext.variables:
-            j = ext_positions[f"x:{ext.name}:{var.name}"]
+            j = position[f"x:{ext.name}:{var.name}"]
             p.c_cost[j] += var.cost_lin
             p.q_cost[j] += var.cost_quad
 
@@ -702,7 +622,7 @@ def opf_build(net, extensions=(), hold_gen_voltage=False,
                     return ge.q_pos
             raise KeyError(f"no generator {ref[1]!r}")
         if kind == "ext":
-            return ext_positions[f"x:{ref[1]}:{ref[2]}"]
+            return position[f"x:{ref[1]}:{ref[2]}"]
         raise KeyError(f"bad variable reference {ref!r}")
 
     for ext in extensions:
@@ -713,31 +633,6 @@ def opf_build(net, extensions=(), hold_gen_voltage=False,
                              coeffs=coeffs, const=con.const)
             (p.lin_eq if con.equality else p.lin_ineq).append(row)
         p.callback_ineq.extend(ext.callback_constraints)
-
-    # eliminate variables whose bounds pin them to a point
-    if np.any(p.lb > p.ub):
-        bad = [names[i] for i in np.flatnonzero(p.lb > p.ub)]
-        raise InconsistentBoundsError(f"lb > ub for {bad}")
-    fixed = p.lb == p.ub
-    p.free = np.flatnonzero(~fixed)
-    p.fixed_values = np.where(fixed, p.lb, 0.0)
-    x0 = np.where(fixed, p.lb, x0)
-    # nudge the start strictly inside finite boxes
-    for j in np.flatnonzero(~fixed):
-        lo, hi = p.lb[j], p.ub[j]
-        margin = 0.0
-        if np.isfinite(lo) and np.isfinite(hi):
-            margin = min(1e-3, 0.05 * (hi - lo))
-        elif np.isfinite(lo) or np.isfinite(hi):
-            margin = 1e-3
-        if np.isfinite(lo):
-            x0[j] = max(x0[j], lo + margin)
-        if np.isfinite(hi):
-            x0[j] = min(x0[j], hi - margin)
-    p.x0_full = x0
-
-    p.box_ub = p.free[np.isfinite(p.ub[p.free])]
-    p.box_lb = p.free[np.isfinite(p.lb[p.free])]
 
     p.eq_names = (
         [f"P_bal:{bid}:{ph.name}" for bid, ph in model.index.nodes]
@@ -754,3 +649,151 @@ def opf_build(net, extensions=(), hold_gen_voltage=False,
     )
     p._freeze()
     return p
+
+
+def opf_refresh(problem, net, model, extensions=()):
+    """``problem`` with the bounds, start point and loads of ``net`` now.
+
+    The values a fresh :func:`opf_build` would compute with the options
+    ``problem`` was built with (``lb``, ``ub``, ``fixed_values``,
+    ``x0_full``, ``s_wye`` and ``i_wye``, extension-variable starts among
+    them) go into a shallow copy of ``problem``, so ``problem`` and
+    solutions that refer to it keep their own values.  Everything else is
+    shared with ``problem`` unchanged: the frozen derivative and KKT
+    structure, the names, generator costs, branch limits, and the
+    extensions' constraint rows and callbacks, so ``extensions`` must
+    state the same rows as at the build.  ``model`` must be a model of
+    ``net`` on the power-flow structure ``problem`` was built on.
+
+    Returns None when the structure no longer fits and the problem must be
+    rebuilt: ``model`` carries another Y-bus, the variables differ, a
+    variable became or stopped being fixed, or one of its bounds turned
+    finite or infinite.
+    """
+    if model.y.tocsr() is not problem.y:
+        return None
+    values = _values(net, model, extensions, **problem._options)
+    if values["names"] != problem.names or not all(
+            np.array_equal(values[k], getattr(problem, k))
+            for k in ("free", "box_ub", "box_lb")):
+        return None
+    fresh = copy.copy(problem)
+    for name in ("lb", "ub", "fixed_values", "x0_full", "s_wye", "i_wye"):
+        setattr(fresh, name, values[name])
+    return fresh
+
+
+def _gen_nodes(model):
+    """Each generator's node indices, in ``model.gens`` order."""
+    ends = np.cumsum([g.n_phase for g in model.gens])
+    return np.split(model.gen_node, ends[:-1])
+
+
+def _values(net, model, extensions, hold_gen_voltage, v_min, v_max,
+            theta_bound, start) -> dict:
+    """Names, bounds, free set and start point of every variable, and loads.
+
+    :func:`opf_build` and :func:`opf_refresh` both take these values from
+    here, so a refreshed problem holds exactly what a fresh build would.
+    """
+    sb = model.s_base_mva
+    nodes = model.index.nodes
+    n = len(nodes)
+    v_lo = np.zeros(n)
+    v_hi = np.zeros(n)
+    for b in net.buses:
+        sl = model.index.bus_slices[b.id]
+        v_lo[sl] = b.v_mag_min if v_min is None else v_min
+        v_hi[sl] = b.v_mag_max if v_max is None else v_max
+    v_nom = model.v_nom
+    v_start = v_nom
+    if start == "state":
+        v_start = np.zeros(n, dtype=complex)
+        for b in net.buses:
+            v_start[model.index.bus_slices[b.id]] = b.v
+    # hypot rounds like the scalar abs() of a complex; np.abs may not
+    mag = np.hypot(v_start.real, v_start.imag)
+    live = mag > 0
+    v0 = np.where(live, mag, 1.0)
+    ang = np.where(live, np.angle(v_start), 0.0)
+    tb = np.inf if theta_bound is None else float(theta_bound)
+    slack = model.node_type == SL
+    th_lo = np.where(slack, ang, ang - tb)
+    th_hi = np.where(slack, ang, ang + tb)
+    names = ([f"v:{bid}:{ph.name}" for bid, ph in nodes]
+             + [f"th:{bid}:{ph.name}" for bid, ph in nodes])
+
+    # generators (P and Q each), then extension variables
+    gx_lo, gx_hi, gx0 = [], [], []
+    total_load = float(np.sum(model.s_wye.real))
+    n_gen = max(len(model.gens), 1)
+    for g, node_idx in zip(model.gens, _gen_nodes(model)):
+        p_lo, p_hi = g.p_min / sb, g.p_max / sb
+        q_lo, q_hi = g.q_min / sb, g.q_max / sb
+        if p_lo > p_hi or q_lo > q_hi:
+            raise InconsistentBoundsError(
+                f"gen {g.id!r} has empty dispatch box"
+            )
+        if start == "state":
+            p_start = float(g.s.real.sum()) / sb
+            q_start = float(g.s.imag.sum()) / sb
+        else:
+            p_start, q_start = total_load / n_gen, 0.0
+        names += [f"pg:{g.id}", f"qg:{g.id}"]
+        gx_lo += [p_lo, q_lo]
+        gx_hi += [p_hi, q_hi]
+        gx0 += [p_start, q_start]
+        if hold_gen_voltage:
+            # only buses a power-flow solve would regulate (PV/slack);
+            # a generator on a PQ bus is just a negative load there
+            setpoint = g.v_setpoint
+            for ni in node_idx:
+                if model.node_type[ni] == PQ:
+                    continue
+                if setpoint is None or setpoint <= 0:
+                    pin = abs(v_nom[ni]) if abs(v_nom[ni]) > 0 else 1.0
+                else:
+                    pin = float(setpoint)
+                v_lo[ni] = v_hi[ni] = v0[ni] = pin
+
+    # extension variables
+    seen = set()
+    for ext in extensions:
+        for var in ext.variables:
+            key = f"x:{ext.name}:{var.name}"
+            if key in seen:
+                raise OpfBuildError(f"duplicate extension variable {key}")
+            seen.add(key)
+            if var.lb > var.ub:
+                raise InconsistentBoundsError(f"extension variable {key} has lb > ub")
+            names.append(key)
+            gx_lo.append(var.lb)
+            gx_hi.append(var.ub)
+            gx0.append(var.x0)
+    gx_lo, gx_hi = np.asarray(gx_lo, dtype=float), np.asarray(gx_hi, dtype=float)
+    gx0 = np.clip(np.asarray(gx0, dtype=float), gx_lo, gx_hi)
+
+    lb = np.concatenate([v_lo, th_lo, gx_lo])
+    ub = np.concatenate([v_hi, th_hi, gx_hi])
+    x0 = np.concatenate([v0, ang, gx0])
+
+    # eliminate variables whose bounds pin them to a point
+    if np.any(lb > ub):
+        bad = [names[i] for i in np.flatnonzero(lb > ub)]
+        raise InconsistentBoundsError(f"lb > ub for {bad}")
+    fixed = lb == ub
+    free = np.flatnonzero(~fixed)
+    x0 = np.where(fixed, lb, x0)
+    # nudge the start strictly inside finite boxes
+    has_lo, has_hi = np.isfinite(lb), np.isfinite(ub)
+    margin = np.where(has_lo | has_hi, 1e-3, 0.0)
+    both = ~fixed & has_lo & has_hi
+    margin[both] = np.minimum(1e-3, 0.05 * (ub[both] - lb[both]))
+    x0 = np.where(~fixed & has_lo, np.maximum(x0, lb + margin), x0)
+    x0 = np.where(~fixed & has_hi, np.minimum(x0, ub - margin), x0)
+    return {
+        "names": names, "lb": lb, "ub": ub, "free": free,
+        "fixed_values": np.where(fixed, lb, 0.0), "x0_full": x0,
+        "box_ub": free[has_hi[free]], "box_lb": free[has_lo[free]],
+        "s_wye": model.s_wye.copy(), "i_wye": model.i_wye.copy(),
+    }

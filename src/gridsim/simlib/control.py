@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import math
 
-from ..opf import IpmOptions, ipm_solve, opf_build, voltage_slack_extension
+from ..opf import (
+    IpmOptions,
+    ipm_solve,
+    opf_build,
+    opf_refresh,
+    voltage_slack_extension,
+)
 from ..simulation import SimComponent
 
 
@@ -19,6 +25,18 @@ class VoltVarController(SimComponent):
     the reported limits, giving the subsequent power-flow solution
     headroom.  ``last_slack_total`` exposes Σσ from the latest solve: zero
     means every monitored voltage fit the tightened band.
+
+    The optimization problem is held across updates.  It is built once per
+    power-flow structure that the network holds, and rebuilt (and solved
+    cold) only when that structure is rebuilt (a tap move, say), when a
+    variable becomes or stops being fixed (an inverter whose Q capability
+    reaches or leaves zero) or its box turns finite or infinite, or when
+    the band settings change.  Every other update takes the bounds, loads
+    and start point of the network as it stands through
+    :func:`opf_refresh` and warm-starts the interior-point solve from the
+    previous solution.
+    ``solve_count``, ``ipm_iterations`` and ``problem_builds`` count the
+    solves, their IPM iterations and the problem builds.
     """
 
     def __init__(self, id: str, network_id: str, inverter_ids=(),
@@ -38,6 +56,9 @@ class VoltVarController(SimComponent):
         self.last_solution = None
         self.last_slack_total = math.inf
         self.solve_count = 0
+        self.ipm_iterations = 0
+        self.problem_builds = 0
+        self._problem = self._band = None
         self._net = None
         self._inverters = []
 
@@ -50,12 +71,9 @@ class VoltVarController(SimComponent):
 
     def update(self, t: float) -> None:
         net = self._net.network
-        ext = voltage_slack_extension(
-            net,
-            v_min=self.v_min_pu + self.margin_pu,
-            v_max=self.v_max_pu - self.margin_pu,
-            weight=self.slack_weight,
-        )
+        band = (self.v_min_pu + self.margin_pu, self.v_max_pu - self.margin_pu,
+                self.slack_weight)
+        ext = voltage_slack_extension(net, *band)
         # generator dispatch stays at the schedule the power flow would use;
         # the inverters' Q ranges are the only physical degrees of freedom
         saved = []
@@ -82,15 +100,26 @@ class VoltVarController(SimComponent):
                 # reactive injection free or the problem can turn infeasible
                 g.q_min, g.q_max = -math.inf, math.inf
         try:
-            problem = opf_build(net, extensions=[ext], hold_gen_voltage=True,
-                                v_min=0.5, v_max=1.5, start="state",
-                                model=self._net.pf_model())
-            solution = ipm_solve(problem, self.ipm_options)
+            model = self._net.pf_model()
+            problem = warm = None
+            # the held problem keeps the band rows it was built with
+            if self._problem is not None and self._band == band:
+                problem = opf_refresh(self._problem, net, model, [ext])
+            if problem is not None and self.last_solution.converged:
+                warm = self.last_solution
+            if problem is None:
+                problem = opf_build(net, extensions=[ext], hold_gen_voltage=True,
+                                    v_min=0.5, v_max=1.5, start="state",
+                                    model=model)
+                self.problem_builds += 1
+            solution = ipm_solve(problem, self.ipm_options, warm=warm)
         finally:
             for g, p_lo, p_hi, q_lo, q_hi in saved:
                 g.p_min, g.p_max, g.q_min, g.q_max = p_lo, p_hi, q_lo, q_hi
+        self._problem, self._band = problem, band
         self.last_solution = solution
         self.solve_count += 1
+        self.ipm_iterations += solution.iterations
         slack_total = 0.0
         for var in ext.variables:
             slack_total += solution.extension_value(ext.name, var.name)

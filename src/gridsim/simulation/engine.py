@@ -8,11 +8,17 @@ instant, then drains the set of contingent updates raised by those updates
 until a fixpoint.  Both phases order components by the key
 ``(rank, insertion position)``; the position is recorded when the
 component is added.
+
+The engine holds its components, and each component refers back to its
+simulation only weakly, engine actions on component events included, so a
+simulation nobody refers to any more is freed with its components at once,
+without waiting for the cycle collector.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 
 from ..core import ComponentCollection, Event
 
@@ -68,6 +74,15 @@ class SimComponent:
         self.did_update = Event()
         self.sim = None
 
+    @property
+    def sim(self):
+        """The simulation this component was added to, while it exists."""
+        return self._sim()
+
+    @sim.setter
+    def sim(self, sim) -> None:
+        self._sim = weakref.ref(sim) if sim is not None else _no_sim
+
     def depends_on(self, component_id: str) -> None:
         self.dependencies.add(component_id)
 
@@ -89,6 +104,10 @@ class SimComponent:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.id!r})"
+
+
+def _no_sim():
+    return None
 
 
 class Simulation:
@@ -173,6 +192,9 @@ class Simulation:
 
         for comp in self.components:
             visit(comp)
+        # visit refers to itself through its closure; unbind it so that the
+        # cycle does not keep this simulation alive
+        del visit
         self._ranked = True
 
     def _order_key(self, cid):
@@ -184,6 +206,7 @@ class Simulation:
             self.rank_components()
         order = sorted(self.components.keys(), key=self._order_key)
         self.current_time = self.start_time
+        sim = weakref.ref(self)
         for cid in order:
             comp = self.components[cid]
             try:
@@ -201,7 +224,7 @@ class Simulation:
             except Exception as exc:
                 raise ComponentError(cid, self.start_time, exc) from exc
             comp.needs_update.register(
-                "engine", lambda c=comp: self.flag_contingent(c.id)
+                "engine", lambda cid=cid: sim().flag_contingent(cid)
             )
         self._initialized = True
 

@@ -77,6 +77,25 @@ def test_opf_json_report(tmp_path, capsys):
     assert report["objective"] == pytest.approx(8081.53, rel=1e-3)
     assert max(report["kkt"].values()) <= 1e-6
     assert report["solution"]["gens"]
+    # one trace entry per iteration; the last finds the point optimal and
+    # takes no step
+    trace = report["trace"]
+    assert len(trace) == report["iterations"]
+    assert {k: trace[-1][k] for k in report["kkt"]} == report["kkt"]
+    assert trace[-1]["alpha_p"] is None and trace[-1]["alpha_d"] is None
+    assert all(0 < it["alpha_p"] <= 1 and 0 < it["alpha_d"] <= 1
+               for it in trace[:-1])
+    mu_b = [it["mu_b"] for it in trace]
+    assert mu_b == sorted(mu_b, reverse=True) and mu_b[-1] < mu_b[0]
+    assert trace[0]["primal"] > trace[-1]["primal"]
+    trace[0]["mu_b"] = 0.0
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(report, report_schema())
+    # a power-flow iteration is no optimization iteration
+    report["trace"] = [{"residual_pu": 1.0, "alpha": 1.0, "halvings": 0,
+                        "factor_s": 1e-3}]
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(report, report_schema())
 
 
 def test_opf_binding_constraints_reported(tmp_path, capsys):
@@ -119,16 +138,21 @@ def test_sim_run_writes_outputs(tmp_path, capsys):
             id: drive
             zip: load_2
             series: ld
+        - volt_var_controller:
+            id: vvc
+            inverters: []
         """
     )
     path = tmp_path / "run.yaml"
     path.write_text(cfg)
     out_dir = tmp_path / "out"
     assert main(["sim", str(path), "--out", str(out_dir), "--log"]) == 0
-    # one solve per knot; the structure is built once for the run
+    # one solve per knot; the power-flow structure and the volt-VAR problem
+    # are each built once for the run
     assert re.search(
         r"; network grid: 3 solves, \d+\.\d\d iterations per solve, "
-        r"1 model builds$", capsys.readouterr().out.rstrip())
+        r"1 model builds; volt-var vvc: 3 solves, \d+\.\d\d IPM iterations "
+        r"per solve, 1 problem builds$", capsys.readouterr().out.rstrip())
     network_csv = (out_dir / "network.csv").read_text().strip().split("\n")
     assert network_csv[0] == "time,node,Vmag_pu"
     assert len(network_csv) == 1 + 3 * 14  # 3 timesteps x 14 nodes

@@ -1,5 +1,7 @@
+import gc
 import io
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -294,3 +296,35 @@ def test_random_dags_respect_causality_and_determinism(seed):
     sim2, log2 = _random_dag_sim(seed)
     sim2.run()
     assert log2 == log
+
+
+class Trigger(Ticker):
+    """Ticker that raises the contingent update of a target through its
+    ``needs_update`` event, as network members do."""
+
+    def __init__(self, id, period, target, log=None):
+        super().__init__(id, period, log)
+        self.target = target
+
+    def update(self, t):
+        super().update(t)
+        self.sim.get(self.target).needs_update.trigger()
+
+
+def test_a_finished_simulation_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        log = []
+        sim = Simulation(0, 3)
+        sim.add(Ticker("a", 1, log))
+        sim.add(Trigger("b", 1, "c", log))
+        sim.add(Ticker("c", 10, log, dependencies=("a",)))
+        sim.run()
+        assert (1, "c") in log      # the contingent path ran
+        refs = [weakref.ref(sim), *(weakref.ref(c) for c in sim.components)]
+        del sim
+        # components refer to their simulation weakly, so dropping the
+        # last reference frees the run at once
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()

@@ -23,10 +23,11 @@ from gridsim.opf import (
     ipm_solve,
     kkt_residual,
     opf_build,
+    opf_refresh,
     voltage_slack_extension,
 )
 from gridsim.parsers import load_network
-from gridsim.powerflow import PfOptions, solve_network
+from gridsim.powerflow import PfOptions, model_build, solve_network
 
 from conftest import CASES
 
@@ -417,3 +418,75 @@ def test_standard_case_iterations_pinned(case, iterations, objective):
     sol = ipm_solve(opf_build(net), IpmOptions(tol=1e-6))
     assert sol.iterations == iterations
     assert sol.objective == pytest.approx(objective, rel=1e-8)
+
+
+# -- a held problem: refresh and warm start -----------------------------------
+
+_VALUES = ("lb", "ub", "fixed_values", "x0_full", "s_wye", "i_wye")
+_STRUCTURE = ("names", "free", "box_ub", "box_lb")
+
+
+def test_refresh_takes_the_values_of_a_fresh_build():
+    net = _opf_net()
+    solve_network(net)
+    model = model_build(net)
+    kwargs = dict(hold_gen_voltage=True, start="state")
+    prob = opf_build(net, model=model, **kwargs)
+    held = {name: np.copy(getattr(prob, name)) for name in _VALUES}
+
+    net.zips["ld"].set_wye(0, s=1.5 + 0.5j)
+    net.gens["g2"].q_max = 60.0
+    solve_network(net)
+    model = model_build(net)
+    fresh = opf_build(net, model=model, **kwargs)
+    # the caller vouches for the structure; a model of another build does
+    # not carry the Y-bus the problem was built on
+    assert opf_refresh(prob, net, model) is None
+    model.y = prob.y
+    refreshed = opf_refresh(prob, net, model)
+    for name in _VALUES + _STRUCTURE:
+        assert np.array_equal(getattr(refreshed, name), getattr(fresh, name)), name
+    assert refreshed.kkt is prob.kkt
+    # the held problem keeps its own values
+    for name in _VALUES:
+        assert np.array_equal(getattr(prob, name), held[name]), name
+
+    # a variable that becomes fixed changes the structure
+    net.gens["g2"].q_min = net.gens["g2"].q_max
+    assert opf_refresh(prob, net, model) is None
+    # so does a box that turns infinite
+    net.gens["g2"].q_min, net.gens["g2"].q_max = -np.inf, 80.0
+    assert opf_refresh(prob, net, model) is None
+
+
+def test_warm_start_rejects_a_solution_of_another_structure():
+    net = _opf_net()
+    sol = ipm_solve(opf_build(net))
+    net.branches["b"].s_max_mva = 80.0          # two more inequality rows
+    with pytest.raises(ValueError, match="another structure"):
+        ipm_solve(opf_build(net), warm=sol)
+    # structure is identity: a separate build of an equal-shape problem is
+    # another structure too
+    net.branches["b"].s_max_mva = np.inf
+    with pytest.raises(ValueError, match="another structure"):
+        ipm_solve(opf_build(net), warm=sol)
+
+
+@pytest.mark.parametrize("case", ["case3", "case14", "case57"])
+def test_warm_resolve_from_its_own_optimum_takes_two_steps(case):
+    net, _ = load_network(CASES / f"{case}.m")
+    prob = opf_build(net)
+    sol = ipm_solve(prob)
+    prob.x0_full = sol.x
+    again = ipm_solve(prob, warm=sol)
+    assert again.status == "optimal"
+    # ``iterations`` also counts the pass that finds the point optimal and
+    # takes no step; the barrier restarts at WARM_MU_B and the slacks at
+    # 10·WARM_MU_B, which two Newton steps bring back to tol
+    steps = [it for it in again.trace if it["alpha_p"] is not None]
+    assert len(steps) <= 2
+    assert again.iterations == len(steps) + 1
+    # both points are optimal to tol = 1e-6, which bounds how far apart
+    # their costs may sit (case3: 1.5e-6 relative)
+    assert again.objective == pytest.approx(sol.objective, rel=1e-5)
+    assert max(kkt_residual(prob, again).values()) <= 1e-6

@@ -1,10 +1,13 @@
 import copy
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from gridsim.core import TimeSeries
+from gridsim.opf import kkt_residual
 from gridsim.network import Branch, Bus, CommonBranch, Gen, Network, Zip
 from gridsim.parsers import apply_yaml_file
 from gridsim.powerflow import PfOptions, model_build, solve_network
@@ -465,10 +468,39 @@ def test_sim_network_applies_each_solution_once(monkeypatch):
     assert len(calls) == 3
 
 
+def _vvc_solves(monkeypatch):
+    """Record ``(problem, warm, solution)`` of every volt-VAR solve, and the
+    problems ``opf_build`` makes for it, in two lists."""
+    solves, builds = [], []
+    real_build, real_solve = control_mod.opf_build, control_mod.ipm_solve
+
+    def opf_build(*args, **kwargs):
+        builds.append(real_build(*args, **kwargs))
+        return builds[-1]
+
+    def ipm_solve(problem, opts=None, warm=None):
+        sol = real_solve(problem, opts, warm=warm)
+        solves.append((problem, warm, sol))
+        return sol
+
+    monkeypatch.setattr(control_mod, "opf_build", opf_build)
+    monkeypatch.setattr(control_mod, "ipm_solve", ipm_solve)
+    return solves, builds
+
+
+def _pvdemo_6h():
+    sim = apply_yaml_file(DATA / "pvdemo" / "pvdemo_ieee57.yaml").sim
+    sim.end_time = 6 * 3600.0
+    grid = next(c for c in sim.components if isinstance(c, SimNetwork))
+    vvc = next(c for c in sim.components if isinstance(c, VoltVarController))
+    return sim, grid, vvc
+
+
 def test_held_model_matches_a_fresh_build_over_pvdemo(monkeypatch):
-    """Six hours of pvdemo: each solve's model, and the model handed to the
-    volt-VAR optimization, equal a from-scratch build of the network as it
-    stood, although the structure is built once for the whole run."""
+    """Six hours of pvdemo: each solve's model, the model handed to the
+    volt-VAR optimization and the problem it holds equal a from-scratch
+    build of the network as it stood, although the power-flow structure
+    and the problem are each built once for the whole run."""
     solves = []
 
     def check(_before, sol, fresh):
@@ -481,24 +513,56 @@ def test_held_model_matches_a_fresh_build_over_pvdemo(monkeypatch):
         solves.append((sol, sol.model.s_wye.copy()))
 
     _after_each_solve(monkeypatch, check)
-    opf_models = []
-    real_opf_build = control_mod.opf_build
+    sim, grid, vvc = _pvdemo_6h()
+    real_build, real_refresh = control_mod.opf_build, control_mod.opf_refresh
+    structures = []
+    compared = []
 
     def opf_build(net, *args, model=None, **kwargs):
         _assert_same_model(model, model_build(net))
-        opf_models.append(model)
-        return real_opf_build(net, *args, model=model, **kwargs)
+        structures.append(model.y)
+        return real_build(net, *args, model=model, **kwargs)
+
+    def opf_refresh(problem, net, model, extensions):
+        _assert_same_model(model, model_build(net))
+        held = real_refresh(problem, net, model, extensions)
+        # built as the controller builds it, from scratch
+        fresh = real_build(net, extensions=extensions, hold_gen_voltage=True,
+                           v_min=0.5, v_max=1.5, start="state")
+        for name in ("lb", "ub", "fixed_values", "x0_full", "s_wye", "i_wye",
+                     "free", "box_ub", "box_lb", "names"):
+            assert np.array_equal(getattr(held, name), getattr(fresh, name)), name
+        compared.append(held)
+        return held
 
     monkeypatch.setattr(control_mod, "opf_build", opf_build)
-    sim = apply_yaml_file(DATA / "pvdemo" / "pvdemo_ieee57.yaml").sim
-    sim.end_time = 6 * 3600.0
-    grid = next(c for c in sim.components if isinstance(c, SimNetwork))
+    monkeypatch.setattr(control_mod, "opf_refresh", opf_refresh)
     sim.run()
     assert grid.solve_count == len(solves) > 36
-    assert len(opf_models) == 37
     assert grid.model_builds == 1
+    # one problem build per power-flow structure, a refresh on every other step
+    assert len(structures) == len({id(y) for y in structures}) == 1
+    assert vvc.problem_builds == 1
+    assert vvc.solve_count == 1 + len(compared) == 37
     # a held solve resumes from the last state
     assert grid.newton_iterations < 3 * grid.solve_count
+
+
+def test_every_warm_volt_var_solve_is_optimal_over_pvdemo(monkeypatch):
+    solves, builds = _vvc_solves(monkeypatch)
+    sim, _, vvc = _pvdemo_6h()
+    sim.run()
+    tol = vvc.ipm_options.tol
+    assert len(builds) == 1
+    assert [warm is None for _, warm, _ in solves] == [True] + [False] * 36
+    for k, (problem, warm, sol) in enumerate(solves[1:]):
+        # warm from the previous step's optimum, on the structure it held
+        assert warm is solves[k][2]
+        assert problem.kkt is builds[0].kkt
+        assert sol.status == "optimal"
+        assert max(kkt_residual(problem, sol).values()) <= tol
+    assert vvc.ipm_iterations == sum(sol.iterations for _, _, sol in solves)
+    assert vvc.ipm_iterations <= 5 * vvc.solve_count
 
 
 def _tapped_grid():
@@ -548,3 +612,79 @@ def test_every_tap_move_rebuilds_the_held_model(monkeypatch):
     # tap moves and injection-only solves both happened
     assert 3 <= seen["moves"] < seen["solves"] == grid.solve_count
     assert grid.model_builds == 1 + seen["moves"]
+
+
+def _pv_at(net, bus, **inverter):
+    """Simulation of ``net`` with a controlled PV inverter at ``bus``."""
+    net.add_gen(Gen("pv_gen", n_phase=1), bus)
+    sim = Simulation(0, 0)
+    grid = sim.add(SimNetwork("grid", net, PfOptions(start="warm", tol_pu=1e-10)))
+    sim.add(Weather("wx", latitude_deg=35.0))
+    sim.add(SolarPv("pv", "wx", area_m2=5000.0, efficiency=0.2))
+    inv = sim.add(PvInverter("inv", "grid", "pv_gen", ("pv",),
+                             q_mode="opf-controlled", **inverter))
+    vvc = sim.add(VoltVarController("vvc", "grid", ("inv",)))
+    return sim, grid, inv, vvc
+
+
+def test_a_tap_move_rebuilds_the_volt_var_problem(monkeypatch):
+    solves, builds = _vvc_solves(monkeypatch)
+    sim, grid, _inv, vvc = _pv_at(_tapped_grid(), "ld", s_max_kva=2000.0)
+    sim.start_time, sim.end_time = NOON, NOON + 3600.0
+    sim.add(TimeSeriesZip("drive", "grid", "load", TimeSeries(
+        [NOON, NOON + 3600.0], [[120.0, 60.0], [150.0, 70.0]],
+        interpolation="linear")))
+    sim.add(TimeSeriesTapChanger("sched", "grid", "feed", TimeSeries(
+        [NOON, NOON + 1200.0, NOON + 2400.0], [1.0, 0.975, 0.95])))
+    sim.run()
+    assert vvc.solve_count == 7 and grid.model_builds == 3
+    # built at the start and after each of the two moves, cold each time
+    assert vvc.problem_builds == len(builds) == 3
+    rebuilt = [any(problem is b for b in builds) for problem, _, _ in solves]
+    assert rebuilt == [True, False, True, False, True, False, False]
+    assert [warm is None for _, warm, _ in solves] == rebuilt
+    assert all(sol.status == "optimal" for _, _, sol in solves)
+
+
+def test_an_inverter_clipped_to_no_q_rebuilds_and_starts_cold(monkeypatch):
+    solves, builds = _vvc_solves(monkeypatch)
+    sim, _, inv, vvc = _pv_at(_grid(), "ld", s_max_kva=500.0)
+    summer_noon = 171 * 86400.0 + NOON
+    # the DC side passes 500 kW about 4 h before noon
+    sim.start_time, sim.end_time = summer_noon - 5 * 3600.0, summer_noon - 3 * 3600.0
+    capped = []
+    real_update = vvc.update
+
+    def update(t):
+        capped.append(inv.q_capability_kvar() == 0.0)
+        real_update(t)
+
+    vvc.update = update
+    sim.run()
+    # once the inverter clips, its Q capability is zero and its Q a fixed
+    # variable
+    assert capped[0] is False and capped[-1] is True
+    flips = [k for k in range(1, len(capped)) if capped[k] != capped[k - 1]]
+    assert len(flips) == 1
+    assert len(builds) == vvc.problem_builds == 2
+    assert solves[flips[0]][0] is builds[1]
+    assert [warm is None for _, warm, _ in solves] == [
+        k in (0, flips[0]) for k in range(len(solves))]
+    q = builds[1].var_index("qg:pv_gen")
+    assert q not in builds[1].free and q in builds[0].free
+    assert all(sol.status == "optimal" for _, _, sol in solves)
+
+
+def test_a_finished_pvdemo_run_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        sim = apply_yaml_file(DATA / "pvdemo" / "pvdemo_ieee57.yaml").sim
+        sim.end_time = 1800.0
+        sim.run()
+        grid = next(c for c in sim.components if isinstance(c, SimNetwork))
+        refs = [weakref.ref(sim), weakref.ref(grid.network),
+                *(weakref.ref(c) for c in sim.components)]
+        del sim, grid
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
