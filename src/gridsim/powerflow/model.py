@@ -73,6 +73,9 @@ class PowerFlowModel:
     # each of their phase slots (the gens' slots concatenated).
     gens: list = field(default_factory=list)
     gen_node: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    # The same for in-service, connected ZIPs.
+    zips: list = field(default_factory=list)
+    zip_node: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
 
     @property
     def n_node(self) -> int:
@@ -104,6 +107,11 @@ def model_build(net: Network) -> PowerFlowModel:
         [node for g in gens for node in index.terminal_nodes(g.terminal)],
         dtype=int,
     )
+    zips = [z for z in net.zips if z.in_service and z.terminal.connected]
+    zip_node = np.array(
+        [node for z in zips for node in index.terminal_nodes(z.terminal)],
+        dtype=int,
+    )
     regulated = {g.terminal.bus_id for g in gens}
     for bus in net.buses:
         sl = index.bus_nodes(bus.id)
@@ -124,15 +132,17 @@ def model_build(net: Network) -> PowerFlowModel:
         s_base_mva=net.s_base_mva,
         gens=gens,
         gen_node=gen_node,
-        **_injections(net, index, node_type, gens, gen_node),
+        zips=zips,
+        zip_node=zip_node,
+        **_injections(net, index, node_type, gens, gen_node, zips, zip_node),
     )
 
 
 def model_refresh(model: PowerFlowModel, net: Network) -> PowerFlowModel | None:
     """``model`` with the injection values and state voltages of ``net``.
 
-    The structure (Y-bus, node index, node types, generators and delta
-    entries) is taken from ``model`` unchanged and shared; every value
+    The structure (Y-bus, node index, node types, generators, ZIPs and
+    delta entries) is taken from ``model`` unchanged and shared; every value
     array is new, so ``model`` itself is left as it was.  The caller
     vouches that nothing structural changed since ``model`` was built.
     Returns None when the set of delta entries, which fixes the Jacobian
@@ -140,7 +150,7 @@ def model_refresh(model: PowerFlowModel, net: Network) -> PowerFlowModel | None:
     model must then be rebuilt with :func:`model_build`.
     """
     fresh = _injections(net, model.index, model.node_type, model.gens,
-                        model.gen_node)
+                        model.gen_node, model.zips, model.zip_node)
     if not (np.array_equal(fresh["di"], model.di)
             and np.array_equal(fresh["dk"], model.dk)):
         return None
@@ -149,7 +159,8 @@ def model_refresh(model: PowerFlowModel, net: Network) -> PowerFlowModel | None:
 
 
 def _injections(net: Network, index: NodeIndex, node_type: np.ndarray,
-                gens: list, gen_node: np.ndarray) -> dict:
+                gens: list, gen_node: np.ndarray, zips: list,
+                zip_node: np.ndarray) -> dict:
     """The value fields of a model: injections, setpoints, state voltages.
 
     Delta entries are kept where a power or current term is nonzero.
@@ -171,28 +182,33 @@ def _injections(net: Network, index: NodeIndex, node_type: np.ndarray,
         slot_s = np.concatenate([g.s for g in gens]) / net.s_base_mva
         np.add.at(s_g, gen_node, slot_s)
 
-    di: list[int] = []
-    dk: list[int] = []
-    ds: list[complex] = []
-    dc: list[complex] = []
-    for zip_ in net.zips:
-        if not (zip_.in_service and zip_.terminal.connected):
-            continue
-        nodes = index.terminal_nodes(zip_.terminal)
-        m = zip_.n_phase
-        for i in range(m):
-            s_wye[nodes[i]] += zip_.s_const[i + 1, 0]
-            i_wye[nodes[i]] += zip_.i_const[i + 1, 0]
-            for k in range(m):
-                if k == i:
-                    continue
-                s_d = zip_.s_const[i + 1, k + 1]
-                i_d = zip_.i_const[i + 1, k + 1]
-                if s_d != 0.0 or i_d != 0.0:
-                    di.append(nodes[i])
-                    dk.append(nodes[k])
-                    ds.append(s_d)
-                    dc.append(i_d)
+    di = dk = np.zeros(0, dtype=int)
+    ds = dc = np.zeros(0, dtype=complex)
+    if zips:
+        # every ZIP's (m+1)x(m+1) term matrices, flattened end to end; per
+        # phase slot: its ZIP, its row in that ZIP and the flat position of
+        # its wye entry (row, 0)
+        m = np.array([z.n_phase for z in zips])
+        size = (m + 1) ** 2
+        s_all = np.concatenate([z.s_const.ravel() for z in zips])
+        i_all = np.concatenate([z.i_const.ravel() for z in zips])
+        zip_of = np.repeat(np.arange(len(zips)), m)
+        slot = np.arange(len(zip_of)) - (np.cumsum(m) - m)[zip_of]
+        wye = (np.cumsum(size) - size)[zip_of] + (slot + 1) * (m + 1)[zip_of]
+        # np.add.at adds in index order: the slots' order in the network
+        np.add.at(s_wye, zip_node, s_all[wye])
+        np.add.at(i_wye, zip_node, i_all[wye])
+        # each slot paired with every slot k of its ZIP, row-major as the
+        # entries (row, k+1) lie; the diagonal and all-zero pairs drop out
+        width = m[zip_of]
+        row = np.repeat(np.arange(len(zip_of)), width)
+        k = np.arange(len(row)) - np.repeat(np.cumsum(width) - width, width)
+        pos = wye[row] + 1 + k
+        keep = (k != slot[row]) & ((s_all[pos] != 0.0) | (i_all[pos] != 0.0))
+        row, pos = row[keep], pos[keep]
+        di = zip_node[row]
+        dk = zip_node[row - slot[row] + k[keep]]
+        ds, dc = s_all[pos], i_all[pos]
 
     # node order is bus order, then phase order within a bus
     v_state = np.concatenate([np.zeros(0, complex)] + [b.v for b in net.buses])
@@ -202,10 +218,10 @@ def _injections(net: Network, index: NodeIndex, node_type: np.ndarray,
         s_wye=s_wye,
         i_wye=i_wye,
         v_state=v_state,
-        di=np.asarray(di, dtype=int),
-        dk=np.asarray(dk, dtype=int),
-        ds=np.asarray(ds, dtype=complex),
-        dc=np.asarray(dc, dtype=complex),
+        di=di,
+        dk=dk,
+        ds=ds,
+        dc=dc,
     )
 
 

@@ -15,6 +15,13 @@ from .model import PV, SL, PfOptions, PowerFlowModel, model_build, model_refresh
 from .residuals import Injections, network_current
 
 
+# A held step (one taken with the factor a held system kept from an
+# earlier solve) is accepted only if it cuts the max residual to at most
+# this fraction of the residual before it.  On pvdemo it leaves 0.19 LU
+# factors per re-solve instead of 2.51, at 4.45 steps instead of 2.51.
+HELD_CONTRACTION = 0.1
+
+
 class SingularJacobianError(RuntimeError):
     pass
 
@@ -38,8 +45,11 @@ class PfSolution:
     build_s: float = 0.0
     solve_s: float = 0.0
     factor_s: float = 0.0          # summed over iterations
+    factorizations: int = 0        # LU factors computed by this solve
     # One entry per iteration: max residual before the step (pu), the step
-    # length taken, how often it was halved, and the factor time.
+    # length taken, how often it was halved, whether the step factored a
+    # new Jacobian or took the held factor, and the factor time (0 when
+    # held).
     trace: list[dict] = field(default_factory=list, repr=False)
     model: PowerFlowModel | None = field(default=None, repr=False)
 
@@ -99,9 +109,13 @@ class NewtonSystem:
     model's structure only, and ``y`` is the Y-bus they were built on:
     :meth:`load` moves the system to another model of that structure
     (new injection values, so new :class:`Injections`) and keeps them.
+    ``last_solve`` is the ``solve`` of the newest LU factor
+    :func:`nr_solve` computed on the system (None before the first); a
+    system held across solves starts each solve with it.
     """
 
     assembler = None
+    last_solve = None
 
     def __init__(self, model: PowerFlowModel):
         self.y = model.y
@@ -209,6 +223,16 @@ def nr_solve(
     each iteration refills values only.  A singular Jacobian, or a Newton
     step or trial residual that is not finite, raises
     :class:`SingularJacobianError` naming the iteration.
+
+    A system from ``held`` also keeps the newest LU factor across calls.
+    A solve on it first takes held steps: chord steps of length
+    ``opts.damping`` with that factor, no Jacobian and no new factor.  A
+    held step counts only if it cuts the max residual to at most
+    :data:`HELD_CONTRACTION` times the residual before it; the first
+    that misses is discarded (it is neither an iteration nor in the
+    trace), and the solve goes on as Newton from the last accepted point,
+    its newest factor becoming the held one.  Without ``held`` every step
+    is a Newton step.
     """
     if opts is None:
         opts = PfOptions()
@@ -221,11 +245,24 @@ def nr_solve(
     q_g = model.s_g[pv_nodes].imag.copy()
     s_g = model.s_g.copy()
 
+    def trial(alpha):
+        """State, residual and its max norm a step of ``alpha * dx`` reaches."""
+        v_try = v.copy()
+        v_try[free] = v[free] + alpha * (dx[:nf] + 1j * dx[nf : 2 * nf])
+        q_try = q_g + alpha * dx[2 * nf :]
+        s_try = s_g.copy()
+        s_try[pv_nodes] = p_g + 1j * q_try
+        f_try = system.residual(v_try, s_try)
+        norm_try = float(np.abs(f_try).max()) if len(f_try) else 0.0
+        return v_try, q_try, s_try, f_try, norm_try
+
     trace = []
     iterations = 0
+    factorizations = 0
     converged = False
     fvec = system.residual(v, s_g)
     norm = float(np.abs(fvec).max()) if len(fvec) else 0.0
+    held_solve = system.last_solve
 
     while iterations < opts.max_iter:
         if norm <= opts.tol_pu:
@@ -233,44 +270,50 @@ def nr_solve(
             break
         iterations += 1
 
+        if held_solve is not None:
+            dx = held_solve(-fvec)
+            if np.isfinite(dx).all():
+                step = trial(opts.damping)
+                if step[-1] <= HELD_CONTRACTION * norm:
+                    trace.append({"residual_pu": norm, "alpha": opts.damping,
+                                  "halvings": 0, "factored": False,
+                                  "factor_s": 0.0})
+                    v, q_g, s_g, fvec, norm = step
+                    continue
+            held_solve = None
+
         jac = system.jacobian(v, s_g)
+        system.last_solve = None  # free the last factor before the next
         tf = time.perf_counter()
         try:
-            solve = system.factor(jac)
+            system.last_solve = system.factor(jac)
         except RuntimeError as exc:
             raise SingularJacobianError(
                 f"singular Jacobian at iteration {iterations}: {exc}"
             ) from None
         factor_s = time.perf_counter() - tf
-        dx = solve(-fvec)
-        del solve  # free this factor before the next one is built
+        factorizations += 1
+        dx = system.last_solve(-fvec)
         if not np.isfinite(dx).all():
             raise SingularJacobianError(
                 f"non-finite Newton step at iteration {iterations}"
             )
-        dv = dx[:nf] + 1j * dx[nf : 2 * nf]
-        dq = dx[2 * nf :]
 
         alpha = opts.damping
         for halvings in range(5):
             if halvings:
                 alpha *= 0.5
-            v_try = v.copy()
-            v_try[free] = v[free] + alpha * dv
-            q_try = q_g + alpha * dq
-            s_try = s_g.copy()
-            s_try[pv_nodes] = p_g + 1j * q_try
-            f_try = system.residual(v_try, s_try)
-            norm_try = float(np.abs(f_try).max()) if len(f_try) else 0.0
-            if not np.isfinite(norm_try):
+            step = trial(alpha)
+            if not np.isfinite(step[-1]):
                 raise SingularJacobianError(
                     f"non-finite residual after the step at iteration {iterations}"
                 )
-            if norm_try < norm:
+            if step[-1] < norm:
                 break
         trace.append({"residual_pu": norm, "alpha": alpha,
-                      "halvings": halvings, "factor_s": factor_s})
-        v, q_g, s_g, fvec, norm = v_try, q_try, s_try, f_try, norm_try
+                      "halvings": halvings, "factored": True,
+                      "factor_s": factor_s})
+        v, q_g, s_g, fvec, norm = step
 
     if norm <= opts.tol_pu:
         converged = True
@@ -290,6 +333,7 @@ def nr_solve(
         residual_norm=norm,
         solve_s=time.perf_counter() - t0,
         factor_s=sum(it["factor_s"] for it in trace),
+        factorizations=factorizations,
         trace=trace,
         model=model,
     )
@@ -303,9 +347,10 @@ def apply_solution(net: Network, sol: PfSolution) -> None:
     Generators on PQ nodes keep their output.
     """
     model = sol.model
-    index = model.index
-    for bus in net.buses:
-        bus.v = sol.v[index.bus_nodes(bus.id)].copy()
+    # one copy, split along the index's bus slices, which run in bus order
+    v = sol.v.copy()
+    for bus, nodes in zip(net.buses, model.index.bus_slices.values()):
+        bus.v = v[nodes]
     if not model.gens:
         return
 
@@ -318,9 +363,10 @@ def apply_solution(net: Network, sol: PfSolution) -> None:
     dq = (sol.s_g[node].imag * net.s_base_mva - q_fixed[node]) / count
     s = np.where(code == SL, sol.s_g[node] * net.s_base_mva / count, s)
     s = np.where(code == PV, s.real + 1j * (s.imag + dq), s)
-    ends = np.cumsum([g.n_phase for g in model.gens])
-    for gen, part in zip(model.gens, np.split(s, ends[:-1])):
-        gen.s[:] = part
+    start = 0
+    for gen in model.gens:
+        gen.s[:] = s[start : start + gen.n_phase]
+        start += gen.n_phase
 
 
 class HeldPowerFlow:
@@ -330,10 +376,12 @@ class HeldPowerFlow:
     later calls refresh only its injection values and state voltages
     (:func:`model_refresh`) on the same Y-bus, node index and node types,
     until :meth:`invalidate` says the structure changed.  The
-    :class:`NewtonSystem` of that structure, with its Jacobian pattern and
-    kept LU ordering, is built by the first :func:`nr_solve` on it and
-    reloaded by the later ones.  The holder never notices a structural
-    edit by itself: whoever edits the network calls :meth:`invalidate`.
+    :class:`NewtonSystem` of that structure, with its Jacobian pattern,
+    kept LU ordering and newest LU factor, is built by the first
+    :func:`nr_solve` on it and reloaded by the later ones, which start with
+    held steps on that factor.  Invalidating drops all of it, the factor
+    too.  The holder never notices a structural edit by itself: whoever
+    edits the network calls :meth:`invalidate`.
     """
 
     def __init__(self):

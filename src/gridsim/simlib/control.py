@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..opf import (
     IpmOptions,
     ipm_solve,
@@ -34,7 +36,9 @@ class VoltVarController(SimComponent):
     the band settings change.  Every other update takes the bounds, loads
     and start point of the network as it stands through
     :func:`opf_refresh` and warm-starts the interior-point solve from the
-    previous solution.
+    previous solution.  The soft-band extension is held with the problem:
+    a refresh only moves its slack starts to the bus voltages' violations
+    of the band.
     ``solve_count``, ``ipm_iterations`` and ``problem_builds`` count the
     solves, their IPM iterations and the problem builds.
     """
@@ -58,7 +62,7 @@ class VoltVarController(SimComponent):
         self.solve_count = 0
         self.ipm_iterations = 0
         self.problem_builds = 0
-        self._problem = self._band = None
+        self._problem = self._band = self._ext = self._slack_index = None
         self._net = None
         self._inverters = []
 
@@ -73,7 +77,6 @@ class VoltVarController(SimComponent):
         net = self._net.network
         band = (self.v_min_pu + self.margin_pu, self.v_max_pu - self.margin_pu,
                 self.slack_weight)
-        ext = voltage_slack_extension(net, *band)
         # generator dispatch stays at the schedule the power flow would use;
         # the inverters' Q ranges are the only physical degrees of freedom
         saved = []
@@ -104,26 +107,34 @@ class VoltVarController(SimComponent):
             problem = warm = None
             # the held problem keeps the band rows it was built with
             if self._problem is not None and self._band == band:
+                ext = self._ext
+                # what voltage_slack_extension starts each slack at: the
+                # violation of its node (nodes run in bus and phase order)
+                vm = np.abs(model.v_state)
+                sigma0 = np.maximum(0.0, np.maximum(vm - band[1], band[0] - vm))
+                for var, x0 in zip(ext.variables, sigma0.tolist()):
+                    var.x0 = x0
                 problem = opf_refresh(self._problem, net, model, [ext])
             if problem is not None and self.last_solution.converged:
                 warm = self.last_solution
             if problem is None:
+                ext = voltage_slack_extension(net, *band)
                 problem = opf_build(net, extensions=[ext], hold_gen_voltage=True,
                                     v_min=0.5, v_max=1.5, start="state",
                                     model=model)
                 self.problem_builds += 1
+                self._slack_index = np.array([
+                    problem.var_index(f"x:{ext.name}:{var.name}")
+                    for var in ext.variables], dtype=int)
             solution = ipm_solve(problem, self.ipm_options, warm=warm)
         finally:
             for g, p_lo, p_hi, q_lo, q_hi in saved:
                 g.p_min, g.p_max, g.q_min, g.q_max = p_lo, p_hi, q_lo, q_hi
-        self._problem, self._band = problem, band
+        self._problem, self._band, self._ext = problem, band, ext
         self.last_solution = solution
         self.solve_count += 1
         self.ipm_iterations += solution.iterations
-        slack_total = 0.0
-        for var in ext.variables:
-            slack_total += solution.extension_value(ext.name, var.name)
-        self.last_slack_total = slack_total
+        self.last_slack_total = float(solution.x[self._slack_index].sum())
         dispatch = solution.gen_dispatch()
         for inv in self._inverters:
             q_mvar = dispatch[inv.gen_id]["Q_MVAr"]

@@ -31,9 +31,13 @@ class SimNetwork(SimComponent):
     The power-flow structure (Y-bus, model, Newton pattern and LU order) is
     held across solves and rebuilt only after a structural change; each
     solve refreshes the injections and, with the default warm start,
-    resumes from the current bus voltages.  ``solve_count``,
-    ``newton_iterations`` and ``model_builds`` count the solves, their
-    Newton iterations and the structure builds.
+    resumes from the current bus voltages.  The newest LU factor is held
+    too, so a re-solve after a small change first takes held steps on it
+    and factors only when one of them fails to contract (see
+    :func:`~gridsim.powerflow.nr_solve`).  ``solve_count``,
+    ``newton_iterations``, ``factorizations`` and ``model_builds`` count
+    the solves, their Newton steps (held ones included), their LU factors
+    and the structure builds.
     """
 
     def __init__(self, id: str, network, pf_options: PfOptions | None = None):
@@ -43,6 +47,7 @@ class SimNetwork(SimComponent):
         self.solution = None
         self.solve_count = 0
         self.newton_iterations = 0
+        self.factorizations = 0
         self.dirty = True
         self._held = HeldPowerFlow()
 
@@ -96,6 +101,7 @@ class SimNetwork(SimComponent):
         self.solution = sol
         self.solve_count += 1
         self.newton_iterations += sol.iterations
+        self.factorizations += sol.factorizations
         self.dirty = False
 
     def update(self, t: float) -> None:

@@ -32,8 +32,13 @@ def test_pf_json_report_matches_schema(tmp_path, capsys):
     trace = report["trace"]
     assert len(trace) == report["iterations"]
     assert trace[0]["residual_pu"] > trace[-1]["residual_pu"] > report["residual_pu"]
-    assert all(it["factor_s"] > 0 for it in trace)
+    # a cold solve factors at every step
+    assert all(it["factored"] is True and it["factor_s"] > 0 for it in trace)
     trace[0]["alpha"] = 0.0
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(report, report_schema())
+    trace[0]["alpha"] = 1.0
+    trace[0]["factored"] = 1
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(report, report_schema())
 
@@ -93,7 +98,7 @@ def test_opf_json_report(tmp_path, capsys):
         jsonschema.validate(report, report_schema())
     # a power-flow iteration is no optimization iteration
     report["trace"] = [{"residual_pu": 1.0, "alpha": 1.0, "halvings": 0,
-                        "factor_s": 1e-3}]
+                        "factored": True, "factor_s": 1e-3}]
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(report, report_schema())
 

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -15,8 +16,9 @@ from gridsim.network import (
     Phase,
     Zip,
 )
-from gridsim.parsers import load_network
+from gridsim.parsers import apply_yaml_file, load_network
 from gridsim.powerflow import (
+    HeldPowerFlow,
     NoSlackInIslandError,
     PfOptions,
     PowerFlowDidNotConverge,
@@ -33,9 +35,11 @@ from gridsim.powerflow import (
     total_balance,
 )
 from gridsim.powerflow.model import PQ, PV, SL
-from gridsim.powerflow.solver import NewtonSystem
+from gridsim.powerflow.solver import HELD_CONTRACTION, NewtonSystem
 
 from conftest import CASES, DATA, GOLDEN
+from test_jacobian import _pv_delta_net
+from test_network import _mixed_net
 
 
 def _small_net():
@@ -54,6 +58,93 @@ def _small_net():
     load.set_wye(0, s=0.9 + 0.3j, i=0.05, y=0.02 - 0.01j)
     net.add_zip(load, "3")
     return net
+
+
+def _loaded_mixed_net():
+    """``_mixed_net`` with generators, and constant-power and
+    constant-current terms (wye and delta, on shared nodes, through a
+    reordered phase map) beside its ZIP admittances."""
+    net = _mixed_net()
+    net.add_gen(Gen("gs", n_phase=3), "s")
+    net.add_gen(Gen("gt", n_phase=2, s=[0.02 + 0.01j, 0.015]), "t",
+                phase_map=("C", "A"))
+    net.add_gen(Gen("gu", n_phase=3, s=0.01, in_service=False), "u")
+    net.buses["a"].bus_type = "PV"
+    net.add_gen(Gen("ga", n_phase=3, s=[0.03, 0.02, 0.025], v_setpoint=1.01), "a")
+    net.add_gen(Gen("ga2", n_phase=1, s=0.01 - 0.004j, v_setpoint=0.99), "a",
+                phase_map=("B",))
+    net.zips["zw"].set_wye(0, s=0.02 + 0.01j, i=0.01 - 0.004j)
+    net.zips["zw"].set_wye(1, s=0.015 + 0.005j)
+    net.zips["zd"].set_delta(0, 1, s=0.01 + 0.003j)
+    net.zips["zd"].set_delta(1, 2, i=0.006 - 0.001j)
+    net.zips["zd"].set_delta(0, 2, s=0.004 + 0.002j, i=0.003)
+    net.zips["zd"].set_wye(2, s=0.007 + 0.001j, i=0.002j)
+    net.zips["zp"].set_delta(0, 1, s=0.004 + 0.001j, i=0.002)
+    net.zips["zo"].set_wye(1, s=5.0, i=1.0)
+    again = Zip("zw2", n_phase=3)
+    again.set_wye(0, s=0.01 + 0.02j)
+    again.set_delta(2, 0, s=0.003 - 0.001j)
+    net.add_zip(again, "t", phase_map=("B", "C", "A"))
+    net.buses["u"].v = net.buses["u"].v * 0.97
+    return net
+
+
+# the arrays of a built model a golden pins, complex ones as (re, im)
+# lists: JSON round-trips every float exactly
+_MODEL_ARRAYS = ("node_type", "s_g", "v_sl", "v_set_pv", "s_wye", "i_wye",
+                 "v_nom", "v_state", "di", "dk", "ds", "dc", "gen_node")
+
+
+def _model_arrays(model) -> dict:
+    out = {f"y.{k}": getattr(model.y, k) for k in ("data", "indices", "indptr")}
+    out.update({k: getattr(model, k) for k in _MODEL_ARRAYS})
+    return {k: ([v.real.tolist(), v.imag.tolist()] if np.iscomplexobj(v)
+                else v.tolist()) for k, v in out.items()}
+
+
+@pytest.mark.parametrize("name", ["mixed", "pv_delta"])
+def test_model_build_arrays_pinned(name):
+    # recorded before the ZIP terms were scattered in one pass; the
+    # arrays must stay bit-identical
+    pinned = json.loads((GOLDEN / "model_build_arrays.json").read_text())[name]
+    net = _loaded_mixed_net() if name == "mixed" else _pv_delta_net()
+    assert _model_arrays(model_build(net)) == pinned
+
+
+def _zip_terms_by_loop(net, index):
+    """The ZIP terms of a model, gathered slot by slot: the reference for
+    the vectorised gather in ``model_build``."""
+    s_wye = np.zeros(len(index), dtype=complex)
+    i_wye = np.zeros(len(index), dtype=complex)
+    delta = []
+    for zip_ in net.zips:
+        if not (zip_.in_service and zip_.terminal.connected):
+            continue
+        nodes = index.terminal_nodes(zip_.terminal)
+        for i in range(zip_.n_phase):
+            s_wye[nodes[i]] += zip_.s_const[i + 1, 0]
+            i_wye[nodes[i]] += zip_.i_const[i + 1, 0]
+            for k in range(zip_.n_phase):
+                s_d = zip_.s_const[i + 1, k + 1]
+                i_d = zip_.i_const[i + 1, k + 1]
+                if k != i and (s_d != 0.0 or i_d != 0.0):
+                    delta.append((nodes[i], nodes[k], s_d, i_d))
+    di, dk, ds, dc = zip(*delta) if delta else ((), (), (), ())
+    return {"s_wye": s_wye, "i_wye": i_wye, "di": di, "dk": dk, "ds": ds,
+            "dc": dc}
+
+
+@pytest.mark.parametrize("name", ["mixed", "pv_delta", "pvdemo"])
+def test_model_zip_terms_match_a_slot_loop(name):
+    if name == "pvdemo":
+        net = apply_yaml_file(DATA / "pvdemo" / "pvdemo_ieee57.yaml").sim.get(
+            "grid").network
+    else:
+        net = _loaded_mixed_net() if name == "mixed" else _pv_delta_net()
+    model = model_build(net)
+    for key, ref in _zip_terms_by_loop(net, model.index).items():
+        got = getattr(model, key)
+        assert got.tobytes() == np.asarray(ref, dtype=got.dtype).tobytes(), key
 
 
 def test_model_build_partition():
@@ -142,6 +233,46 @@ def test_solve_trace():
     assert all(it["alpha"] == 1.0 and it["halvings"] == 0 for it in sol.trace)
     assert sol.factor_s == pytest.approx(sum(it["factor_s"] for it in sol.trace))
     assert all(it["factor_s"] > 0 for it in sol.trace)
+
+
+def _assert_held_steps_contract(sol):
+    """Every held step in ``sol.trace`` cut the max residual to at most
+    HELD_CONTRACTION times the residual before it, and factored nothing."""
+    after = [it["residual_pu"] for it in sol.trace[1:]] + [sol.residual_norm]
+    for it, new in zip(sol.trace, after):
+        if not it["factored"]:
+            assert new <= HELD_CONTRACTION * it["residual_pu"]
+            assert it["factor_s"] == 0.0 and it["halvings"] == 0
+    assert sol.factorizations == sum(it["factored"] for it in sol.trace)
+
+
+def test_held_factor_absorbs_small_steps_and_falls_back_on_a_jump():
+    net, _ = load_network(CASES / "case14.m")
+    held = HeldPowerFlow()
+    opts = PfOptions(start="warm", tol_pu=1e-10)
+
+    def resolve(scale):
+        for z in net.zips:
+            z.s_const *= scale
+        cold = solve_network(copy.deepcopy(net), PfOptions(tol_pu=1e-12))
+        sol = solve_network(net, opts, held=held)
+        assert sol.converged
+        _assert_held_steps_contract(sol)
+        np.testing.assert_allclose(sol.v, cold.v, rtol=0, atol=1e-9)
+        return sol
+
+    # nothing is held yet: Newton, factoring at every step
+    first = resolve(1.0)
+    assert first.factorizations == first.iterations >= 1
+    # a 1% load step: held steps alone
+    small = resolve(1.01)
+    assert small.factorizations == 0 and small.iterations >= 2
+    # an 80% load jump: the first held step misses and is discarded, and
+    # Newton from the start point converges
+    jump = resolve(1.8)
+    assert jump.factorizations == jump.iterations >= 2
+    # the jump's newest factor is the one held next
+    assert resolve(1.01).factorizations == 0
 
 
 def test_trace_records_halvings():
