@@ -1,8 +1,9 @@
 """Command-line entry point: power flow, OPF, simulation runs, benchmarks.
 
-Exit codes: 0 success/converged, 1 input or configuration error,
-2 solver non-convergence.  Solve timings exclude file I/O but include
-model building, measured on a monotonic clock.
+Exit codes: 0 success/converged, 1 input or configuration error (a
+command-line usage error among them), 2 solver non-convergence.  Solve
+timings exclude file I/O but include model building, measured on a
+monotonic clock.
 """
 
 from __future__ import annotations
@@ -90,11 +91,12 @@ def cmd_pf(args) -> int:
 def cmd_opf(args) -> int:
     case = _read_case(args.case)
     try:
+        opts = IpmOptions(tol=args.tol, max_iter=args.max_iter)
         net = case_to_network(case)
         t0 = time.perf_counter()
         problem = opf_build(net)
         build_s = time.perf_counter() - t0
-        sol = ipm_solve(problem, IpmOptions(tol=args.tol, max_iter=args.max_iter))
+        sol = ipm_solve(problem, opts)
         sol.build_s = build_s
     except ValueError as exc:
         return _fail(str(exc))
@@ -163,12 +165,11 @@ def cmd_sim(args) -> int:
     return EXIT_OK
 
 
-def _bench_case(path, repeat, tol):
+def _bench_case(path, repeat, opts):
     case = _read_case(path)
     row = {"case": case.name, "n_bus": case.n_bus, "status": "ok",
            "pf_ms": None, "opf_ms": None, "pf_iters": None, "opf_iters": None}
     try:
-        opts = PfOptions(tol_pu=tol)
         pf_times = []
         for _ in range(repeat):
             net = case_to_network(case)
@@ -199,10 +200,16 @@ def cmd_bench(args) -> int:
     paths = sorted(args.cases)
     if not paths:
         return _fail("no case files given")
+    if args.repeat < 1:
+        return _fail("--repeat must be at least 1")
+    try:
+        opts = PfOptions(tol_pu=args.tol)
+    except ValueError as exc:
+        return _fail(str(exc))
     print("case\tn_bus\tpf_ms\topf_ms\tpf_iters\topf_iters\tstatus")
     any_ok = False
     for path in paths:
-        row = _bench_case(path, args.repeat, args.tol)
+        row = _bench_case(path, args.repeat, opts)
         any_ok = any_ok or row["status"] == "ok"
 
         def num(x, fmt="{:.2f}"):
@@ -214,8 +221,17 @@ def cmd_bench(args) -> int:
     return EXIT_OK if any_ok else EXIT_NO_CONVERGENCE
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits with 2 on a usage error, which here means
+    non-convergence; this parser exits with EXIT_INPUT_ERROR instead."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gridsim",
         description="AC network power flow, optimal power flow, and "
                     "quasi-steady-state simulation.",
@@ -255,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # raised by input helpers after printing
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT_ERROR

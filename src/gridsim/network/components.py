@@ -79,12 +79,6 @@ class Bus:
     def n_phase(self) -> int:
         return len(self.phases)
 
-    def phase_index(self, phase: Phase) -> int:
-        try:
-            return self.phases.index(phase)
-        except ValueError:
-            raise PhaseNotOnBusError(f"phase {phase.name} not on bus {self.id}") from None
-
     def __repr__(self) -> str:
         return f"Bus({self.id!r}, {[p.name for p in self.phases]}, {self.bus_type})"
 

@@ -10,7 +10,7 @@ with SuperLU.
 A warm start (``ipm_solve(..., warm=previous)``) re-enters the barrier path
 near a previous optimum of the same structure: the equality multipliers
 carry over, slacks and inequality multipliers are shifted away from zero,
-and the barrier restarts at :data:`WARM_MU_B` instead of ``mu0``, in the
+and the barrier restarts at :data:`WARM_MU_B` instead of :data:`MU0`, in the
 manner of Gondzio & Grothey, "Reoptimization with the primal-dual interior
 point method", SIAM J. Optim. 13(3), 2003.
 """
@@ -28,30 +28,33 @@ class NumericalBreakdownError(RuntimeError):
     pass
 
 
-# barrier parameter a warm start resumes at, in place of IpmOptions.mu0;
-# its slacks start at least 10·WARM_MU_B clear of their bounds.  On the
-# pvdemo volt-VAR controller it takes 4.1 IPM iterations per solve against
-# 11.7 cold.
+# A cold solve starts the barrier at MU0; each barrier update multiplies it
+# by MU_SHRINK, down to MU_MIN.  A step goes at most FRACTION_TO_BOUNDARY
+# of the way to a slack or multiplier bound, and each multiplier is then
+# kept within a factor KAPPA_SIGMA of mu_b / s, preventing dual blowup on
+# slacks that crash into their bounds.
+MU0, MU_SHRINK, MU_MIN = 0.1, 0.2, 1e-12
+FRACTION_TO_BOUNDARY = 0.995
+KAPPA_SIGMA = 1e10
+# barrier parameter a warm start resumes at, in place of MU0; its slacks
+# start at least 10·WARM_MU_B clear of their bounds.  On the pvdemo
+# volt-VAR controller it takes 4.1 IPM iterations per solve against 11.7
+# cold.
 WARM_MU_B = 1e-3
 
 
 @dataclass
 class IpmOptions:
-    mu0: float = 0.1
-    mu_shrink: float = 0.2
+    """Stopping settings: the KKT tolerance and the iteration cap."""
+
     tol: float = 1e-6
     max_iter: int = 100
-    fraction_to_boundary: float = 0.995
-    mu_min: float = 1e-12
-    # each multiplier is kept within this factor of mu_b / s after a step,
-    # preventing dual blowup on slacks that crash into their bounds
-    kappa_sigma: float = 1e10
 
     def __post_init__(self):
-        if not 0.0 < self.mu_shrink < 1.0:
-            raise ValueError("mu_shrink must be in (0, 1)")
-        if not 0.0 < self.fraction_to_boundary < 1.0:
-            raise ValueError("fraction_to_boundary must be in (0, 1)")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass
@@ -91,11 +94,12 @@ class OpfSolution:
     def node_voltages(self) -> np.ndarray:
         return self.problem.node_voltages(self.x)
 
-    def binding_constraints(self, tol: float = 1e-6) -> list[str]:
+    def binding_constraints(self) -> list[str]:
+        """Inequalities with a slack below 1e-5 and a multiplier above 1e-6."""
         names = self.problem.ineq_names
         out = []
         for i in range(len(self.s)):
-            if abs(float(self.s[i])) < 1e-5 and self.mu[i] > tol:
+            if abs(float(self.s[i])) < 1e-5 and self.mu[i] > 1e-6:
                 out.append(names[i])
         return out
 
@@ -161,7 +165,7 @@ def ipm_solve(problem, opts: IpmOptions | None = None,
     at ``warm.lam``, the barrier at :data:`WARM_MU_B`, each slack at
     ``max(-h(x0), 10·WARM_MU_B)`` and each inequality multiplier at
     ``max(warm.mu, WARM_MU_B / s)``.  Without ``warm`` the solve starts
-    cold: zero equality multipliers, the barrier at ``opts.mu0``.
+    cold: zero equality multipliers, the barrier at :data:`MU0`.
     """
     opts = opts or IpmOptions()
     t0 = time.perf_counter()
@@ -173,7 +177,7 @@ def ipm_solve(problem, opts: IpmOptions | None = None,
     if warm is None:
         lam = np.zeros(n_eq)
         s = np.maximum(-res.h, 1e-2)
-        mu_b = opts.mu0
+        mu_b = MU0
         mu = np.full(n_in, mu_b) / s if n_in else np.zeros(0)
     else:
         if warm.problem.kkt is not problem.kkt:
@@ -210,9 +214,8 @@ def ipm_solve(problem, opts: IpmOptions | None = None,
         ds = -r_h - res.jac_h @ dx
         dmu = (mu_b - mu * s - mu * ds) / s
 
-        tau = opts.fraction_to_boundary
-        alpha_p = _max_step(s, ds, tau)
-        alpha_d = _max_step(mu, dmu, tau)
+        alpha_p = _max_step(s, ds, FRACTION_TO_BOUNDARY)
+        alpha_d = _max_step(mu, dmu, FRACTION_TO_BOUNDARY)
         # keep voltage magnitudes in the open domain
         alpha_p = min(alpha_p, _domain_step(problem, x, dx))
         entry["alpha_p"], entry["alpha_d"] = alpha_p, alpha_d
@@ -222,8 +225,7 @@ def ipm_solve(problem, opts: IpmOptions | None = None,
         lam = lam + alpha_d * dlam
         mu = mu + alpha_d * dmu
         if n_in:
-            kappa = opts.kappa_sigma
-            mu = np.clip(mu, mu_b / (kappa * s), kappa * mu_b / s)
+            mu = np.clip(mu, mu_b / (KAPPA_SIGMA * s), KAPPA_SIGMA * mu_b / s)
 
         res = problem.eval_all(x)
         r_d = _dual_residual(res, lam, mu)
@@ -232,7 +234,7 @@ def ipm_solve(problem, opts: IpmOptions | None = None,
         # barrier's own scale
         inner = _kkt_norms_barrier(res, r_d, mu, s, mu_b)
         if inner <= max(mu_b, opts.tol):
-            mu_b = max(mu_b * opts.mu_shrink, opts.mu_min)
+            mu_b = max(mu_b * MU_SHRINK, MU_MIN)
 
     norms = _kkt_norms(res, r_d, lam, mu, s)
     if status != "optimal" and max(norms.values()) <= opts.tol:

@@ -50,8 +50,7 @@ class _BranchLimit:
     key: str
     node_idx: np.ndarray     # global node indices of the branch terminals
     y: np.ndarray            # dense per-unit terminal admittance matrix
-    side0: np.ndarray        # boolean mask over terminal rows
-    side1: np.ndarray
+    side0: np.ndarray        # boolean mask of the side-0 terminal rows
     s_max_pu: float
 
 
@@ -508,7 +507,7 @@ def _d2s(r, c, y, V, I, lam):
 
 
 def opf_build(net, extensions=(), hold_gen_voltage=False,
-              v_min=None, v_max=None, theta_bound=None, start="nominal",
+              v_min=None, v_max=None, start="nominal",
               model=None):
     """Construct an :class:`OpfProblem` from a network.
 
@@ -533,7 +532,7 @@ def opf_build(net, extensions=(), hold_gen_voltage=False,
         )
     p = OpfProblem()
     p._options = dict(hold_gen_voltage=hold_gen_voltage, v_min=v_min,
-                      v_max=v_max, theta_bound=theta_bound, start=start)
+                      v_max=v_max, start=start)
     p.index = model.index
     p.y = model.y.tocsr()
     p.s_base_mva = model.s_base_mva
@@ -584,7 +583,7 @@ def opf_build(net, extensions=(), hold_gen_voltage=False,
         p.branch_limits.append(_BranchLimit(
             key=br.id, node_idx=np.asarray(node_idx, dtype=int),
             y=np.asarray(y_br, dtype=complex),
-            side0=side0, side1=~side0,
+            side0=side0,
             s_max_pu=br.s_max_mva / p.s_base_mva,
         ))
 
@@ -690,7 +689,7 @@ def _gen_nodes(model):
 
 
 def _values(net, model, extensions, hold_gen_voltage, v_min, v_max,
-            theta_bound, start) -> dict:
+            start) -> dict:
     """Names, bounds, free set and start point of every variable, and loads.
 
     :func:`opf_build` and :func:`opf_refresh` both take these values from
@@ -706,20 +705,16 @@ def _values(net, model, extensions, hold_gen_voltage, v_min, v_max,
         v_lo[sl] = b.v_mag_min if v_min is None else v_min
         v_hi[sl] = b.v_mag_max if v_max is None else v_max
     v_nom = model.v_nom
-    v_start = v_nom
-    if start == "state":
-        v_start = np.zeros(n, dtype=complex)
-        for b in net.buses:
-            v_start[model.index.bus_slices[b.id]] = b.v
+    v_start = model.v_state if start == "state" else v_nom
     # hypot rounds like the scalar abs() of a complex; np.abs may not
     mag = np.hypot(v_start.real, v_start.imag)
     live = mag > 0
     v0 = np.where(live, mag, 1.0)
     ang = np.where(live, np.angle(v_start), 0.0)
-    tb = np.inf if theta_bound is None else float(theta_bound)
+    # only slack angles are bounded, pinned at their start
     slack = model.node_type == SL
-    th_lo = np.where(slack, ang, ang - tb)
-    th_hi = np.where(slack, ang, ang + tb)
+    th_lo = np.where(slack, ang, -np.inf)
+    th_hi = np.where(slack, ang, np.inf)
     names = ([f"v:{bid}:{ph.name}" for bid, ph in nodes]
              + [f"th:{bid}:{ph.name}" for bid, ph in nodes])
 

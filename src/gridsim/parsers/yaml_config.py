@@ -227,7 +227,6 @@ class YamlContext:
         self.series: dict[str, TimeSeries] = {}
         self.networks: dict[str, SimNetwork] = {}
         self.default_network_id: str | None = None
-        self.dispatch_log: list[str] = []
 
     def network(self, network_id=None, path=()) -> SimNetwork:
         nid = network_id or self.default_network_id
@@ -257,7 +256,6 @@ def yaml_apply(doc, registry: ParserRegistry, ctx: YamlContext,
             continue
         plugin = registry.get(keyword, entry_path)
         config = substitute(config, scope, strict=True, path=entry_path)
-        ctx.dispatch_log.append(keyword)
         try:
             plugin(config, ctx, scope)
         except YamlConfigError:

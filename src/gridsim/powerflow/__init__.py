@@ -10,7 +10,6 @@ from .residuals import network_current, residual_current, residual_power
 from .solver import (
     HeldPowerFlow,
     PfSolution,
-    PowerFlowDidNotConverge,
     SingularJacobianError,
     apply_solution,
     flat_start,
@@ -39,5 +38,4 @@ __all__ = [
     "total_balance",
     "PfSolution",
     "SingularJacobianError",
-    "PowerFlowDidNotConverge",
 ]

@@ -29,14 +29,15 @@ from .residuals import Injections
 
 def wirtinger_parts(
     inj: Injections, v: np.ndarray, s_g: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, tuple, tuple]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """State-dependent corrections to A = dr/dV and B = dr/dV*.
 
     The constant part of A is -Y; everything else is returned here as a
-    diagonal vector per matrix plus off-diagonal COO triplets (from delta
-    loads).  The triplet positions are fixed by the model's structure
-    (never by the state or the injection values), so callers may freeze
-    sparsity patterns across iterations and across refreshed models.
+    diagonal vector per matrix, then the values of A+B and of A-B at the
+    off-diagonal delta-load triplets ``(inj.d_rows, inj.d_cols)``.  The
+    triplet positions are fixed by the model's structure (never by the
+    state or the injection values), so callers may freeze sparsity
+    patterns across iterations and across refreshed models.
     """
     n = inj.model.n_node
     a_diag = np.zeros(n, dtype=complex)
@@ -53,20 +54,16 @@ def wirtinger_parts(
         a_diag[wi] += -inj.i_wye / (2.0 * mag)
         b_diag[wi] += inj.i_wye * vv**2 / (2.0 * mag**3)
 
-    a_v = np.zeros(0, dtype=complex)
-    b_v = np.zeros(0, dtype=complex)
+    apb = amb = np.zeros(0, dtype=complex)
     if len(inj.di):
         vd = v[inj.di] - v[inj.dk]
         mag = np.abs(vd)
         # constant-current part in A and B, constant-power part in B
         d_a = -inj.dc / (2.0 * mag)
         d_b = inj.ds_conj / vd.conj() ** 2 + inj.dc * vd**2 / (2.0 * mag**3)
-        a_v = np.concatenate([d_a, -d_a])
-        b_v = np.concatenate([d_b, -d_b])
-    return (
-        a_diag, b_diag,
-        (inj.a_rows, inj.a_cols, a_v), (inj.b_rows, inj.b_cols, b_v),
-    )
+        apb, amb = d_a + d_b, d_a - d_b
+        apb, amb = np.concatenate([apb, -apb]), np.concatenate([amb, -amb])
+    return a_diag, b_diag, apb, amb
 
 
 def _real_values(apb, amb):
@@ -101,8 +98,8 @@ class JacobianAssembler:
         col_of = np.full(n, -2 * n)
         col_of[free] = np.arange(nf)
         y_rows = np.repeat(np.arange(n), y.indptr[1:] - y.indptr[:-1])
-        r = col_of[np.concatenate([y_rows, free, inj.a_rows, inj.b_rows])]
-        c = col_of[np.concatenate([y.indices, free, inj.a_cols, inj.b_cols])]
+        r = col_of[np.concatenate([y_rows, free, inj.d_rows])]
+        c = col_of[np.concatenate([y.indices, free, inj.d_cols])]
         m = len(r)
         r_im, c_im = nf + r, nf + c
         rows = [r, r, r_im, r_im]
@@ -140,7 +137,7 @@ class JacobianAssembler:
         The same matrix object is returned by every call: only its
         diagonal, delta and extra entries are rewritten, the rest keep -Y.
         """
-        a_diag, b_diag, a_x, b_x = wirtinger_parts(self.inj, v, s_g)
+        a_diag, b_diag, apb, amb = wirtinger_parts(self.inj, v, s_g)
         data = self._jac.data
         data[self._delta_pos] = self._delta_base
         a_diag, b_diag = a_diag[self.free], b_diag[self.free]
@@ -148,10 +145,7 @@ class JacobianAssembler:
             a_diag + b_diag, a_diag - b_diag
         )
         if len(self._delta_pos):
-            a_v, b_v = a_x[2], b_x[2]
-            vals = _real_values(
-                np.concatenate([a_v, b_v]), np.concatenate([a_v, -b_v])
-            )
+            vals = _real_values(apb, amb)
             np.add.at(data, self._delta_pos, vals[self._delta_keep])
         if extra_vals is not None:
             data[self._extra_pos] = extra_vals

@@ -37,7 +37,6 @@ class PfOptions:
 
     tol_pu: float = 1e-8
     max_iter: int = 50
-    damping: float = 1.0
     start: str = "flat"  # flat | warm
 
     def __post_init__(self):
@@ -45,8 +44,6 @@ class PfOptions:
             raise ValueError("tol_pu must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must be in (0, 1]")
         if self.start not in ("flat", "warm"):
             raise ValueError(f"unknown start mode {self.start!r}")
 

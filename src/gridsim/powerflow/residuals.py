@@ -32,10 +32,10 @@ class Injections:
     models that share a structure and differ in injection values.
     """
 
-    # Delta sets of a model without delta entries: ``a_*``/``b_*`` are the
-    # positions of the off-diagonal Jacobian triplets (see
+    # Delta sets of a model without delta entries: ``d_rows``/``d_cols``
+    # are the positions of the off-diagonal Jacobian triplets (see
     # jacobian.wirtinger_parts).
-    a_rows = a_cols = b_rows = b_cols = np.zeros(0, int)
+    d_rows = d_cols = np.zeros(0, int)
     _vd_empty = np.zeros(0, dtype=complex)
 
     def __init__(self, model: PowerFlowModel, gens: np.ndarray | None = None):
@@ -54,8 +54,8 @@ class Injections:
             return
         self.ds_conj = model.ds.conj()
         self.dc = model.dc
-        self.a_rows = self.b_rows = np.concatenate([di, di])
-        self.a_cols = self.b_cols = np.concatenate([di, dk])
+        self.d_rows = np.concatenate([di, di])
+        self.d_cols = np.concatenate([di, dk])
 
     def check_voltages(self, v: np.ndarray) -> np.ndarray:
         """Guard the divisions: wye terms divide by V_i, delta terms by V_ik.

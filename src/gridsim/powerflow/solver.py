@@ -26,15 +26,6 @@ class SingularJacobianError(RuntimeError):
     pass
 
 
-class PowerFlowDidNotConverge(RuntimeError):
-    def __init__(self, solution: "PfSolution"):
-        self.solution = solution
-        super().__init__(
-            f"power flow did not converge in {solution.iterations} iterations "
-            f"(residual {solution.residual_norm:.3e} pu)"
-        )
-
-
 @dataclass
 class PfSolution:
     v: np.ndarray                  # complex node voltages (pu)
@@ -225,8 +216,8 @@ def nr_solve(
     :class:`SingularJacobianError` naming the iteration.
 
     A system from ``held`` also keeps the newest LU factor across calls.
-    A solve on it first takes held steps: chord steps of length
-    ``opts.damping`` with that factor, no Jacobian and no new factor.  A
+    A solve on it first takes held steps: full chord steps with that
+    factor, no Jacobian and no new factor.  A
     held step counts only if it cuts the max residual to at most
     :data:`HELD_CONTRACTION` times the residual before it; the first
     that misses is discarded (it is neither an iteration nor in the
@@ -273,9 +264,9 @@ def nr_solve(
         if held_solve is not None:
             dx = held_solve(-fvec)
             if np.isfinite(dx).all():
-                step = trial(opts.damping)
+                step = trial(1.0)
                 if step[-1] <= HELD_CONTRACTION * norm:
-                    trace.append({"residual_pu": norm, "alpha": opts.damping,
+                    trace.append({"residual_pu": norm, "alpha": 1.0,
                                   "halvings": 0, "factored": False,
                                   "factor_s": 0.0})
                     v, q_g, s_g, fvec, norm = step
@@ -299,7 +290,7 @@ def nr_solve(
                 f"non-finite Newton step at iteration {iterations}"
             )
 
-        alpha = opts.damping
+        alpha = 1.0
         for halvings in range(5):
             if halvings:
                 alpha *= 0.5
@@ -416,13 +407,13 @@ class HeldPowerFlow:
 def solve_network(
     net: Network,
     opts: PfOptions | None = None,
-    raise_on_failure: bool = False,
     held: HeldPowerFlow | None = None,
 ) -> PfSolution:
-    """Build the model, run Newton, and write the solution back.
+    """Build the model, run Newton, and write a converged solution back.
 
-    With ``held`` the model and Newton system come from, and stay in, that
-    holder instead of being built for this call alone.
+    The caller reads ``converged`` on the result.  With ``held`` the model
+    and Newton system come from, and stay in, that holder instead of being
+    built for this call alone.
     """
     t0 = time.perf_counter()
     model = model_build(net) if held is None else held.model(net)
@@ -431,8 +422,6 @@ def solve_network(
     sol.build_s = build_s
     if sol.converged:
         apply_solution(net, sol)
-    elif raise_on_failure:
-        raise PowerFlowDidNotConverge(sol)
     return sol
 
 

@@ -254,6 +254,7 @@ class PvInverter(Inverter):
 class AutoTapChanger(SimComponent):
     """Moves a branch tap when a monitored voltage leaves its deadband.
 
+    The monitored voltage is that of the first node of ``monitored_bus``.
     A violation must persist for at least ``delay_s`` before the tap moves;
     re-entering the band resets the timer.  One step per decision, clamped
     to the tap range.
@@ -263,7 +264,7 @@ class AutoTapChanger(SimComponent):
                  monitored_bus: str, v_ref_pu: float = 1.0,
                  deadband_pu: float = 0.0125, tap_step: float = 0.00625,
                  tap_min: float = 0.9, tap_max: float = 1.1,
-                 delay_s: float = 30.0, phase=None):
+                 delay_s: float = 30.0):
         super().__init__(id, dependencies={network_id})
         self.network_id = network_id
         self.branch_id = branch_id
@@ -274,7 +275,6 @@ class AutoTapChanger(SimComponent):
         self.tap_min = float(tap_min)
         self.tap_max = float(tap_max)
         self.delay_s = float(delay_s)
-        self.phase = phase
         self.move_count = 0
         self.at_limit_warnings = 0
         self._net = None
@@ -289,7 +289,7 @@ class AutoTapChanger(SimComponent):
         )
 
     def _voltage(self) -> float:
-        return abs(self._net.node_voltage(self.monitored_bus, self.phase))
+        return abs(self._net.node_voltage(self.monitored_bus))
 
     def _violation(self, v: float) -> int:
         if v < self.v_ref_pu - self.deadband_pu:

@@ -46,8 +46,7 @@ class VoltVarController(SimComponent):
     def __init__(self, id: str, network_id: str, inverter_ids=(),
                  interval_s: float = 600.0,
                  v_min_pu: float = 0.94, v_max_pu: float = 1.06,
-                 margin_pu: float = 0.002, slack_weight: float = 1e4,
-                 ipm_options: IpmOptions | None = None):
+                 margin_pu: float = 0.002, slack_weight: float = 1e4):
         super().__init__(id, dependencies={network_id, *inverter_ids})
         self.network_id = network_id
         self.inverter_ids = tuple(inverter_ids)
@@ -56,7 +55,7 @@ class VoltVarController(SimComponent):
         self.v_max_pu = float(v_max_pu)
         self.margin_pu = float(margin_pu)
         self.slack_weight = float(slack_weight)
-        self.ipm_options = ipm_options or IpmOptions(tol=1e-6, max_iter=150)
+        self.ipm_options = IpmOptions(tol=1e-6, max_iter=150)
         self.last_solution = None
         self.last_slack_total = math.inf
         self.solve_count = 0

@@ -108,11 +108,9 @@ class SimNetwork(SimComponent):
         if self.dirty:
             self.solve(t)
 
-    def node_voltage(self, bus_id, phase=None):
-        bus = self.network.buses[bus_id]
-        if phase is None:
-            return bus.v[0]
-        return bus.v[bus.phase_index(phase)]
+    def node_voltage(self, bus_id):
+        """The complex voltage of the first node of ``bus_id`` (pu)."""
+        return self.network.buses[bus_id].v[0]
 
     def output_channels(self):
         def rows(t):

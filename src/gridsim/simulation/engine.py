@@ -123,7 +123,6 @@ class Simulation:
         self.contingent_round_cap = int(contingent_round_cap)
         self.sinks: list = []
         self.timestep_listeners: list = []
-        self._ranked = False
         self._initialized = False
         self._phase = "idle"
         self._pending_scheduled: set[str] = set()
@@ -138,10 +137,15 @@ class Simulation:
     # -- construction -------------------------------------------------------
 
     def add(self, component: SimComponent) -> SimComponent:
+        """Insert ``component``; only before :meth:`initialize`, which ranks,
+        initializes and resolves every component once."""
+        if self._initialized:
+            raise SimulationError(
+                f"cannot add component {component.id!r} after initialize"
+            )
         self.components.insert(component.id, component)
         self._position[component.id] = len(self._position)
         component.sim = self
-        self._ranked = False
         return component
 
     def get(self, component_id: str) -> SimComponent:
@@ -195,15 +199,13 @@ class Simulation:
         # visit refers to itself through its closure; unbind it so that the
         # cycle does not keep this simulation alive
         del visit
-        self._ranked = True
 
     def _order_key(self, cid):
         return self.components[cid].rank, self._position[cid]
 
     def initialize(self) -> None:
         """Two passes in rank order: set state, then resolve references."""
-        if not self._ranked:
-            self.rank_components()
+        self.rank_components()
         order = sorted(self.components.keys(), key=self._order_key)
         self.current_time = self.start_time
         sim = weakref.ref(self)

@@ -70,6 +70,46 @@ def test_pf_input_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    [],
+    ["pf"],
+    ["frob"],
+    ["pf", "x.m", "--tol", "abc"],
+    ["opf", "x.m", "--max-iter", "1.5"],
+], ids=["no-command", "pf-no-case", "unknown-command", "bad-float", "bad-int"])
+def test_usage_error_exits_1_not_2(argv, capsys):
+    # 2 means non-convergence; argparse's own usage-error code would clash
+    assert main(argv) == 1
+    assert "usage: gridsim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["pf", "--help"]])
+def test_help_exits_0(argv, capsys):
+    assert main(argv) == 0
+    assert "usage: gridsim" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--max-iter", "0", "max_iter must be at least 1"),
+    ("--tol", "0", "tol must be positive"),
+])
+def test_opf_bad_option_exits_1(flag, value, message, capsys):
+    assert main(["opf", str(CASES / "case14.m"), flag, value, "--quiet"]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--repeat", "0", "--repeat must be at least 1"),
+    ("--tol", "0", "tol_pu must be positive"),
+])
+def test_bench_bad_option_exits_1(flag, value, message, capsys):
+    assert main(["bench", str(CASES / "case14.m"), flag, value]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    # rejected before any case is run, so no table is printed
+    assert captured.out == ""
+
+
 def test_opf_json_report(tmp_path, capsys):
     report_path = tmp_path / "opf.json"
     assert main([

@@ -16,6 +16,7 @@ from gridsim.simulation import (
     NoPendingUpdateError,
     SimComponent,
     Simulation,
+    SimulationError,
     UnknownPhaseError,
 )
 
@@ -190,14 +191,11 @@ def test_contingent_drain_in_rank_then_insertion_order():
     contingent = [cid for _, cid, kind, _ in sink.records if kind == "contingent"]
     assert contingent == ["t1", "t3", "t2"]
 
-    # a component added after initialize keeps rank 0 and orders after
-    # every component inserted before it
-    sim.add(SimComponent("late"))
-    sim.get("poker").targets = ["late", "t3", "t2", "t1"]
-    sink.records.clear()
-    sim.do_timestep()
-    contingent = [cid for _, cid, kind, _ in sink.records if kind == "contingent"]
-    assert contingent == ["t1", "t3", "late", "t2"]
+    # a component added after initialize would never be ranked,
+    # initialized or resolved, so the engine refuses it
+    with pytest.raises(SimulationError, match="'late'"):
+        sim.add(SimComponent("late"))
+    assert sim.components.get("late") is None
 
 
 def test_livelock_detection():

@@ -264,9 +264,9 @@ def test_voltage_slack_extension_soft_band():
 
 def test_ipm_options_validation():
     with pytest.raises(ValueError):
-        IpmOptions(mu_shrink=1.5)
+        IpmOptions(tol=0.0)
     with pytest.raises(ValueError):
-        IpmOptions(fraction_to_boundary=0.0)
+        IpmOptions(max_iter=0)
     with pytest.raises(ValueError):
         opf_build(_opf_net(), start="hot")
 

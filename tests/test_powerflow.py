@@ -21,7 +21,6 @@ from gridsim.powerflow import (
     HeldPowerFlow,
     NoSlackInIslandError,
     PfOptions,
-    PowerFlowDidNotConverge,
     SingularJacobianError,
     ZeroVoltageError,
     apply_solution,
@@ -279,10 +278,10 @@ def test_trace_records_halvings():
     # the absurd load of test_non_convergence_reported: no full step helps
     net = _small_net()
     net.zips["ld"].set_wye(0, s=500.0 + 100.0j)
-    sol = nr_solve(model_build(net), PfOptions(max_iter=15, damping=0.8))
+    sol = nr_solve(model_build(net), PfOptions(max_iter=15))
     assert len(sol.trace) == 15
     for it in sol.trace:
-        assert it["alpha"] == 0.8 * 0.5 ** it["halvings"]
+        assert it["alpha"] == 0.5 ** it["halvings"]
     assert max(it["halvings"] for it in sol.trace) == 4
 
 
@@ -345,8 +344,6 @@ def test_non_convergence_reported():
     model = model_build(net)
     sol = nr_solve(model, PfOptions(max_iter=15))
     assert not sol.converged
-    with pytest.raises(PowerFlowDidNotConverge):
-        solve_network(net, PfOptions(max_iter=15), raise_on_failure=True)
 
 
 def test_total_balance_and_flows():
