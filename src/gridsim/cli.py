@@ -70,10 +70,16 @@ def cmd_pf(args) -> int:
     except SingularJacobianError as exc:
         print(f"error: {case.name}: power flow broke down: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    status = "converged" if sol.converged else "did-not-converge"
+    if sol.stalled_at is not None:
+        status = "stalled"
+        print(f"error: {case.name}: power flow stalled at iteration "
+              f"{sol.stalled_at}: no step length lowers the max residual",
+              file=sys.stderr)
     report = {
         "command": "pf",
         "case": case.name,
-        "status": "converged" if sol.converged else "did-not-converge",
+        "status": status,
         "iterations": sol.iterations,
         "residual_pu": sol.residual_norm,
         "timing": {"build_s": sol.build_s, "solve_s": sol.solve_s},

@@ -19,6 +19,7 @@ from .components import (
 )
 from .network import (
     Branch,
+    BranchGroup,
     Network,
     NodeIndex,
     UnconnectedTerminalError,
@@ -45,6 +46,7 @@ __all__ = [
     "PhaseNotOnBusError",
     "TerminalIndexError",
     "Branch",
+    "BranchGroup",
     "Network",
     "NodeIndex",
     "UnknownIdError",

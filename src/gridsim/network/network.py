@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,6 +64,16 @@ class Branch:
 
     def __repr__(self) -> str:
         return f"Branch({self.id!r}, {type(self.model).__name__})"
+
+
+class BranchGroup(NamedTuple):
+    """In-service branches of one model class and terminal size, in network
+    order, with the node of each terminal slot and the per-unit terminal
+    admittance block of each branch."""
+
+    branches: list[Branch]
+    nodes: np.ndarray            # (k, m) node numbers
+    y: np.ndarray                # (k, m, m) per-unit admittance blocks
 
 
 class NodeIndex:
@@ -206,16 +216,8 @@ class Network:
         """Factor turning the branch model's admittance into per unit."""
         if not branch.model.physical_units:
             return 1.0
-        buses = [
-            self.buses[t.bus_id]
-            for t in branch.terminals
-            if t.connected
-        ]
-        if len(buses) < 2:
-            raise UnconnectedTerminalError(
-                f"branch {branch.id}: both terminals must be connected"
-            )
-        zb0, zb1 = (self._z_base_ohm(b) for b in buses)
+        zb0, zb1 = (self._z_base_ohm(self.buses[t.bus_id])
+                    for t in branch.terminals)
         if not np.isclose(zb0, zb1):
             raise NetworkModelError(
                 f"branch {branch.id}: physical-unit model between buses "
@@ -223,17 +225,15 @@ class Network:
             )
         return zb0
 
-    def branch_y_pu(self, branch: Branch) -> np.ndarray:
-        """Branch terminal admittance in per unit."""
-        return branch.model.y_matrix() * self._pu_scale(branch)
-
-    def ybus(self) -> tuple[sp.csr_matrix, NodeIndex]:
+    def ybus(self) -> tuple[sp.csr_matrix, NodeIndex, list[BranchGroup]]:
         """Assemble the sparse nodal admittance matrix, per unit on S_base.
 
         In-service branches are grouped by model class and block size, and
         each group's admittance blocks come from one ``y_stack`` call; ZIP
         constant-admittance terms become nodal blocks grouped by phase
         count.  Every nonzero block entry is then stamped in one COO build.
+        Returns the matrix, its node index and the branch groups it
+        stamped, in order of each group's first branch.
         """
         index = self.node_index()
         n = len(index)
@@ -266,11 +266,11 @@ class Network:
                     f"gen {gen.id} terminal is not connected"
                 )
 
-        # (k, m) node numbers and (k, m, m) admittance blocks per group
-        blocks = []
+        groups = []
         for (cls, _), group in branches.items():
             scale = np.array([self._pu_scale(b) for b in group])
-            blocks.append((
+            groups.append(BranchGroup(
+                group,
                 np.array([
                     index.terminal_nodes(b.terminals[0])
                     + index.terminal_nodes(b.terminals[1])
@@ -278,6 +278,8 @@ class Network:
                 ]),
                 cls.y_stack([b.model for b in group]) * scale[:, None, None],
             ))
+        # (k, m) node numbers and (k, m, m) admittance blocks per group
+        blocks = [(g.nodes, g.y) for g in groups]
         for group in zips.values():
             blocks.append((
                 np.array([index.terminal_nodes(z.terminal) for z in group]),
@@ -298,13 +300,13 @@ class Network:
         rows = np.concatenate(rows)[keep]
         cols = np.concatenate(cols)[keep]
         y = sp.coo_matrix((vals[keep], (rows, cols)), shape=(n, n)).tocsr()
-        return y, index
+        return y, index, groups
 
     # -- diagnostics --------------------------------------------------------
 
     def to_json_dict(self) -> dict:
         """Diagnostic dump: ids, phases, and Y-bus triplets."""
-        y, index = self.ybus()
+        y, index, _ = self.ybus()
         coo = y.tocoo()
         return {
             "s_base_mva": self.s_base_mva,

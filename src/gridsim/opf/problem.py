@@ -38,20 +38,9 @@ class DomainViolationError(ValueError):
 @dataclass
 class _GenEntry:
     key: str
-    node_idx: np.ndarray     # node indices the gen injects into
-    n_phase: int
     cost: tuple              # (c0, c1, c2) in $/h on MW
     p_pos: int               # full-vector position of P variable (pu)
     q_pos: int
-
-
-@dataclass
-class _BranchLimit:
-    key: str
-    node_idx: np.ndarray     # global node indices of the branch terminals
-    y: np.ndarray            # dense per-unit terminal admittance matrix
-    side0: np.ndarray        # boolean mask of the side-0 terminal rows
-    s_max_pu: float
 
 
 @dataclass
@@ -145,7 +134,7 @@ class OpfProblem:
         self.i_wye = None
         self.s_base_mva = 100.0
         self.gens: list[_GenEntry] = []
-        self.branch_limits: list[_BranchLimit] = []
+        self.flow_ids: list[str] = []   # branch id of each pair of flow rows
         self.lin_eq: list[_LinearRow] = []
         self.lin_ineq: list[_LinearRow] = []
         self.callback_ineq: list = []    # ExtConstraint objects
@@ -182,7 +171,7 @@ class OpfProblem:
 
     @property
     def n_ineq(self) -> int:
-        return (len(self.box_ub) + len(self.box_lb) + 2 * len(self.branch_limits)
+        return (len(self.box_ub) + len(self.box_lb) + 2 * len(self.flow_ids)
                 + len(self.lin_ineq) + len(self.callback_ineq))
 
     # -- variable lookup -----------------------------------------------------
@@ -221,12 +210,14 @@ class OpfProblem:
 
     # -- sparsity ------------------------------------------------------------
 
-    def _freeze(self):
+    def _freeze(self, model, limits):
         """Fix the structure of jac_g, jac_h, the Hessian and the KKT matrix.
 
         Every entry position depends only on the network and the variable
         set, so it is computed here once; :meth:`eval_all` and its Hessian
         closure compute value arrays laid out like the positions below.
+        ``limits`` holds the terminal nodes, admittance block, terminal-0
+        size and limit (pu) of each rated branch, in flow-row order.
         """
         n = self.n_nodes
         nx = self.n_var
@@ -240,8 +231,8 @@ class OpfProblem:
         self._y_coo = (y.row, y.col, y.data)
 
         # generator incidence: each gen's P and Q split evenly over its nodes
-        gn = [ge.n_phase for ge in self.gens]
-        g_node = _cat([ge.node_idx for ge in self.gens])
+        gn = [g.n_phase for g in model.gens]
+        g_node = model.gen_node
         g_p = np.repeat([ge.p_pos for ge in self.gens], gn).astype(int)
         g_q = np.repeat([ge.q_pos for ge in self.gens], gn).astype(int)
         g_w = np.repeat([1.0 / k for k in gn], gn)
@@ -262,23 +253,22 @@ class OpfProblem:
         # admittance, and the flow row (2k or 2k+1) each terminal sums into
         t_node, t_row, t_r, t_c, t_y = [], [], [], [], []
         off = 0
-        for k, bl in enumerate(self.branch_limits):
-            m = len(bl.node_idx)
+        for k, (term, y_br, n0, _) in enumerate(limits):
+            m = len(term)
             loc = np.arange(m)
-            t_node.append(bl.node_idx)
-            t_row.append(np.where(bl.side0, 2 * k, 2 * k + 1))
+            t_node.append(term)
+            t_row.append(np.where(loc < n0, 2 * k, 2 * k + 1))
             t_r.append(off + np.repeat(loc, m))
             t_c.append(off + np.tile(loc, m))
-            t_y.append(bl.y.ravel())
+            t_y.append(y_br.ravel())
             off += m
         t_node, t_row, t_r, t_c = (_cat(a) for a in (t_node, t_row, t_r, t_c))
         t_y = _cat(t_y, complex)
         self._flow = (t_node, t_row, t_r, t_c, t_y)
         self._y_term = sp.csr_matrix((t_y, (t_r, t_c)), shape=(off, off))
-        self._s_max2 = np.repeat(
-            [bl.s_max_pu ** 2 for bl in self.branch_limits], 2)
+        self._s_max2 = np.repeat([s_max ** 2 for *_, s_max in limits], 2)
         fr, fc = _ds_pattern(t_r, t_c, t_node, th, vm)
-        n_flow = 2 * len(self.branch_limits)
+        n_flow = 2 * len(limits)
         self._flow_grad = fg = FrozenCsc(t_row[fr], fc, (n_flow, nx))
 
         nb_u, nb_l = len(self.box_ub), len(self.box_lb)
@@ -321,10 +311,6 @@ class OpfProblem:
         v = x_full[self.iv]
         th = x_full[self.ith]
         return v * np.exp(1j * th)
-
-    def objective(self, x_free: np.ndarray) -> float:
-        x = self.expand(np.asarray(x_free, dtype=float))
-        return float(np.dot(self.q_cost, x * x) + np.dot(self.c_cost, x) + self.cost0)
 
     def eval_all(self, x_free: np.ndarray) -> EvalResult:
         x = self.expand(np.asarray(x_free, dtype=float))
@@ -549,8 +535,7 @@ def opf_build(net, extensions=(), hold_gen_voltage=False,
     p.ith = np.arange(n, 2 * n)
     for k, (g, node_idx) in enumerate(zip(model.gens, _gen_nodes(model))):
         p.gens.append(_GenEntry(
-            key=g.id, node_idx=np.asarray(node_idx, dtype=int),
-            n_phase=len(node_idx), cost=tuple(g.cost),
+            key=g.id, cost=tuple(g.cost),
             p_pos=2 * n + 2 * k, q_pos=2 * n + 2 * k + 1,
         ))
         # equal magnitudes and nominal angle spacing across a multi-phase
@@ -571,21 +556,12 @@ def opf_build(net, extensions=(), hold_gen_voltage=False,
                     coeffs=np.array([1.0, -1.0]), const=-spacing,
                 ))
 
-    # branch apparent-power limits
-    for br in net.branches:
-        if not br.in_service or not np.isfinite(br.s_max_mva):
-            continue
-        y_br = net.branch_y_pu(br)
-        nodes0, nodes1 = (model.index.terminal_nodes(t) for t in br.terminals)
-        node_idx = nodes0 + nodes1
-        side0 = np.zeros(len(node_idx), dtype=bool)
-        side0[: len(nodes0)] = True
-        p.branch_limits.append(_BranchLimit(
-            key=br.id, node_idx=np.asarray(node_idx, dtype=int),
-            y=np.asarray(y_br, dtype=complex),
-            side0=side0,
-            s_max_pu=br.s_max_mva / p.s_base_mva,
-        ))
+    # branch apparent-power limits on the terminal nodes and admittance
+    # blocks of the model's branch groups, in network order
+    rated = {br.id: (nodes, y, br.model.n_phase0, br.s_max_mva / p.s_base_mva)
+             for group in model.branch_groups
+             for br, nodes, y in zip(*group) if np.isfinite(br.s_max_mva)}
+    p.flow_ids = [br.id for br in net.branches if br.id in rated]
 
     # objective: generator polynomial cost on MW plus extension terms
     nf = len(names)
@@ -641,12 +617,12 @@ def opf_build(net, extensions=(), hold_gen_voltage=False,
     p.ineq_names = (
         [f"ub:{names[j]}" for j in p.box_ub]
         + [f"lb:{names[j]}" for j in p.box_lb]
-        + [f"flow:{bl.key}:{side}" for bl in p.branch_limits for side in (0, 1)]
+        + [f"flow:{key}:{side}" for key in p.flow_ids for side in (0, 1)]
         + [row.name for row in p.lin_ineq]
         + [getattr(c, "name", f"callback:{k}")
            for k, c in enumerate(p.callback_ineq)]
     )
-    p._freeze()
+    p._freeze(model, [rated[key] for key in p.flow_ids])
     return p
 
 

@@ -258,8 +258,10 @@ def yaml_apply(doc, registry: ParserRegistry, ctx: YamlContext,
         config = substitute(config, scope, strict=True, path=entry_path)
         try:
             plugin(config, ctx, scope)
-        except YamlConfigError:
-            raise
+        except YamlConfigError as exc:
+            if exc.path:
+                raise
+            raise type(exc)(str(exc), entry_path) from exc
         except Exception as exc:
             raise YamlConfigError(f"{keyword}: {exc}", entry_path) from exc
 
@@ -284,6 +286,28 @@ def _require(config, keys, keyword):
     for key in keys:
         if key not in config:
             raise YamlConfigError(f"{keyword}: missing required field {key!r}")
+
+
+def _present(config, keys, convert=float) -> dict:
+    """The ``keys`` that ``config`` sets, converted; the constructor they
+    go to holds the default of every other."""
+    return {key: convert(config[key]) for key in keys if key in config}
+
+
+def _series_for(config, ctx, keyword, key="series"):
+    """The time series ``config[key]`` names, or else the one read from
+    ``config["input_file"]``."""
+    if key in config:
+        sid = config[key]
+        if sid not in ctx.series:
+            raise YamlConfigError(f"{keyword}: unknown time series {sid!r}")
+        return ctx.series[sid]
+    if "input_file" in config:
+        return TimeSeries.from_csv(
+            ctx.resolve_path(config["input_file"]),
+            **_present(config, ("interpolation", "out_of_range"), str),
+        )
+    raise YamlConfigError(f"{keyword}: needs `{key}` or `input_file`")
 
 
 def _time_value(value):
@@ -313,8 +337,8 @@ def plugin_matpower(config, ctx, scope):
     _require(config, ("input_file",), "matpower")
     net, _case = load_network(ctx.resolve_path(config["input_file"]))
     comp_id = config.get("id", "network")
-    tol = float(config.get("tol_pu", 1e-8))
-    comp = SimNetwork(comp_id, net, PfOptions(tol_pu=tol, start="warm"))
+    comp = SimNetwork(comp_id, net,
+                      PfOptions(start="warm", **_present(config, ("tol_pu",))))
     ctx.sim.add(comp)
     ctx.networks[comp_id] = comp
     if ctx.default_network_id is None:
@@ -324,34 +348,14 @@ def plugin_matpower(config, ctx, scope):
 def plugin_time_series(config, ctx, scope):
     _require(config, ("id",), "time_series")
     if "input_file" in config:
-        series = TimeSeries.from_csv(
-            ctx.resolve_path(config["input_file"]),
-            interpolation=config.get("interpolation", "stepwise"),
-            out_of_range=config.get("out_of_range", "clamp"),
-        )
+        series = _series_for(config, ctx, "time_series")
     else:
         _require(config, ("times", "values"), "time_series")
         series = TimeSeries(
             config["times"], config["values"],
-            interpolation=config.get("interpolation", "stepwise"),
-            out_of_range=config.get("out_of_range", "clamp"),
+            **_present(config, ("interpolation", "out_of_range"), str),
         )
     ctx.series[config["id"]] = series
-
-
-def _series_for(config, ctx, keyword):
-    if "series" in config:
-        sid = config["series"]
-        if sid not in ctx.series:
-            raise YamlConfigError(f"{keyword}: unknown time series {sid!r}")
-        return ctx.series[sid]
-    if "input_file" in config:
-        return TimeSeries.from_csv(
-            ctx.resolve_path(config["input_file"]),
-            interpolation=config.get("interpolation", "stepwise"),
-            out_of_range=config.get("out_of_range", "clamp"),
-        )
-    raise YamlConfigError(f"{keyword}: needs `series` or `input_file`")
 
 
 def plugin_time_series_zip(config, ctx, scope):
@@ -360,23 +364,19 @@ def plugin_time_series_zip(config, ctx, scope):
     ctx.sim.add(TimeSeriesZip(
         config["id"], net.id, config["zip"],
         _series_for(config, ctx, "time_series_zip"),
-        units=config.get("units", "MW"),
-        scale=float(config.get("scale", 1.0)),
-        resample_interval_s=float(config.get("resample_interval_s", 600.0)),
+        **_present(config, ("units",), str),
+        **_present(config, ("scale", "resample_interval_s")),
     ))
 
 
 def plugin_weather(config, ctx, scope):
     _require(config, ("id",), "weather")
-    kwargs = {}
-    for key in ("latitude_deg", "longitude_deg", "temperature_c",
-                "cloud_cover", "cloud_exponent", "update_interval_s"):
+    kwargs = _present(config, ("latitude_deg", "longitude_deg", "temperature_c",
+                               "cloud_cover", "cloud_exponent",
+                               "update_interval_s"))
+    for key in ("temperature_series", "cloud_series"):
         if key in config:
-            kwargs[key] = float(config[key])
-    if "temperature_series" in config:
-        kwargs["temperature_series"] = ctx.series[config["temperature_series"]]
-    if "cloud_series" in config:
-        kwargs["cloud_series"] = ctx.series[config["cloud_series"]]
+            kwargs[key] = _series_for(config, ctx, "weather", key)
     ctx.sim.add(Weather(config["id"], **kwargs))
 
 
@@ -386,27 +386,24 @@ def plugin_solar_pv(config, ctx, scope):
         config["id"], config["weather"],
         area_m2=float(config["area_m2"]),
         efficiency=float(config["efficiency"]),
-        zenith_degrees=float(config.get("zenith_degrees", 0.0)),
-        azimuth_degrees=float(config.get("azimuth_degrees", 180.0)),
+        **_present(config, ("zenith_degrees", "azimuth_degrees")),
     ))
 
 
 def plugin_battery(config, ctx, scope):
     _require(config, ("id", "capacity_kwh"), "battery")
-    kwargs = {}
-    for key in ("charge_kwh", "max_charge_kw", "max_discharge_kw",
-                "eta_charge", "eta_discharge", "update_interval_s"):
-        if key in config:
-            kwargs[key] = float(config[key])
-    ctx.sim.add(Battery(config["id"], float(config["capacity_kwh"]), **kwargs))
+    ctx.sim.add(Battery(
+        config["id"], float(config["capacity_kwh"]),
+        **_present(config, ("charge_kwh", "max_charge_kw", "max_discharge_kw",
+                            "eta_charge", "eta_discharge", "update_interval_s")),
+    ))
 
 
 def plugin_inverter(config, ctx, scope):
     _require(config, ("id",), "inverter")
     ctx.sim.add(Inverter(
         config["id"], tuple(config.get("sources", ())),
-        efficiency=float(config.get("efficiency", 1.0)),
-        s_max_kva=float(config.get("s_max_kva", float("inf"))),
+        **_present(config, ("efficiency", "s_max_kva")),
     ))
 
 
@@ -422,12 +419,9 @@ def plugin_pv_inverter(config, ctx, scope):
     ctx.sim.add(PvInverter(
         config["id"], net.id, gen_id,
         source_ids=tuple(config.get("sources", ())),
-        efficiency=float(config.get("efficiency", 1.0)),
-        s_max_kva=float(config.get("s_max_kva", float("inf"))),
-        q_mode=config.get("q_mode", "fixed-pf"),
-        power_factor=float(config.get("power_factor", 1.0)),
-        q_setpoint_kvar=float(config.get("q_setpoint_kvar", 0.0)),
-        update_interval_s=float(config.get("update_interval_s", 600.0)),
+        **_present(config, ("q_mode",), str),
+        **_present(config, ("efficiency", "s_max_kva", "power_factor",
+                            "q_setpoint_kvar", "update_interval_s")),
     ))
 
 
@@ -439,14 +433,11 @@ def plugin_heartbeat(config, ctx, scope):
 def plugin_auto_tap_changer(config, ctx, scope):
     _require(config, ("id", "branch", "monitored_bus"), "auto_tap_changer")
     net = ctx.network(config.get("network"))
-    kwargs = {}
-    for key in ("v_ref_pu", "deadband_pu", "tap_step", "tap_min", "tap_max",
-                "delay_s"):
-        if key in config:
-            kwargs[key] = float(config[key])
     ctx.sim.add(AutoTapChanger(
         config["id"], net.id, str(config["branch"]),
-        str(config["monitored_bus"]), **kwargs,
+        str(config["monitored_bus"]),
+        **_present(config, ("v_ref_pu", "deadband_pu", "tap_step", "tap_min",
+                            "tap_max", "delay_s")),
     ))
 
 
@@ -462,11 +453,9 @@ def plugin_tap_changer_series(config, ctx, scope):
 def plugin_building(config, ctx, scope):
     _require(config, ("id", "weather", "r_deg_per_kw", "c_kwh_per_deg"),
              "building")
-    kwargs = {}
-    for key in ("t_initial_c", "hvac_thermal_kw", "cop", "q_gain_kw",
-                "t_set_c", "t_deadband_c", "update_interval_s"):
-        if key in config:
-            kwargs[key] = float(config[key])
+    kwargs = _present(config, ("t_initial_c", "hvac_thermal_kw", "cop",
+                               "q_gain_kw", "t_set_c", "t_deadband_c",
+                               "update_interval_s"))
     if "zip" in config:
         net = ctx.network(config.get("network"))
         kwargs["network_id"] = net.id
@@ -482,13 +471,10 @@ def plugin_building(config, ctx, scope):
 def plugin_volt_var_controller(config, ctx, scope):
     _require(config, ("id", "inverters"), "volt_var_controller")
     net = ctx.network(config.get("network"))
-    kwargs = {}
-    for key in ("interval_s", "v_min_pu", "v_max_pu", "margin_pu",
-                "slack_weight"):
-        if key in config:
-            kwargs[key] = float(config[key])
     ctx.sim.add(VoltVarController(
-        config["id"], net.id, tuple(config["inverters"]), **kwargs,
+        config["id"], net.id, tuple(config["inverters"]),
+        **_present(config, ("interval_s", "v_min_pu", "v_max_pu", "margin_pu",
+                            "slack_weight")),
     ))
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from ..network import Network, NodeIndex
+from ..network import BranchGroup, Network, NodeIndex
 
 
 class NoSlackInIslandError(ValueError):
@@ -73,6 +73,8 @@ class PowerFlowModel:
     # The same for in-service, connected ZIPs.
     zips: list = field(default_factory=list)
     zip_node: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    # The branch groups ``y`` was stamped from (see Network.ybus).
+    branch_groups: list[BranchGroup] = field(default_factory=list)
 
     @property
     def n_node(self) -> int:
@@ -93,7 +95,7 @@ def model_build(net: Network) -> PowerFlowModel:
     without an in-service generator fall back to PQ.  Every electrical
     island must contain at least one slack node.
     """
-    y, index = net.ybus()
+    y, index, branch_groups = net.ybus()
     n = len(index)
     node_type = np.full(n, PQ, dtype=int)
     v_sl = np.zeros(n, dtype=complex)
@@ -131,6 +133,7 @@ def model_build(net: Network) -> PowerFlowModel:
         gen_node=gen_node,
         zips=zips,
         zip_node=zip_node,
+        branch_groups=branch_groups,
         **_injections(net, index, node_type, gens, gen_node, zips, zip_node),
     )
 
@@ -138,13 +141,14 @@ def model_build(net: Network) -> PowerFlowModel:
 def model_refresh(model: PowerFlowModel, net: Network) -> PowerFlowModel | None:
     """``model`` with the injection values and state voltages of ``net``.
 
-    The structure (Y-bus, node index, node types, generators, ZIPs and
-    delta entries) is taken from ``model`` unchanged and shared; every value
-    array is new, so ``model`` itself is left as it was.  The caller
-    vouches that nothing structural changed since ``model`` was built.
-    Returns None when the set of delta entries, which fixes the Jacobian
-    pattern, has changed (a delta term became or stopped being zero): the
-    model must then be rebuilt with :func:`model_build`.
+    The structure (Y-bus, node index, node types, generators, ZIPs, branch
+    groups and delta entries) is taken from ``model`` unchanged and
+    shared; every value array is new, so ``model`` itself is left as it
+    was.  The caller vouches that nothing structural changed since
+    ``model`` was built.  Returns None when the set of delta entries,
+    which fixes the Jacobian pattern, has changed (a delta term became or
+    stopped being zero): the model must then be rebuilt with
+    :func:`model_build`.
     """
     fresh = _injections(net, model.index, model.node_type, model.gens,
                         model.gen_node, model.zips, model.zip_node)

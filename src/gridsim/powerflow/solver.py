@@ -21,6 +21,10 @@ from .residuals import Injections, network_current
 # factors per re-solve instead of 2.51, at 4.45 steps instead of 2.51.
 HELD_CONTRACTION = 0.1
 
+# A Newton step is halved until it lowers the max residual, at most this
+# often; when no length does, the solve stops as stalled.
+MAX_HALVINGS = 30
+
 
 class SingularJacobianError(RuntimeError):
     pass
@@ -37,8 +41,11 @@ class PfSolution:
     solve_s: float = 0.0
     factor_s: float = 0.0          # summed over iterations
     factorizations: int = 0        # LU factors computed by this solve
-    # One entry per iteration: max residual before the step (pu), the step
-    # length taken, how often it was halved, whether the step factored a
+    # The iteration whose Newton step no length could make lower the max
+    # residual, where the solve stopped; None if it did not stall.
+    stalled_at: int | None = None
+    # One entry per step taken: max residual before the step (pu), the
+    # step length, how often it was halved, whether the step factored a
     # new Jacobian or took the held factor, and the factor time (0 when
     # held).
     trace: list[dict] = field(default_factory=list, repr=False)
@@ -215,6 +222,11 @@ def nr_solve(
     step or trial residual that is not finite, raises
     :class:`SingularJacobianError` naming the iteration.
 
+    A Newton step is accepted only if it lowers the max residual; it is
+    halved up to :data:`MAX_HALVINGS` times until it does.  When no length
+    does, the solve stops unconverged with ``stalled_at`` set to that
+    iteration, which is then neither counted in ``iterations`` nor traced.
+
     A system from ``held`` also keeps the newest LU factor across calls.
     A solve on it first takes held steps: full chord steps with that
     factor, no Jacobian and no new factor.  A
@@ -251,6 +263,7 @@ def nr_solve(
     iterations = 0
     factorizations = 0
     converged = False
+    stalled_at = None
     fvec = system.residual(v, s_g)
     norm = float(np.abs(fvec).max()) if len(fvec) else 0.0
     held_solve = system.last_solve
@@ -291,7 +304,7 @@ def nr_solve(
             )
 
         alpha = 1.0
-        for halvings in range(5):
+        for halvings in range(MAX_HALVINGS + 1):
             if halvings:
                 alpha *= 0.5
             step = trial(alpha)
@@ -301,6 +314,10 @@ def nr_solve(
                 )
             if step[-1] < norm:
                 break
+        else:
+            stalled_at = iterations
+            iterations -= 1
+            break
         trace.append({"residual_pu": norm, "alpha": alpha,
                       "halvings": halvings, "factored": True,
                       "factor_s": factor_s})
@@ -325,6 +342,7 @@ def nr_solve(
         solve_s=time.perf_counter() - t0,
         factor_s=sum(it["factor_s"] for it in trace),
         factorizations=factorizations,
+        stalled_at=stalled_at,
         trace=trace,
         model=model,
     )
@@ -426,26 +444,22 @@ def solve_network(
 
 
 def recover_flows(net: Network, sol: PfSolution) -> dict:
-    """Per-terminal complex power and current, bus-into-terminal sign."""
-    model = sol.model
-    index = model.index
+    """Per-terminal complex power and current, bus-into-terminal sign.
+
+    Keyed by branch id in network order, over the branches the solution's
+    model stamped; each branch group's currents come from one batched
+    product of its admittance blocks with its terminal voltages.
+    """
     flows: dict[str, dict] = {}
-    for branch in net.branches:
-        if not branch.in_service:
-            continue
-        y = net.branch_y_pu(branch)
-        gidx = [k for t in branch.terminals for k in index.terminal_nodes(t)]
-        v_term = sol.v[gidx]
-        i_term = y @ v_term
+    for branches, nodes, y in sol.model.branch_groups:
+        v_term = sol.v[nodes]
+        i_term = np.matmul(y, v_term[:, :, None])[:, :, 0]
         s_term = v_term * np.conj(i_term)
-        n0 = branch.model.n_phase0
-        flows[branch.id] = {
-            "I0": i_term[:n0],
-            "I1": i_term[n0:],
-            "S0": s_term[:n0],
-            "S1": s_term[n0:],
-        }
-    return flows
+        for branch, i, s in zip(branches, i_term, s_term):
+            n0 = branch.model.n_phase0
+            flows[branch.id] = {"I0": i[:n0], "I1": i[n0:],
+                                "S0": s[:n0], "S1": s[n0:]}
+    return {b.id: flows[b.id] for b in net.branches if b.id in flows}
 
 
 def total_balance(net: Network, sol: PfSolution) -> complex:

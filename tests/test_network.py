@@ -101,7 +101,7 @@ def test_ybus_single_phase_line():
     net.add_bus(Bus("l"))
     ys = 1.0 / (0.01 + 0.1j)
     net.add_branch(Branch("ln", CommonBranch(ys, y_shunt=0.02j)), "s", "l")
-    y, idx = net.ybus()
+    y, idx, _ = net.ybus()
     dense = y.toarray()
     np.testing.assert_allclose(dense[0, 0], ys + 0.01j)
     np.testing.assert_allclose(dense[0, 1], -ys)
@@ -174,7 +174,9 @@ def test_branch_y_pu_physical_units():
     net.add_bus(Bus("b", phases=(Phase.A,), v_base=11e3))
     br = net.add_branch(Branch("ln", OverheadLine(z, 2.0)), "a", "b")
     zb = 11e3**2 / 10e6
-    ypu = net.branch_y_pu(br)
+    (group,) = net.ybus()[2]
+    assert group.branches == [br]
+    ypu = group.y[0]
     np.testing.assert_allclose(ypu[0, 0], zb / (z[0, 0] * 2.0))
 
 
@@ -185,10 +187,10 @@ def test_branch_y_pu_mismatched_bases_rejected():
     net.add_bus(Bus("b", phases=(Phase.A,), v_base=400.0))
     br = net.add_branch(Branch("ln", OverheadLine(z, 2.0)), "a", "b")
     with pytest.raises(NetworkModelError):
-        net.branch_y_pu(br)
-    half = net.add_branch(Branch("ln2", OverheadLine(z, 2.0)), "a")
+        net.ybus()
+    net.add_branch(Branch("ln2", OverheadLine(z, 2.0)), "a")
     with pytest.raises(UnconnectedTerminalError):
-        net.branch_y_pu(half)
+        net.ybus()
 
 
 def test_out_of_service_branch_skipped():
@@ -227,7 +229,10 @@ def _ybus_entry_loop(net):
     for branch in net.branches:
         if not branch.in_service:
             continue
-        y = net.branch_y_pu(branch)
+        y = branch.model.y_matrix()
+        if branch.model.physical_units:
+            v_base = net.buses[branch.terminals[0].bus_id].v_base
+            y = y * (v_base**2 / (net.s_base_mva * 1e6))
         gidx = index.terminal_nodes(branch.terminals[0])
         gidx += index.terminal_nodes(branch.terminals[1])
         for a, ga in enumerate(gidx):

@@ -127,11 +127,14 @@ def test_binding_branch_limit():
     sol = ipm_solve(prob)
     assert sol.status == "optimal"
     assert "flow:branch_1_1_3:0" in sol.binding_constraints()
-    bl = next(b for b in prob.branch_limits if b.key == "branch_1_1_3")
+    br = net.branches["branch_1_1_3"]
+    nodes, y = next((g.nodes[k], g.y[k]) for g in model_build(net).branch_groups
+                    for k, b in enumerate(g.branches) if b is br)
     V = sol.node_voltages()
-    vt = V[bl.node_idx]
-    s0 = np.sum(vt[bl.side0] * np.conj((bl.y @ vt)[bl.side0]))
-    assert abs(s0) == pytest.approx(bl.s_max_pu, abs=1e-5)
+    vt = V[nodes]
+    n0 = br.model.n_phase0
+    s0 = np.sum(vt[:n0] * np.conj((y @ vt)[:n0]))
+    assert abs(s0) == pytest.approx(br.s_max_mva / net.s_base_mva, abs=1e-5)
 
 
 def test_degenerate_problem_reproduces_power_flow():
@@ -341,7 +344,7 @@ def _three_phase_opf():
     cap = OpfExtension(name="cap", callback_constraints=[
         CallbackConstraint("cap", value, grad, hess)])
     prob = opf_build(net, extensions=(vslack, cap))
-    assert prob.lin_eq and prob.lin_ineq and prob.branch_limits
+    assert prob.lin_eq and prob.lin_ineq and prob.flow_ids
     assert prob.callback_ineq[0].hess is not None
     return prob
 
@@ -368,6 +371,77 @@ def test_three_phase_derivatives_match_finite_differences():
     np.testing.assert_allclose(res.jac_h.toarray(),
                                fd(lambda z: prob.eval_all(z).h), atol=1e-5)
 
+    lam = rng.standard_normal(len(res.g))
+    mu = np.abs(rng.standard_normal(len(res.h)))
+
+    def lag_grad(z):
+        r = prob.eval_all(z)
+        return r.grad + r.jac_g.T @ lam + r.jac_h.T @ mu
+
+    fd_h = fd(lag_grad)
+    np.testing.assert_allclose(res.hess(lam, mu).toarray(),
+                               0.5 * (fd_h + fd_h.T), atol=2e-4)
+
+
+def test_flow_rows_follow_network_order_across_branch_classes():
+    # the rated branches fall into two model classes (two Y-bus branch
+    # groups), and the GenericBranch sits between the two CommonBranches
+    net = Network(s_base_mva=100.0)
+    for bus_id, kind in (("1", "SL"), ("2", "PV"), ("3", "PQ")):
+        net.add_bus(Bus(bus_id, bus_type=kind, v_mag_min=0.9, v_mag_max=1.1))
+    ys = 1.0 / (0.01 + 0.08j)
+    net.add_branch(Branch("a", CommonBranch(ys, 0.02j, tap=0.98),
+                          s_max_mva=90.0), "1", "2")
+    y2 = np.array([[ys, -0.9 * ys], [-1.1 * ys, ys + 0.01j]])
+    net.add_branch(Branch("g", GenericBranch(y2, 1, 1), s_max_mva=70.0), "2", "3")
+    net.add_branch(Branch("b", CommonBranch(ys)), "2", "3")
+    net.add_branch(Branch("c", CommonBranch(ys), s_max_mva=80.0), "1", "3")
+    net.add_gen(Gen("g1", p_min=0, p_max=300, q_min=-100, q_max=100,
+                    cost=(0, 10, 0.05)), "1")
+    net.add_gen(Gen("g2", p_min=0, p_max=150, q_min=-80, q_max=80,
+                    cost=(0, 20, 0.1)), "2")
+    load = Zip("ld", n_phase=1)
+    load.set_wye(0, s=1.2 + 0.4j)
+    net.add_zip(load, "3")
+    groups = model_build(net).branch_groups
+    assert [[b.id for b in g.branches] for g in groups] == [["a", "b", "c"], ["g"]]
+
+    prob = opf_build(net)
+    assert prob.flow_ids == ["a", "g", "c"]
+    base = len(prob.box_ub) + len(prob.box_lb)
+    assert prob.ineq_names[base:base + 6] == [
+        "flow:a:0", "flow:a:1", "flow:g:0", "flow:g:1", "flow:c:0", "flow:c:1"]
+
+    rng = np.random.default_rng(14)
+    x = prob.x0 + 0.01 * rng.standard_normal(prob.n_var)
+    res = prob.eval_all(x)
+    # each flow row against the branch's own admittance, side by side
+    V = prob.node_voltages(prob.expand(x))
+    for k, br_id in enumerate(prob.flow_ids):
+        br = net.branches[br_id]
+        nodes = [prob.node_index(t.bus_id) for t in br.terminals]
+        i = br.model.y_matrix() @ V[nodes]
+        s_max2 = (br.s_max_mva / net.s_base_mva) ** 2
+        for side in (0, 1):
+            s_side = V[nodes[side]] * np.conj(i[side])
+            assert res.h[base + 2 * k + side] == pytest.approx(
+                abs(s_side) ** 2 - s_max2, rel=1e-12, abs=1e-12)
+
+    n = prob.n_var
+    eps = 1e-6
+
+    def fd(fn):
+        cols = []
+        for k in range(n):
+            step = np.zeros(n)
+            step[k] = eps
+            cols.append((fn(x + step) - fn(x - step)) / (2 * eps))
+        return np.array(cols).T
+
+    np.testing.assert_allclose(res.jac_g.toarray(),
+                               fd(lambda z: prob.eval_all(z).g), atol=1e-5)
+    np.testing.assert_allclose(res.jac_h.toarray(),
+                               fd(lambda z: prob.eval_all(z).h), atol=1e-5)
     lam = rng.standard_normal(len(res.g))
     mu = np.abs(rng.standard_normal(len(res.h)))
 

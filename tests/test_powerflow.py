@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
+from gridsim.cli import main
 from gridsim.network import (
     Branch,
     Bus,
@@ -21,6 +22,7 @@ from gridsim.powerflow import (
     HeldPowerFlow,
     NoSlackInIslandError,
     PfOptions,
+    PfSolution,
     SingularJacobianError,
     ZeroVoltageError,
     apply_solution,
@@ -275,14 +277,43 @@ def test_held_factor_absorbs_small_steps_and_falls_back_on_a_jump():
 
 
 def test_trace_records_halvings():
-    # the absurd load of test_non_convergence_reported: no full step helps
+    # the absurd load of test_non_convergence_reported: no full step helps,
+    # and no step that raises the max residual is taken
     net = _small_net()
     net.zips["ld"].set_wye(0, s=500.0 + 100.0j)
     sol = nr_solve(model_build(net), PfOptions(max_iter=15))
     assert len(sol.trace) == 15
     for it in sol.trace:
         assert it["alpha"] == 0.5 ** it["halvings"]
-    assert max(it["halvings"] for it in sol.trace) == 4
+    assert max(it["halvings"] for it in sol.trace) > 4
+    norms = [it["residual_pu"] for it in sol.trace] + [sol.residual_norm]
+    assert all(a > b for a, b in zip(norms, norms[1:]))
+
+
+def test_a_newton_step_no_length_helps_stalls(monkeypatch, tmp_path, capsys):
+    # an ascent direction: every length raises the max residual
+    factor = NewtonSystem.factor
+
+    def ascent(self, jac):
+        solve = factor(self, jac)
+        return lambda rhs: -solve(rhs)
+
+    monkeypatch.setattr(NewtonSystem, "factor", ascent)
+    net, _ = load_network(CASES / "case14.m")
+    model = model_build(net)
+    sol = nr_solve(model)
+    assert not sol.converged
+    assert sol.stalled_at == 1 and sol.iterations == 0 and sol.trace == []
+    assert sol.factorizations == 1
+    assert sol.residual_norm == np.abs(
+        NewtonSystem(model).residual(flat_start(model), model.s_g)).max()
+
+    report = tmp_path / "pf.json"
+    argv = ["pf", str(CASES / "case14.m"), "--json", str(report), "--quiet"]
+    assert main(argv) == 2
+    assert "stalled at iteration 1" in capsys.readouterr().err
+    report = json.loads(report.read_text())
+    assert report["status"] == "stalled" and report["iterations"] == 0
 
 
 def test_singular_later_factor_reported(monkeypatch):
@@ -358,6 +389,38 @@ def test_total_balance_and_flows():
     i = flows["b"]["I0"][0]
     z = 0.01 + 0.08j
     np.testing.assert_allclose(s0 + s1, z * abs(i) ** 2, atol=1e-10)
+
+
+def test_recover_flows_matches_a_per_branch_product():
+    # lines, a cable, transformer banks, a tapped single-phase branch and a
+    # generic 3-to-1 branch, in five branch groups; out-of-service ones left out
+    net = _mixed_net()
+    net.add_gen(Gen("gs", n_phase=3), "s")
+    model = model_build(net)
+    assert len(model.branch_groups) == 5
+    rng = np.random.default_rng(3)
+    v = model.v_nom * (1.0 + 0.05 * (rng.standard_normal(model.n_node)
+                                     + 1j * rng.standard_normal(model.n_node)))
+    sol = PfSolution(v=v, s_g=model.s_g, iterations=0, converged=False,
+                     residual_norm=0.0, model=model)
+    flows = recover_flows(net, sol)
+    live = [b for b in net.branches if b.in_service]
+    assert list(flows) == [b.id for b in live]
+    for branch in live:
+        y = branch.model.y_matrix()
+        if branch.model.physical_units:
+            v_base = net.buses[branch.terminals[0].bus_id].v_base
+            y = y * (v_base**2 / (net.s_base_mva * 1e6))
+        nodes = [k for t in branch.terminals
+                 for k in model.index.terminal_nodes(t)]
+        i = y @ v[nodes]
+        s = v[nodes] * np.conj(i)
+        n0 = branch.model.n_phase0
+        expect = {"I0": i[:n0], "I1": i[n0:], "S0": s[:n0], "S1": s[n0:]}
+        assert flows[branch.id].keys() == expect.keys()
+        for key, value in expect.items():
+            np.testing.assert_allclose(flows[branch.id][key], value,
+                                       rtol=1e-12, atol=1e-12)
 
 
 def test_apply_solution_updates_network():

@@ -452,6 +452,11 @@ def _assert_same_model(held, fresh):
         assert np.array_equal(getattr(held, name), getattr(fresh, name)), name
     assert held.index.nodes == fresh.index.nodes
     assert [g.id for g in held.gens] == [g.id for g in fresh.gens]
+    assert len(held.branch_groups) == len(fresh.branch_groups)
+    for mine, theirs in zip(held.branch_groups, fresh.branch_groups):
+        assert [b.id for b in mine.branches] == [b.id for b in theirs.branches]
+        assert np.array_equal(mine.nodes, theirs.nodes)
+        assert np.array_equal(mine.y, theirs.y)
 
 
 def test_sim_network_applies_each_solution_once(monkeypatch):

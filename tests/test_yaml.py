@@ -244,3 +244,22 @@ def test_registry_default_keywords_complete():
         "building", "volt_var_controller",
     ):
         assert expected in kws
+
+
+@pytest.mark.parametrize("entry", [
+    {"weather": {"id": "w", "temperature_series": "nope"}},
+    {"time_series_zip": {"id": "d", "zip": "load_3", "series": "nope"}},
+    {"tap_changer_series": {"id": "t", "branch": "branch_0_1_2",
+                            "series": "nope"}},
+])
+def test_unknown_series_error_names_the_id_and_the_entry(entry):
+    doc = [
+        {"matpower": {"input_file": str(DATA / "cases" / "case3.m")}},
+        {"time_series": {"id": "known", "times": [0], "values": [1.0]}},
+        entry,
+    ]
+    with pytest.raises(YamlConfigError) as err:
+        yaml_apply(doc, default_registry(), YamlContext())
+    assert err.value.path == (2,)
+    assert str(err.value).startswith("2: ")
+    assert "unknown time series 'nope'" in str(err.value)
