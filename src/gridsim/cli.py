@@ -166,7 +166,8 @@ def cmd_sim(args) -> int:
                 mean = comp.ipm_iterations / max(comp.solve_count, 1)
                 parts.append(f"volt-var {comp.id}: {comp.solve_count} solves, "
                              f"{mean:.2f} IPM iterations per solve, "
-                             f"{comp.problem_builds} problem builds")
+                             f"{comp.problem_builds} problem builds, "
+                             f"{comp.failed_solves} failed solves")
         print("; ".join(parts))
     return EXIT_OK
 

@@ -246,24 +246,32 @@ def yaml_apply(doc, registry: ParserRegistry, ctx: YamlContext,
         raise YamlConfigError("configuration must be a sequence of entries", path)
     scope = scope or ctx.scope
     for i, entry in enumerate(doc):
-        entry_path = tuple(path) + (i,)
-        if not isinstance(entry, dict) or len(entry) != 1:
-            raise YamlConfigError("each entry must be a single-key map", entry_path)
-        (keyword, config), = entry.items()
-        if keyword == "loop":
-            for sub_entry, child in loop_expand(config, scope, entry_path):
-                yaml_apply([sub_entry], registry, ctx, child, entry_path)
-            continue
-        plugin = registry.get(keyword, entry_path)
-        config = substitute(config, scope, strict=True, path=entry_path)
-        try:
-            plugin(config, ctx, scope)
-        except YamlConfigError as exc:
-            if exc.path:
-                raise
-            raise type(exc)(str(exc), entry_path) from exc
-        except Exception as exc:
-            raise YamlConfigError(f"{keyword}: {exc}", entry_path) from exc
+        _apply_entry(entry, registry, ctx, scope, tuple(path) + (i,))
+
+
+def _apply_entry(entry, registry: ParserRegistry, ctx: YamlContext,
+                 scope: YamlScope, entry_path: tuple) -> None:
+    """Apply one entry; an entry a loop produces has the path (loop's
+    path, iteration, body index)."""
+    if not isinstance(entry, dict) or len(entry) != 1:
+        raise YamlConfigError("each entry must be a single-key map", entry_path)
+    (keyword, config), = entry.items()
+    if keyword == "loop":
+        expanded = loop_expand(config, scope, entry_path)
+        for k, (sub_entry, child) in enumerate(expanded):
+            _apply_entry(sub_entry, registry, ctx, child,
+                         entry_path + divmod(k, len(config["loop_body"])))
+        return
+    plugin = registry.get(keyword, entry_path)
+    config = substitute(config, scope, strict=True, path=entry_path)
+    try:
+        plugin(config, ctx, scope)
+    except YamlConfigError as exc:
+        if exc.path:
+            raise
+        raise type(exc)(str(exc), entry_path) from exc
+    except Exception as exc:
+        raise YamlConfigError(f"{keyword}: {exc}", entry_path) from exc
 
 
 def load_yaml_file(path) -> list:

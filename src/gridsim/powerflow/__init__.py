@@ -1,4 +1,3 @@
-from .jacobian import jacobian_rect
 from .model import (
     NoSlackInIslandError,
     PfOptions,
@@ -13,6 +12,7 @@ from .solver import (
     SingularJacobianError,
     apply_solution,
     flat_start,
+    jacobian_rect,
     nr_solve,
     recover_flows,
     solve_network,

@@ -2,9 +2,22 @@
 
 The nonzero injection terms of a model (generation, wye constant-power,
 wye constant-current and delta entries) are located once in an
-:class:`Injections`; every residual and Jacobian evaluation then gathers
-and scatters over those index sets instead of re-deriving masks from the
-model.  :func:`residual_current`, :func:`residual_power` and
+:class:`Injections`; every residual and derivative evaluation then
+gathers and scatters over those index sets instead of re-deriving masks
+from the model.
+
+The complex residual r(V, V*) is differentiated in Wirtinger form
+(A = dr/dV, B = dr/dV*); the real 2x2 block Jacobian over (Re V, Im V)
+follows from
+
+    d Re r / d Re V =  Re(A + B)      d Re r / d Im V = -Im(A - B)
+    d Im r / d Re V =  Im(A + B)      d Im r / d Im V =  Re(A - B)
+
+A is -Y plus state-dependent terms and B has state-dependent terms only,
+all of them on the diagonal or at the delta-load triplets
+(:meth:`Injections.wirtinger_parts`).
+
+:func:`residual_current`, :func:`residual_power` and
 :func:`network_current` are one-call conveniences that locate the sets
 and evaluate once; a solver builds one :class:`Injections` per model.
 """
@@ -34,7 +47,7 @@ class Injections:
 
     # Delta sets of a model without delta entries: ``d_rows``/``d_cols``
     # are the positions of the off-diagonal Jacobian triplets (see
-    # jacobian.wirtinger_parts).
+    # wirtinger_parts).
     d_rows = d_cols = np.zeros(0, int)
     _vd_empty = np.zeros(0, dtype=complex)
 
@@ -104,6 +117,49 @@ class Injections:
         i_gen = np.zeros(self.model.n_node, dtype=complex)
         i_gen[g] = s_g[g].conj() / v[g].conj()
         return i_gen - self.model.y @ v - i_load
+
+    def wirtinger_parts(
+        self, v: np.ndarray, s_g: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """State-dependent corrections to A = dr/dV and B = dr/dV*.
+
+        The constant part of A is -Y; everything else is returned here as
+        a diagonal vector per matrix, then the values of A+B and of A-B at
+        the off-diagonal delta-load triplets ``(d_rows, d_cols)``.  The
+        triplet positions are fixed by the model's structure (never by the
+        state or the injection values), so callers may freeze sparsity
+        patterns across iterations and across refreshed models.
+        """
+        n = self.model.n_node
+        a_diag = np.zeros(n, dtype=complex)
+        b_diag = np.zeros(n, dtype=complex)
+
+        g = self.gens
+        b_diag[g] -= s_g[g].conj() / v[g].conj() ** 2
+        ws = self.ws
+        b_diag[ws] += self.s_wye_conj / v[ws].conj() ** 2
+        wi = self.wi
+        if len(wi):
+            vv = v[wi]
+            mag = np.abs(vv)
+            a_diag[wi] += -self.i_wye / (2.0 * mag)
+            b_diag[wi] += self.i_wye * vv**2 / (2.0 * mag**3)
+
+        apb = amb = np.zeros(0, dtype=complex)
+        if len(self.di):
+            vd = v[self.di] - v[self.dk]
+            mag = np.abs(vd)
+            # constant-current part in A and B, constant-power part in B
+            d_a = -self.dc / (2.0 * mag)
+            d_b = self.ds_conj / vd.conj() ** 2 + self.dc * vd**2 / (2.0 * mag**3)
+            apb, amb = d_a + d_b, d_a - d_b
+            apb, amb = np.concatenate([apb, -apb]), np.concatenate([amb, -amb])
+        return a_diag, b_diag, apb, amb
+
+
+def _real_values(apb: np.ndarray, amb: np.ndarray) -> np.ndarray:
+    """The four real blocks' values of complex entries of A+B and A-B."""
+    return np.concatenate([apb.real, -amb.imag, apb.imag, amb.real])
 
 
 def residual_current(

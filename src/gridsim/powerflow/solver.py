@@ -3,16 +3,16 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ..network import Network
-from .jacobian import JacobianAssembler
-from .model import PV, SL, PfOptions, PowerFlowModel, model_build, model_refresh
-from .residuals import Injections, network_current
+from .model import PQ, PV, SL, PfOptions, PowerFlowModel, model_build, model_refresh
+from .pattern import FrozenCsc
+from .residuals import Injections, _real_values, network_current
 
 
 # A held step (one taken with the factor a held system kept from an
@@ -99,39 +99,67 @@ def warm_start(model: PowerFlowModel) -> np.ndarray:
 class NewtonSystem:
     """The reduced real Newton system that :func:`nr_solve` iterates on.
 
-    Unknowns are (Re V, Im V) at the non-slack nodes, then the reactive
-    generation at each PV node; equations are (Re r, Im r) at the same
-    nodes, then |V|^2 = setpoint^2 at each PV node.  The index sets and
-    the Jacobian pattern are built once, for at least a whole solve, and
-    so is the LU ordering (see :meth:`factor`).  They depend on the
-    model's structure only, and ``y`` is the Y-bus they were built on:
-    :meth:`load` moves the system to another model of that structure
+    The unknowns x are (Re V, Im V) at the non-slack nodes, then the
+    reactive generation at each PV node; :meth:`unknowns` and
+    :meth:`point` map between x and the (V, S_g) a residual reads, and no
+    other code knows that layout.  The equations are (Re r, Im r) at the
+    same nodes, then |V|^2 = setpoint^2 at each PV node.
+
+    The index sets and the Jacobian pattern (the -Y blocks, the diagonal,
+    the delta-load triplets, the PV rows and columns) are built once, for
+    at least a whole solve, in one CSC matrix that :meth:`jacobian`
+    refills, and so is the LU ordering (see :meth:`factor`).  They depend
+    on the model's structure only, and ``y`` is the Y-bus they were built
+    on: :meth:`load` moves the system to another model of that structure
     (new injection values, so new :class:`Injections`) and keeps them.
     ``last_solve`` is the ``solve`` of the newest LU factor
     :func:`nr_solve` computed on the system (None before the first); a
     system held across solves starts each solve with it.
     """
 
-    assembler = None
     last_solve = None
 
     def __init__(self, model: PowerFlowModel):
         self.y = model.y
         self.free = free = (model.node_type != SL).nonzero()[0]
         self.pv = pv = (model.node_type == PV).nonzero()[0]
-        self.nf = nf = len(free)
-        npv = len(pv)
         self.load(model)
-        extra_pattern = None
-        if npv:
-            pv_cols = np.searchsorted(free, pv)
-            mag_rows = 2 * nf + np.arange(npv)
-            extra_pattern = (
-                np.concatenate([pv_cols, nf + pv_cols, mag_rows, mag_rows]),
-                np.concatenate([mag_rows, mag_rows, pv_cols, nf + pv_cols]),
-                npv,
-            )
-        self.assembler = JacobianAssembler(self.inj, free, extra_pattern)
+        y = model.y.tocsr()
+        n, nf, npv, ny = y.shape[0], len(free), len(pv), y.nnz
+        # Complex entries: Y, then the diagonal, then the delta triplets.
+        # Slack nodes map far enough below zero that no block offset makes
+        # them valid, so FrozenCsc drops their rows and columns.
+        col_of = np.full(n, -2 * n)
+        col_of[free] = np.arange(nf)
+        y_rows = np.repeat(np.arange(n), y.indptr[1:] - y.indptr[:-1])
+        r = col_of[np.concatenate([y_rows, free, self.inj.d_rows])]
+        c = col_of[np.concatenate([y.indices, free, self.inj.d_cols])]
+        m = len(r)
+        # PV magnitude rows and reactive-power columns, after the 2 nf
+        # voltage unknowns
+        pv_cols, mag = col_of[pv], 2 * nf + np.arange(npv)
+        size = 2 * nf + npv
+        self.pattern = pattern = FrozenCsc(
+            np.concatenate([r, r, nf + r, nf + r,
+                            pv_cols, nf + pv_cols, mag, mag]),
+            np.concatenate([c, nf + c, c, nf + c,
+                            mag, mag, pv_cols, nf + pv_cols]),
+            (size, size),
+        )
+        slots = pattern.slots[: 4 * m].reshape(4, m)
+        self._diag_pos = slots[:, ny : ny + nf].ravel()
+        delta = slots[:, ny + nf :].ravel()
+        self._delta_keep = (delta >= 0).nonzero()[0]
+        self._delta_pos = delta[self._delta_keep]
+        self._pv_pos = pattern.slots[4 * m :]
+        y_val = np.zeros(m, dtype=complex)
+        y_val[:ny] = -y.data
+        base = pattern.sum(np.concatenate(
+            [_real_values(y_val, y_val), np.zeros(4 * npv)]
+        ))
+        self._diag_base = base[self._diag_pos]
+        self._delta_base = base[self._delta_pos]
+        self._jac = pattern.matrix(base)
         self._order = None
 
     def load(self, model: PowerFlowModel) -> None:
@@ -141,8 +169,25 @@ class NewtonSystem:
         self.inj = Injections(
             model, ((model.s_g != 0.0) | (model.node_type == PV)).nonzero()[0]
         )
-        if self.assembler is not None:
-            self.assembler.inj = self.inj
+
+    def unknowns(self, v: np.ndarray, s_g: np.ndarray) -> np.ndarray:
+        """The Newton unknowns x at the state (v, s_g)."""
+        vf = v[self.free]
+        return np.concatenate([vf.real, vf.imag, s_g[self.pv].imag])
+
+    def point(
+        self, x: np.ndarray, v: np.ndarray, s_g: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The state (v, s_g) with its unknowns replaced by ``x``.
+
+        New arrays: the slack voltages and every generation but the PV
+        reactive power are those of the state passed in.
+        """
+        nf = len(self.free)
+        v, s_g = v.copy(), s_g.copy()
+        v[self.free] = x[:nf] + 1j * x[nf : 2 * nf]
+        s_g[self.pv] = s_g[self.pv].real + 1j * x[2 * nf :]
+        return v, s_g
 
     def _keep_order(self, perm_c: np.ndarray) -> None:
         """Set up the symmetric permutation P J P^T, P from ``perm_c``.
@@ -151,7 +196,7 @@ class NewtonSystem:
         of the moved positions gives the permuted CSC layout and the map
         that gathers its values from the Jacobian's.
         """
-        pattern = self.assembler.pattern
+        pattern = self.pattern
         n = pattern.shape[0]
         perm_c = perm_c.astype(np.int64)
         rows, cols = perm_c[pattern.rows], perm_c[pattern.cols]
@@ -194,15 +239,42 @@ class NewtonSystem:
         return np.concatenate([r.real, r.imag, mag])
 
     def jacobian(self, v: np.ndarray, s_g: np.ndarray) -> sp.csc_matrix:
-        """Derivative of :meth:`residual` (the one CSC matrix, refilled)."""
-        if not len(self.pv):
-            return self.assembler.assemble(v, s_g)
+        """Derivative of :meth:`residual` over x.
+
+        The same matrix object is returned by every call: only its
+        diagonal, delta and PV entries are rewritten, the rest keep -Y.
+        """
+        a_diag, b_diag, apb, amb = self.inj.wirtinger_parts(v, s_g)
+        data = self._jac.data
+        data[self._delta_pos] = self._delta_base
+        a_diag, b_diag = a_diag[self.free], b_diag[self.free]
+        data[self._diag_pos] = self._diag_base + _real_values(
+            a_diag + b_diag, a_diag - b_diag
+        )
+        if len(self._delta_pos):
+            vals = _real_values(apb, amb)
+            np.add.at(data, self._delta_pos, vals[self._delta_keep])
         vp = v[self.pv]
         # dQg columns: dr_i/dQg_i = -1j / conj(V_i).
         dq = -1j / vp.conj()
-        return self.assembler.assemble(v, s_g, np.concatenate(
+        data[self._pv_pos] = np.concatenate(
             [dq.real, dq.imag, 2.0 * vp.real, 2.0 * vp.imag]
-        ))
+        )
+        return self._jac
+
+
+def jacobian_rect(
+    model: PowerFlowModel, v: np.ndarray, s_g: np.ndarray | None = None
+) -> sp.csc_matrix:
+    """Real Jacobian d(Re r, Im r)/d(Re V, Im V) over all nodes.
+
+    It is the Newton matrix of the same model with every node PQ, so
+    with no slack and no PV unknowns.
+    """
+    if s_g is None:
+        s_g = model.s_g
+    all_pq = replace(model, node_type=np.full(model.n_node, PQ), s_g=s_g)
+    return NewtonSystem(all_pq).jacobian(np.asarray(v, dtype=complex), s_g)
 
 
 def nr_solve(
@@ -241,23 +313,17 @@ def nr_solve(
         opts = PfOptions()
     t0 = time.perf_counter()
     system = NewtonSystem(model) if held is None else held.system(model)
-    free, pv_nodes, nf = system.free, system.pv, system.nf
     v = flat_start(model) if opts.start == "flat" else warm_start(model)
-
-    p_g = model.s_g[pv_nodes].real
-    q_g = model.s_g[pv_nodes].imag.copy()
     s_g = model.s_g.copy()
+    x = system.unknowns(v, s_g)
 
     def trial(alpha):
-        """State, residual and its max norm a step of ``alpha * dx`` reaches."""
-        v_try = v.copy()
-        v_try[free] = v[free] + alpha * (dx[:nf] + 1j * dx[nf : 2 * nf])
-        q_try = q_g + alpha * dx[2 * nf :]
-        s_try = s_g.copy()
-        s_try[pv_nodes] = p_g + 1j * q_try
+        """Unknowns, state, residual and its max norm at ``x + alpha * dx``."""
+        x_try = x + alpha * dx
+        v_try, s_try = system.point(x_try, v, s_g)
         f_try = system.residual(v_try, s_try)
         norm_try = float(np.abs(f_try).max()) if len(f_try) else 0.0
-        return v_try, q_try, s_try, f_try, norm_try
+        return x_try, v_try, s_try, f_try, norm_try
 
     trace = []
     iterations = 0
@@ -282,7 +348,7 @@ def nr_solve(
                     trace.append({"residual_pu": norm, "alpha": 1.0,
                                   "halvings": 0, "factored": False,
                                   "factor_s": 0.0})
-                    v, q_g, s_g, fvec, norm = step
+                    x, v, s_g, fvec, norm = step
                     continue
             held_solve = None
 
@@ -321,7 +387,7 @@ def nr_solve(
         trace.append({"residual_pu": norm, "alpha": alpha,
                       "halvings": halvings, "factored": True,
                       "factor_s": factor_s})
-        v, q_g, s_g, fvec, norm = step
+        x, v, s_g, fvec, norm = step
 
     if norm <= opts.tol_pu:
         converged = True

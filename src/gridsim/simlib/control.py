@@ -39,8 +39,12 @@ class VoltVarController(SimComponent):
     previous solution.  The soft-band extension is held with the problem:
     a refresh only moves its slack starts to the bus voltages' violations
     of the band.
-    ``solve_count``, ``ipm_iterations`` and ``problem_builds`` count the
-    solves, their IPM iterations and the problem builds.
+
+    Only an optimal solve's dispatch is applied.  After any other, every
+    inverter keeps its Q and ``last_slack_total`` its value, and the next
+    update solves cold.  ``solve_count``, ``ipm_iterations``,
+    ``problem_builds`` and ``failed_solves`` count the solves, their IPM
+    iterations, the problem builds and the solves not applied.
     """
 
     def __init__(self, id: str, network_id: str, inverter_ids=(),
@@ -61,6 +65,7 @@ class VoltVarController(SimComponent):
         self.solve_count = 0
         self.ipm_iterations = 0
         self.problem_builds = 0
+        self.failed_solves = 0
         self._problem = self._band = self._ext = self._slack_index = None
         self._net = None
         self._inverters = []
@@ -133,9 +138,12 @@ class VoltVarController(SimComponent):
         self.last_solution = solution
         self.solve_count += 1
         self.ipm_iterations += solution.iterations
+        self.next_update_time = t + self.interval_s
+        if not solution.converged:
+            self.failed_solves += 1
+            return
         self.last_slack_total = float(solution.x[self._slack_index].sum())
         dispatch = solution.gen_dispatch()
         for inv in self._inverters:
             q_mvar = dispatch[inv.gen_id]["Q_MVAr"]
             inv.set_q_kvar(q_mvar * 1000.0)
-        self.next_update_time = t + self.interval_s

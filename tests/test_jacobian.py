@@ -128,18 +128,12 @@ def test_jacobian_directional_derivative():
 
 
 def _newton_fd(system, v, s_g, eps=1e-7):
-    """Central differences of NewtonSystem.residual over its unknowns:
-    (Re V, Im V) at the free nodes, then the reactive power at PV nodes."""
-    free, pv, nf = system.free, system.pv, system.nf
+    """Central differences of NewtonSystem.residual over its unknowns."""
 
     def f(x):
-        vv = v.copy()
-        vv[free] = x[:nf] + 1j * x[nf : 2 * nf]
-        ss = s_g.copy()
-        ss[pv] = s_g[pv].real + 1j * x[2 * nf :]
-        return system.residual(vv, ss)
+        return system.residual(*system.point(x, v, s_g))
 
-    x0 = np.concatenate([v[free].real, v[free].imag, s_g[pv].imag])
+    x0 = system.unknowns(v, s_g)
     jac = np.zeros((len(x0), len(x0)))
     for j in range(len(x0)):
         step = np.zeros(len(x0))
@@ -168,10 +162,18 @@ def _pv_delta_net():
     return net
 
 
+def _loaded_mixed_net():
+    # imported on use: test_powerflow imports this module
+    from test_powerflow import _loaded_mixed_net
+
+    return _loaded_mixed_net()
+
+
 @pytest.mark.parametrize(
     "net_fn",
-    [lambda: load_network(CASES / "case57.m")[0], _pv_delta_net],
-    ids=["case57", "pv_delta"],
+    [lambda: load_network(CASES / "case57.m")[0], _pv_delta_net,
+     _loaded_mixed_net],
+    ids=["case57", "pv_delta", "loaded_mixed"],
 )
 def test_newton_matrix_matches_finite_differences(net_fn):
     # the matrix nr_solve factors, including the PV magnitude rows and
@@ -188,6 +190,31 @@ def test_newton_matrix_matches_finite_differences(net_fn):
         fd = _newton_fd(system, v, s_g)
         scale = max(1.0, np.max(np.abs(fd)))
         np.testing.assert_allclose(analytic, fd, atol=2e-6 * scale)
+
+
+def test_unknowns_round_trip():
+    # x carries V at the free nodes and Q at the PV nodes; point() takes
+    # the slack voltages and the PV real power from the state it is given
+    model = model_build(_pv_delta_net())
+    system = NewtonSystem(model)
+    rng = np.random.default_rng(3)
+    v, v0 = _random_state(model, rng), _random_state(model, rng)
+    s_g = model.s_g.copy()
+    s_g[system.pv] += 1j * rng.uniform(-0.3, 0.3, len(system.pv))
+    s0 = s_g + rng.standard_normal(len(s_g)) + 1j * rng.standard_normal(len(s_g))
+    x = system.unknowns(v, s_g)
+    assert len(x) == system.pattern.shape[0]
+    v1, s1 = system.point(x, v0, s0)
+    free, pv = system.free, system.pv
+    slack = np.setdiff1d(np.arange(model.n_node), free)
+    assert len(slack) and len(pv)
+    assert np.array_equal(v1[free], v[free])
+    assert np.array_equal(v1[slack], v0[slack])
+    assert np.array_equal(s1[pv].imag, s_g[pv].imag)
+    assert np.array_equal(s1[pv].real, s0[pv].real)
+    others = np.setdiff1d(np.arange(model.n_node), pv)
+    assert np.array_equal(s1[others], s0[others])
+    assert np.array_equal(system.unknowns(v1, s1), x)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import math
 import weakref
@@ -738,6 +739,35 @@ def test_a_tap_move_rebuilds_the_volt_var_problem(monkeypatch):
     assert rebuilt == [True, False, True, False, True, False, False]
     assert [warm is None for _, warm, _ in solves] == rebuilt
     assert all(sol.status == "optimal" for _, _, sol in solves)
+
+
+def test_a_failed_volt_var_solve_is_not_applied(monkeypatch):
+    # the second solve ends at max_iter: its dispatch must not reach the
+    # inverter, and the next solve starts cold
+    solves, _ = _vvc_solves(monkeypatch)
+    real_solve = control_mod.ipm_solve
+
+    def second_fails(problem, opts=None, warm=None):
+        sol = real_solve(problem, opts, warm=warm)
+        return dataclasses.replace(sol, status="max_iter") if len(solves) == 2 else sol
+
+    monkeypatch.setattr(control_mod, "ipm_solve", second_fails)
+    sim, _, inv, vvc = _pv_at(_grid(), "ld", s_max_kva=2000.0)
+    sim.start_time, sim.end_time = NOON, NOON + 1200.0
+    after = []
+    real_update = vvc.update
+
+    def update(t):
+        real_update(t)
+        after.append((inv.q_ac_kvar, vvc.last_slack_total))
+
+    vvc.update = update
+    sim.run()
+    assert vvc.solve_count == len(solves) == 3
+    assert vvc.failed_solves == 1
+    assert after[0][0] != 0.0 and after[1] == after[0]
+    assert vvc.last_solution is not None and solves[2][1] is None
+    assert solves[1][1] is solves[0][2]
 
 
 def test_an_inverter_clipped_to_no_q_rebuilds_and_starts_cold(monkeypatch):

@@ -251,8 +251,14 @@ def test_registry_default_keywords_complete():
     {"time_series_zip": {"id": "d", "zip": "load_3", "series": "nope"}},
     {"tap_changer_series": {"id": "t", "branch": "branch_0_1_2",
                             "series": "nope"}},
+    {"loop": {"loop_variable": ["i", 0, 2, 1], "loop_body": [
+        {"time_series": {"id": "s_<i>", "times": [0], "values": [1.0]}},
+        {"weather": {"id": "w_<i>", "temperature_series": "nope"}},
+    ]}},
 ])
 def test_unknown_series_error_names_the_id_and_the_entry(entry):
+    # in the loop, the second body entry fails on the first pass
+    path = (2, 0, 1) if "loop" in entry else (2,)
     doc = [
         {"matpower": {"input_file": str(DATA / "cases" / "case3.m")}},
         {"time_series": {"id": "known", "times": [0], "values": [1.0]}},
@@ -260,6 +266,6 @@ def test_unknown_series_error_names_the_id_and_the_entry(entry):
     ]
     with pytest.raises(YamlConfigError) as err:
         yaml_apply(doc, default_registry(), YamlContext())
-    assert err.value.path == (2,)
-    assert str(err.value).startswith("2: ")
+    assert err.value.path == path
+    assert str(err.value).startswith("/".join(map(str, path)) + ": ")
     assert "unknown time series 'nope'" in str(err.value)
