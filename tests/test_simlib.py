@@ -9,11 +9,13 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from gridsim.core import TimeSeries
-from gridsim.opf import kkt_residual, voltage_slack_extension
+from gridsim.opf import kkt_residual, opf_build, voltage_slack_extension
+from gridsim.opf.problem import KktPattern
 from gridsim.network import Branch, Bus, CommonBranch, Gen, Network, Zip
-from gridsim.parsers import apply_yaml_file
+from gridsim.parsers import apply_yaml_file, load_network
 from gridsim.powerflow import PfOptions, model_build, solve_network
 from gridsim.powerflow import solver as solver_mod
+from gridsim.powerflow.pattern import KeptOrderLu
 from gridsim.simlib import (
     AutoTapChanger,
     Battery,
@@ -40,7 +42,7 @@ from gridsim.simlib import control as control_mod
 from gridsim.simlib import network as simnet_mod
 from gridsim.simulation import Simulation
 
-from conftest import DATA
+from conftest import CASES, DATA
 from test_powerflow import _assert_held_steps_contract
 
 
@@ -658,6 +660,66 @@ def test_every_warm_volt_var_solve_is_optimal_over_pvdemo(monkeypatch):
         assert max(kkt_residual(problem, sol).values()) <= tol
     assert vvc.ipm_iterations == sum(sol.iterations for _, _, sol in solves)
     assert vvc.ipm_iterations <= 5 * vvc.solve_count
+
+
+def _kept_step_error(solve, matrix, rhs) -> float:
+    """||step - fresh||_inf / ||step||_inf: ``solve`` is that of a
+    kept-order factor of ``matrix``, ``fresh`` a fresh default (COLAMD)
+    ``splu`` solve of the same matrix."""
+    step = solve(rhs)
+    fresh = spla.splu(matrix).solve(rhs)
+    return float(np.abs(step - fresh).max() / np.abs(step).max())
+
+
+def test_warm_kept_order_steps_match_a_fresh_factor_over_pvdemo(monkeypatch):
+    """Every KKT step of a warm volt-VAR solve, factored in the order kept
+    on the held pattern, equals the step of a fresh COLAMD factor."""
+    solves, builds = _vvc_solves(monkeypatch)
+    errors = []
+    factor = KktPattern.factor
+
+    def checked(self, values, kept=False):
+        solve = factor(self, values, kept)
+        if not kept:
+            return solve
+
+        def compared(rhs):
+            errors.append(_kept_step_error(solve, self.matrix(values), rhs))
+            return solve(rhs)
+
+        return compared
+
+    monkeypatch.setattr(KktPattern, "factor", checked)
+    sim, _, _ = _pvdemo_6h()
+    sim.run()
+    assert len(builds) == 1 and len(solves) == 37
+    kept = [it["kept_order"] for _, warm, sol in solves if warm is not None
+            for it in sol.trace if it["alpha_p"] is not None]
+    assert all(kept) and len(errors) == len(kept) >= 36
+    assert max(errors) <= 1e-9, max(errors)
+
+
+def test_a_kept_order_lu_gathering_for_another_order_fails_the_check():
+    # the mutation check of the comparison above, on a case57 KKT matrix
+    net, _ = load_network(CASES / "case57.m")
+    prob = opf_build(net)
+    res = prob.eval_all(prob.x0)
+    rng = np.random.default_rng(5)
+    lam = rng.standard_normal(len(res.g))
+    mu = np.abs(rng.standard_normal(len(res.h)))
+    sigma = np.abs(rng.standard_normal(len(res.h)))
+    values = prob.kkt.values(res.hess(lam, mu), res.jac_g, res.jac_h, sigma)
+    matrix = prob.kkt.matrix(values)
+    rhs = rng.standard_normal(matrix.shape[0])
+    pattern, perm_c = prob.kkt._pattern, spla.splu(matrix).perm_c
+
+    kept = KeptOrderLu(pattern, perm_c)
+    assert _kept_step_error(kept.factor(values), matrix, rhs) <= 1e-9
+    # the permuted layout of one order, filled through the gather map of
+    # another
+    stale = KeptOrderLu(pattern, perm_c)
+    stale._gather = KeptOrderLu(pattern, perm_c[::-1].copy())._gather
+    assert _kept_step_error(stale.factor(values), matrix, rhs) > 1e-9
 
 
 def _tapped_grid():
