@@ -161,6 +161,7 @@ def cmd_sim(args) -> int:
                 mean = comp.newton_iterations / max(comp.solve_count, 1)
                 parts.append(f"network {comp.id}: {comp.solve_count} solves, "
                              f"{mean:.2f} iterations per solve, "
+                             f"{comp.factorizations} LU factors, "
                              f"{comp.model_builds} model builds")
             elif isinstance(comp, VoltVarController):
                 mean = comp.ipm_iterations / max(comp.solve_count, 1)

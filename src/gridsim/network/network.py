@@ -81,31 +81,39 @@ class NodeIndex:
 
     Nodes are ordered by bus insertion order, then by the canonical phase
     order within each bus.  This ordering is part of the public contract.
+    Lookups go through a per-bus (first node, phases) table: a bus id
+    hashes as a string, and a phase is found in its bus's short tuple by
+    identity, so no lookup hashes a :class:`Phase`.
     """
 
     def __init__(self, buses: Iterable[Bus]):
         self.nodes: list[tuple[str, Phase]] = []
-        self._lookup: dict[tuple[str, Phase], int] = {}
         self.bus_slices: dict[str, slice] = {}
+        self._buses: dict[str, tuple[int, tuple[Phase, ...]]] = {}
         for bus in buses:
             start = len(self.nodes)
-            for phase in bus.phases:
-                self._lookup[(bus.id, phase)] = len(self.nodes)
-                self.nodes.append((bus.id, phase))
-            self.bus_slices[bus.id] = slice(start, len(self.nodes))
+            bus_id, phases = bus.id, bus.phases
+            for phase in phases:
+                self.nodes.append((bus_id, phase))
+            self.bus_slices[bus_id] = slice(start, len(self.nodes))
+            self._buses[bus_id] = (start, phases)
 
     def __len__(self) -> int:
         return len(self.nodes)
 
     def index(self, bus_id: str, phase: Phase) -> int:
-        return self._lookup[(bus_id, phase)]
+        start, phases = self._buses[bus_id]
+        if phase not in phases:
+            raise KeyError((bus_id, phase))
+        return start + phases.index(phase)
 
     def bus_nodes(self, bus_id: str) -> slice:
         return self.bus_slices[bus_id]
 
     def terminal_nodes(self, terminal) -> list[int]:
         """Node of each phase slot of a connected terminal."""
-        return [self._lookup[(terminal.bus_id, p)] for p in terminal.phase_map]
+        start, phases = self._buses[terminal.bus_id]
+        return [start + phases.index(p) for p in terminal.phase_map]
 
 
 class Network:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,6 +49,46 @@ class PfOptions:
 
 
 @dataclass
+class InjectionPlan:
+    """Where the injection values of a model sit in its network: the
+    refresh plan.
+
+    It is structure, built once by :func:`model_build` from the node
+    index, the node types and the in-service, connected generators and
+    ZIPs; :func:`model_refresh` only gathers values at these positions and
+    scatters them onto the nodes, and :func:`~gridsim.powerflow.apply_solution`
+    writes generation back through it.
+
+    A ZIP's term matrices are laid end to end, each flattened row-major,
+    as one flat array per kind (``s_const``, ``i_const``): ``zip_wye`` is
+    the flat position of each ZIP phase slot's wye entry (row slot+1,
+    column 0), and the delta candidates are every pair of distinct slots
+    of one ZIP, row-major as the entries (row, k+1) lie.  The candidates
+    with a nonzero power or current term when the model was built
+    (``delta_keep``) are its delta entries; they fix the Jacobian pattern.
+    """
+
+    zips: list                     # in-service, connected ZIPs, network order
+    zip_node: np.ndarray           # node of each of their phase slots
+    zip_wye: np.ndarray            # flat position of each slot's wye entry
+    delta_pos: np.ndarray          # flat position of each delta candidate
+    delta_i: np.ndarray            # node of its row slot
+    delta_k: np.ndarray            # node of its column slot
+    delta_keep: np.ndarray         # bool: candidate is a delta entry
+    pv_node: np.ndarray            # PV nodes
+    pv_gen: np.ndarray             # gen whose setpoint each holds (in gens)
+    # The generators a solution sets (those on slack and PV nodes), the
+    # node of each of their phase slots, the number of generator slots on
+    # that node, whether it is a slack node, and each generator's slots in
+    # that list.
+    set_gens: list
+    set_node: np.ndarray
+    set_count: np.ndarray
+    set_slack: np.ndarray
+    set_slots: list[slice]
+
+
+@dataclass
 class PowerFlowModel:
     y: sp.csr_matrix
     index: NodeIndex
@@ -62,19 +102,17 @@ class PowerFlowModel:
     v_state: np.ndarray            # bus voltages when built (pu): the warm start
     s_base_mva: float
     # Directed delta entries: entry j couples node di[j] to node dk[j].
-    di: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    dk: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    ds: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=complex))
-    dc: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=complex))
+    di: np.ndarray
+    dk: np.ndarray
+    ds: np.ndarray
+    dc: np.ndarray
     # In-service, connected generators in network order, and the node of
     # each of their phase slots (the gens' slots concatenated).
-    gens: list = field(default_factory=list)
-    gen_node: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    # The same for in-service, connected ZIPs.
-    zips: list = field(default_factory=list)
-    zip_node: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    gens: list
+    gen_node: np.ndarray
     # The branch groups ``y`` was stamped from (see Network.ybus).
-    branch_groups: list[BranchGroup] = field(default_factory=list)
+    branch_groups: list[BranchGroup]
+    plan: InjectionPlan            # the refresh plan (structure)
 
     @property
     def n_node(self) -> int:
@@ -106,11 +144,6 @@ def model_build(net: Network) -> PowerFlowModel:
         [node for g in gens for node in index.terminal_nodes(g.terminal)],
         dtype=int,
     )
-    zips = [z for z in net.zips if z.in_service and z.terminal.connected]
-    zip_node = np.array(
-        [node for z in zips for node in index.terminal_nodes(z.terminal)],
-        dtype=int,
-    )
     regulated = {g.terminal.bus_id for g in gens}
     for bus in net.buses:
         sl = index.bus_nodes(bus.id)
@@ -122,6 +155,8 @@ def model_build(net: Network) -> PowerFlowModel:
 
     _check_islands(y, node_type, index)
 
+    plan = _plan(net, index, node_type, gens, gen_node)
+    values, plan.delta_keep = _injections(net, gens, gen_node, plan, n)
     return PowerFlowModel(
         y=y,
         index=index,
@@ -129,87 +164,131 @@ def model_build(net: Network) -> PowerFlowModel:
         v_sl=v_sl,
         v_nom=v_nom,
         s_base_mva=net.s_base_mva,
+        di=plan.delta_i[plan.delta_keep],
+        dk=plan.delta_k[plan.delta_keep],
         gens=gens,
         gen_node=gen_node,
-        zips=zips,
-        zip_node=zip_node,
         branch_groups=branch_groups,
-        **_injections(net, index, node_type, gens, gen_node, zips, zip_node),
+        plan=plan,
+        **values,
     )
 
 
 def model_refresh(model: PowerFlowModel, net: Network) -> PowerFlowModel | None:
     """``model`` with the injection values and state voltages of ``net``.
 
-    The structure (Y-bus, node index, node types, generators, ZIPs, branch
-    groups and delta entries) is taken from ``model`` unchanged and
-    shared; every value array is new, so ``model`` itself is left as it
-    was.  The caller vouches that nothing structural changed since
-    ``model`` was built.  Returns None when the set of delta entries,
-    which fixes the Jacobian pattern, has changed (a delta term became or
-    stopped being zero): the model must then be rebuilt with
-    :func:`model_build`.
+    The structure (Y-bus, node index, node types, generators, branch
+    groups, delta entries and the refresh plan) is taken from ``model``
+    unchanged and shared; every value array is new, so ``model`` itself is
+    left as it was.  The values are gathered through ``model.plan``.  The
+    caller vouches that nothing structural changed since ``model`` was
+    built.  Returns None when the set of delta entries, which fixes the
+    Jacobian pattern, has changed (a delta term became or stopped being
+    zero): the model must then be rebuilt with :func:`model_build`.
     """
-    fresh = _injections(net, model.index, model.node_type, model.gens,
-                        model.gen_node, model.zips, model.zip_node)
-    if not (np.array_equal(fresh["di"], model.di)
-            and np.array_equal(fresh["dk"], model.dk)):
+    values, keep = _injections(net, model.gens, model.gen_node, model.plan,
+                               model.n_node)
+    if not np.array_equal(keep, model.plan.delta_keep):
         return None
-    fresh["di"], fresh["dk"] = model.di, model.dk
-    return replace(model, **fresh)
+    return replace(model, **values)
 
 
-def _injections(net: Network, index: NodeIndex, node_type: np.ndarray,
-                gens: list, gen_node: np.ndarray, zips: list,
-                zip_node: np.ndarray) -> dict:
-    """The value fields of a model: injections, setpoints, state voltages.
+def _plan(net: Network, index: NodeIndex, node_type: np.ndarray,
+          gens: list, gen_node: np.ndarray) -> InjectionPlan:
+    """The refresh plan of a model's structure, but for ``delta_keep``,
+    which :func:`model_build` sets from the values."""
+    empty = np.zeros(0, dtype=int)
+    zips = [z for z in net.zips if z.in_service and z.terminal.connected]
+    zip_node = np.array(
+        [node for z in zips for node in index.terminal_nodes(z.terminal)],
+        dtype=int,
+    )
+    wye = pos = di = dk = empty
+    if zips:
+        # per phase slot: its ZIP, its row in that ZIP and the flat
+        # position of its wye entry (row, 0)
+        m = np.array([z.n_phase for z in zips])
+        size = (m + 1) ** 2
+        zip_of = np.repeat(np.arange(len(zips)), m)
+        slot = np.arange(len(zip_of)) - (np.cumsum(m) - m)[zip_of]
+        wye = (np.cumsum(size) - size)[zip_of] + (slot + 1) * (m + 1)[zip_of]
+        # each slot paired with every other slot k of its ZIP
+        width = m[zip_of]
+        row = np.repeat(np.arange(len(zip_of)), width)
+        k = np.arange(len(row)) - np.repeat(np.cumsum(width) - width, width)
+        pair = k != slot[row]
+        row, k = row[pair], k[pair]
+        pos = wye[row] + 1 + k
+        di = zip_node[row]
+        dk = zip_node[row - slot[row] + k]
 
-    Delta entries are kept where a power or current term is nonzero.
+    # a regulated bus takes the setpoint of its first generator
+    first: dict[str, int] = {}
+    for j, gen in enumerate(gens):
+        first.setdefault(gen.terminal.bus_id, j)
+    pv_node = (node_type == PV).nonzero()[0]
+    pv_gen = np.array([first[index.nodes[node][0]] for node in pv_node],
+                      dtype=int)
+
+    # generators on slack and PV nodes; a bus's nodes share its type
+    regulated = node_type[gen_node] != PQ
+    set_gens, set_slots, start, end = [], [], 0, 0
+    for gen in gens:
+        if gen.n_phase and regulated[start]:
+            set_gens.append(gen)
+            set_slots.append(slice(end, end + gen.n_phase))
+            end += gen.n_phase
+        start += gen.n_phase
+    set_node = gen_node[regulated]
+    return InjectionPlan(
+        zips=zips,
+        zip_node=zip_node,
+        zip_wye=wye,
+        delta_pos=pos,
+        delta_i=di,
+        delta_k=dk,
+        delta_keep=np.zeros(0, dtype=bool),
+        pv_node=pv_node,
+        pv_gen=pv_gen,
+        set_gens=set_gens,
+        set_node=set_node,
+        set_count=np.bincount(gen_node)[set_node],
+        set_slack=node_type[set_node] == SL,
+        set_slots=set_slots,
+    )
+
+
+def _injections(net: Network, gens: list, gen_node: np.ndarray,
+                plan: InjectionPlan, n: int) -> tuple[dict, np.ndarray]:
+    """The value fields of a model (injections, setpoints, state voltages)
+    gathered through ``plan``, and which of its delta candidates have a
+    nonzero power or current term.
     """
-    n = len(node_type)
     s_g = np.zeros(n, dtype=complex)
     v_set_pv = np.ones(n, dtype=float)
     s_wye = np.zeros(n, dtype=complex)
     i_wye = np.zeros(n, dtype=complex)
 
-    # a regulated bus takes the setpoint of its first generator
-    setpoint: dict[str, float] = {}
-    for gen in gens:
-        setpoint.setdefault(gen.terminal.bus_id, gen.v_setpoint)
-    for node in (node_type == PV).nonzero()[0]:
-        v_set_pv[node] = setpoint[index.nodes[node][0]]
-
+    if len(plan.pv_node):
+        setpoint = np.array([g.v_setpoint for g in gens])
+        v_set_pv[plan.pv_node] = setpoint[plan.pv_gen]
     if gens:
         slot_s = np.concatenate([g.s for g in gens]) / net.s_base_mva
         np.add.at(s_g, gen_node, slot_s)
 
-    di = dk = np.zeros(0, dtype=int)
+    keep = np.zeros(0, dtype=bool)
     ds = dc = np.zeros(0, dtype=complex)
-    if zips:
-        # every ZIP's (m+1)x(m+1) term matrices, flattened end to end; per
-        # phase slot: its ZIP, its row in that ZIP and the flat position of
-        # its wye entry (row, 0)
-        m = np.array([z.n_phase for z in zips])
-        size = (m + 1) ** 2
-        s_all = np.concatenate([z.s_const.ravel() for z in zips])
-        i_all = np.concatenate([z.i_const.ravel() for z in zips])
-        zip_of = np.repeat(np.arange(len(zips)), m)
-        slot = np.arange(len(zip_of)) - (np.cumsum(m) - m)[zip_of]
-        wye = (np.cumsum(size) - size)[zip_of] + (slot + 1) * (m + 1)[zip_of]
+    if plan.zips:
+        # every ZIP's (m+1)x(m+1) term matrices, flattened end to end
+        s_all = np.concatenate([z.s_const.ravel() for z in plan.zips])
+        i_all = np.concatenate([z.i_const.ravel() for z in plan.zips])
         # np.add.at adds in index order: the slots' order in the network
-        np.add.at(s_wye, zip_node, s_all[wye])
-        np.add.at(i_wye, zip_node, i_all[wye])
-        # each slot paired with every slot k of its ZIP, row-major as the
-        # entries (row, k+1) lie; the diagonal and all-zero pairs drop out
-        width = m[zip_of]
-        row = np.repeat(np.arange(len(zip_of)), width)
-        k = np.arange(len(row)) - np.repeat(np.cumsum(width) - width, width)
-        pos = wye[row] + 1 + k
-        keep = (k != slot[row]) & ((s_all[pos] != 0.0) | (i_all[pos] != 0.0))
-        row, pos = row[keep], pos[keep]
-        di = zip_node[row]
-        dk = zip_node[row - slot[row] + k[keep]]
-        ds, dc = s_all[pos], i_all[pos]
+        np.add.at(s_wye, plan.zip_node, s_all[plan.zip_wye])
+        np.add.at(i_wye, plan.zip_node, i_all[plan.zip_wye])
+        if len(plan.delta_pos):
+            ds, dc = s_all[plan.delta_pos], i_all[plan.delta_pos]
+            keep = (ds != 0.0) | (dc != 0.0)
+            ds, dc = ds[keep], dc[keep]
 
     # node order is bus order, then phase order within a bus
     v_state = np.concatenate([np.zeros(0, complex)] + [b.v for b in net.buses])
@@ -219,11 +298,9 @@ def _injections(net: Network, index: NodeIndex, node_type: np.ndarray,
         s_wye=s_wye,
         i_wye=i_wye,
         v_state=v_state,
-        di=di,
-        dk=dk,
         ds=ds,
         dc=dc,
-    )
+    ), keep
 
 
 def _check_islands(y: sp.csr_matrix, node_type: np.ndarray, index: NodeIndex):

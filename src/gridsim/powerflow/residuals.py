@@ -54,13 +54,12 @@ class Injections:
     def __init__(self, model: PowerFlowModel, gens: np.ndarray | None = None):
         self.model = model
         self.gens = model.s_g.nonzero()[0] if gens is None else gens
-        self.ws = ws = model.s_wye.nonzero()[0]
+        s_nz, i_nz = model.s_wye != 0.0, model.i_wye != 0.0
+        self.ws = ws = s_nz.nonzero()[0]
         self.s_wye_conj = model.s_wye[ws].conj()
-        self.wi = wi = model.i_wye.nonzero()[0]
+        self.wi = wi = i_nz.nonzero()[0]
         self.i_wye = model.i_wye[wi]
-        self.guard = (
-            (model.s_wye != 0.0) | (model.i_wye != 0.0) | (model.s_g != 0.0)
-        ).nonzero()[0]
+        self.guard = (s_nz | i_nz | (model.s_g != 0.0)).nonzero()[0]
         self.di = di = model.di
         self.dk = dk = model.dk
         if not len(di):
@@ -114,9 +113,12 @@ class Injections:
         """Complex current mismatch per node; zero iff v solves the network."""
         i_load = self.load_current(v)
         g = self.gens
-        i_gen = np.zeros(self.model.n_node, dtype=complex)
-        i_gen[g] = s_g[g].conj() / v[g].conj()
-        return i_gen - self.model.y @ v - i_load
+        # i_gen - Y v - i_load, subtracted in place in that order
+        r = np.zeros(self.model.n_node, dtype=complex)
+        r[g] = s_g[g].conj() / v[g].conj()
+        r -= self.model.y @ v
+        r -= i_load
+        return r
 
     def wirtinger_parts(
         self, v: np.ndarray, s_g: np.ndarray

@@ -92,8 +92,13 @@ def flat_start(model: PowerFlowModel) -> np.ndarray:
 def warm_start(model: PowerFlowModel) -> np.ndarray:
     """The state voltages, with flat-start values at slack nodes and
     wherever the state voltage is 0."""
-    keep = (model.v_state != 0.0) & (model.node_type != SL)
-    return np.where(keep, model.v_state, flat_start(model))
+    v = model.v_state.copy()
+    slack = model.node_type == SL
+    v[slack] = model.v_sl[slack]
+    zero = v == 0.0
+    if zero.any():
+        v[zero] = flat_start(model)[zero]
+    return v
 
 
 class NewtonSystem:
@@ -122,7 +127,8 @@ class NewtonSystem:
     def __init__(self, model: PowerFlowModel):
         self.y = model.y
         self.free = free = (model.node_type != SL).nonzero()[0]
-        self.pv = pv = (model.node_type == PV).nonzero()[0]
+        self._is_pv = model.node_type == PV
+        self.pv = pv = self._is_pv.nonzero()[0]
         self.load(model)
         y = model.y.tocsr()
         n, nf, npv, ny = y.shape[0], len(free), len(pv), y.nnz
@@ -167,7 +173,7 @@ class NewtonSystem:
         self.v_set2 = model.v_set_pv[self.pv] ** 2
         # PV nodes carry generation even while their reactive power is 0
         self.inj = Injections(
-            model, ((model.s_g != 0.0) | (model.node_type == PV)).nonzero()[0]
+            model, ((model.s_g != 0.0) | self._is_pv).nonzero()[0]
         )
 
     def unknowns(self, v: np.ndarray, s_g: np.ndarray) -> np.ndarray:
@@ -206,7 +212,8 @@ class NewtonSystem:
     def residual(self, v: np.ndarray, s_g: np.ndarray) -> np.ndarray:
         """Stacked real residual: Re r, Im r at free nodes, then PV |V|."""
         r = self.inj.residual(v, s_g)[self.free]
-        mag = np.abs(v[self.pv]) ** 2 - self.v_set2
+        mag = np.abs(v[self.pv]) ** 2
+        mag -= self.v_set2
         return np.concatenate([r.real, r.imag, mag])
 
     def jacobian(self, v: np.ndarray, s_g: np.ndarray) -> sp.csc_matrix:
@@ -290,7 +297,8 @@ def nr_solve(
 
     def trial(alpha):
         """Unknowns, state, residual and its max norm at ``x + alpha * dx``."""
-        x_try = x + alpha * dx
+        # a full step adds dx as it is: 1.0 * dx is dx, bit for bit
+        x_try = x + dx if alpha == 1.0 else x + alpha * dx
         v_try, s_try = system.point(x_try, v, s_g)
         f_try = system.residual(v_try, s_try)
         norm_try = float(np.abs(f_try).max()) if len(f_try) else 0.0
@@ -397,22 +405,20 @@ def apply_solution(net: Network, sol: PfSolution) -> None:
     v = sol.v.copy()
     for bus, nodes in zip(net.buses, model.index.bus_slices.values()):
         bus.v = v[nodes]
-    if not model.gens:
+    # only the generators on slack and PV nodes change (see InjectionPlan)
+    plan = model.plan
+    if not plan.set_gens:
         return
-
-    node = model.gen_node
-    code = model.node_type[node]
-    count = np.bincount(node)[node]
-    s = np.concatenate([g.s for g in model.gens])
+    node, count = plan.set_node, plan.set_count
+    s = np.concatenate([g.s for g in plan.set_gens])
     q_fixed = np.zeros(model.n_node)
     np.add.at(q_fixed, node, s.imag)
-    dq = (sol.s_g[node].imag * net.s_base_mva - q_fixed[node]) / count
-    s = np.where(code == SL, sol.s_g[node] * net.s_base_mva / count, s)
-    s = np.where(code == PV, s.real + 1j * (s.imag + dq), s)
-    start = 0
-    for gen in model.gens:
-        gen.s[:] = s[start : start + gen.n_phase]
-        start += gen.n_phase
+    s_g = sol.s_g[node]
+    dq = (s_g.imag * net.s_base_mva - q_fixed[node]) / count
+    s = np.where(plan.set_slack, s_g * net.s_base_mva / count,
+                 s.real + 1j * (s.imag + dq))
+    for gen, slots in zip(plan.set_gens, plan.set_slots):
+        gen.s[:] = s[slots]
 
 
 class HeldPowerFlow:

@@ -203,8 +203,9 @@ def test_sim_run_writes_outputs(tmp_path, capsys):
     # are each built once for the run
     assert re.search(
         r"; network grid: 3 solves, \d+\.\d\d iterations per solve, "
-        r"1 model builds; volt-var vvc: 3 solves, \d+\.\d\d IPM iterations "
-        r"per solve, 1 problem builds, 0 failed solves$",
+        r"\d+ LU factors, 1 model builds; volt-var vvc: 3 solves, "
+        r"\d+\.\d\d IPM iterations per solve, 1 problem builds, "
+        r"0 failed solves$",
         capsys.readouterr().out.rstrip())
     network_csv = (out_dir / "network.csv").read_text().strip().split("\n")
     assert network_csv[0] == "time,node,Vmag_pu"

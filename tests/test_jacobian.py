@@ -247,3 +247,19 @@ def test_held_power_flow_rebuilds_when_a_delta_entry_goes():
     net.zips["ds"].set_delta(0, 2, s=0.0, i=0.0)
     third = solve()
     assert held.builds == 2 and len(third.model.di) == len(first.model.di) - 2
+
+
+def test_held_power_flow_rebuilds_when_a_delta_entry_comes():
+    net = _pv_delta_net()
+    held = HeldPowerFlow()
+    opts = PfOptions(start="warm", tol_pu=1e-10)
+    first = solve_network(net, opts, held=held)
+    # ld has no delta term between slots 0 and 2: a power term there adds
+    # a pair of entries, so a new Jacobian pattern
+    net.zips["ld"].set_delta(0, 2, s=0.05 + 0.01j)
+    assert model_refresh(first.model, net) is None
+    cold = solve_network(copy.deepcopy(net), PfOptions(tol_pu=1e-10))
+    second = solve_network(net, opts, held=held)
+    assert held.builds == 2 and second.model.y is not first.model.y
+    assert len(second.model.di) == len(first.model.di) + 2
+    assert np.max(np.abs(second.v - cold.v)) < 1e-8

@@ -1,5 +1,7 @@
 import copy
+import dataclasses
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ from gridsim.powerflow import (
     solve_network,
     total_balance,
 )
-from gridsim.powerflow.model import PQ, PV, SL
+from gridsim.powerflow.model import PQ, PV, SL, model_refresh
 from gridsim.powerflow.solver import HELD_CONTRACTION, NewtonSystem
 
 from conftest import CASES, DATA, GOLDEN
@@ -116,6 +118,91 @@ def test_model_zip_terms_match_a_slot_loop(name):
     for key, ref in _zip_terms_by_loop(net, model.index).items():
         got = getattr(model, key)
         assert got.tobytes() == np.asarray(ref, dtype=got.dtype).tobytes(), key
+
+
+def _assert_same_fields(held, fresh, skip=()):
+    """Every dataclass field of ``held`` equals ``fresh``'s: arrays byte
+    for byte (dtype and shape too), lists of network members by id."""
+    for f in dataclasses.fields(held):
+        if f.name in skip:
+            continue
+        mine, theirs = getattr(held, f.name), getattr(fresh, f.name)
+        if isinstance(mine, np.ndarray):
+            assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape), f.name
+            assert mine.tobytes() == theirs.tobytes(), f.name
+        elif f.name in ("gens", "zips", "set_gens"):
+            assert [m.id for m in mine] == [m.id for m in theirs], f.name
+        else:
+            assert mine == theirs, f.name
+
+
+def _assert_same_model(held, fresh):
+    """A held model equals a fresh build byte for byte: its values, its
+    Y-bus, node index and branch groups, and its refresh plan."""
+    _assert_same_fields(held, fresh, skip=("y", "index", "branch_groups", "plan"))
+    for name in ("data", "indices", "indptr"):
+        assert getattr(held.y, name).tobytes() == getattr(fresh.y, name).tobytes()
+    assert held.index.nodes == fresh.index.nodes
+    assert len(held.branch_groups) == len(fresh.branch_groups)
+    for mine, theirs in zip(held.branch_groups, fresh.branch_groups):
+        assert [b.id for b in mine.branches] == [b.id for b in theirs.branches]
+        assert np.array_equal(mine.nodes, theirs.nodes)
+        assert np.array_equal(mine.y, theirs.y)
+    _assert_same_fields(held.plan, fresh.plan)
+
+
+def _with_zips_reversed(net):
+    """The same network objects, with the ZIPs listed in reverse order."""
+    other = Network(net.s_base_mva, net.frequency_hz)
+    for name in ("buses", "branches", "gens"):
+        for item in getattr(net, name):
+            getattr(other, name).insert(item.id, item)
+    for zip_ in reversed(list(net.zips)):
+        other.zips.insert(zip_.id, zip_)
+    return other
+
+
+def test_refreshed_model_equals_a_fresh_build():
+    """In-place edits of every kind of injection value: each refresh
+    shares the structure and equals a fresh build byte for byte."""
+    net = _loaded_mixed_net()
+    model = model_build(net)
+    n_delta = len(model.di)
+    edits = [
+        # wye power and current
+        lambda: net.zips["zw"].set_wye(0, s=0.03 - 0.01j, i=0.02),
+        lambda: net.zips["zd"].set_wye(2, s=0.002j, i=-0.001),
+        # delta power and current on nodes ZIPs share, one through the
+        # reordered phase map of zw2
+        lambda: net.zips["zw2"].set_delta(2, 0, s=0.004 + 0.002j, i=0.001),
+        lambda: net.zips["zd"].set_delta(1, 2, i=0.009 - 0.002j),
+        # a power term to 0 while the entry's current term stays
+        lambda: net.zips["zd"].set_delta(0, 2, s=0.0),
+        # the setpoint a PV bus takes (its first generator's) and output
+        lambda: setattr(net.gens["ga"], "v_setpoint", 1.03),
+        lambda: net.gens["gt"].s.__setitem__(slice(None), [0.01, 0.03j]),
+        lambda: setattr(net.gens["ga"], "s", np.array([0.04, 0.01, 0.0j])),
+        # a solved state
+        lambda: apply_solution(net, nr_solve(model)),
+    ]
+    for edit in edits:
+        edit()
+        refreshed = model_refresh(model, net)
+        assert refreshed.y is model.y and refreshed.plan is model.plan
+        _assert_same_model(refreshed, model_build(net))
+        model = refreshed
+    # no entry came or went: zd's pairs (1, 2) and now (0, 2) hold a
+    # current term alone, in both directions
+    assert len(model.di) == n_delta
+    assert np.sum((model.ds == 0.0) & (model.dc != 0.0)) == 4
+
+    # mutation check: a plan built for the ZIPs in another order gathers
+    # the same values to the wrong entries, and the comparison sees it
+    stale = replace(model, plan=model_build(_with_zips_reversed(net)).plan)
+    wrong = model_refresh(stale, net)
+    assert wrong.ds.tobytes() != model.ds.tobytes()
+    with pytest.raises(AssertionError):
+        _assert_same_model(replace(wrong, plan=model.plan), model_build(net))
 
 
 def test_model_build_partition():

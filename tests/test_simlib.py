@@ -43,7 +43,7 @@ from gridsim.simlib import network as simnet_mod
 from gridsim.simulation import Simulation
 
 from conftest import CASES, DATA
-from test_powerflow import _assert_held_steps_contract
+from test_powerflow import _assert_held_steps_contract, _assert_same_model
 
 
 NOON = 12 * 3600.0
@@ -445,21 +445,6 @@ def _after_each_solve(monkeypatch, check):
         return sol
 
     monkeypatch.setattr(simnet_mod, "solve_network", solve)
-
-
-def _assert_same_model(held, fresh):
-    for name in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(held.y, name), getattr(fresh.y, name))
-    for name in ("node_type", "v_set_pv", "s_g", "s_wye", "i_wye", "v_sl",
-                 "v_nom", "v_state", "di", "dk", "ds", "dc", "gen_node"):
-        assert np.array_equal(getattr(held, name), getattr(fresh, name)), name
-    assert held.index.nodes == fresh.index.nodes
-    assert [g.id for g in held.gens] == [g.id for g in fresh.gens]
-    assert len(held.branch_groups) == len(fresh.branch_groups)
-    for mine, theirs in zip(held.branch_groups, fresh.branch_groups):
-        assert [b.id for b in mine.branches] == [b.id for b in theirs.branches]
-        assert np.array_equal(mine.nodes, theirs.nodes)
-        assert np.array_equal(mine.y, theirs.y)
 
 
 def test_sim_network_applies_each_solution_once(monkeypatch):
