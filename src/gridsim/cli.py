@@ -24,6 +24,7 @@ from .parsers import (
 )
 from .powerflow import PfOptions, SingularJacobianError, solve_network
 from .simlib import ChannelWriter, PowerFlowAbort, SimNetwork, VoltVarController
+from .simulation import ComponentError, CsvSink
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -142,16 +143,19 @@ def cmd_sim(args) -> int:
         ctx.sim.initialize()
         with ChannelWriter(ctx.sim, out_dir) as writer:
             if args.log:
-                from .simulation import CsvSink
                 with open(out_dir / "updates.csv", "w") as log_fh:
                     ctx.sim.add_sink(CsvSink(log_fh))
                     ctx.sim.run()
             else:
                 ctx.sim.run()
-    except PowerFlowAbort as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
     except Exception as exc:
+        # a power flow that fails, or a solver that breaks down, is a solver
+        # failure; anything else is an input error
+        cause = exc.cause if isinstance(exc, ComponentError) else None
+        if isinstance(exc, PowerFlowAbort) or isinstance(
+                cause, (NumericalBreakdownError, SingularJacobianError)):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NO_CONVERGENCE
         return _fail(f"simulation failed: {exc}")
     if not args.quiet:
         parts = [f"simulation complete at t={ctx.sim.current_time:g}",

@@ -520,18 +520,21 @@ def _d2s(r, c, y, V, I, lam):
     ]).real
 
 
-def opf_build(net, extensions=(), hold_gen_voltage=False,
+def opf_build(net, extensions=(), hold_power_flow=False,
               v_min=None, v_max=None, start="nominal",
               model=None):
     """Construct an :class:`OpfProblem` from a network.
 
-    ``hold_gen_voltage`` pins each generator-bus voltage magnitude to the
-    generator setpoint (matching a power-flow solve); otherwise generator-bus
-    voltages float inside the bus limits.  ``v_min``/``v_max`` override the
-    per-bus magnitude bounds with scalars.  ``start="state"`` seeds the
-    iterate from the network's current voltages and generator injections
-    instead of the nominal profile — useful when re-optimizing around an
-    already-solved operating point.  ``model`` is a power-flow model of
+    ``hold_power_flow`` holds what a power-flow solve holds: regulated (PV
+    and slack) voltages at their generator setpoints, the slack's P and
+    every regulated Q free, and every other P at its output, so only
+    generators on PQ nodes keep a box, for Q.  Otherwise every generator
+    keeps its boxes and generator-bus voltages float inside the bus
+    limits.  ``v_min``/``v_max`` override the per-bus magnitude bounds
+    with scalars.  ``start="state"`` seeds the iterate from the network's
+    current voltages and generator injections instead of the nominal
+    profile — useful when re-optimizing around an already-solved
+    operating point.  ``model`` is a power-flow model of
     ``net`` as it stands (a simulation passes the one it holds); it is
     built from ``net`` when omitted.  :func:`opf_refresh` later moves the
     values of the problem onto a changed network without rebuilding it.
@@ -545,7 +548,7 @@ def opf_build(net, extensions=(), hold_gen_voltage=False,
             "delta-connected ZIP loads are not supported in the optimization model"
         )
     p = OpfProblem()
-    p._options = dict(hold_gen_voltage=hold_gen_voltage, v_min=v_min,
+    p._options = dict(hold_power_flow=hold_power_flow, v_min=v_min,
                       v_max=v_max, start=start)
     p.index = model.index
     p.y = model.y.tocsr()
@@ -692,7 +695,7 @@ def _gen_nodes(model):
     return np.split(model.gen_node, ends[:-1])
 
 
-def _values(net, model, extensions, hold_gen_voltage, v_min, v_max,
+def _values(net, model, extensions, hold_power_flow, v_min, v_max,
             start) -> dict:
     """Names, bounds, free set and start point of every variable, and loads.
 
@@ -729,6 +732,19 @@ def _values(net, model, extensions, hold_gen_voltage, v_min, v_max,
     for g, node_idx in zip(model.gens, _gen_nodes(model)):
         p_lo, p_hi = g.p_min / sb, g.p_max / sb
         q_lo, q_hi = g.q_min / sb, g.q_max / sb
+        kind = model.node_type[node_idx[0]]
+        if hold_power_flow:
+            # the slack absorbs whatever mismatch the power flow produces
+            p_out = float(g.s.real.sum()) / sb
+            p_lo, p_hi = (-np.inf, np.inf) if kind == SL else (p_out, p_out)
+        if hold_power_flow and kind != PQ:
+            # a power flow regulates the voltage of a PV or slack node and
+            # enforces no Q limit there; a generator on a PQ node is just a
+            # negative load
+            q_lo, q_hi = -np.inf, np.inf
+            for ni in node_idx:
+                pin = g.v_setpoint if g.v_setpoint > 0 else abs(v_nom[ni]) or 1.0
+                v_lo[ni] = v_hi[ni] = v0[ni] = pin
         if p_lo > p_hi or q_lo > q_hi:
             raise InconsistentBoundsError(
                 f"gen {g.id!r} has empty dispatch box"
@@ -742,18 +758,6 @@ def _values(net, model, extensions, hold_gen_voltage, v_min, v_max,
         gx_lo += [p_lo, q_lo]
         gx_hi += [p_hi, q_hi]
         gx0 += [p_start, q_start]
-        if hold_gen_voltage:
-            # only buses a power-flow solve would regulate (PV/slack);
-            # a generator on a PQ bus is just a negative load there
-            setpoint = g.v_setpoint
-            for ni in node_idx:
-                if model.node_type[ni] == PQ:
-                    continue
-                if setpoint is None or setpoint <= 0:
-                    pin = abs(v_nom[ni]) if abs(v_nom[ni]) > 0 else 1.0
-                else:
-                    pin = float(setpoint)
-                v_lo[ni] = v_hi[ni] = v0[ni] = pin
 
     # extension variables
     seen = set()

@@ -185,7 +185,8 @@ class PvInverter(Inverter):
     Modes: ``fixed-pf`` holds a constant power factor, ``setpoint`` holds a
     fixed reactive output, ``opf-controlled`` lets an external controller
     assign Q through :meth:`set_q_kvar`.  Reactive output is always clipped
-    to the capability circle √(S_max² − P²).
+    to the capability circle √(S_max² − P²), which is also the generator's
+    Q box in ``opf-controlled`` mode; the fixed modes pin the box at Q.
     """
 
     MODES = ("fixed-pf", "setpoint", "opf-controlled")
@@ -223,31 +224,31 @@ class PvInverter(Inverter):
         return math.sqrt(max(self.s_max_kva ** 2 - self.p_ac_kw ** 2, 0.0))
 
     def set_q_kvar(self, q: float) -> None:
+        self._write_gen(q)
+
+    def _write_gen(self, q: float) -> None:
+        """Clip ``q``; write it with P and the Q box to the generator."""
         cap = self.q_capability_kvar()
         self.q_ac_kvar = float(np.clip(q, -cap, cap))
-        self._write_gen()
-        self._net.mark_dirty(structure=False)
-
-    def _write_gen(self) -> None:
         s_mva = complex(self.p_ac_kw, self.q_ac_kvar) / 1000.0
         self._gen.s = np.full(self._gen.n_phase,
                               s_mva / self._gen.n_phase, dtype=complex)
+        if self.q_mode == "opf-controlled":
+            self._gen.q_min, self._gen.q_max = -cap / 1000.0, cap / 1000.0
+        else:
+            self._gen.q_min = self._gen.q_max = self.q_ac_kvar / 1000.0
+        self._net.mark_dirty(structure=False)
 
     def update(self, t: float) -> None:
         self.p_ac_kw = self.ac_power_kw(t)
         if self.q_mode == "fixed-pf":
             pf = min(max(abs(self.power_factor), 1e-6), 1.0)
             q = self.p_ac_kw * math.tan(math.acos(pf))
-            cap = self.q_capability_kvar()
-            self.q_ac_kvar = float(np.clip(q, -cap, cap))
         elif self.q_mode == "setpoint":
-            cap = self.q_capability_kvar()
-            self.q_ac_kvar = float(np.clip(self.q_setpoint_kvar, -cap, cap))
+            q = self.q_setpoint_kvar
         else:
-            cap = self.q_capability_kvar()
-            self.q_ac_kvar = float(np.clip(self.q_ac_kvar, -cap, cap))
-        self._write_gen()
-        self._net.mark_dirty(structure=False)
+            q = self.q_ac_kvar
+        self._write_gen(q)
         self.next_update_time = t + self.update_interval_s
 
 

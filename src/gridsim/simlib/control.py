@@ -14,19 +14,21 @@ from ..opf import (
     voltage_slack_extension,
 )
 from ..simulation import SimComponent
+from .components import PvInverter
 
 
 class VoltVarController(SimComponent):
     """Runs an optimization each interval and assigns inverter Q setpoints.
 
-    The optimization pins generator-bus voltages (matching what a plain
-    power-flow solve would hold), leaves inverter reactive output free
-    within each capability circle, and softens the voltage band with
-    penalized slack variables so it never becomes infeasible.  The band
-    used inside the optimization is tightened by ``margin_pu`` relative to
-    the reported limits, giving the subsequent power-flow solution
-    headroom.  ``last_slack_total`` exposes Σσ from the latest solve: zero
-    means every monitored voltage fit the tightened band.
+    The optimization holds what a power-flow solve holds
+    (``hold_power_flow``), which leaves free only the Q of generators on PQ
+    nodes, each in its own box: every inverter must be an ``opf-controlled``
+    PvInverter on a PQ bus, whose box is its capability circle.  Penalized
+    slack variables soften the voltage band so it never becomes infeasible.
+    The band used inside the optimization is tightened by ``margin_pu``
+    relative to the reported limits, giving the subsequent power-flow
+    solution headroom.  ``last_slack_total`` exposes Σσ from the latest
+    solve: zero means every monitored voltage fit the tightened band.
 
     The optimization problem is held across updates.  It is built once per
     power-flow structure that the network holds, and rebuilt (and solved
@@ -73,6 +75,15 @@ class VoltVarController(SimComponent):
     def resolve(self, sim) -> None:
         self._net = sim.get(self.network_id)
         self._inverters = [sim.get(i) for i in self.inverter_ids]
+        net = self._net.network
+        for inv in self._inverters:
+            gen = net.gens[inv.gen_id] if isinstance(inv, PvInverter) else None
+            # any other inverter's Q is pinned by its mode or set by the
+            # power flow, so the controller could never move it
+            if gen is None or inv.q_mode != "opf-controlled" \
+                    or net.buses[gen.terminal.bus_id].bus_type != "PQ":
+                raise ValueError(
+                    f"{inv.id!r} is not an opf-controlled PvInverter on a PQ bus")
 
     def initialize(self, sim) -> None:
         self.next_update_time = sim.start_time
@@ -81,59 +92,30 @@ class VoltVarController(SimComponent):
         net = self._net.network
         band = (self.v_min_pu + self.margin_pu, self.v_max_pu - self.margin_pu,
                 self.slack_weight)
-        # generator dispatch stays at the schedule the power flow would use;
-        # the inverters' Q ranges are the only physical degrees of freedom
-        saved = []
-        controlled = {inv.gen_id: inv for inv in self._inverters}
-        for g in net.gens:
-            saved.append((g, g.p_min, g.p_max, g.q_min, g.q_max))
-            inv = controlled.get(g.id)
-            if inv is not None:
-                p_mw = inv.p_ac_kw / 1000.0
-                q_cap = inv.q_capability_kvar() / 1000.0
-                g.p_min = g.p_max = p_mw
-                g.q_min, g.q_max = -q_cap, q_cap
-            elif g.terminal.connected:
-                bus = net.buses[g.terminal.bus_id]
-                if bus.bus_type == "SL":
-                    # the slack absorbs whatever mismatch the power flow
-                    # produces, unconstrained by its nameplate box
-                    g.p_min, g.p_max = -math.inf, math.inf
-                    g.q_min, g.q_max = -math.inf, math.inf
-                    continue
-                g.p_min = g.p_max = float(g.s.real.sum())
-                # the power flow this optimization predicts does not enforce
-                # generator Q limits, so the pinned-voltage bus must keep its
-                # reactive injection free or the problem can turn infeasible
-                g.q_min, g.q_max = -math.inf, math.inf
-        try:
-            model = self._net.pf_model()
-            problem = warm = None
-            # the held problem keeps the band rows it was built with
-            if self._problem is not None and self._band == band:
-                ext = self._ext
-                # what voltage_slack_extension starts each slack at: the
-                # violation of its node (nodes run in bus and phase order)
-                vm = np.abs(model.v_state)
-                sigma0 = np.maximum(0.0, np.maximum(vm - band[1], band[0] - vm))
-                for var, x0 in zip(ext.variables, sigma0.tolist()):
-                    var.x0 = x0
-                problem = opf_refresh(self._problem, net, model, [ext])
-            if problem is not None and self.last_solution.converged:
-                warm = self.last_solution
-            if problem is None:
-                ext = voltage_slack_extension(net, *band)
-                problem = opf_build(net, extensions=[ext], hold_gen_voltage=True,
-                                    v_min=0.5, v_max=1.5, start="state",
-                                    model=model)
-                self.problem_builds += 1
-                self._slack_index = np.array([
-                    problem.var_index(f"x:{ext.name}:{var.name}")
-                    for var in ext.variables], dtype=int)
-            solution = ipm_solve(problem, self.ipm_options, warm=warm)
-        finally:
-            for g, p_lo, p_hi, q_lo, q_hi in saved:
-                g.p_min, g.p_max, g.q_min, g.q_max = p_lo, p_hi, q_lo, q_hi
+        model = self._net.pf_model()
+        problem = warm = None
+        # the held problem keeps the band rows it was built with
+        if self._problem is not None and self._band == band:
+            ext = self._ext
+            # what voltage_slack_extension starts each slack at: the
+            # violation of its node (nodes run in bus and phase order)
+            vm = np.abs(model.v_state)
+            sigma0 = np.maximum(0.0, np.maximum(vm - band[1], band[0] - vm))
+            for var, x0 in zip(ext.variables, sigma0.tolist()):
+                var.x0 = x0
+            problem = opf_refresh(self._problem, net, model, [ext])
+        if problem is not None and self.last_solution.converged:
+            warm = self.last_solution
+        if problem is None:
+            ext = voltage_slack_extension(net, *band)
+            problem = opf_build(net, extensions=[ext], hold_power_flow=True,
+                                v_min=0.5, v_max=1.5, start="state",
+                                model=model)
+            self.problem_builds += 1
+            self._slack_index = np.array([
+                problem.var_index(f"x:{ext.name}:{var.name}")
+                for var in ext.variables], dtype=int)
+        solution = ipm_solve(problem, self.ipm_options, warm=warm)
         self._problem, self._band, self._ext = problem, band, ext
         self.last_solution = solution
         self.solve_count += 1

@@ -201,7 +201,7 @@ def test_criterion_4_optimization_correctness():
         else:
             g.p_min, g.p_max = -np.inf, np.inf
         g.q_min, g.q_max = -np.inf, np.inf
-    prob = opf_build(net, hold_gen_voltage=True, v_min=0.5, v_max=1.5,
+    prob = opf_build(net, hold_power_flow=True, v_min=0.5, v_max=1.5,
                      start="state")
     deg = ipm_solve(prob)
     ok &= deg.status == "optimal"

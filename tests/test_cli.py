@@ -272,3 +272,33 @@ def test_sim_power_flow_abort_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1
     assert "power flow did not converge" in err[0]
+
+
+def test_sim_solver_breakdown_exit_code(tmp_path, monkeypatch, capsys):
+    from gridsim.opf import NumericalBreakdownError
+    from gridsim.simlib import control as control_mod
+
+    def breaks_down(*args, **kwargs):
+        raise NumericalBreakdownError("KKT matrix is numerically singular")
+
+    monkeypatch.setattr(control_mod, "ipm_solve", breaks_down)
+    cfg = textwrap.dedent(
+        f"""
+        - simulation:
+            start_time: 0
+            end_time: 600
+        - matpower:
+            input_file: {CASES / 'case14.m'}
+            id: grid
+        - volt_var_controller:
+            id: vvc
+            inverters: []
+        """
+    )
+    path = tmp_path / "breakdown.yaml"
+    path.write_text(cfg)
+    assert main(["sim", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1
+    assert "'vvc' failed at t=0" in err[0]
+    assert "numerically singular" in err[0]

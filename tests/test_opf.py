@@ -139,38 +139,60 @@ def test_binding_branch_limit():
     assert abs(s0) == pytest.approx(br.s_max_mva / net.s_base_mva, abs=1e-5)
 
 
-def test_degenerate_problem_reproduces_power_flow():
-    net = _opf_net()
-    pf = solve_network(net, PfOptions(tol_pu=1e-12))
-    # pin every generator to its solved dispatch except for reactive power
-    # at regulated buses, and hold the regulated voltage magnitudes
+def _hold_by_hand(net):
+    """Set the boxes a power flow holds on ``net`` by hand: every generator
+    pinned to its solved dispatch except for the slack's P and reactive
+    power at regulated buses (every generator here sits on one)."""
     for g in net.gens:
-        if g.id != "g1":
+        if net.buses[g.terminal.bus_id].bus_type != "SL":
             g.p_min = g.p_max = float(g.s.real.sum())
         else:
             g.p_min, g.p_max = -np.inf, np.inf
         g.q_min, g.q_max = -np.inf, np.inf
-    prob = opf_build(
-        net, hold_gen_voltage=True, v_min=0.5, v_max=1.5, start="state"
-    )
-    sol = ipm_solve(prob)
-    assert sol.status == "optimal"
-    np.testing.assert_allclose(np.abs(sol.node_voltages()), np.abs(pf.v), atol=1e-6)
-    np.testing.assert_allclose(
-        np.angle(sol.node_voltages()), np.angle(pf.v), atol=1e-6
-    )
 
 
-def test_hold_gen_voltage_skips_unregulated_buses():
+def test_degenerate_problem_reproduces_power_flow():
+    kwargs = dict(hold_power_flow=True, v_min=0.5, v_max=1.5, start="state")
+    for net in (_opf_net(), load_network(CASES / "case14.m")[0]):
+        pf = solve_network(net, PfOptions(tol_pu=1e-12))
+        held = opf_build(net, **kwargs)
+        # the option holds what the hand-set boxes hold, to the byte
+        _hold_by_hand(net)
+        prob = opf_build(net, **kwargs)
+        for name in ("lb", "ub", "free", "box_ub", "box_lb"):
+            assert getattr(held, name).tobytes() == getattr(prob, name).tobytes(), name
+        sol = ipm_solve(prob)
+        assert sol.status == "optimal"
+        np.testing.assert_allclose(np.abs(sol.node_voltages()), np.abs(pf.v),
+                                   atol=1e-6)
+        np.testing.assert_allclose(
+            np.angle(sol.node_voltages()), np.angle(pf.v), atol=1e-6
+        )
+
+
+def test_hold_power_flow_skips_unregulated_buses():
     net = _opf_net()
     # a generator on a plain load bus is just negative load; its bus
     # voltage must stay free
     net.add_gen(Gen("aux", s=5.0, p_min=5, p_max=5, q_min=0, q_max=0), "3")
-    prob = opf_build(net, hold_gen_voltage=True)
+    prob = opf_build(net, hold_power_flow=True)
     iv3 = prob.iv[prob.node_index("3")]
     assert prob.lb[iv3] != prob.ub[iv3]
     iv1 = prob.iv[prob.node_index("1")]
     assert prob.lb[iv1] == prob.ub[iv1] == net.gens["g1"].v_setpoint
+    # and it keeps its own Q box, while P is pinned at its output and the
+    # regulated generators' Q is free
+    net.gens["aux"].q_min, net.gens["aux"].q_max = -3.0, 4.0
+    net.gens["aux"].p_min, net.gens["aux"].p_max = 0.0, 10.0
+    prob = opf_build(net, hold_power_flow=True)
+    p, q = prob.var_index("pg:aux"), prob.var_index("qg:aux")
+    assert (prob.lb[p], prob.ub[p]) == (0.05, 0.05)
+    assert (prob.lb[q], prob.ub[q]) == (-0.03, 0.04)
+    for gid in ("g1", "g2"):
+        q = prob.var_index(f"qg:{gid}")
+        assert (prob.lb[q], prob.ub[q]) == (-np.inf, np.inf)
+    p = prob.var_index("pg:g1")
+    assert (prob.lb[p], prob.ub[p]) == (-np.inf, np.inf)
 
 
 def test_inconsistent_bounds_rejected():
@@ -504,14 +526,17 @@ _STRUCTURE = ("names", "free", "box_ub", "box_lb")
 
 def test_refresh_takes_the_values_of_a_fresh_build():
     net = _opf_net()
+    # the option holds the P of every generator and the Q of g1 and g2;
+    # only g3's Q box, on a PQ node, stays the network's
+    net.add_gen(Gen("g3", s=10.0, q_min=-20.0, q_max=20.0), "3")
     solve_network(net)
     model = model_build(net)
-    kwargs = dict(hold_gen_voltage=True, start="state")
+    kwargs = dict(hold_power_flow=True, start="state")
     prob = opf_build(net, model=model, **kwargs)
     held = {name: np.copy(getattr(prob, name)) for name in _VALUES}
 
     net.zips["ld"].set_wye(0, s=1.5 + 0.5j)
-    net.gens["g2"].q_max = 60.0
+    net.gens["g3"].q_max = 15.0
     solve_network(net)
     model = model_build(net)
     fresh = opf_build(net, model=model, **kwargs)
@@ -528,10 +553,10 @@ def test_refresh_takes_the_values_of_a_fresh_build():
         assert np.array_equal(getattr(prob, name), held[name]), name
 
     # a variable that becomes fixed changes the structure
-    net.gens["g2"].q_min = net.gens["g2"].q_max
+    net.gens["g3"].q_min = net.gens["g3"].q_max
     assert opf_refresh(prob, net, model) is None
     # so does a box that turns infinite
-    net.gens["g2"].q_min, net.gens["g2"].q_max = -np.inf, 80.0
+    net.gens["g3"].q_min, net.gens["g3"].q_max = -np.inf, 15.0
     assert opf_refresh(prob, net, model) is None
 
 

@@ -40,7 +40,7 @@ from gridsim.simlib.weather import (
 )
 from gridsim.simlib import control as control_mod
 from gridsim.simlib import network as simnet_mod
-from gridsim.simulation import Simulation
+from gridsim.simulation import ComponentError, Simulation
 
 from conftest import CASES, DATA
 from test_powerflow import _assert_held_steps_contract, _assert_same_model
@@ -361,8 +361,62 @@ def test_pv_inverter_writes_gen_and_clips_q():
     inv.set_q_kvar(1000.0)
     assert inv.q_ac_kvar == pytest.approx(400.0)
     assert net.gens["pv_gen"].s[0] == pytest.approx((300.0 + 400.0j) / 1000.0)
+    assert (net.gens["pv_gen"].q_min, net.gens["pv_gen"].q_max) == (-0.4, 0.4)
     with pytest.raises(ValueError):
         PvInverter("x", "grid", "g", q_mode="psychic")
+
+
+def test_pv_inverter_q_box_states_what_its_mode_leaves_free():
+    summer_noon = 171 * 86400.0 + NOON
+    for mode in PvInverter.MODES:
+        net = _grid()
+        net.add_gen(Gen("pv_gen", n_phase=1), "ld")
+        sim = Simulation(0, 0)
+        sim.add(SimNetwork("grid", net))
+        sim.add(Weather("wx", latitude_deg=35.0))
+        sim.add(SolarPv("pv", "wx", area_m2=1000.0, efficiency=0.2))
+        inv = sim.add(PvInverter(
+            "inv", "grid", "pv_gen", ("pv",), s_max_kva=500.0, q_mode=mode,
+            power_factor=0.95, q_setpoint_kvar=-80.0,
+        ))
+        sim.initialize()
+        inv.update(summer_noon)
+        gen = net.gens["pv_gen"]
+        cap = inv.q_capability_kvar() / 1000.0
+        assert 0.0 < cap < 0.5
+        if mode == "opf-controlled":
+            # a controller may move Q anywhere in the capability circle
+            assert (gen.q_min, gen.q_max) == (-cap, cap)
+        else:
+            # the mode pins Q; the box says so
+            assert inv.q_ac_kvar != 0.0
+            assert gen.q_min == gen.q_max == gen.s[0].imag == inv.q_ac_kvar / 1000.0
+
+
+def test_volt_var_controller_rejects_an_inverter_it_cannot_move():
+    # only the last may be controlled: the others' Q is pinned by their mode
+    # or, on the slack bus, set by the power flow
+    cases = [(PvInverter, "fixed-pf", "ld"), (PvInverter, "setpoint", "ld"),
+             (Inverter, None, "ld"), (PvInverter, "opf-controlled", "src"),
+             (PvInverter, "opf-controlled", "ld")]
+    for k, (kind, mode, bus) in enumerate(cases):
+        net = _grid()
+        net.add_gen(Gen("pv_gen", n_phase=1), bus)
+        sim = Simulation(0, 0)
+        sim.add(SimNetwork("grid", net))
+        sim.add(Weather("wx"))
+        sim.add(SolarPv("pv", "wx", area_m2=10.0, efficiency=0.2))
+        if kind is Inverter:
+            sim.add(Inverter("inv", ("pv",)))
+        else:
+            sim.add(PvInverter("inv", "grid", "pv_gen", ("pv",), q_mode=mode))
+        sim.add(VoltVarController("vvc", "grid", ("inv",)))
+        if k == len(cases) - 1:
+            sim.initialize()
+            continue
+        with pytest.raises(ComponentError, match=(
+                "'inv' is not an opf-controlled PvInverter on a PQ bus")):
+            sim.initialize()
 
 
 def test_pre_rank_feeders_vs_consumers():
@@ -526,7 +580,7 @@ def test_held_model_matches_a_fresh_build_over_pvdemo(monkeypatch):
         ext = voltage_slack_extension(
             net, vvc.v_min_pu + vvc.margin_pu, vvc.v_max_pu - vvc.margin_pu,
             vvc.slack_weight)
-        fresh = real_build(net, extensions=[ext], hold_gen_voltage=True,
+        fresh = real_build(net, extensions=[ext], hold_power_flow=True,
                            v_min=0.5, v_max=1.5, start="state")
         for name in ("lb", "ub", "fixed_values", "x0_full", "s_wye", "i_wye",
                      "free", "box_ub", "box_lb", "names"):
@@ -552,6 +606,55 @@ def test_held_model_matches_a_fresh_build_over_pvdemo(monkeypatch):
     sol, ext = vvc.last_solution, compared[-1]
     slacks = [sol.extension_value(ext.name, var.name) for var in ext.variables]
     assert vvc.last_slack_total == pytest.approx(sum(slacks), rel=1e-12, abs=0)
+
+
+def _inverter_bound_misses(monkeypatch):
+    """Run six hours of pvdemo and check every volt-VAR problem, built or
+    refreshed, as it is solved: each inverter's Q bounds must be ± its
+    capability and its P fixed at its output.  Returns the problems checked
+    and the ``(inverter, "P" or "Q")`` checks that failed."""
+    sim, _, _ = _pvdemo_6h()
+    inverters = [c for c in sim.components if isinstance(c, PvInverter)]
+    real_solve = control_mod.ipm_solve
+    checked, misses = [], []
+
+    def ipm_solve(problem, opts=None, warm=None):
+        sb = problem.s_base_mva
+        for inv in inverters:
+            cap = inv.q_capability_kvar() / 1000.0 / sb
+            p_out = inv.p_ac_kw / 1000.0 / sb
+            jp = problem.var_index(f"pg:{inv.gen_id}")
+            jq = problem.var_index(f"qg:{inv.gen_id}")
+            if (problem.lb[jq], problem.ub[jq]) != (-cap, cap):
+                misses.append((inv.id, "Q"))
+            if (problem.lb[jp], problem.ub[jp]) != (p_out, p_out) \
+                    or jp in problem.free:
+                misses.append((inv.id, "P"))
+        checked.append(problem)
+        return real_solve(problem, opts, warm=warm)
+
+    monkeypatch.setattr(control_mod, "ipm_solve", ipm_solve)
+    sim.run()
+    return checked, misses
+
+
+def test_volt_var_problems_bound_each_inverter_by_its_capability(monkeypatch):
+    checked, misses = _inverter_bound_misses(monkeypatch)
+    assert len(checked) == 37
+    assert misses == []
+
+
+def test_an_inverter_leaving_its_q_box_open_fails_the_bound_check(monkeypatch):
+    real_write = PvInverter._write_gen
+
+    def leaves_box_open(self, q):
+        real_write(self, q)
+        self._gen.q_min, self._gen.q_max = -np.inf, np.inf
+
+    monkeypatch.setattr(PvInverter, "_write_gen", leaves_box_open)
+    checked, misses = _inverter_bound_misses(monkeypatch)
+    assert len(checked) == 37
+    assert {field for _, field in misses} == {"Q"}
 
 
 def test_held_factor_over_pvdemo_rarely_factors_and_stays_exact(monkeypatch):
