@@ -71,6 +71,14 @@ class OpfExtension:
         return con
 
 
+def slack_starts(v, v_min: float, v_max: float) -> np.ndarray:
+    """Start of the soft-band slack of each node at voltage ``v``: its
+    violation of the band, 0 inside it, so the penalty rows begin
+    feasible even when the network already sits outside the band."""
+    vm = np.abs(v)
+    return np.maximum(0.0, np.maximum(vm - v_max, v_min - vm))
+
+
 def voltage_slack_extension(net, v_min: float, v_max: float, weight: float,
                             bus_ids=None, name: str = "vslack"):
     """Soft voltage-band extension.
@@ -86,14 +94,10 @@ def voltage_slack_extension(net, v_min: float, v_max: float, weight: float,
     for bus in net.buses:
         if selected is not None and bus.id not in selected:
             continue
-        for slot, phase in enumerate(bus.phases):
+        sigma0 = slack_starts(bus.v, v_min, v_max).tolist()
+        for phase, x0 in zip(bus.phases, sigma0):
             var = f"s_{bus.id}_{phase.name}"
-            # start at the current violation so the penalty rows begin
-            # feasible even when the network already sits outside the band
-            vm = float(np.abs(bus.v[slot]))
-            sigma0 = max(0.0, vm - v_max, v_min - vm)
-            ext.add_variable(var, lb=0.0, ub=np.inf, x0=sigma0,
-                             cost_lin=weight)
+            ext.add_variable(var, lb=0.0, ub=np.inf, x0=x0, cost_lin=weight)
             ext.add_linear(
                 f"vub_{bus.id}_{phase.name}",
                 terms=[(("v", bus.id, phase), 1.0), (("ext", name, var), -1.0)],

@@ -95,11 +95,11 @@ class OpfSolution:
         """Per-generator dispatch in MW / MVAr."""
         sb = self.problem.s_base_mva
         return {
-            ge.key: {
-                "P_MW": float(self.x[ge.p_pos] * sb),
-                "Q_MVAr": float(self.x[ge.q_pos] * sb),
+            gid: {
+                "P_MW": float(self.x[j] * sb),
+                "Q_MVAr": float(self.x[j + 1] * sb),
             }
-            for ge in self.problem.gens
+            for gid, j in zip(self.problem.gen_ids, self.problem.gen_p.tolist())
         }
 
     def node_voltages(self) -> np.ndarray:

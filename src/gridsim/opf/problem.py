@@ -10,13 +10,13 @@ branch apparent-power limits form the inequality set.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ..powerflow.model import PQ, SL, model_build
+from ..powerflow.model import PQ, PV, SL, check_setpoints, model_build
 from ..powerflow.pattern import FrozenCsc, KeptOrderLu
 
 
@@ -34,14 +34,6 @@ class UnsupportedLoadError(OpfBuildError):
 
 class DomainViolationError(ValueError):
     pass
-
-
-@dataclass
-class _GenEntry:
-    key: str
-    cost: tuple              # (c0, c1, c2) in $/h on MW
-    p_pos: int               # full-vector position of P variable (pu)
-    q_pos: int
 
 
 @dataclass
@@ -144,9 +136,10 @@ class OpfProblem:
     """Assembled optimization model over a network.
 
     Public attributes of note: ``n_var`` (free variable count), ``x0``
-    (strictly interior start), ``names`` (full-variable names), the
-    evaluation entry point :meth:`eval_all`, and ``kkt``, the frozen
-    structure of the IPM's Newton matrix.
+    (strictly interior start), ``names`` (full-variable names), ``gen_ids``
+    and ``gen_p`` (each generator's id and the position of its P; its Q
+    is next), the evaluation entry point :meth:`eval_all`, and ``kkt``,
+    the frozen structure of the IPM's Newton matrix.
     """
 
     def __init__(self):
@@ -161,7 +154,8 @@ class OpfProblem:
         self.s_wye = None
         self.i_wye = None
         self.s_base_mva = 100.0
-        self.gens: list[_GenEntry] = []
+        self.gen_ids: list[str] = []
+        self.gen_p = None           # full position of each generator's P
         self.flow_ids: list[str] = []   # branch id of each pair of flow rows
         self.lin_eq: list[_LinearRow] = []
         self.lin_ineq: list[_LinearRow] = []
@@ -178,6 +172,8 @@ class OpfProblem:
         self.ineq_names: list[str] = []
         self.kkt: KktPattern | None = None
         self._options: dict = {}    # opf_build's keyword options
+        self._position: dict = {}   # full position of each name
+        self._ext_keys: list = []   # (extension, variable) name pairs
 
     # -- sizes ---------------------------------------------------------------
 
@@ -206,8 +202,8 @@ class OpfProblem:
 
     def var_index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._position[name]
+        except KeyError:
             raise KeyError(f"unknown variable {name!r}") from None
 
     def node_index(self, bus_id, phase=None) -> int:
@@ -261,8 +257,8 @@ class OpfProblem:
         # generator incidence: each gen's P and Q split evenly over its nodes
         gn = [g.n_phase for g in model.gens]
         g_node = model.gen_node
-        g_p = np.repeat([ge.p_pos for ge in self.gens], gn).astype(int)
-        g_q = np.repeat([ge.q_pos for ge in self.gens], gn).astype(int)
+        g_p = np.repeat(self.gen_p, gn)
+        g_q = g_p + 1
         g_w = np.repeat([1.0 / k for k in gn], gn)
         self._gen = (g_node, g_p, g_q, g_w)
 
@@ -525,19 +521,21 @@ def opf_build(net, extensions=(), hold_power_flow=False,
               model=None):
     """Construct an :class:`OpfProblem` from a network.
 
-    ``hold_power_flow`` holds what a power-flow solve holds: regulated (PV
-    and slack) voltages at their generator setpoints, the slack's P and
-    every regulated Q free, and every other P at its output, so only
-    generators on PQ nodes keep a box, for Q.  Otherwise every generator
-    keeps its boxes and generator-bus voltages float inside the bus
-    limits.  ``v_min``/``v_max`` override the per-bus magnitude bounds
-    with scalars.  ``start="state"`` seeds the iterate from the network's
+    ``hold_power_flow`` holds what a power-flow solve of ``model`` holds:
+    each regulated node's voltage at the model's target (its PV setpoint,
+    or the magnitude of its slack voltage), the slack's P and every
+    regulated Q free, and every other P at its output, so only generators
+    on PQ nodes keep a box, for Q.  Otherwise every generator keeps its
+    boxes and generator-bus voltages float inside the bus limits.
+    ``v_min``/``v_max`` override the per-bus magnitude bounds with
+    scalars.  ``start="state"`` seeds the iterate from the network's
     current voltages and generator injections instead of the nominal
     profile — useful when re-optimizing around an already-solved
-    operating point.  ``model`` is a power-flow model of
-    ``net`` as it stands (a simulation passes the one it holds); it is
-    built from ``net`` when omitted.  :func:`opf_refresh` later moves the
-    values of the problem onto a changed network without rebuilding it.
+    operating point.  ``model`` is a power-flow model of ``net`` as it
+    stands (a simulation passes the one it holds); it is built from
+    ``net`` when omitted.  The variables and which of them are fixed or
+    boxed are decided here; :func:`opf_refresh` later moves only the
+    values of the problem onto a changed network.
     """
     if start not in ("nominal", "state"):
         raise ValueError(f"unknown start mode {start!r}")
@@ -553,22 +551,31 @@ def opf_build(net, extensions=(), hold_power_flow=False,
     p.index = model.index
     p.y = model.y.tocsr()
     p.s_base_mva = model.s_base_mva
-    for name, value in _values(net, model, extensions, **p._options).items():
-        setattr(p, name, value)
-    names = p.names
-    position = {name: j for j, name in enumerate(names)}
-    n = len(model.index.nodes)
-    v_nom = model.v_nom
-
+    n = model.n_node
+    nodes = model.index.nodes
+    p._ext_keys = [(ext.name, var.name)
+                   for ext in extensions for var in ext.variables]
     # voltage magnitudes, then angles, one per node; then P and Q per
     # generator; then the extension variables
+    p.names = names = (
+        [f"v:{bid}:{ph.name}" for bid, ph in nodes]
+        + [f"th:{bid}:{ph.name}" for bid, ph in nodes]
+        + [f"{kind}:{g.id}" for g in model.gens for kind in ("pg", "qg")]
+        + [f"x:{ext}:{var}" for ext, var in p._ext_keys])
+    position = p._position
+    for j, name in enumerate(names):
+        if position.setdefault(name, j) != j:
+            raise OpfBuildError(f"duplicate extension variable {name}")
+    for name, value in _values(net, model, extensions, names,
+                               **p._options).items():
+        setattr(p, name, value)
+    v_nom = model.v_nom
+
     p.iv = np.arange(n)
     p.ith = np.arange(n, 2 * n)
-    for k, (g, node_idx) in enumerate(zip(model.gens, _gen_nodes(model))):
-        p.gens.append(_GenEntry(
-            key=g.id, cost=tuple(g.cost),
-            p_pos=2 * n + 2 * k, q_pos=2 * n + 2 * k + 1,
-        ))
+    p.gen_ids = [g.id for g in model.gens]
+    p.gen_p = 2 * n + 2 * np.arange(len(model.gens))
+    for g, node_idx in zip(model.gens, _gen_nodes(model)):
         # equal magnitudes and nominal angle spacing across a multi-phase
         # generator bus
         if len(node_idx) > 1:
@@ -598,17 +605,14 @@ def opf_build(net, extensions=(), hold_power_flow=False,
     nf = len(names)
     p.q_cost = np.zeros(nf)
     p.c_cost = np.zeros(nf)
-    for ge in p.gens:
-        c0, c1, c2 = ge.cost
-        sb = p.s_base_mva
-        p.q_cost[ge.p_pos] += c2 * sb * sb
-        p.c_cost[ge.p_pos] += c1 * sb
-        p.cost0 += c0
-    for ext in extensions:
-        for var in ext.variables:
-            j = position[f"x:{ext.name}:{var.name}"]
-            p.c_cost[j] += var.cost_lin
-            p.q_cost[j] += var.cost_quad
+    sb = p.s_base_mva
+    cost = np.array([g.cost for g in model.gens], dtype=float).reshape(-1, 3)
+    p.q_cost[p.gen_p] += cost[:, 2] * sb * sb
+    p.c_cost[p.gen_p] += cost[:, 1] * sb
+    p.cost0 = sum(cost[:, 0].tolist(), 0.0)
+    ext_vars = [var for ext in extensions for var in ext.variables]
+    p.c_cost[nf - len(ext_vars):] += [var.cost_lin for var in ext_vars]
+    p.q_cost[nf - len(ext_vars):] += [var.cost_quad for var in ext_vars]
 
     # extension constraints, with symbolic references resolved to positions
     def resolve(ref):
@@ -617,16 +621,10 @@ def opf_build(net, extensions=(), hold_power_flow=False,
             return int(p.iv[p.node_index(*ref[1:])])
         if kind == "theta":
             return int(p.ith[p.node_index(*ref[1:])])
-        if kind == "pg":
-            for ge in p.gens:
-                if ge.key == ref[1]:
-                    return ge.p_pos
-            raise KeyError(f"no generator {ref[1]!r}")
-        if kind == "qg":
-            for ge in p.gens:
-                if ge.key == ref[1]:
-                    return ge.q_pos
-            raise KeyError(f"no generator {ref[1]!r}")
+        if kind in ("pg", "qg"):
+            if ref[1] not in p.gen_ids:
+                raise KeyError(f"no generator {ref[1]!r}")
+            return int(p.gen_p[p.gen_ids.index(ref[1])]) + (kind == "qg")
         if kind == "ext":
             return position[f"x:{ref[1]}:{ref[2]}"]
         raise KeyError(f"bad variable reference {ref!r}")
@@ -672,16 +670,16 @@ def opf_refresh(problem, net, model, extensions=()):
     ``net`` on the power-flow structure ``problem`` was built on.
 
     Returns None when the structure no longer fits and the problem must be
-    rebuilt: ``model`` carries another Y-bus, the variables differ, a
-    variable became or stopped being fixed, or one of its bounds turned
-    finite or infinite.
+    rebuilt: ``model`` carries another Y-bus, the extension variables
+    differ, a variable became or stopped being fixed, or one of its bounds
+    turned finite or infinite.
     """
-    if model.y.tocsr() is not problem.y:
+    if model.y.tocsr() is not problem.y or problem._ext_keys != [
+            (ext.name, var.name) for ext in extensions for var in ext.variables]:
         return None
-    values = _values(net, model, extensions, **problem._options)
-    if values["names"] != problem.names or not all(
-            np.array_equal(values[k], getattr(problem, k))
-            for k in ("free", "box_ub", "box_lb")):
+    values = _values(net, model, extensions, problem.names, **problem._options)
+    if not all(np.array_equal(values[k], getattr(problem, k))
+               for k in ("free", "box_ub", "box_lb")):
         return None
     fresh = copy.copy(problem)
     for name in ("lb", "ub", "fixed_values", "x0_full", "s_wye", "i_wye"):
@@ -695,24 +693,24 @@ def _gen_nodes(model):
     return np.split(model.gen_node, ends[:-1])
 
 
-def _values(net, model, extensions, hold_power_flow, v_min, v_max,
+def _values(net, model, extensions, names, hold_power_flow, v_min, v_max,
             start) -> dict:
-    """Names, bounds, free set and start point of every variable, and loads.
+    """Bounds, free set and start point of the variables ``names`` lists,
+    and loads, gathered from ``net`` and its power-flow ``model``.
 
     :func:`opf_build` and :func:`opf_refresh` both take these values from
     here, so a refreshed problem holds exactly what a fresh build would.
+    ``names`` serves the error messages alone.
     """
     sb = model.s_base_mva
-    nodes = model.index.nodes
-    n = len(nodes)
-    v_lo = np.zeros(n)
-    v_hi = np.zeros(n)
-    for b in net.buses:
-        sl = model.index.bus_slices[b.id]
-        v_lo[sl] = b.v_mag_min if v_min is None else v_min
-        v_hi[sl] = b.v_mag_max if v_max is None else v_max
-    v_nom = model.v_nom
-    v_start = model.v_state if start == "state" else v_nom
+    gens = model.gens
+    n_gen = len(gens)
+    # node order is bus order, then phase order within a bus
+    v_lo = np.concatenate([np.zeros(0)] + [b.v_mag_min for b in net.buses]) \
+        if v_min is None else np.full(model.n_node, v_min, dtype=float)
+    v_hi = np.concatenate([np.zeros(0)] + [b.v_mag_max for b in net.buses]) \
+        if v_max is None else np.full(model.n_node, v_max, dtype=float)
+    v_start = model.v_state if start == "state" else model.v_nom
     # hypot rounds like the scalar abs() of a complex; np.abs may not
     mag = np.hypot(v_start.real, v_start.imag)
     live = mag > 0
@@ -722,65 +720,49 @@ def _values(net, model, extensions, hold_power_flow, v_min, v_max,
     slack = model.node_type == SL
     th_lo = np.where(slack, ang, -np.inf)
     th_hi = np.where(slack, ang, np.inf)
-    names = ([f"v:{bid}:{ph.name}" for bid, ph in nodes]
-             + [f"th:{bid}:{ph.name}" for bid, ph in nodes])
 
-    # generators (P and Q each), then extension variables
-    gx_lo, gx_hi, gx0 = [], [], []
-    total_load = float(np.sum(model.s_wye.real))
-    n_gen = max(len(model.gens), 1)
-    for g, node_idx in zip(model.gens, _gen_nodes(model)):
-        p_lo, p_hi = g.p_min / sb, g.p_max / sb
-        q_lo, q_hi = g.q_min / sb, g.q_max / sb
-        kind = model.node_type[node_idx[0]]
-        if hold_power_flow:
-            # the slack absorbs whatever mismatch the power flow produces
-            p_out = float(g.s.real.sum()) / sb
-            p_lo, p_hi = (-np.inf, np.inf) if kind == SL else (p_out, p_out)
-        if hold_power_flow and kind != PQ:
-            # a power flow regulates the voltage of a PV or slack node and
-            # enforces no Q limit there; a generator on a PQ node is just a
-            # negative load
-            q_lo, q_hi = -np.inf, np.inf
-            for ni in node_idx:
-                pin = g.v_setpoint if g.v_setpoint > 0 else abs(v_nom[ni]) or 1.0
-                v_lo[ni] = v_hi[ni] = v0[ni] = pin
-        if p_lo > p_hi or q_lo > q_hi:
-            raise InconsistentBoundsError(
-                f"gen {g.id!r} has empty dispatch box"
-            )
-        if start == "state":
-            p_start = float(g.s.real.sum()) / sb
-            q_start = float(g.s.imag.sum()) / sb
-        else:
-            p_start, q_start = total_load / n_gen, 0.0
-        names += [f"pg:{g.id}", f"qg:{g.id}"]
-        gx_lo += [p_lo, q_lo]
-        gx_hi += [p_hi, q_hi]
-        gx0 += [p_start, q_start]
+    # generators: (p_min, p_max, q_min, q_max) and outputs, in pu
+    n_phase = np.array([g.n_phase for g in gens], dtype=int)
+    gen_of = np.repeat(np.arange(n_gen), n_phase)
+    s = np.concatenate([np.zeros(0, complex)] + [g.s for g in gens])
+    p_out = np.bincount(gen_of, s.real, n_gen) / sb
+    box = np.array([(g.p_min, g.p_max, g.q_min, g.q_max) for g in gens],
+                   dtype=float).reshape(-1, 4) / sb
+    if hold_power_flow:
+        check_setpoints(model)
+        kind = model.node_type[model.gen_node[np.cumsum(n_phase) - n_phase]]
+        # the slack absorbs whatever mismatch the power flow produces
+        box[:, 0] = box[:, 1] = p_out
+        box[kind == SL, :2] = -np.inf, np.inf
+        # a power flow holds the voltage of a PV or slack node at the
+        # model's target and enforces no Q limit there; a generator on a
+        # PQ node is just a negative load
+        box[kind != PQ, 2:] = -np.inf, np.inf
+        pin = np.where(model.node_type == PV, model.v_set_pv,
+                       np.hypot(model.v_sl.real, model.v_sl.imag))
+        held = model.node_type != PQ
+        v_lo[held] = v_hi[held] = v0[held] = pin[held]
+    if start == "state":
+        q_out = np.bincount(gen_of, s.imag, n_gen) / sb
+        g0 = np.column_stack([p_out, q_out])
+    else:
+        total_load = float(np.sum(model.s_wye.real))
+        g0 = np.column_stack([np.full(n_gen, total_load / max(n_gen, 1)),
+                              np.zeros(n_gen)])
 
-    # extension variables
-    seen = set()
-    for ext in extensions:
-        for var in ext.variables:
-            key = f"x:{ext.name}:{var.name}"
-            if key in seen:
-                raise OpfBuildError(f"duplicate extension variable {key}")
-            seen.add(key)
-            if var.lb > var.ub:
-                raise InconsistentBoundsError(f"extension variable {key} has lb > ub")
-            names.append(key)
-            gx_lo.append(var.lb)
-            gx_hi.append(var.ub)
-            gx0.append(var.x0)
-    gx_lo, gx_hi = np.asarray(gx_lo, dtype=float), np.asarray(gx_hi, dtype=float)
-    gx0 = np.clip(np.asarray(gx0, dtype=float), gx_lo, gx_hi)
+    # extension variables: (lb, ub, x0)
+    ext = np.array([(var.lb, var.ub, var.x0) for e in extensions
+                    for var in e.variables], dtype=float).reshape(-1, 3)
+    gx_lo = np.concatenate([box[:, [0, 2]].ravel(), ext[:, 0]])
+    gx_hi = np.concatenate([box[:, [1, 3]].ravel(), ext[:, 1]])
+    gx0 = np.clip(np.concatenate([g0.ravel(), ext[:, 2]]), gx_lo, gx_hi)
 
     lb = np.concatenate([v_lo, th_lo, gx_lo])
     ub = np.concatenate([v_hi, th_hi, gx_hi])
     x0 = np.concatenate([v0, ang, gx0])
 
-    # eliminate variables whose bounds pin them to a point
+    # eliminate variables whose bounds pin them to a point; a bus band,
+    # generator box or extension variable may be empty
     if np.any(lb > ub):
         bad = [names[i] for i in np.flatnonzero(lb > ub)]
         raise InconsistentBoundsError(f"lb > ub for {bad}")
@@ -795,7 +777,7 @@ def _values(net, model, extensions, hold_power_flow, v_min, v_max,
     x0 = np.where(~fixed & has_lo, np.maximum(x0, lb + margin), x0)
     x0 = np.where(~fixed & has_hi, np.minimum(x0, ub - margin), x0)
     return {
-        "names": names, "lb": lb, "ub": ub, "free": free,
+        "lb": lb, "ub": ub, "free": free,
         "fixed_values": np.where(fixed, lb, 0.0), "x0_full": x0,
         "box_ub": free[has_hi[free]], "box_lb": free[has_lo[free]],
         "s_wye": model.s_wye.copy(), "i_wye": model.i_wye.copy(),

@@ -129,14 +129,16 @@ class PowerFlowModel:
 def model_build(net: Network) -> PowerFlowModel:
     """Assemble the power-flow model from a network.
 
-    PV nodes are gen buses holding a voltage magnitude setpoint; gen buses
-    without an in-service generator fall back to PQ.  Every electrical
-    island must contain at least one slack node.
+    A PV or slack bus regulates the nodes its in-service generators
+    serve; its other nodes, and every node of a bus without such a
+    generator, are PQ.  A PV node holds the magnitude setpoint of the
+    first generator serving it, a slack node its bus's ``v_nom``.  Every
+    electrical island must contain at least one slack node.
     """
     y, index, branch_groups = net.ybus()
     n = len(index)
     node_type = np.full(n, PQ, dtype=int)
-    v_sl = np.zeros(n, dtype=complex)
+    bus_type = np.full(n, PQ, dtype=int)
     v_nom = np.zeros(n, dtype=complex)
 
     gens = [g for g in net.gens if g.in_service and g.terminal.connected]
@@ -144,14 +146,12 @@ def model_build(net: Network) -> PowerFlowModel:
         [node for g in gens for node in index.terminal_nodes(g.terminal)],
         dtype=int,
     )
-    regulated = {g.terminal.bus_id for g in gens}
     for bus in net.buses:
         sl = index.bus_nodes(bus.id)
         v_nom[sl] = bus.v_nom
-        code = _TYPE_CODE[bus.bus_type] if bus.id in regulated else PQ
-        node_type[sl] = code
-        if code == SL:
-            v_sl[sl] = bus.v_nom
+        bus_type[sl] = _TYPE_CODE[bus.bus_type]
+    node_type[gen_node] = bus_type[gen_node]
+    v_sl = np.where(node_type == SL, v_nom, 0.0)
 
     _check_islands(y, node_type, index)
 
@@ -193,6 +193,19 @@ def model_refresh(model: PowerFlowModel, net: Network) -> PowerFlowModel | None:
     return replace(model, **values)
 
 
+def check_setpoints(model: PowerFlowModel) -> None:
+    """Raise ValueError, naming the bus and generator, at the first PV
+    node whose magnitude setpoint is not positive."""
+    plan = model.plan
+    bad = ~(model.v_set_pv[plan.pv_node] > 0)
+    if bad.any():
+        j = int(bad.argmax())
+        bus = model.index.nodes[plan.pv_node[j]][0]
+        gen = model.gens[plan.pv_gen[j]]
+        raise ValueError(f"PV bus {bus!r}: generator {gen.id!r} has voltage "
+                         f"setpoint {gen.v_setpoint}, which must be positive")
+
+
 def _plan(net: Network, index: NodeIndex, node_type: np.ndarray,
           gens: list, gen_node: np.ndarray) -> InjectionPlan:
     """The refresh plan of a model's structure, but for ``delta_keep``,
@@ -222,15 +235,14 @@ def _plan(net: Network, index: NodeIndex, node_type: np.ndarray,
         di = zip_node[row]
         dk = zip_node[row - slot[row] + k]
 
-    # a regulated bus takes the setpoint of its first generator
-    first: dict[str, int] = {}
-    for j, gen in enumerate(gens):
-        first.setdefault(gen.terminal.bus_id, j)
+    # a PV node takes the setpoint of the first generator serving it
+    gen_of = np.repeat(np.arange(len(gens)), [g.n_phase for g in gens])
+    served, first = np.unique(gen_node, return_index=True)
     pv_node = (node_type == PV).nonzero()[0]
-    pv_gen = np.array([first[index.nodes[node][0]] for node in pv_node],
-                      dtype=int)
+    pv_gen = gen_of[first[np.searchsorted(served, pv_node)]]
 
-    # generators on slack and PV nodes; a bus's nodes share its type
+    # generators on slack and PV nodes; a generator's nodes share its
+    # bus's type
     regulated = node_type[gen_node] != PQ
     set_gens, set_slots, start, end = [], [], 0, 0
     for gen in gens:

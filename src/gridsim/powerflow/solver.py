@@ -10,7 +10,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ..network import Network
-from .model import PQ, PV, SL, PfOptions, PowerFlowModel, model_build, model_refresh
+from .model import (PQ, PV, SL, PfOptions, PowerFlowModel, check_setpoints,
+                    model_build, model_refresh)
 from .pattern import FrozenCsc, KeptOrderLu
 from .residuals import Injections, _real_values, network_current
 
@@ -286,9 +287,12 @@ def nr_solve(
     trace), and the solve goes on as Newton from the last accepted point,
     its newest factor becoming the held one.  Without ``held`` every step
     is a Newton step.
+
+    A PV setpoint that is not positive raises ValueError before any step.
     """
     if opts is None:
         opts = PfOptions()
+    check_setpoints(model)
     t0 = time.perf_counter()
     system = NewtonSystem(model) if held is None else held.system(model)
     v = flat_start(model) if opts.start == "flat" else warm_start(model)

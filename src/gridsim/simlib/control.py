@@ -13,6 +13,7 @@ from ..opf import (
     opf_refresh,
     voltage_slack_extension,
 )
+from ..opf.extensions import slack_starts
 from ..simulation import SimComponent
 from .components import PvInverter
 
@@ -97,10 +98,8 @@ class VoltVarController(SimComponent):
         # the held problem keeps the band rows it was built with
         if self._problem is not None and self._band == band:
             ext = self._ext
-            # what voltage_slack_extension starts each slack at: the
-            # violation of its node (nodes run in bus and phase order)
-            vm = np.abs(model.v_state)
-            sigma0 = np.maximum(0.0, np.maximum(vm - band[1], band[0] - vm))
+            # slacks run in node order, as voltage_slack_extension adds them
+            sigma0 = slack_starts(model.v_state, band[0], band[1])
             for var, x0 in zip(ext.variables, sigma0.tolist()):
                 var.x0 = x0
             problem = opf_refresh(self._problem, net, model, [ext])

@@ -68,6 +68,14 @@ def test_pf_input_error_exit_code(tmp_path, capsys):
     bad.write_text("this is not a case file")
     assert main(["pf", str(bad)]) == 1
     capsys.readouterr()
+    # gen row 2, on PV bus 2, with Vg 0: rejected before any step
+    zero_vg = tmp_path / "zero_vg.m"
+    text = (CASES / "case14.m").read_text()
+    zero_vg.write_text(text.replace("\t-40\t1.045\t", "\t-40\t0\t"))
+    assert main(["pf", str(zero_vg), "--quiet"]) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1
+    assert err[0].startswith("error: PV bus '2': generator 'gen_1_2' ")
 
 
 @pytest.mark.parametrize("argv", [

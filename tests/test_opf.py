@@ -151,9 +151,27 @@ def _hold_by_hand(net):
         g.q_min, g.q_max = -np.inf, np.inf
 
 
+def _second_gen_on_a_pv_bus():
+    """case14 with a second generator on PV bus 2 whose setpoint is not
+    the one the bus holds: the power flow holds the first one's."""
+    net, _ = load_network(CASES / "case14.m")
+    net.add_gen(Gen("g_extra", s=10.0 + 2.0j, p_min=0, p_max=50, q_min=-20,
+                    q_max=20, v_setpoint=1.065), "2")
+    return net
+
+
+def _slack_setpoint_off_its_v_nom():
+    """The slack generator's setpoint (1.05) is not its bus's ``v_nom``
+    (1.0), at which the power flow holds the slack."""
+    net = _opf_net()
+    net.gens["g1"].v_setpoint = 1.05
+    return net
+
+
 def test_degenerate_problem_reproduces_power_flow():
     kwargs = dict(hold_power_flow=True, v_min=0.5, v_max=1.5, start="state")
-    for net in (_opf_net(), load_network(CASES / "case14.m")[0]):
+    for net in (_opf_net(), load_network(CASES / "case14.m")[0],
+                _second_gen_on_a_pv_bus(), _slack_setpoint_off_its_v_nom()):
         pf = solve_network(net, PfOptions(tol_pu=1e-12))
         held = opf_build(net, **kwargs)
         # the option holds what the hand-set boxes hold, to the byte
@@ -552,7 +570,15 @@ def test_refresh_takes_the_values_of_a_fresh_build():
     for name in _VALUES:
         assert np.array_equal(getattr(prob, name), held[name]), name
 
-    # a variable that becomes fixed changes the structure
+    # other extension variables change the structure, even as many with
+    # the same bounds
+    ext = OpfExtension(name="aux")
+    ext.add_variable("t", lb=0.0, ub=1.0)
+    with_ext = opf_build(net, extensions=[ext], model=model, **kwargs)
+    assert opf_refresh(with_ext, net, model, [ext]) is not None
+    ext.variables[0].name = "u"
+    assert opf_refresh(with_ext, net, model, [ext]) is None
+    # so does a variable that becomes fixed
     net.gens["g3"].q_min = net.gens["g3"].q_max
     assert opf_refresh(prob, net, model) is None
     # so does a box that turns infinite

@@ -222,6 +222,37 @@ def test_gen_bus_without_gen_falls_back_to_pq():
     assert model.node_type[1] == PQ
 
 
+def _partly_served_pv_net():
+    """Three-phase slack, load and PV buses; one single-phase generator
+    serves the PV bus, on phase A."""
+    abc = (Phase.A, Phase.B, Phase.C)
+    net = Network(s_base_mva=10.0)
+    net.add_bus(Bus("s", phases=abc, bus_type="SL"))
+    net.add_bus(Bus("l", phases=abc))
+    net.add_bus(Bus("p", phases=abc, bus_type="PV"))
+    net.add_branch(Branch("sl", _three_phase_line(0.02 + 0.1j)), "s", "l")
+    net.add_branch(Branch("lp", _three_phase_line(0.03 + 0.12j)), "l", "p")
+    net.add_gen(Gen("s1", n_phase=3), "s")
+    net.add_gen(Gen("pa", s=0.5, v_setpoint=1.02), "p", phase_map=(Phase.A,))
+    z = Zip("ld", n_phase=3)
+    z.set_wye(0, s=0.6 + 0.2j)
+    z.set_wye(1, s=0.5 + 0.25j)
+    z.set_wye(2, s=0.7 + 0.1j)
+    net.add_zip(z, "l")
+    return net
+
+
+def test_a_regulated_bus_regulates_only_the_nodes_a_generator_serves():
+    net = _partly_served_pv_net()
+    sol = solve_network(net, PfOptions(tol_pu=1e-10))
+    assert sol.converged
+    # the written-back network balances at every node: no node draws
+    # reactive power that no generator supplies
+    fresh = model_build(net)
+    assert np.abs(residual_power(fresh, fresh.v_state)).max() < 1e-8
+    assert fresh.node_type[fresh.index.bus_nodes("p")].tolist() == [PV, PQ, PQ]
+
+
 def test_island_without_slack_rejected():
     net = _small_net()
     net.add_bus(Bus("island"))
