@@ -36,11 +36,13 @@ class NumericalBreakdownError(RuntimeError):
 
 # A cold solve starts the barrier at MU0; each barrier update multiplies it
 # by MU_SHRINK, down to MU_MIN.  A step goes at most FRACTION_TO_BOUNDARY
-# of the way to a slack or multiplier bound, and each multiplier is then
-# kept within a factor KAPPA_SIGMA of mu_b / s, preventing dual blowup on
-# slacks that crash into their bounds.
+# of the way to a slack or multiplier bound, and at most
+# FRACTION_TO_ZERO_VOLTAGE of the way to a free voltage magnitude of zero;
+# each multiplier is then kept within a factor KAPPA_SIGMA of mu_b / s,
+# preventing dual blowup on slacks that crash into their bounds.
 MU0, MU_SHRINK, MU_MIN = 0.1, 0.2, 1e-12
 FRACTION_TO_BOUNDARY = 0.995
+FRACTION_TO_ZERO_VOLTAGE = 0.9
 KAPPA_SIGMA = 1e10
 # barrier parameter a warm start resumes at, in place of MU0; its slacks
 # start at least 10·WARM_MU_B clear of their bounds.  On the pvdemo
@@ -225,7 +227,7 @@ def ipm_solve(problem, opts: IpmOptions | None = None,
         H = res.hess(lam, mu, sigma=1.0)
         rhs_x = -r_d - res.jac_h.T @ ((mu * r_h - r_c) / s)
         kkt_values = problem.kkt.values(H, res.jac_g, res.jac_h, mu / s)
-        kept = warm is not None and problem.kkt.perm_c is not None
+        kept = warm is not None and problem.kkt.pattern.perm_c is not None
         step, factors = _solve_reg(problem.kkt, kkt_values,
                                    np.concatenate([rhs_x, -r_g]), kept, entry)
         factorizations += factors
@@ -237,7 +239,9 @@ def ipm_solve(problem, opts: IpmOptions | None = None,
         alpha_p = _max_step(s, ds, FRACTION_TO_BOUNDARY)
         alpha_d = _max_step(mu, dmu, FRACTION_TO_BOUNDARY)
         # keep voltage magnitudes in the open domain
-        alpha_p = min(alpha_p, _domain_step(problem, x, dx))
+        vf = problem.v_free
+        alpha_p = min(alpha_p,
+                      _max_step(x[vf], dx[vf], FRACTION_TO_ZERO_VOLTAGE))
         entry["alpha_p"], entry["alpha_d"] = alpha_p, alpha_d
 
         x = x + alpha_p * dx
@@ -302,21 +306,11 @@ def _max_step(z, dz, tau) -> float:
     return float(min(1.0, tau * np.min(-z[neg] / dz[neg])))
 
 
-def _domain_step(problem, x, dx) -> float:
-    """Largest step keeping every free voltage magnitude positive."""
-    v = x[problem.v_free]
-    dv = dx[problem.v_free]
-    neg = dv < 0
-    if not np.any(neg):
-        return 1.0
-    return float(min(1.0, 0.9 * np.min(-v[neg] / dv[neg])))
-
-
 def _solve_reg(kkt, values, rhs, kept, entry):
     """Solve the KKT system, adding diagonal regularization on breakdown.
 
     Every factor, the retries too, takes the pattern's kept column order
-    when ``kept`` is true (see :meth:`KktPattern.factor`).  The iteration's
+    when ``kept`` is true (see ``FrozenCsc.factor``).  The iteration's
     trace ``entry`` gets the time spent in factors, the regularization of
     the step returned and ``kept``.  Returns the step and the number of LU
     factors computed.
@@ -333,7 +327,7 @@ def _solve_reg(kkt, values, rhs, kept, entry):
             m[kkt.diag[nx:]] -= reg
         t0 = time.perf_counter()
         try:
-            solve = kkt.factor(m, kept)
+            solve = kkt.pattern.factor(m, kept)
         except RuntimeError:        # SuperLU: factor is exactly singular
             reg = max(reg * 100.0, 1e-10)
             continue

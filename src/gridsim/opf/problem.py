@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ..powerflow.model import PQ, PV, SL, check_setpoints, model_build
-from ..powerflow.pattern import FrozenCsc, KeptOrderLu
+from ..powerflow.pattern import FrozenCsc
 
 
 class OpfBuildError(ValueError):
@@ -72,14 +71,11 @@ class KktPattern:
     regularization changes values, never the structure.  ``diag`` holds
     the stored position of each diagonal entry.
 
-    ``perm_c`` is the column order of the first COLAMD factor made on the
-    pattern (None before it); :meth:`factor` can reuse it.  Problems that
-    :func:`opf_refresh` makes share their pattern, so the order outlives
-    the problem it was found on.
+    ``pattern`` is that :class:`~gridsim.powerflow.pattern.FrozenCsc`, and
+    its ``factor`` keeps the column order of its first factor.  Problems
+    that :func:`opf_refresh` makes share their pattern, so the order
+    outlives the problem it was found on.
     """
-
-    perm_c = None
-    _kept_lu = None
 
     def __init__(self, hess: FrozenCsc, jac_g: FrozenCsc, jac_h: FrozenCsc):
         n_eq, nx = jac_g.shape
@@ -92,8 +88,8 @@ class KktPattern:
             [hess.rows, jac_h.cols[p1], nx + jac_g.rows, jac_g.cols, d])
         cols = np.concatenate(
             [hess.cols, jac_h.cols[p2], jac_g.cols, nx + jac_g.rows, d])
-        self._pattern = FrozenCsc(rows, cols, (nx + n_eq, nx + n_eq))
-        self.diag = self._pattern.position(d, d)
+        self.pattern = FrozenCsc(rows, cols, (nx + n_eq, nx + n_eq))
+        self.diag = self.pattern.position(d, d)
         self._zeros = np.zeros(nx + n_eq)
 
     def values(self, hess, jac_g, jac_h, sigma) -> np.ndarray:
@@ -104,32 +100,10 @@ class KktPattern:
         """
         row, p1, p2 = self._pairs
         dh = jac_h.data
-        return self._pattern.sum(np.concatenate([
+        return self.pattern.sum(np.concatenate([
             hess.data, sigma[row] * dh[p1] * dh[p2],
             jac_g.data, jac_g.data, self._zeros,
         ]))
-
-    def matrix(self, values) -> sp.csc_matrix:
-        return self._pattern.matrix(values)
-
-    def factor(self, values, kept: bool = False):
-        """LU-factor the matrix holding ``values``; returns its ``solve``.
-
-        By default COLAMD orders the columns, as ``splu`` does, and the
-        first such factor records its order in ``perm_c``.  With ``kept``
-        the factor takes that recorded order instead, through one
-        :class:`~gridsim.powerflow.pattern.KeptOrderLu` built on first use.
-        A singular matrix raises SuperLU's ``RuntimeError``.
-        """
-        if kept:
-            if self._kept_lu is None:
-                self._kept_lu = KeptOrderLu(self._pattern, self.perm_c)
-            return self._kept_lu.factor(values)
-        lu = spla.splu(self.matrix(values))
-        if self.perm_c is None:
-            # a copy: the array SuperLU hands out keeps the whole factor alive
-            self.perm_c = lu.perm_c.copy()
-        return lu.solve
 
 
 class OpfProblem:

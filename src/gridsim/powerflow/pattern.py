@@ -20,7 +20,14 @@ class FrozenCsc:
     ``cols`` of the stored entries, in CSC order, are public, and so is
     ``slots`` (computed on first use), the stored entry each given entry
     lands on.
+
+    ``perm_c`` is the column order of the pattern's first LU factor (None
+    before it), which depends on the pattern alone (Davis, Gilbert,
+    Larimore & Ng, ACM TOMS 30(3), 2004); :meth:`factor` can reuse it.
     """
+
+    perm_c = None
+    _permuted = None
 
     def __init__(self, rows, cols, shape):
         rows = np.asarray(rows, dtype=np.int64)
@@ -75,47 +82,56 @@ class FrozenCsc:
             raise ValueError("position is not in the pattern")
         return pos
 
+    @cached_property
+    def refilled(self) -> sp.csc_matrix:
+        """The matrix of the pattern that :meth:`factor` copies the values
+        of a COLAMD factor into.  A caller that refills its own matrix of
+        the pattern in place can set it here, so that factoring its
+        ``data`` builds no matrix."""
+        return self.matrix(np.zeros(len(self._key)))
 
-class KeptOrderLu:
-    """LU factors of one :class:`FrozenCsc` pattern in a column order kept
-    from an earlier factor of it.
+    def factor(self, values: np.ndarray, kept: bool = True):
+        """LU-factor the matrix holding ``values`` (its stored entries, in
+        CSC order); returns its ``solve``.
 
-    ``perm_c`` is the column order SuperLU chose for one matrix of the
-    pattern (``splu(...).perm_c``, COLAMD by default), which depends on
-    the pattern alone.  It is applied as the symmetric permutation
-    P A P^T, P from ``perm_c``: stored entry (r, c) moves to
-    (perm_c[r], perm_c[c]).  One sort of the moved positions gives the
-    permuted CSC layout and the map that gathers its values from the
-    pattern's, both built here once.  Each :meth:`factor` refills that one
-    permuted matrix in place and factors it in natural order, so the
-    ordering never runs again; partial pivoting keeps SuperLU's default
-    threshold.
-    """
+        The first call orders the columns with COLAMD, as ``splu`` does by
+        default, and records that order in ``perm_c``.  A later call with
+        ``kept`` runs no ordering: it refills one symmetrically permuted
+        matrix P A P^T, P from ``perm_c``, in place and factors it in
+        natural order with SuperLU's default pivoting threshold.  Without
+        ``kept`` every call runs COLAMD.  A singular matrix raises
+        SuperLU's ``RuntimeError``.
+        """
+        if kept and self.perm_c is not None:
+            if self._permuted is None:
+                self._permute()
+            np.take(values, self._gather, out=self._permuted.data)
+            lu = spla.splu(self._permuted, permc_spec="NATURAL")
+            p, q = self._to_permuted, self.perm_c
+            return lambda rhs: lu.solve(rhs[p])[q]
+        np.copyto(self.refilled.data, values)
+        lu = spla.splu(self.refilled)
+        if self.perm_c is None:
+            # a copy: the array SuperLU hands out keeps the whole factor alive
+            self.perm_c = lu.perm_c.astype(np.int64)
+            if kept:  # laid out now, as the next factor will keep the order
+                self._permute()
+        return lu.solve
 
-    def __init__(self, pattern: FrozenCsc, perm_c: np.ndarray):
-        n = pattern.shape[0]
-        perm_c = perm_c.astype(np.int64)
-        rows, cols = perm_c[pattern.rows], perm_c[pattern.cols]
+    def _permute(self) -> None:
+        """Lay out P A P^T for :meth:`factor`: stored entry (r, c) moves to
+        (perm_c[r], perm_c[c]), and one sort of the moved positions gives
+        the CSC layout and the map that gathers its values."""
+        n, perm_c = self.shape[0], self.perm_c
+        rows, cols = perm_c[self.rows], perm_c[self.cols]
         self._gather = gather = np.argsort(cols * n + rows)
-        self._order = np.empty_like(perm_c)
-        self._order[perm_c] = np.arange(n)
-        self._inverse = perm_c
+        self._to_permuted = np.empty_like(perm_c)
+        self._to_permuted[perm_c] = np.arange(n)
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
         self._permuted = sp.csc_matrix(
             (np.empty(len(gather)), rows[gather].astype(np.int32), indptr),
-            shape=pattern.shape,
+            shape=self.shape,
         )
         # sorted and duplicate-free by construction; saves splu the check
         self._permuted.has_canonical_format = True
-
-    def factor(self, values: np.ndarray):
-        """LU-factor the pattern's matrix holding ``values`` (its stored
-        entries, in CSC order); returns its ``solve``.
-
-        A singular matrix raises SuperLU's ``RuntimeError``.
-        """
-        np.take(values, self._gather, out=self._permuted.data)
-        lu = spla.splu(self._permuted, permc_spec="NATURAL")
-        p, q = self._order, self._inverse
-        return lambda rhs: lu.solve(rhs[p])[q]

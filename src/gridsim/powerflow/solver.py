@@ -7,12 +7,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ..network import Network
 from .model import (PQ, PV, SL, PfOptions, PowerFlowModel, check_setpoints,
                     model_build, model_refresh)
-from .pattern import FrozenCsc, KeptOrderLu
+from .pattern import FrozenCsc
 from .residuals import Injections, _real_values, network_current
 
 
@@ -113,8 +112,9 @@ class NewtonSystem:
 
     The index sets and the Jacobian pattern (the -Y blocks, the diagonal,
     the delta-load triplets, the PV rows and columns) are built once, for
-    at least a whole solve, in one CSC matrix that :meth:`jacobian`
-    refills, and so is the LU ordering (see :meth:`factor`).  They depend
+    at least a whole solve, in ``pattern`` and in one CSC matrix of it,
+    its ``refilled`` one, that :meth:`jacobian` refills; ``pattern.factor``
+    keeps the LU ordering of its first factor.  They depend
     on the model's structure only, and ``y`` is the Y-bus they were built
     on: :meth:`load` moves the system to another model of that structure
     (new injection values, so new :class:`Injections`) and keeps them.
@@ -166,8 +166,7 @@ class NewtonSystem:
         ))
         self._diag_base = base[self._diag_pos]
         self._delta_base = base[self._delta_pos]
-        self._jac = pattern.matrix(base)
-        self._lu = None
+        self._jac = pattern.refilled = pattern.matrix(base)
 
     def load(self, model: PowerFlowModel) -> None:
         """Take the injection values and setpoints of ``model``."""
@@ -195,20 +194,6 @@ class NewtonSystem:
         v[self.free] = x[:nf] + 1j * x[nf : 2 * nf]
         s_g[self.pv] = s_g[self.pv].real + 1j * x[2 * nf :]
         return v, s_g
-
-    def factor(self, jac: sp.csc_matrix):
-        """LU-factor the Newton matrix; returns its ``solve``.
-
-        The first call on a system orders the columns with COLAMD, as
-        ``splu`` does by default; every later call factors in that order
-        through a :class:`KeptOrderLu`, so COLAMD runs once per system.  A
-        singular matrix raises SuperLU's ``RuntimeError``.
-        """
-        if self._lu is None:
-            lu = spla.splu(jac)
-            self._lu = KeptOrderLu(self.pattern, lu.perm_c)
-            return lu.solve
-        return self._lu.factor(jac.data)
 
     def residual(self, v: np.ndarray, s_g: np.ndarray) -> np.ndarray:
         """Stacked real residual: Re r, Im r at free nodes, then PV |V|."""
@@ -339,7 +324,7 @@ def nr_solve(
         system.last_solve = None  # free the last factor before the next
         tf = time.perf_counter()
         try:
-            system.last_solve = system.factor(jac)
+            system.last_solve = system.pattern.factor(jac.data)
         except RuntimeError as exc:
             raise SingularJacobianError(
                 f"singular Jacobian at iteration {iterations}: {exc}"

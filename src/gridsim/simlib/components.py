@@ -75,7 +75,7 @@ class Battery(SimComponent):
         if p > 0.0:
             p = min(p, self.max_charge_kw)
             headroom = self.capacity_kwh - self.charge_kwh
-            p = min(p, headroom / (self.eta_charge * dt_h)) if dt_h > 0 else p
+            p = min(p, headroom / (self.eta_charge * dt_h))
             self.charge_kwh += self.eta_charge * p * dt_h
             if self.charge_kwh >= self.capacity_kwh - 1e-12:
                 self.charge_kwh = min(self.charge_kwh, self.capacity_kwh)
@@ -84,17 +84,15 @@ class Battery(SimComponent):
         elif p < 0.0:
             p = max(p, -self.max_discharge_kw)
             available = self.charge_kwh * self.eta_discharge
-            p = max(p, -available / dt_h) if dt_h > 0 else p
+            p = max(p, -available / dt_h)
             self.charge_kwh -= (-p / self.eta_discharge) * dt_h
             if self.charge_kwh <= 1e-12:
                 self.charge_kwh = max(self.charge_kwh, 0.0)
                 if p > setpoint_kw + 1e-12:
                     self.charge_empty.trigger()
+        self.actual_kw = p
         if abs(p - setpoint_kw) > 1e-12:
-            self.actual_kw = p
             self.power_changed.trigger()
-        else:
-            self.actual_kw = p
         return p
 
     def set_setpoint(self, kw: float) -> None:

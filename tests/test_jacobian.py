@@ -15,6 +15,7 @@ from gridsim.powerflow import (
     solve_network,
 )
 from gridsim.powerflow.model import model_refresh
+from gridsim.powerflow.pattern import FrozenCsc
 from gridsim.powerflow.solver import NewtonSystem
 
 from conftest import CASES
@@ -176,14 +177,15 @@ def test_kept_ordering_step_matches_fresh_factor(net_fn, monkeypatch):
     # every Newton step, the first (COLAMD) one and those from the kept
     # symmetric ordering, against a fresh default splu of the same matrix
     steps, specs = [], []
-    factor, splu = NewtonSystem.factor, spla.splu
+    factor, splu = FrozenCsc.factor, spla.splu
 
     def spy(jac, permc_spec="COLAMD", **kwargs):
         specs.append(permc_spec)
         return splu(jac, permc_spec=permc_spec, **kwargs)
 
-    def checked(self, jac):
-        solve, fresh = factor(self, jac), splu(jac).solve
+    def checked(self, values, kept=True):
+        solve = factor(self, values, kept)
+        fresh = splu(self.matrix(values)).solve
 
         def both(rhs):
             dx = solve(rhs)
@@ -192,7 +194,7 @@ def test_kept_ordering_step_matches_fresh_factor(net_fn, monkeypatch):
 
         return both
 
-    monkeypatch.setattr(NewtonSystem, "factor", checked)
+    monkeypatch.setattr(FrozenCsc, "factor", checked)
     monkeypatch.setattr(spla, "splu", spy)
     sol = nr_solve(model_build(net_fn()))
     assert sol.converged

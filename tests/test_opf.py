@@ -512,7 +512,7 @@ def test_kkt_pattern_matches_dense_assembly():
     dense[:nx, nx:] = jg.T
     dense[nx:, :nx] = jg
     values = prob.kkt.values(H, res.jac_g, res.jac_h, sigma)
-    np.testing.assert_allclose(prob.kkt.matrix(values).toarray(), dense,
+    np.testing.assert_allclose(prob.kkt.pattern.matrix(values).toarray(), dense,
                                atol=1e-12, rtol=1e-12)
     # both diagonals are stored, so regularization keeps the structure
     assert len(prob.kkt.diag) == nx + len(res.g)
@@ -633,7 +633,7 @@ def test_cold_solves_order_every_factor_and_warm_ones_keep_it():
     assert sol.factorizations == len(steps)
     assert sol.factor_s == sum(it["factor_s"] for it in steps)
     # the first factor's order is recorded on the pattern
-    assert prob.kkt.perm_c is not None
+    assert prob.kkt.pattern.perm_c is not None
 
     prob.x0_full = sol.x
     again = ipm_solve(prob, warm=sol)

@@ -1,0 +1,92 @@
+"""FrozenCsc.factor: the column order of a pattern's first LU factor, kept."""
+
+import numpy as np
+import pytest
+import scipy.sparse.linalg as spla
+
+from gridsim.opf import opf_build
+from gridsim.parsers import load_network
+from gridsim.powerflow import model_build
+from gridsim.powerflow.pattern import FrozenCsc
+from gridsim.powerflow.solver import NewtonSystem, flat_start
+
+from conftest import CASES
+
+
+def _newton(rng):
+    """The case57 Newton pattern and the values of a Jacobian near flat."""
+    model = model_build(load_network(CASES / "case57.m")[0])
+    system = NewtonSystem(model)
+    v = flat_start(model) * (1 + 0.05 * rng.standard_normal(model.n_node))
+    return system.pattern, system.jacobian(v, model.s_g).data.copy()
+
+
+def _kkt(rng):
+    """The case57 KKT pattern and the values of one of its matrices."""
+    prob = opf_build(load_network(CASES / "case57.m")[0])
+    res = prob.eval_all(prob.x0)
+    lam = rng.standard_normal(len(res.g))
+    mu = np.abs(rng.standard_normal(len(res.h)))
+    sigma = np.abs(rng.standard_normal(len(res.h)))
+    values = prob.kkt.values(res.hess(lam, mu), res.jac_g, res.jac_h, sigma)
+    return prob.kkt.pattern, values
+
+
+def _error(solve, pattern, values, rhs) -> float:
+    """Largest difference from a fresh COLAMD solve, relative to it."""
+    fresh = spla.splu(pattern.matrix(values)).solve(rhs)
+    return float(np.abs(solve(rhs) - fresh).max() / np.abs(fresh).max())
+
+
+@pytest.fixture(params=[_newton, _kkt], ids=["newton", "kkt"])
+def system(request):
+    rng = np.random.default_rng(11)
+    pattern, values = request.param(rng)
+    return pattern, values, rng.standard_normal(pattern.shape[0])
+
+
+def test_a_kept_factor_solves_as_a_fresh_colamd_one(system):
+    pattern, values, rhs = system
+    assert pattern.perm_c is None
+    first = pattern.factor(values)
+    perm_c = pattern.perm_c
+    assert sorted(perm_c) == list(range(pattern.shape[0]))
+    assert _error(first, pattern, values, rhs) == 0.0
+    # new values, same pattern: a kept-order factor, equal to round-off
+    values = values * np.linspace(0.5, 1.5, len(values))
+    assert _error(pattern.factor(values), pattern, values, rhs) <= 1e-12
+    assert pattern.perm_c is perm_c
+
+
+def test_an_unkept_factor_leaves_the_recorded_order(system, monkeypatch):
+    pattern, values, rhs = system
+    pattern.factor(values)
+    perm_c = pattern.perm_c
+    recorded = perm_c.copy()
+    specs = []
+    splu = spla.splu
+
+    def spy(matrix, permc_spec="COLAMD", **kwargs):
+        specs.append(permc_spec)
+        return splu(matrix, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    solve = pattern.factor(values, kept=False)
+    assert _error(solve, pattern, values, rhs) == 0.0
+    assert pattern.perm_c is perm_c
+    assert np.array_equal(perm_c, recorded)
+    pattern.factor(values)
+    # the unkept factor, the comparison's fresh one, then a kept factor
+    assert specs == ["COLAMD", "COLAMD", "NATURAL"]
+
+
+def test_a_layout_gathered_for_another_order_fails_the_comparison(system):
+    # the mutation check of the comparison above
+    pattern, values, rhs = system
+    pattern.factor(values)
+    assert _error(pattern.factor(values), pattern, values, rhs) <= 1e-12
+    other = FrozenCsc(pattern.rows, pattern.cols, pattern.shape)
+    other.perm_c = pattern.perm_c[::-1].copy()
+    other._permute()
+    pattern._gather = other._gather
+    assert _error(pattern.factor(values), pattern, values, rhs) > 1e-12

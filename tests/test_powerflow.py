@@ -38,6 +38,7 @@ from gridsim.powerflow import (
     total_balance,
 )
 from gridsim.powerflow.model import PQ, PV, SL, model_refresh
+from gridsim.powerflow.pattern import FrozenCsc
 from gridsim.powerflow.solver import HELD_CONTRACTION, NewtonSystem
 
 from conftest import CASES, DATA, GOLDEN
@@ -380,13 +381,13 @@ def test_trace_records_halvings():
 
 def test_a_newton_step_no_length_helps_stalls(monkeypatch, tmp_path, capsys):
     # an ascent direction: every length raises the max residual
-    factor = NewtonSystem.factor
+    factor = FrozenCsc.factor
 
-    def ascent(self, jac):
-        solve = factor(self, jac)
+    def ascent(self, values, kept=True):
+        solve = factor(self, values, kept)
         return lambda rhs: -solve(rhs)
 
-    monkeypatch.setattr(NewtonSystem, "factor", ascent)
+    monkeypatch.setattr(FrozenCsc, "factor", ascent)
     net, _ = load_network(CASES / "case14.m")
     model = model_build(net)
     sol = nr_solve(model)

@@ -10,12 +10,11 @@ import scipy.sparse.linalg as spla
 
 from gridsim.core import TimeSeries
 from gridsim.opf import kkt_residual, opf_build, voltage_slack_extension
-from gridsim.opf.problem import KktPattern
 from gridsim.network import Branch, Bus, CommonBranch, Gen, Network, Zip
 from gridsim.parsers import apply_yaml_file, load_network
 from gridsim.powerflow import PfOptions, model_build, solve_network
 from gridsim.powerflow import solver as solver_mod
-from gridsim.powerflow.pattern import KeptOrderLu
+from gridsim.powerflow.pattern import FrozenCsc
 from gridsim.simlib import (
     AutoTapChanger,
     Battery,
@@ -764,11 +763,12 @@ def test_warm_kept_order_steps_match_a_fresh_factor_over_pvdemo(monkeypatch):
     on the held pattern, equals the step of a fresh COLAMD factor."""
     solves, builds = _vvc_solves(monkeypatch)
     errors = []
-    factor = KktPattern.factor
+    factor = FrozenCsc.factor
 
-    def checked(self, values, kept=False):
+    def checked(self, values, kept=True):
         solve = factor(self, values, kept)
-        if not kept:
+        # the power flow's Newton patterns factor here too
+        if not kept or self not in [b.kkt.pattern for b in builds]:
             return solve
 
         def compared(rhs):
@@ -777,7 +777,7 @@ def test_warm_kept_order_steps_match_a_fresh_factor_over_pvdemo(monkeypatch):
 
         return compared
 
-    monkeypatch.setattr(KktPattern, "factor", checked)
+    monkeypatch.setattr(FrozenCsc, "factor", checked)
     sim, _, _ = _pvdemo_6h()
     sim.run()
     assert len(builds) == 1 and len(solves) == 37
@@ -797,17 +797,19 @@ def test_a_kept_order_lu_gathering_for_another_order_fails_the_check():
     mu = np.abs(rng.standard_normal(len(res.h)))
     sigma = np.abs(rng.standard_normal(len(res.h)))
     values = prob.kkt.values(res.hess(lam, mu), res.jac_g, res.jac_h, sigma)
-    matrix = prob.kkt.matrix(values)
+    pattern = prob.kkt.pattern
+    matrix = pattern.matrix(values)
     rhs = rng.standard_normal(matrix.shape[0])
-    pattern, perm_c = prob.kkt._pattern, spla.splu(matrix).perm_c
 
-    kept = KeptOrderLu(pattern, perm_c)
-    assert _kept_step_error(kept.factor(values), matrix, rhs) <= 1e-9
+    pattern.factor(values)  # COLAMD, recording its order
+    assert _kept_step_error(pattern.factor(values), matrix, rhs) <= 1e-9
     # the permuted layout of one order, filled through the gather map of
     # another
-    stale = KeptOrderLu(pattern, perm_c)
-    stale._gather = KeptOrderLu(pattern, perm_c[::-1].copy())._gather
-    assert _kept_step_error(stale.factor(values), matrix, rhs) > 1e-9
+    other = FrozenCsc(pattern.rows, pattern.cols, pattern.shape)
+    other.perm_c = pattern.perm_c[::-1].copy()
+    other._permute()
+    pattern._gather = other._gather
+    assert _kept_step_error(pattern.factor(values), matrix, rhs) > 1e-9
 
 
 def _tapped_grid():
