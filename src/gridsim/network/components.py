@@ -103,6 +103,8 @@ class Gen:
         cost=(0.0, 1.0, 0.0),
         in_service: bool = True,
     ):
+        if n_phase < 1:
+            raise NetworkModelError(f"gen {id}: needs at least one phase")
         self.id = id
         self.terminal = Terminal()
         self.s = np.broadcast_to(np.asarray(s, complex), (n_phase,)).copy()

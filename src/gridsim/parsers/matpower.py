@@ -295,6 +295,9 @@ def case_to_network(case: MatpowerCase) -> Network:
             continue  # out of service
         fbus, tbus = str(int(row[0])), str(int(row[1]))
         r, x, b = float(row[2]), float(row[3]), float(row[4])
+        if r == 0.0 and x == 0.0:
+            raise ValueError(f"mpc.branch row {idx + 1} (bus {fbus} to bus "
+                             f"{tbus}) has zero series impedance (r = x = 0)")
         ratio = float(row[8]) if row[8] != 0.0 else 1.0
         model = CommonBranch(
             y_series=1.0 / complex(r, x),

@@ -78,7 +78,8 @@ class YamlScope:
         return YamlScope(parent=self)
 
 
-_ESCAPE = "\x00"
+_ESCAPE = "\x00"   # a literal "<", written "<<"
+_LEFT = "\x01"     # the "<" of a token a non-strict pass leaves unbound
 _TOKEN = re.compile(r"<([A-Za-z_]\w*)(?:\(([^<>()]*)\))?>")
 
 
@@ -127,14 +128,16 @@ def substitute_string(text: str, scope: YamlScope, strict=True, path=()):
             nonlocal replaced
             value = _resolve_token(match, scope, strict, path)
             if value is None and not strict:
-                return match.group(0).replace("<", _ESCAPE)
+                return match.group(0).replace("<", _LEFT)
             replaced = True
             return str(value)
 
         work = _TOKEN.sub(repl, work)
         if not replaced:
             break
-    return work.replace(_ESCAPE, "<")
+    # a non-strict pass leaves its output to a strict one, so it keeps a
+    # literal "<" escaped
+    return work.replace(_ESCAPE, "<" if strict else "<<").replace(_LEFT, "<")
 
 
 def substitute(node, scope: YamlScope, strict=True, path=()):

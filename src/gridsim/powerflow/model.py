@@ -246,7 +246,7 @@ def _plan(net: Network, index: NodeIndex, node_type: np.ndarray,
     regulated = node_type[gen_node] != PQ
     set_gens, set_slots, start, end = [], [], 0, 0
     for gen in gens:
-        if gen.n_phase and regulated[start]:
+        if regulated[start]:
             set_gens.append(gen)
             set_slots.append(slice(end, end + gen.n_phase))
             end += gen.n_phase

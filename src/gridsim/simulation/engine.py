@@ -5,9 +5,11 @@ by longest-path depth in the dependency DAG so that, whenever several
 components act at the same instant, dependencies always run before their
 dependents.  Each timestep first runs every update scheduled for that
 instant, then drains the set of contingent updates raised by those updates
-until a fixpoint.  Both phases order components by the key
-``(rank, insertion position)``; the position is recorded when the
-component is added.
+until a fixpoint.  :meth:`Simulation.initialize` sorts the components
+once by rank, insertion order breaking ties, and both phases run in that
+order.  Time only moves forward: a component left scheduled at or before
+the instant that just ran is an error, and work at one instant goes
+through contingent updates.
 
 The engine holds its components, and each component refers back to its
 simulation only weakly, engine actions on component events included, so a
@@ -17,6 +19,7 @@ without waiting for the cycle collector.
 
 from __future__ import annotations
 
+import graphlib
 import math
 import weakref
 
@@ -61,8 +64,9 @@ class SimComponent:
     Subclasses override :meth:`initialize` (set starting state),
     :meth:`resolve` (look up other components, wire event links), and
     :meth:`update`.  They own their schedule through
-    ``next_update_time`` and signal state changes by triggering
-    ``needs_update``, which the engine turns into a contingent update.
+    ``next_update_time``, which an update must move past the instant it
+    ran at, and signal state changes by triggering ``needs_update``,
+    which the engine turns into a contingent update.
     """
 
     def __init__(self, id: str, dependencies=()):
@@ -116,7 +120,6 @@ class Simulation:
     def __init__(self, start_time: float = 0.0, end_time: float = 0.0,
                  contingent_round_cap: int = 100):
         self.components = ComponentCollection()
-        self._position: dict[str, int] = {}
         self.start_time = float(start_time)
         self.end_time = float(end_time)
         self.current_time = float(start_time)
@@ -124,15 +127,16 @@ class Simulation:
         self.sinks: list = []
         self.timestep_listeners: list = []
         self._initialized = False
-        self._phase = "idle"
-        self._pending_scheduled: set[str] = set()
-        self._contingent: dict[str, None] = {}
-        self._timestep_count = 0
+        self._in_timestep = False
+        self._order: list[SimComponent] = []    # by rank, then insertion
+        self._slot: dict[str, int] = {}         # id -> index into _order
+        self._pending_scheduled: set[int] = set()
+        self._contingent: set[int] = set()
 
     @property
     def in_timestep(self) -> bool:
         """True while a timestep is executing (contingent flags allowed)."""
-        return self._phase != "idle"
+        return self._in_timestep
 
     # -- construction -------------------------------------------------------
 
@@ -144,7 +148,6 @@ class Simulation:
                 f"cannot add component {component.id!r} after initialize"
             )
         self.components.insert(component.id, component)
-        self._position[component.id] = len(self._position)
         component.sim = self
         return component
 
@@ -168,103 +171,80 @@ class Simulation:
         """Longest-path depth over the dependency DAG, cycle-checked."""
         for comp in self.components:
             comp.pre_rank(self)
-        state: dict[str, int] = {}  # 0 = visiting, 1 = done
-        stack_trace: list[str] = []
-
-        def visit(comp) -> int:
-            if state.get(comp.id) == 1:
-                return comp.rank
-            if state.get(comp.id) == 0:
-                cycle = stack_trace[stack_trace.index(comp.id):] + [comp.id]
-                raise DependencyCycleError(
-                    "dependency cycle: " + " -> ".join(cycle)
-                )
-            state[comp.id] = 0
-            stack_trace.append(comp.id)
-            rank = 0
-            for dep_id in sorted(comp.dependencies):
-                dep = self.components.get(dep_id)
-                if dep is None:
+        graph = {}
+        for comp in self.components:
+            graph[comp.id] = sorted(comp.dependencies)
+            for dep_id in graph[comp.id]:
+                if dep_id not in self.components:
                     raise MissingDependencyError(
                         f"component {comp.id!r} depends on missing id {dep_id!r}"
                     )
-                rank = max(rank, visit(dep) + 1)
-            stack_trace.pop()
-            state[comp.id] = 1
-            comp.rank = rank
-            return rank
-
-        for comp in self.components:
-            visit(comp)
-        # visit refers to itself through its closure; unbind it so that the
-        # cycle does not keep this simulation alive
-        del visit
-
-    def _order_key(self, cid):
-        return self.components[cid].rank, self._position[cid]
+        try:
+            order = list(graphlib.TopologicalSorter(graph).static_order())
+        except graphlib.CycleError as exc:
+            # graphlib lists the cycle from dependency to dependent
+            raise DependencyCycleError(
+                "dependency cycle: " + " -> ".join(reversed(exc.args[1]))
+            ) from None
+        for cid in order:
+            comp = self.components[cid]
+            comp.rank = max((self.components[dep].rank + 1 for dep in graph[cid]),
+                            default=0)
 
     def initialize(self) -> None:
         """Two passes in rank order: set state, then resolve references."""
         self.rank_components()
-        order = sorted(self.components.keys(), key=self._order_key)
+        self._order = sorted(self.components, key=lambda comp: comp.rank)
+        self._slot = {comp.id: k for k, comp in enumerate(self._order)}
         self.current_time = self.start_time
+        for comp in self._order:
+            self._call(comp, comp.initialize, self)
         sim = weakref.ref(self)
-        for cid in order:
-            comp = self.components[cid]
-            try:
-                comp.initialize(self)
-            except SimulationError:
-                raise
-            except Exception as exc:
-                raise ComponentError(cid, self.start_time, exc) from exc
-        for cid in order:
-            comp = self.components[cid]
-            try:
-                comp.resolve(self)
-            except SimulationError:
-                raise
-            except Exception as exc:
-                raise ComponentError(cid, self.start_time, exc) from exc
+        for comp in self._order:
+            self._call(comp, comp.resolve, self)
             comp.needs_update.register(
-                "engine", lambda cid=cid: sim().flag_contingent(cid)
+                "engine", lambda cid=comp.id: sim().flag_contingent(cid)
             )
         self._initialized = True
+
+    def _call(self, comp, method, arg) -> None:
+        """Run one component call; a failure that is not the engine's own
+        becomes a :class:`ComponentError` at the current time."""
+        try:
+            method(arg)
+        except SimulationError:
+            raise
+        except Exception as exc:
+            raise ComponentError(comp.id, self.current_time, exc) from exc
 
     # -- execution ----------------------------------------------------------
 
     def flag_contingent(self, component_id: str) -> None:
-        if self.components.get(component_id) is None:
+        if component_id not in self.components:
             raise MissingDependencyError(
                 f"cannot flag unknown component {component_id!r}"
             )
-        if self._phase == "idle":
+        if not self._in_timestep:
             raise UnknownPhaseError(
                 f"component {component_id!r} flagged outside an active timestep"
             )
-        if component_id in self._pending_scheduled:
-            # the pending scheduled update at this instant absorbs the flag
-            return
-        self._contingent.setdefault(component_id)
+        slot = self._slot[component_id]
+        if slot not in self._pending_scheduled:
+            # a pending scheduled update at this instant absorbs the flag
+            self._contingent.add(slot)
 
     def _emit(self, t, component_id, kind, rank):
         for sink in self.sinks:
             sink(t, component_id, kind, rank)
 
     def _run_update(self, comp, t, kind):
-        try:
-            comp.update(t)
-        except SimulationError:
-            raise
-        except Exception as exc:
-            raise ComponentError(comp.id, t, exc) from exc
+        self._call(comp, comp.update, t)
         self._emit(t, comp.id, kind, comp.rank)
         comp.did_update.trigger()
 
     def next_event_time(self) -> float:
-        times = [c.next_update_time for c in self.components
-                 if c.next_update_time is not None]
-        finite = [t for t in times if t != math.inf]
-        return min(finite) if finite else math.inf
+        return min((c.next_update_time for c in self.components
+                    if c.next_update_time is not None), default=math.inf)
 
     def do_timestep(self) -> float:
         if not self._initialized:
@@ -272,40 +252,41 @@ class Simulation:
         t = self.next_event_time()
         if t == math.inf:
             raise NoPendingUpdateError("no component has a pending update")
-        scheduled = sorted(
-            (c.id for c in self.components if c.next_update_time == t),
-            key=self._order_key,
-        )
+        scheduled = [slot for slot, comp in enumerate(self._order)
+                     if comp.next_update_time == t]
         self.current_time = t
-        self._phase = "scheduled"
+        self._in_timestep = True
         self._pending_scheduled = set(scheduled)
-        self._contingent = {}
         try:
-            for cid in scheduled:
-                comp = self.components[cid]
-                self._pending_scheduled.discard(cid)
-                self._contingent.pop(cid, None)
+            for slot in scheduled:
+                comp = self._order[slot]
+                self._pending_scheduled.discard(slot)
                 if comp.next_update_time == t:
                     comp.next_update_time = math.inf
                 self._run_update(comp, t, "scheduled")
 
-            self._phase = "contingent"
-            counts: dict[str, int] = {}
+            counts: dict[int, int] = {}
             while self._contingent:
-                cid = min(self._contingent, key=self._order_key)
-                del self._contingent[cid]
-                counts[cid] = counts.get(cid, 0) + 1
-                if counts[cid] > self.contingent_round_cap:
+                slot = min(self._contingent)
+                self._contingent.remove(slot)
+                counts[slot] = counts.get(slot, 0) + 1
+                comp = self._order[slot]
+                if counts[slot] > self.contingent_round_cap:
                     raise LivelockError(
-                        f"component {cid!r} exceeded "
+                        f"component {comp.id!r} exceeded "
                         f"{self.contingent_round_cap} contingent updates at t={t}"
                     )
-                self._run_update(self.components[cid], t, "contingent")
+                self._run_update(comp, t, "contingent")
         finally:
-            self._phase = "idle"
+            self._in_timestep = False
             self._pending_scheduled = set()
-            self._contingent = {}
-        self._timestep_count += 1
+            self._contingent = set()
+        for comp in self._order:
+            if comp.next_update_time is not None and not comp.next_update_time > t:
+                raise SimulationError(
+                    f"component {comp.id!r} is scheduled at "
+                    f"t={comp.next_update_time:g}, not after t={t:g}"
+                )
         for listener in self.timestep_listeners:
             listener(t)
         return t

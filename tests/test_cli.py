@@ -76,6 +76,16 @@ def test_pf_input_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1
     assert err[0].startswith("error: PV bus '2': generator 'gen_1_2' ")
+    # branch row 1, bus 1 to bus 2, with r = x = 0: rejected before its
+    # admittance is taken
+    zero_z = tmp_path / "zero_z.m"
+    zero_z.write_text(
+        text.replace("\t1\t2\t0.01938\t0.05917\t", "\t1\t2\t0\t0\t"))
+    for command in ("pf", "opf"):
+        assert main([command, str(zero_z), "--quiet"]) == 1
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err == ["error: mpc.branch row 1 (bus 1 to bus 2) has zero "
+                       "series impedance (r = x = 0)"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -234,6 +244,19 @@ def test_sim_config_errors(tmp_path, capsys):
     )
     assert main(["sim", str(unknown)]) == 1
     capsys.readouterr()
+    # a component that does not advance its clock would run one instant
+    # forever
+    for interval in (0, -10):
+        stuck = tmp_path / "stuck.yaml"
+        stuck.write_text(
+            "- simulation:\n    start_time: 0\n    end_time: 3600\n"
+            "- battery:\n    id: b\n    capacity_kwh: 10\n"
+            f"    update_interval_s: {interval}\n"
+        )
+        assert main(["sim", str(stuck), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err == [f"error: simulation failed: component 'b' is scheduled "
+                       f"at t={interval}, not after t=0"]
 
 
 def test_schema_is_valid_draft():

@@ -69,6 +69,16 @@ def test_cycle_detection_with_trace():
     assert "->" in str(err.value)
 
 
+def test_cycle_message_follows_the_dependencies():
+    sim = Simulation()
+    sim.add(Ticker("a", 1, dependencies=("c",)))
+    sim.add(Ticker("b", 1, dependencies=("a",)))
+    sim.add(Ticker("c", 1, dependencies=("b",)))
+    with pytest.raises(DependencyCycleError,
+                       match="^dependency cycle: a -> c -> b -> a$"):
+        sim.rank_components()
+
+
 def test_missing_dependency():
     sim = Simulation()
     sim.add(Ticker("a", 1, dependencies=("ghost",)))
@@ -222,6 +232,23 @@ def test_flag_outside_timestep_rejected():
         sim.flag_contingent("a")
     with pytest.raises(MissingDependencyError):
         sim.flag_contingent("ghost")
+
+
+@pytest.mark.parametrize("period", [0, -10])
+def test_a_component_that_does_not_advance_its_clock_is_an_error(period):
+    log = []
+    seen = []
+    sim = Simulation(0, 100)
+    sim.add(Ticker("a", 1, log))
+    sim.add(Ticker("stuck", period, log))
+    sim.add_timestep_listener(seen.append)
+    sim.initialize()
+    with pytest.raises(SimulationError, match=(
+            rf"^component 'stuck' is scheduled at t={period}, not after t=0$")):
+        sim.do_timestep()
+    # the instant ran once, and is not reported as completed
+    assert log == [(0, "a"), (0, "stuck")]
+    assert seen == []
 
 
 def test_no_pending_update():

@@ -92,6 +92,13 @@ def test_connect_terminal_rejects_repeated_phase():
         net.add_zip(Zip("z", n_phase=2), "b1", phase_map=("C", "C"))
 
 
+@pytest.mark.parametrize("n_phase", [0, -1])
+def test_a_generator_needs_a_phase(n_phase):
+    # a phaseless generator would pass a power flow and break the OPF build
+    with pytest.raises(NetworkModelError, match="g0: needs at least one phase"):
+        Gen("g0", n_phase=n_phase)
+
+
 def test_ybus_single_phase_line():
     net = Network()
     net.add_bus(Bus("s", bus_type="SL"))

@@ -176,6 +176,21 @@ def test_yaml_apply_loop_entries():
     assert seen == ["x_0", "x_1"]
 
 
+@pytest.mark.parametrize("bindings", [{}, {"b": 5}], ids=["unbound", "bound"])
+def test_a_literal_angle_bracket_reads_the_same_inside_a_loop(bindings):
+    registry = ParserRegistry()
+    seen = []
+    registry.register("item", lambda cfg, ctx, scope: seen.append(cfg["text"]))
+    ctx = YamlContext()
+    for name, value in bindings.items():
+        ctx.scope.bind(name, value)
+    entries = [{"item": {"text": "a<<b>"}}, {"item": {"text": "a<<b>_<i>"}}]
+    loop = {"loop_variable": ["i", 0, 1, 1], "loop_body": entries}
+    yaml_apply([entries[0], {"loop": loop}], registry, ctx)
+    # "<<" is a literal "<" wherever it is written; "b" is never read
+    assert seen == ["a<b>", "a<b>", "a<b>_0"]
+
+
 def test_plugin_exceptions_are_wrapped():
     registry = ParserRegistry()
 
