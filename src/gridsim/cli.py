@@ -166,7 +166,9 @@ def cmd_sim(args) -> int:
                 parts.append(f"network {comp.id}: {comp.solve_count} solves, "
                              f"{mean:.2f} iterations per solve, "
                              f"{comp.factorizations} LU factors, "
-                             f"{comp.model_builds} model builds")
+                             f"{comp.full_refreshes} full refreshes, "
+                             f"{comp.generation_refreshes} generation-only "
+                             f"refreshes, {comp.model_builds} model builds")
             elif isinstance(comp, VoltVarController):
                 mean = comp.ipm_iterations / max(comp.solve_count, 1)
                 parts.append(f"volt-var {comp.id}: {comp.solve_count} solves, "

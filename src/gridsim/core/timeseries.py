@@ -41,6 +41,14 @@ def parse_time(value) -> int:
     return int(dt.timestamp())
 
 
+def _first_non_finite(values: np.ndarray) -> int | None:
+    """The first row of ``values`` holding a NaN or an infinity, or None."""
+    finite = np.isfinite(values)
+    if finite.all():
+        return None
+    return int(finite.all(axis=1).argmin())
+
+
 class TimeSeries:
     def __init__(
         self,
@@ -66,6 +74,10 @@ class TimeSeries:
             raise ValueError("times and values must have equal length")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
+        k = _first_non_finite(self.values)
+        if k is not None:
+            raise ValueError(f"value at time {self.times[k]} is not finite: "
+                             f"{self.values[k].tolist()}")
 
     @property
     def dimension(self) -> int:
@@ -110,16 +122,38 @@ class TimeSeries:
         interpolation: str = STEPWISE,
         out_of_range: str = CLAMP,
     ) -> "TimeSeries":
-        """Load `time,value1[,value2...]` rows; '#' starts a comment line."""
+        """Load `time,value1[,value2...]` rows; '#' starts a comment line.
+
+        Every row must carry as many values as the first, each a finite
+        number; an error names the file and line of the first row that
+        does not.
+        """
         times: list[int] = []
         values: list[list[float]] = []
+        lines: list[int] = []
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             parts = [p.strip() for p in line.split(",")]
-            if len(parts) < 2:
-                raise ValueError(f"{path}:{lineno}: expected time,value[,...]")
-            times.append(parse_time(parts[0]))
-            values.append([float(p) for p in parts[1:]])
-        return cls(times, values, interpolation, out_of_range)
+            try:
+                if len(parts) < 2:
+                    raise ValueError("expected time,value[,...]")
+                times.append(parse_time(parts[0]))
+                values.append([float(p) for p in parts[1:]])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            lines.append(lineno)
+        try:
+            array = np.array(values, dtype=float)
+        except ValueError:
+            # the rows are not all of one length
+            k = next(k for k, row in enumerate(values)
+                     if len(row) != len(values[0]))
+            raise ValueError(f"{path}:{lines[k]}: {len(values[k])} values, "
+                             f"where the first row has {len(values[0])}") from None
+        k = _first_non_finite(array)
+        if k is not None:
+            raise ValueError(f"{path}:{lines[k]}: value is not finite: "
+                             f"{values[k]}")
+        return cls(times, array, interpolation, out_of_range)

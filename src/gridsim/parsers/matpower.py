@@ -26,6 +26,15 @@ BRANCH_COLS = [
 
 _KNOWN_FIELDS = {"version", "baseMVA", "bus", "gen", "branch", "gencost"}
 
+# The limit columns, which may be infinite.  Every other number of a case
+# must be finite, but for the columns past the named ones of bus, gen and
+# branch (ramp rates, angle limits, results), which are never read.
+_LIMIT_COLS = {
+    "bus": ("Vmax", "Vmin"),
+    "gen": ("Qmax", "Qmin", "Pmax", "Pmin"),
+    "branch": ("rateA", "rateB", "rateC"),
+}
+
 
 class MatpowerSyntaxError(ValueError):
     def __init__(self, line: int, message: str):
@@ -146,6 +155,17 @@ def matpower_parse(text: str, name: str = "case") -> MatpowerCase:
         raise MatpowerSyntaxError(1, "gen table needs at least 10 columns")
     if branch.shape[1] < 11:
         raise MatpowerSyntaxError(1, "branch table needs at least 11 columns")
+    case = MatpowerCase(
+        base_mva=base_mva,
+        bus=bus,
+        gen=gen,
+        branch=branch,
+        gencost=tables.get("gencost"),
+        name=name,
+        extra_fields=sorted(extra),
+    )
+    # before any bus id, type or status is read as an integer
+    _check_finite(case)
 
     bus_ids = bus[:, 0].astype(int)
     if len(set(bus_ids)) != len(bus_ids):
@@ -163,16 +183,6 @@ def matpower_parse(text: str, name: str = "case") -> MatpowerCase:
                 raise DanglingReferenceError(
                     f"branch references unknown bus {int(br[col])}"
                 )
-
-    case = MatpowerCase(
-        base_mva=base_mva,
-        bus=bus,
-        gen=gen,
-        branch=branch,
-        gencost=tables.get("gencost"),
-        name=name,
-        extra_fields=sorted(extra),
-    )
     _check_island_slacks(case)
     return case
 
@@ -231,8 +241,44 @@ def _gencost_tuple(row: np.ndarray) -> tuple[float, float, float]:
     return (float(c0), float(c1), float(c2))
 
 
+def _check_finite(case: MatpowerCase) -> None:
+    """Raise ValueError, naming the table, row and column, at the first
+    NaN of a case, or the first ±Inf outside the columns that may be
+    infinite (:data:`_LIMIT_COLS`); or naming ``baseMVA`` when it is not
+    positive and finite."""
+    if not 0.0 < case.base_mva < np.inf:
+        raise ValueError(f"mpc.baseMVA is {case.base_mva}, which must be "
+                         f"positive and finite")
+    tables = (("bus", case.bus, BUS_COLS), ("gen", case.gen, GEN_COLS),
+              ("branch", case.branch, BRANCH_COLS),
+              ("gencost", case.gencost, ()))
+    for table, data, cols in tables:
+        if data is None or np.isfinite(data).all():
+            continue
+        bad = ~np.isfinite(data)
+        free = [cols.index(c) for c in _LIMIT_COLS.get(table, ())]
+        if cols:
+            free += range(len(cols), data.shape[1])
+        bad[:, free] = np.isnan(data[:, free])
+        if not bad.any():
+            continue
+        r, c = np.argwhere(bad)[0]
+        row = data[r]
+        where = {"bus": f" (bus {row[0]:g})", "gen": f" (bus {row[0]:g})",
+                 "branch": f" (bus {row[0]:g} to bus {row[1]:g})"}
+        col = cols[c] if c < len(cols) else f"column {c + 1}"
+        raise ValueError(f"mpc.{table} row {r + 1}{where.get(table, '')}: "
+                         f"{col} is {row[c]}, which must be finite")
+
+
 def case_to_network(case: MatpowerCase) -> Network:
-    """Build a single-phase (BAL) network from a parsed case."""
+    """Build a single-phase (BAL) network from a parsed case.
+
+    A baseMVA that is not positive, a NaN anywhere in the case, an
+    infinite value outside the limit columns, or a branch with r = x = 0
+    raises ValueError.
+    """
+    _check_finite(case)
     net = Network(s_base_mva=case.base_mva)
 
     vg_by_bus: dict[int, float] = {}

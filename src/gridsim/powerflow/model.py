@@ -156,7 +156,7 @@ def model_build(net: Network) -> PowerFlowModel:
     _check_islands(y, node_type, index)
 
     plan = _plan(net, index, node_type, gens, gen_node)
-    values, plan.delta_keep = _injections(net, gens, gen_node, plan, n)
+    terms, plan.delta_keep = _zip_terms(plan, n)
     return PowerFlowModel(
         y=y,
         index=index,
@@ -170,7 +170,8 @@ def model_build(net: Network) -> PowerFlowModel:
         gen_node=gen_node,
         branch_groups=branch_groups,
         plan=plan,
-        **values,
+        **terms,
+        **_generation(net, gens, gen_node, plan, n),
     )
 
 
@@ -186,11 +187,25 @@ def model_refresh(model: PowerFlowModel, net: Network) -> PowerFlowModel | None:
     Jacobian pattern, has changed (a delta term became or stopped being
     zero): the model must then be rebuilt with :func:`model_build`.
     """
-    values, keep = _injections(net, model.gens, model.gen_node, model.plan,
-                               model.n_node)
+    terms, keep = _zip_terms(model.plan, model.n_node)
     if not np.array_equal(keep, model.plan.delta_keep):
         return None
-    return replace(model, **values)
+    return replace(model, **terms, **_generation(
+        net, model.gens, model.gen_node, model.plan, model.n_node))
+
+
+def generation_refresh(model: PowerFlowModel, net: Network) -> PowerFlowModel:
+    """``model`` with the generation, setpoints and state voltages of
+    ``net``: a :func:`model_refresh` that gathers no ZIP term.
+
+    ``s_g``, ``v_set_pv`` and ``v_state`` are new arrays; the ZIP terms
+    (``s_wye``, ``i_wye``, ``ds``, ``dc``) and the delta entries are
+    shared with ``model`` along with its structure.  The caller vouches
+    that no ZIP term changed since ``model`` was built or refreshed: only
+    generator outputs, setpoints or bus voltages did.
+    """
+    return replace(model, **_generation(net, model.gens, model.gen_node,
+                                        model.plan, model.n_node))
 
 
 def check_setpoints(model: PowerFlowModel) -> None:
@@ -270,24 +285,28 @@ def _plan(net: Network, index: NodeIndex, node_type: np.ndarray,
     )
 
 
-def _injections(net: Network, gens: list, gen_node: np.ndarray,
-                plan: InjectionPlan, n: int) -> tuple[dict, np.ndarray]:
-    """The value fields of a model (injections, setpoints, state voltages)
-    gathered through ``plan``, and which of its delta candidates have a
-    nonzero power or current term.
-    """
+def _generation(net: Network, gens: list, gen_node: np.ndarray,
+                plan: InjectionPlan, n: int) -> dict:
+    """The generation, PV setpoints and state voltages of a model,
+    gathered through ``plan``."""
     s_g = np.zeros(n, dtype=complex)
     v_set_pv = np.ones(n, dtype=float)
-    s_wye = np.zeros(n, dtype=complex)
-    i_wye = np.zeros(n, dtype=complex)
-
     if len(plan.pv_node):
         setpoint = np.array([g.v_setpoint for g in gens])
         v_set_pv[plan.pv_node] = setpoint[plan.pv_gen]
     if gens:
         slot_s = np.concatenate([g.s for g in gens]) / net.s_base_mva
         np.add.at(s_g, gen_node, slot_s)
+    # node order is bus order, then phase order within a bus
+    v_state = np.concatenate([np.zeros(0, complex)] + [b.v for b in net.buses])
+    return dict(s_g=s_g, v_set_pv=v_set_pv, v_state=v_state)
 
+
+def _zip_terms(plan: InjectionPlan, n: int) -> tuple[dict, np.ndarray]:
+    """The ZIP power and current terms of a model gathered through
+    ``plan``, and which of its delta candidates have a nonzero one."""
+    s_wye = np.zeros(n, dtype=complex)
+    i_wye = np.zeros(n, dtype=complex)
     keep = np.zeros(0, dtype=bool)
     ds = dc = np.zeros(0, dtype=complex)
     if plan.zips:
@@ -301,18 +320,7 @@ def _injections(net: Network, gens: list, gen_node: np.ndarray,
             ds, dc = s_all[plan.delta_pos], i_all[plan.delta_pos]
             keep = (ds != 0.0) | (dc != 0.0)
             ds, dc = ds[keep], dc[keep]
-
-    # node order is bus order, then phase order within a bus
-    v_state = np.concatenate([np.zeros(0, complex)] + [b.v for b in net.buses])
-    return dict(
-        s_g=s_g,
-        v_set_pv=v_set_pv,
-        s_wye=s_wye,
-        i_wye=i_wye,
-        v_state=v_state,
-        ds=ds,
-        dc=dc,
-    ), keep
+    return dict(s_wye=s_wye, i_wye=i_wye, ds=ds, dc=dc), keep
 
 
 def _check_islands(y: sp.csr_matrix, node_type: np.ndarray, index: NodeIndex):

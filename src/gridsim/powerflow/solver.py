@@ -10,7 +10,7 @@ import scipy.sparse as sp
 
 from ..network import Network
 from .model import (PQ, PV, SL, PfOptions, PowerFlowModel, check_setpoints,
-                    model_build, model_refresh)
+                    generation_refresh, model_build, model_refresh)
 from .pattern import FrozenCsc
 from .residuals import Injections, _real_values, network_current
 
@@ -410,6 +410,13 @@ def apply_solution(net: Network, sol: PfSolution) -> None:
         gen.s[:] = s[slots]
 
 
+# The kinds of network edit a holder can be told of, widest first: one
+# that changes the structure (taps, admittances, in-service flags, wiring,
+# buses, bus types), one that changes ZIP power or current terms, and one
+# that changes only generator outputs or setpoints.
+CHANGES = ("structure", "injections", "generation")
+
+
 class HeldPowerFlow:
     """One network's power-flow structure, held across solves.
 
@@ -423,26 +430,55 @@ class HeldPowerFlow:
     held steps on that factor.  Invalidating drops all of it, the factor
     too.  The holder never notices a structural edit by itself: whoever
     edits the network calls :meth:`invalidate`.
+
+    An editor may also tell the holder what each edit touched, through
+    :meth:`changed`.  When the edits since the last model were all
+    ``generation``, the next model is a :func:`generation_refresh`, which
+    leaves the ZIP terms as they were; after no edit at all, or a wider
+    one, it is a full refresh.  So a holder nobody tells refreshes in
+    full every time.  ``builds``, ``full_refreshes`` and
+    ``generation_refreshes`` count the models of each kind.
     """
 
     def __init__(self):
         self._model = None
         self._system = None
+        self._change = None     # the widest edit since the last model
         self.builds = 0
+        self.full_refreshes = 0
+        self.generation_refreshes = 0
 
     def invalidate(self) -> None:
         """Forget the structure; the next :meth:`model` rebuilds it."""
         self._model = self._system = None
 
+    def changed(self, kind: str) -> None:
+        """Take note of an edit of the network of kind ``kind``, one of
+        :data:`CHANGES`."""
+        if kind == "structure":
+            self.invalidate()
+        elif kind == "injections":
+            self._change = kind
+        elif kind != "generation":
+            raise ValueError(f"unknown change kind {kind!r}; "
+                             f"expected one of {CHANGES}")
+        elif self._change is None:
+            self._change = kind
+
     def model(self, net: Network) -> PowerFlowModel:
         """The model of ``net`` as it stands, on the held structure."""
         model = None
-        if self._model is not None:
+        if self._model is not None and self._change == "generation":
+            model = generation_refresh(self._model, net)
+            self.generation_refreshes += 1
+        elif self._model is not None:
             model = model_refresh(self._model, net)
+            self.full_refreshes += model is not None
         if model is None:
             model = model_build(net)
             self.builds += 1
         self._model = model
+        self._change = None
         return model
 
     def system(self, model: PowerFlowModel) -> NewtonSystem:

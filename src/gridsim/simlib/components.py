@@ -235,7 +235,7 @@ class PvInverter(Inverter):
             self._gen.q_min, self._gen.q_max = -cap / 1000.0, cap / 1000.0
         else:
             self._gen.q_min = self._gen.q_max = self.q_ac_kvar / 1000.0
-        self._net.mark_dirty(structure=False)
+        self._net.mark_dirty("generation")
 
     def update(self, t: float) -> None:
         self.p_ac_kw = self.ac_power_kw(t)
@@ -400,7 +400,7 @@ class Building(SimComponent):
         if self._zip is not None:
             s_mva = complex(self.p_hvac_kw, 0.0) / 1000.0
             self._zip.set_wye(0, s=s_mva / self._net.network.s_base_mva)
-            self._net.mark_dirty(structure=False)
+            self._net.mark_dirty("injections")
         self.next_update_time = t + self.update_interval_s
 
     def output_channels(self):

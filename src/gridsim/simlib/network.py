@@ -34,10 +34,14 @@ class SimNetwork(SimComponent):
     resumes from the current bus voltages.  The newest LU factor is held
     too, so a re-solve after a small change first takes held steps on it
     and factors only when one of them fails to contract (see
-    :func:`~gridsim.powerflow.nr_solve`).  ``solve_count``,
-    ``newton_iterations``, ``factorizations`` and ``model_builds`` count
-    the solves, their Newton steps (held ones included), their LU factors
-    and the structure builds.
+    :func:`~gridsim.powerflow.nr_solve`).  Each model (a solve's, or
+    :meth:`pf_model`'s) after generation marks alone leaves the ZIP terms
+    as they were; after no mark, or a wider one, it regathers every
+    value.  ``solve_count``, ``newton_iterations``,
+    ``factorizations`` and ``model_builds`` count the solves, their
+    Newton steps (held ones included), their LU factors and the
+    structure builds; ``full_refreshes`` and ``generation_refreshes``
+    count the models taken on a held structure, by kind.
     """
 
     def __init__(self, id: str, network, pf_options: PfOptions | None = None):
@@ -55,6 +59,14 @@ class SimNetwork(SimComponent):
     def model_builds(self) -> int:
         return self._held.builds
 
+    @property
+    def full_refreshes(self) -> int:
+        return self._held.full_refreshes
+
+    @property
+    def generation_refreshes(self) -> int:
+        return self._held.generation_refreshes
+
     def pre_rank(self, sim) -> None:
         # Every component that feeds this network must update first.
         # Components that declare the reverse dependency (they read the
@@ -64,17 +76,19 @@ class SimNetwork(SimComponent):
                     and self.id not in comp.dependencies):
                 self.depends_on(comp.id)
 
-    def mark_dirty(self, structure: bool = True) -> None:
+    def mark_dirty(self, change: str = "structure") -> None:
         """Ask for a re-solve after an edit of the network.
 
-        ``structure=False`` promises that the edit changed injections
-        only: ZIP constant-power or constant-current terms, generator
-        output or voltage setpoints.  Every other edit (taps, branch or ZIP
-        admittances, in-service flags, wiring, buses, bus types) keeps the
-        default, which rebuilds the Y-bus and model before the next solve.
+        ``change`` declares what the edit touched.  ``"generation"``
+        promises generator outputs or voltage setpoints only, and the next
+        model regathers those and the bus voltages.  ``"injections"``
+        promises ZIP constant-power or constant-current terms too, and the
+        next model regathers every value.  Every other edit (taps, branch
+        or ZIP admittances, in-service flags, wiring, buses, bus types)
+        keeps the default, ``"structure"``, which rebuilds the Y-bus and
+        model before the next solve.
         """
-        if structure:
-            self._held.invalidate()
+        self._held.changed(change)
         self.dirty = True
         # between timesteps the flag alone is enough: the next update
         # (scheduled or contingent) performs the solve
@@ -129,7 +143,8 @@ class TimeSeriesZip(SimComponent):
     Series values are ``[P, Q]`` pairs per phase slot, in MW/MVAr by default
     (``units="pu"`` for per-unit).  Stepwise series schedule updates exactly
     at their knots; linearly interpolated series resample at a fixed
-    interval.
+    interval, and once more at their last knot when it falls between two
+    resamples.
     """
 
     def __init__(self, id: str, network_id: str, zip_id: str,
@@ -165,15 +180,16 @@ class TimeSeriesZip(SimComponent):
         for slot in range(self._zip.n_phase):
             p, q = value[2 * slot], value[2 * slot + 1]
             self._zip.set_wye(slot, s=complex(p, q) / base)
-        self._net.mark_dirty(structure=False)
+        self._net.mark_dirty("injections")
         if self.series.interpolation == "stepwise":
             nxt = self.series.next_knot_after(t)
             self.next_update_time = math.inf if nxt is None else float(nxt)
+        elif t < self.series.end_time:
+            # the last knot gets an update even off the resample grid
+            self.next_update_time = min(t + self.resample_interval_s,
+                                        float(self.series.end_time))
         else:
-            if t + self.resample_interval_s <= self.series.end_time:
-                self.next_update_time = t + self.resample_interval_s
-            else:
-                self.next_update_time = math.inf
+            self.next_update_time = math.inf
 
 
 class TimeSeriesTapChanger(SimComponent):

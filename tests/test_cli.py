@@ -86,6 +86,37 @@ def test_pf_input_error_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err.strip().split("\n")
         assert err == ["error: mpc.branch row 1 (bus 1 to bus 2) has zero "
                        "series impedance (r = x = 0)"]
+    # bus row 2 with a Pd of NaN or of ±Inf: rejected before any solve
+    for bad in ("NaN", "Inf", "-Inf"):
+        non_finite = tmp_path / "non_finite.m"
+        non_finite.write_text(text.replace("\t21.7\t", f"\t{bad}\t"))
+        for command in ("pf", "opf"):
+            assert main([command, str(non_finite), "--quiet"]) == 1
+            err = capsys.readouterr().err.strip().split("\n")
+            assert err == [f"error: {non_finite}: mpc.bus row 2 (bus 2): "
+                           f"Pd is {float(bad)}, which must be finite"]
+    # an infinite bus type (bus row 2) or generator bus (gen row 2):
+    # rejected before either is read as an integer
+    for name, old, new, message in (
+            ("inf_type.m", "\t2\t2\t21.7\t", "\t2\tInf\t21.7\t",
+             "mpc.bus row 2 (bus 2): type is inf"),
+            ("inf_gen_bus.m", "\t2\t40\t42.4\t", "\tInf\t40\t42.4\t",
+             "mpc.gen row 2 (bus inf): bus is inf")):
+        non_finite = tmp_path / name
+        non_finite.write_text(text.replace(old, new))
+        for command in ("pf", "opf"):
+            assert main([command, str(non_finite), "--quiet"]) == 1
+            err = capsys.readouterr().err.strip().split("\n")
+            assert err == [f"error: {non_finite}: {message}, which must be "
+                           f"finite"]
+    # a base of 0 MVA would divide every per-unit value by zero
+    zero_base = tmp_path / "zero_base.m"
+    zero_base.write_text(text.replace("mpc.baseMVA = 100;", "mpc.baseMVA = 0;"))
+    for command in ("pf", "opf"):
+        assert main([command, str(zero_base), "--quiet"]) == 1
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err == [f"error: {zero_base}: mpc.baseMVA is 0.0, which must "
+                       f"be positive and finite"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -218,10 +249,13 @@ def test_sim_run_writes_outputs(tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["sim", str(path), "--out", str(out_dir), "--log"]) == 0
     # one solve per knot; the power-flow structure and the volt-VAR problem
-    # are each built once for the run
+    # are each built once for the run.  With no inverter nothing marks
+    # generation alone, so the five later models (the controller's and the
+    # solves') are full refreshes
     assert re.search(
         r"; network grid: 3 solves, \d+\.\d\d iterations per solve, "
-        r"\d+ LU factors, 1 model builds; volt-var vvc: 3 solves, "
+        r"\d+ LU factors, 5 full refreshes, 0 generation-only refreshes, "
+        r"1 model builds; volt-var vvc: 3 solves, "
         r"\d+\.\d\d IPM iterations per solve, 1 problem builds, "
         r"0 failed solves$",
         capsys.readouterr().out.rstrip())
@@ -257,6 +291,34 @@ def test_sim_config_errors(tmp_path, capsys):
         err = capsys.readouterr().err.strip().split("\n")
         assert err == [f"error: simulation failed: component 'b' is scheduled "
                        f"at t={interval}, not after t=0"]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda row: row.replace(",37.230900,", ",nan,"),
+     r"value is not finite: \[nan, 11\.507733\]"),
+    (lambda row: row.rsplit(",", 1)[0], r"1 values, where the first row has 2"),
+], ids=["nan", "short-row"])
+def test_sim_bad_load_series_is_an_input_error(tmp_path, capsys, edit, message):
+    # a copy of pvdemo whose first load series has one bad row, on line 3
+    (tmp_path / "cases").mkdir()
+    (tmp_path / "cases" / "case57.m").write_text(
+        (CASES / "case57.m").read_text())
+    pvdemo = tmp_path / "pvdemo"
+    (pvdemo / "loads").mkdir(parents=True)
+    config = pvdemo / "pvdemo_ieee57.yaml"
+    config.write_text((DATA / "pvdemo" / "pvdemo_ieee57.yaml").read_text())
+    for csv in (DATA / "pvdemo" / "loads").iterdir():
+        (pvdemo / "loads" / csv.name).write_text(csv.read_text())
+    load_1 = pvdemo / "loads" / "load_1.csv"
+    lines = load_1.read_text().split("\n")
+    assert lines[2] == "600,37.230900,11.507733"
+    lines[2] = edit(lines[2])
+    load_1.write_text("\n".join(lines))
+    assert main(["sim", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1
+    assert re.search(f"^error: .*{re.escape(str(load_1))}:3: {message}$",
+                     err[0]), err[0]
 
 
 def test_schema_is_valid_draft():

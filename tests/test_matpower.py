@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,60 @@ def test_out_of_service_rows_skipped():
 def test_zero_ratio_means_unity_tap():
     net = case_to_network(matpower_parse(MINI))
     assert net.branches["branch_0_1_2"].model.tap == 1.0
+
+
+@pytest.mark.parametrize("table,row,col,value,message", [
+    ("bus", 1, 2, np.nan, "mpc.bus row 2 (bus 2): Pd is nan"),
+    ("bus", 1, 8, -np.inf, "mpc.bus row 2 (bus 2): Va is -inf"),
+    ("bus", 0, 11, np.nan, "mpc.bus row 1 (bus 1): Vmax is nan"),
+    ("gen", 0, 5, np.inf, "mpc.gen row 1 (bus 1): Vg is inf"),
+    ("gen", 0, 8, np.nan, "mpc.gen row 1 (bus 1): Pmax is nan"),
+    ("branch", 0, 3, np.inf, "mpc.branch row 1 (bus 1 to bus 2): x is inf"),
+    ("branch", 0, 9, np.nan, "mpc.branch row 1 (bus 1 to bus 2): angle is nan"),
+    ("gencost", 0, 4, np.nan, "mpc.gencost row 1: column 5 is nan"),
+    # ids, types, statuses and the gencost are read, so never infinite
+    ("bus", 1, 1, np.inf, "mpc.bus row 2 (bus 2): type is inf"),
+    ("gen", 0, 0, np.inf, "mpc.gen row 1 (bus inf): bus is inf"),
+    ("gen", 0, 7, -np.inf, "mpc.gen row 1 (bus 1): status is -inf"),
+    ("branch", 0, 1, np.inf, "mpc.branch row 1 (bus 1 to bus inf): tbus is inf"),
+    ("gencost", 0, 3, np.inf, "mpc.gencost row 1: column 4 is inf"),
+])
+def test_non_finite_numbers_rejected(table, row, col, value, message):
+    case = matpower_parse(MINI)
+    getattr(case, table)[row, col] = value
+    full = f"{message}, which must be finite"
+    with pytest.raises(ValueError, match=f"^{re.escape(full)}$"):
+        case_to_network(case)
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Inf", "-Inf"])
+def test_parse_rejects_a_non_finite_number_before_reading_bus_types(bad):
+    text = MINI.replace("2  1  90  30", f"2  {bad}  90  30")
+    with pytest.raises(ValueError, match=re.escape(
+            f"mpc.bus row 2 (bus 2): type is {float(bad)}, which must be "
+            f"finite")):
+        matpower_parse(text)
+
+
+@pytest.mark.parametrize("base", ["0", "-100"])
+def test_parse_rejects_a_base_mva_that_is_not_positive(base):
+    text = MINI.replace("mpc.baseMVA = 100;", f"mpc.baseMVA = {base};")
+    with pytest.raises(ValueError, match=re.escape(
+            f"mpc.baseMVA is {float(base)}, which must be positive and finite")):
+        matpower_parse(text)
+
+
+def test_infinite_limits_accepted():
+    case = matpower_parse(MINI)
+    case.bus[:, 11] = np.inf         # Vmax
+    case.gen[0, [3, 8]] = np.inf     # Qmax, Pmax
+    case.gen[0, 4] = -np.inf         # Qmin
+    case.branch[0, 5] = np.inf       # rateA
+    # a column past the named ones (PC1) is never read
+    case.gen = np.hstack([case.gen, [[np.inf]]])
+    net = case_to_network(case)
+    assert net.gens["gen_0_1"].q_max == np.inf
+    assert net.branches["branch_0_1_2"].s_max_mva == np.inf
 
 
 @pytest.mark.parametrize("case", ["case14", "case30", "case57"])

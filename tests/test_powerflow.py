@@ -37,7 +37,8 @@ from gridsim.powerflow import (
     solve_network,
     total_balance,
 )
-from gridsim.powerflow.model import PQ, PV, SL, model_refresh
+from gridsim.powerflow.model import (PQ, PV, SL, generation_refresh,
+                                    model_refresh)
 from gridsim.powerflow.pattern import FrozenCsc
 from gridsim.powerflow.solver import HELD_CONTRACTION, NewtonSystem
 
@@ -204,6 +205,61 @@ def test_refreshed_model_equals_a_fresh_build():
     assert wrong.ds.tobytes() != model.ds.tobytes()
     with pytest.raises(AssertionError):
         _assert_same_model(replace(wrong, plan=model.plan), model_build(net))
+
+
+def test_generation_refresh_shares_the_zip_terms():
+    """Generator and state edits: each generation-only refresh equals a
+    fresh build and shares the ZIP terms, which it never gathers."""
+    net = _loaded_mixed_net()
+    model = model_build(net)
+    edits = [
+        lambda: setattr(net.gens["ga"], "v_setpoint", 1.03),
+        lambda: net.gens["gt"].s.__setitem__(slice(None), [0.01, 0.03j]),
+        lambda: apply_solution(net, nr_solve(model)),
+    ]
+    for edit in edits:
+        edit()
+        refreshed = generation_refresh(model, net)
+        for name in ("y", "plan", "s_wye", "i_wye", "ds", "dc", "di", "dk"):
+            assert getattr(refreshed, name) is getattr(model, name), name
+        _assert_same_model(refreshed, model_build(net))
+        model = refreshed
+    # a ZIP edit stays unseen: only a full refresh gathers it
+    net.zips["zw"].set_wye(0, s=0.05 - 0.02j)
+    assert generation_refresh(model, net).s_wye is model.s_wye
+    _assert_same_model(model_refresh(model, net), model_build(net))
+
+
+def test_a_told_holder_refreshes_what_each_change_touched():
+    net, _ = load_network(CASES / "case14.m")
+    held = HeldPowerFlow()
+    first = held.model(net)
+    # generation marks alone: generation only
+    net.gens["gen_1_2"].s[:] = 0.5 + 0.1j
+    held.changed("generation")
+    gen = held.model(net)
+    assert gen.s_wye is first.s_wye and gen.y is first.y
+    _assert_same_model(gen, model_build(net))
+    # one injections mark among generation marks: a full refresh
+    net.zips["load_3"].set_wye(0, s=0.9 + 0.2j)
+    held.changed("generation")
+    held.changed("injections")
+    held.changed("generation")
+    full = held.model(net)
+    assert full.s_wye is not gen.s_wye and full.y is first.y
+    _assert_same_model(full, model_build(net))
+    # the marks are used up by the model they asked for: an edit nobody
+    # told of gets a full refresh
+    net.zips["load_3"].set_wye(0, s=0.7 + 0.2j)
+    untold = held.model(net)
+    assert untold.s_wye is not full.s_wye
+    _assert_same_model(untold, model_build(net))
+    held.changed("structure")
+    assert held.model(net).y is not first.y
+    assert (held.builds, held.full_refreshes, held.generation_refreshes) \
+        == (2, 2, 1)
+    with pytest.raises(ValueError, match="unknown change kind 'taps'"):
+        held.changed("taps")
 
 
 def test_model_build_partition():

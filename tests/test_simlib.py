@@ -228,6 +228,29 @@ def test_sim_network_with_time_series_zip():
     assert 0.9 < v_ld < 1.0
 
 
+def test_linear_time_series_zip_reaches_a_last_knot_off_its_grid():
+    net = _grid()
+    sim = Simulation(0, 3000)
+    grid = sim.add(SimNetwork("grid", net))
+    series = TimeSeries([0, 1000], [[10.0, 0.0], [20.0, 0.0]],
+                        interpolation="linear")
+    drive = sim.add(TimeSeriesZip("ld_drive", "grid", "load", series,
+                                  resample_interval_s=600.0))
+    times = []
+    real = drive.update
+
+    def update(t):
+        times.append(t)
+        real(t)
+
+    drive.update = update
+    sim.run()
+    # resampled at 0 and 600 s, then once more at the last knot
+    assert times == [0, 600, 1000]
+    assert grid.solve_count == 3
+    assert net.zips["load"].s_const[1, 0] == pytest.approx(0.20)
+
+
 def test_sim_network_solve_failure_aborts():
     net = _grid()
     net.zips["load"].set_wye(0, s=500.0)
@@ -605,6 +628,37 @@ def test_held_model_matches_a_fresh_build_over_pvdemo(monkeypatch):
     sol, ext = vvc.last_solution, compared[-1]
     slacks = [sol.extension_value(ext.name, var.name) for var in ext.variables]
     assert vvc.last_slack_total == pytest.approx(sum(slacks), rel=1e-12, abs=0)
+
+
+def test_a_volt_var_step_gathers_the_loads_once():
+    """Six hours of pvdemo: a volt-VAR update takes one model, a full
+    refresh at most (after the step's load changes), and the re-solve
+    after it, which follows the inverters' generation marks alone,
+    refreshes generation only: no step gathers the ZIP terms twice."""
+    sim, grid, vvc = _pvdemo_6h()
+    events = []
+
+    def counted(name, fn):
+        def run(t):
+            before = grid.full_refreshes, grid.generation_refreshes
+            fn(t)
+            events.append((name, grid.full_refreshes - before[0],
+                           grid.generation_refreshes - before[1]))
+        return run
+
+    vvc.update = counted("vvc", vvc.update)
+    grid.solve = counted("solve", grid.solve)
+    sim.run()
+    updates = [i for i, (name, _, _) in enumerate(events) if name == "vvc"]
+    assert len(updates) == vvc.solve_count == 37
+    for i in updates:
+        _, full, gen = events[i]
+        assert full <= 1 and full + gen == 1
+        assert events[i + 1] == ("solve", 0, 1)
+    assert grid.model_builds == 1
+    assert grid.full_refreshes <= vvc.solve_count
+    assert grid.full_refreshes + grid.generation_refreshes \
+        == grid.solve_count - 1 + vvc.solve_count
 
 
 def _inverter_bound_misses(monkeypatch):

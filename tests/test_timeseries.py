@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -79,6 +81,26 @@ def test_validation_errors():
         TimeSeries([0], [1.0], out_of_range="wrap")
     with pytest.raises(ValueError):
         TimeSeries([0, 1], [1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_are_rejected(bad):
+    with pytest.raises(ValueError, match=r"value at time 60 is not finite"):
+        TimeSeries([0, 60, 120], [[1.0, 2.0], [3.0, bad], [5.0, 6.0]])
+
+
+@pytest.mark.parametrize("row,message", [
+    ("60,nan,20.0", r"value is not finite: \[nan, 20\.0\]"),
+    ("60,2.0,-inf", r"value is not finite: \[2\.0, -inf\]"),
+    ("60,2.0", r"1 values, where the first row has 2"),
+    ("60,2.0,20.0,7.0", r"3 values, where the first row has 2"),
+    ("60,2.0,abc", r"could not convert string to float"),
+], ids=["nan", "inf", "short", "long", "not-a-number"])
+def test_from_csv_names_the_line_of_a_bad_row(tmp_path, row, message):
+    path = tmp_path / "series.csv"
+    path.write_text(f"# header\n0,1.0,10.0\n{row}\n120,3.0,30.0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: {message}"):
+        TimeSeries.from_csv(path)
 
 
 def test_from_csv(tmp_path):
