@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ..powerflow.model import PQ, PV, SL, check_setpoints, model_build
+from ..powerflow.model import PQ, PV, SL, model_build
 from ..powerflow.pattern import FrozenCsc
 
 
@@ -703,7 +703,6 @@ def _values(net, model, extensions, names, hold_power_flow, v_min, v_max,
     box = np.array([(g.p_min, g.p_max, g.q_min, g.q_max) for g in gens],
                    dtype=float).reshape(-1, 4) / sb
     if hold_power_flow:
-        check_setpoints(model)
         kind = model.node_type[model.gen_node[np.cumsum(n_phase) - n_phase]]
         # the slack absorbs whatever mismatch the power flow produces
         box[:, 0] = box[:, 1] = p_out

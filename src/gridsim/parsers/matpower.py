@@ -25,14 +25,26 @@ BRANCH_COLS = [
 ]
 
 _KNOWN_FIELDS = {"version", "baseMVA", "bus", "gen", "branch", "gencost"}
+_NAMES = {"bus": BUS_COLS, "gen": GEN_COLS, "branch": BRANCH_COLS}
 
-# The limit columns, which may be infinite.  Every other number of a case
-# must be finite, but for the columns past the named ones of bus, gen and
-# branch (ramp rates, angle limits, results), which are never read.
+# The column contract.  A NaN is never allowed, and every number must be
+# finite but in the limit columns and in the columns past the named ones of
+# bus, gen and branch (ramp rates, angle limits, results), never read.  The
+# integer columns hold whole numbers within the bounds given.  A gencost row
+# (MODEL, STARTUP, SHUTDOWN, NCOST, NCOST coefficients) is read whole, and
+# its columns are named by position.
 _LIMIT_COLS = {
     "bus": ("Vmax", "Vmin"),
     "gen": ("Qmax", "Qmin", "Pmax", "Pmin"),
     "branch": ("rateA", "rateB", "rateC"),
+}
+_ID, _ANY = (1, 2**31 - 1), (-np.inf, np.inf)
+_INT_COLS = {
+    "bus": {"bus_i": _ID, "type": (1, 4)},
+    "gen": {"bus": _ID, "status": _ANY},
+    "branch": {"fbus": _ID, "tbus": _ID, "status": _ANY},
+    # MODEL 2 is a polynomial, of at most NCOST = 3 coefficients
+    "gencost": {"column 1": (2, 2), "column 4": (0, 3)},
 }
 
 
@@ -120,10 +132,15 @@ def matpower_parse(text: str, name: str = "case") -> MatpowerCase:
     lines = _strip_comments(text)
     clean = "\n".join(lines)
 
-    base_match = re.search(r"mpc\.baseMVA\s*=\s*([0-9.eE+-]+)\s*;", clean)
-    if base_match is None:
+    base = re.search(r"mpc\.baseMVA\s*=([^;\n]*)", clean)
+    if base is None:
         raise MatpowerSyntaxError(1, "missing mpc.baseMVA assignment")
-    base_mva = float(base_match.group(1))
+    try:
+        base_mva = float(base.group(1))
+    except ValueError:
+        raise MatpowerSyntaxError(clean.count("\n", 0, base.start()) + 1,
+                                  f"bad number in mpc.baseMVA: "
+                                  f"{base.group(1).strip()!r}") from None
 
     tables: dict[str, np.ndarray] = {}
     extra: list[str] = []
@@ -145,76 +162,17 @@ def matpower_parse(text: str, name: str = "case") -> MatpowerCase:
     for required in ("bus", "gen", "branch"):
         if required not in tables:
             raise MatpowerSyntaxError(1, f"missing mpc.{required} table")
-
-    bus = tables["bus"]
-    gen = tables["gen"]
-    branch = tables["branch"]
-    if bus.shape[1] < 13:
-        raise MatpowerSyntaxError(1, "bus table needs at least 13 columns")
-    if gen.shape[1] < 10:
-        raise MatpowerSyntaxError(1, "gen table needs at least 10 columns")
-    if branch.shape[1] < 11:
-        raise MatpowerSyntaxError(1, "branch table needs at least 11 columns")
     case = MatpowerCase(
         base_mva=base_mva,
-        bus=bus,
-        gen=gen,
-        branch=branch,
+        bus=tables["bus"],
+        gen=tables["gen"],
+        branch=tables["branch"],
         gencost=tables.get("gencost"),
         name=name,
         extra_fields=sorted(extra),
     )
-    # before any bus id, type or status is read as an integer
-    _check_finite(case)
-
-    bus_ids = bus[:, 0].astype(int)
-    if len(set(bus_ids)) != len(bus_ids):
-        seen, dupes = set(), set()
-        for b in bus_ids:
-            (dupes if b in seen else seen).add(int(b))
-        raise DuplicateBusError(f"duplicate bus ids: {sorted(dupes)}")
-    known = set(int(b) for b in bus_ids)
-    for g in gen:
-        if int(g[0]) not in known:
-            raise DanglingReferenceError(f"gen references unknown bus {int(g[0])}")
-    for br in branch:
-        for col in (0, 1):
-            if int(br[col]) not in known:
-                raise DanglingReferenceError(
-                    f"branch references unknown bus {int(br[col])}"
-                )
-    _check_island_slacks(case)
+    _validate(case)
     return case
-
-
-def _check_island_slacks(case: MatpowerCase) -> None:
-    """Every island (over in-service branches) needs exactly one slack."""
-    ids = [int(b) for b in case.bus[:, 0]]
-    parent = {b: b for b in ids}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for br in case.branch:
-        if br[10] == 0:
-            continue
-        a, b = find(int(br[0])), find(int(br[1]))
-        if a != b:
-            parent[a] = b
-    slack_count: dict[int, int] = {}
-    for row in case.bus:
-        root = find(int(row[0]))
-        slack_count.setdefault(root, 0)
-        if int(row[1]) == 3:
-            slack_count[root] += 1
-    for root, count in slack_count.items():
-        if count != 1:
-            raise DanglingReferenceError(
-                f"island containing bus {root} has {count} slack buses, expected 1"
-            )
 
 
 def load_case(path) -> MatpowerCase:
@@ -222,63 +180,104 @@ def load_case(path) -> MatpowerCase:
     return matpower_parse(path.read_text(), name=path.stem)
 
 
-def _gencost_tuple(row: np.ndarray) -> tuple[float, float, float]:
-    """Convert a polynomial gencost row (model 2, <=3 coeffs) to (c0, c1, c2)."""
-    model = int(row[0])
-    if model != 2:
-        raise ValueError(f"only polynomial gencost (model 2) supported, got {model}")
-    n = int(row[3])
-    if n > 3:
-        raise ValueError(f"gencost polynomials limited to degree 2, got n={n}")
-    coeffs = list(row[4 : 4 + n])  # highest order first
-    c2 = c1 = c0 = 0.0
-    if n == 3:
-        c2, c1, c0 = coeffs
-    elif n == 2:
-        c1, c0 = coeffs
-    elif n == 1:
-        (c0,) = coeffs
-    return (float(c0), float(c1), float(c2))
+def _check_columns(table: str, data: np.ndarray) -> None:
+    """Raise ValueError at the first number of a table that breaks the
+    column contract, naming its row and column."""
+    named = _NAMES.get(table, [])
+    need = len(named) or 4  # MODEL, STARTUP, SHUTDOWN, NCOST
+    if data.shape[1] < need:
+        raise MatpowerSyntaxError(1, f"{table} table needs at least {need} columns")
+    cols = named + [f"column {c + 1}" for c in range(len(named), data.shape[1])]
+    bounds = {cols.index(c): b for c, b in _INT_COLS[table].items()}
+    if table == "gencost":  # the NCOST coefficients must fit in a row
+        bounds[3] = (0, min(3, data.shape[1] - 4))
+    bad = ~np.isfinite(data)
+    if bad.any():
+        free = [cols.index(c) for c in _LIMIT_COLS.get(table, ())]
+        free += range(len(named), len(cols)) if named else []
+        bad[:, free] = np.isnan(data[:, free])
+    finite = not bad.any()
+    if finite:
+        ints = list(bounds)
+        lo, hi = np.array(list(bounds.values()), dtype=float).T
+        vals = data[:, ints]
+        bad[:, ints] = (vals != np.floor(vals)) | (vals < lo) | (vals > hi)
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        row = data[r]
+        lo, hi = bounds.get(c, (0, np.inf))
+        rule = ("finite" if not finite else "a whole number" if hi == np.inf
+                else f"a whole number in {lo:.0f}..{hi:.0f}")
+        where = {"bus": f" (bus {row[0]:g})", "gen": f" (bus {row[0]:g})",
+                 "branch": f" (bus {row[0]:g} to bus {row[1]:g})"}
+        raise ValueError(f"mpc.{table} row {r + 1}{where.get(table, '')}: "
+                         f"{cols[c]} is {row[c]}, which must be {rule}")
 
 
-def _check_finite(case: MatpowerCase) -> None:
-    """Raise ValueError, naming the table, row and column, at the first
-    NaN of a case, or the first ±Inf outside the columns that may be
-    infinite (:data:`_LIMIT_COLS`); or naming ``baseMVA`` when it is not
-    positive and finite."""
+def _islands(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Label each of ``n`` nodes with the smallest node of its island over
+    the edges (a, b): hook roots together along edges, then flatten."""
+    label = np.arange(n)
+    while (cross := label[a] != label[b]).any():
+        la, lb = label[a][cross], label[b][cross]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while (label[label] != label).any():
+            label = label[label]
+    return label
+
+
+def _validate(case: MatpowerCase) -> None:
+    """Raise ValueError at the first break of the case contract: a bad
+    ``baseMVA`` or column (:func:`_check_columns`), a bus id twice, an
+    unknown bus, an island over in-service branches without exactly one
+    slack bus, or an in-service branch with r = x = 0."""
     if not 0.0 < case.base_mva < np.inf:
         raise ValueError(f"mpc.baseMVA is {case.base_mva}, which must be "
                          f"positive and finite")
-    tables = (("bus", case.bus, BUS_COLS), ("gen", case.gen, GEN_COLS),
-              ("branch", case.branch, BRANCH_COLS),
-              ("gencost", case.gencost, ()))
-    for table, data, cols in tables:
-        if data is None or np.isfinite(data).all():
-            continue
-        bad = ~np.isfinite(data)
-        free = [cols.index(c) for c in _LIMIT_COLS.get(table, ())]
-        if cols:
-            free += range(len(cols), data.shape[1])
-        bad[:, free] = np.isnan(data[:, free])
-        if not bad.any():
-            continue
-        r, c = np.argwhere(bad)[0]
-        row = data[r]
-        where = {"bus": f" (bus {row[0]:g})", "gen": f" (bus {row[0]:g})",
-                 "branch": f" (bus {row[0]:g} to bus {row[1]:g})"}
-        col = cols[c] if c < len(cols) else f"column {c + 1}"
-        raise ValueError(f"mpc.{table} row {r + 1}{where.get(table, '')}: "
-                         f"{col} is {row[c]}, which must be finite")
+    for table in ("bus", "gen", "branch", "gencost"):
+        if getattr(case, table) is not None:
+            _check_columns(table, getattr(case, table))
+
+    bus, branch = case.bus, case.branch
+    ids = np.sort(bus[:, 0])
+    twice = ids[1:] == ids[:-1]
+    if twice.any():
+        raise DuplicateBusError(
+            f"duplicate bus ids: {np.unique(ids[1:][twice]).astype(int).tolist()}")
+    # a bus is numbered by its place in ``ids``
+    refs = np.concatenate([case.gen[:, 0], branch[:, :2].ravel()])
+    pos = np.searchsorted(ids, refs).clip(max=len(ids) - 1)
+    if (ids[pos] != refs).any():
+        j = int(np.argmax(ids[pos] != refs))
+        raise DanglingReferenceError(f"{'gen' if j < len(case.gen) else 'branch'} "
+                                     f"references unknown bus {int(refs[j])}")
+
+    on = branch[:, 10] > 0
+    ends = pos[len(case.gen):].reshape(-1, 2)[on]
+    island = _islands(len(ids), ends[:, 0], ends[:, 1])
+    slacks = np.bincount(island[np.searchsorted(ids, bus[bus[:, 1] == 3, 0])],
+                         minlength=len(ids))
+    wrong = (island == np.arange(len(ids))) & (slacks != 1)
+    if wrong.any():
+        k = int(np.argmax(wrong))
+        raise DanglingReferenceError(
+            f"island containing bus {int(ids[k])} has {slacks[k]} slack "
+            f"buses, expected 1")
+
+    zero = on & (branch[:, 2] == 0.0) & (branch[:, 3] == 0.0)
+    if zero.any():
+        r = int(np.argmax(zero))
+        raise ValueError(f"mpc.branch row {r + 1} (bus {int(branch[r, 0])} to bus "
+                         f"{int(branch[r, 1])}) has zero series impedance (r = x = 0)")
 
 
 def case_to_network(case: MatpowerCase) -> Network:
     """Build a single-phase (BAL) network from a parsed case.
 
-    A baseMVA that is not positive, a NaN anywhere in the case, an
-    infinite value outside the limit columns, or a branch with r = x = 0
-    raises ValueError.
+    A case that breaks the case contract (see :func:`_validate`) raises
+    ValueError.
     """
-    _check_finite(case)
+    _validate(case)
     net = Network(s_base_mva=case.base_mva)
 
     vg_by_bus: dict[int, float] = {}
@@ -289,7 +288,7 @@ def case_to_network(case: MatpowerCase) -> Network:
     type_map = {3: "SL", 2: "PV", 1: "PQ", 4: "PQ"}
     for row in case.bus:
         bus_id = str(int(row[0]))
-        btype = type_map.get(int(row[1]), "PQ")
+        btype = type_map[int(row[1])]
         vm = float(row[7]) if row[7] > 0 else 1.0
         if btype in ("SL", "PV") and int(row[0]) in vg_by_bus:
             vm = vg_by_bus[int(row[0])]
@@ -322,7 +321,9 @@ def case_to_network(case: MatpowerCase) -> Network:
         bus_id = str(int(row[0]))
         cost = (0.0, 1.0, 0.0)
         if case.gencost is not None and idx < case.gencost.shape[0]:
-            cost = _gencost_tuple(case.gencost[idx])
+            # (c0, c1, c2) of NCOST coefficients, the highest order first
+            n, coeffs = int(case.gencost[idx, 3]), case.gencost[idx, 4:]
+            cost = tuple(float(c) for c in coeffs[:n][::-1]) + (0.0,) * (3 - n)
         gen = Gen(
             id=f"gen_{idx}_{bus_id}",
             n_phase=1,
@@ -340,14 +341,10 @@ def case_to_network(case: MatpowerCase) -> Network:
         if int(row[10]) <= 0:
             continue  # out of service
         fbus, tbus = str(int(row[0])), str(int(row[1]))
-        r, x, b = float(row[2]), float(row[3]), float(row[4])
-        if r == 0.0 and x == 0.0:
-            raise ValueError(f"mpc.branch row {idx + 1} (bus {fbus} to bus "
-                             f"{tbus}) has zero series impedance (r = x = 0)")
         ratio = float(row[8]) if row[8] != 0.0 else 1.0
         model = CommonBranch(
-            y_series=1.0 / complex(r, x),
-            y_shunt=1j * b,
+            y_series=1.0 / complex(row[2], row[3]),
+            y_shunt=1j * float(row[4]),
             tap=ratio,
             phase_shift_deg=float(row[9]),
         )

@@ -152,6 +152,12 @@ def model_build(net: Network) -> PowerFlowModel:
         bus_type[sl] = _TYPE_CODE[bus.bus_type]
     node_type[gen_node] = bus_type[gen_node]
     v_sl = np.where(node_type == SL, v_nom, 0.0)
+    mag = np.abs(v_sl)
+    bad = (node_type == SL) & ~((mag > 0.0) & (mag < np.inf))
+    if bad.any():
+        bus, phase = index.nodes[int(bad.argmax())]
+        raise ValueError(f"slack node {bus}:{phase.name} has voltage magnitude "
+                         f"{mag[bad][0]}, which must be positive and finite")
 
     _check_islands(y, node_type, index)
 
@@ -206,19 +212,6 @@ def generation_refresh(model: PowerFlowModel, net: Network) -> PowerFlowModel:
     """
     return replace(model, **_generation(net, model.gens, model.gen_node,
                                         model.plan, model.n_node))
-
-
-def check_setpoints(model: PowerFlowModel) -> None:
-    """Raise ValueError, naming the bus and generator, at the first PV
-    node whose magnitude setpoint is not positive."""
-    plan = model.plan
-    bad = ~(model.v_set_pv[plan.pv_node] > 0)
-    if bad.any():
-        j = int(bad.argmax())
-        bus = model.index.nodes[plan.pv_node[j]][0]
-        gen = model.gens[plan.pv_gen[j]]
-        raise ValueError(f"PV bus {bus!r}: generator {gen.id!r} has voltage "
-                         f"setpoint {gen.v_setpoint}, which must be positive")
 
 
 def _plan(net: Network, index: NodeIndex, node_type: np.ndarray,
@@ -288,12 +281,19 @@ def _plan(net: Network, index: NodeIndex, node_type: np.ndarray,
 def _generation(net: Network, gens: list, gen_node: np.ndarray,
                 plan: InjectionPlan, n: int) -> dict:
     """The generation, PV setpoints and state voltages of a model,
-    gathered through ``plan``."""
+    gathered through ``plan``.  A PV setpoint that is not positive and
+    finite raises ValueError naming the bus and the generator."""
     s_g = np.zeros(n, dtype=complex)
     v_set_pv = np.ones(n, dtype=float)
     if len(plan.pv_node):
-        setpoint = np.array([g.v_setpoint for g in gens])
-        v_set_pv[plan.pv_node] = setpoint[plan.pv_gen]
+        setpoint = np.array([g.v_setpoint for g in gens])[plan.pv_gen]
+        bad = ~((setpoint > 0.0) & (setpoint < np.inf))
+        if bad.any():
+            gen = gens[plan.pv_gen[bad.argmax()]]
+            raise ValueError(f"PV bus {gen.terminal.bus_id!r}: generator {gen.id!r} "
+                             f"has voltage setpoint {gen.v_setpoint}, which must "
+                             f"be positive and finite")
+        v_set_pv[plan.pv_node] = setpoint
     if gens:
         slot_s = np.concatenate([g.s for g in gens]) / net.s_base_mva
         np.add.at(s_g, gen_node, slot_s)

@@ -9,7 +9,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..network import Network
-from .model import (PQ, PV, SL, PfOptions, PowerFlowModel, check_setpoints,
+from .model import (PQ, PV, SL, PfOptions, PowerFlowModel, ZeroVoltageError,
                     generation_refresh, model_build, model_refresh)
 from .pattern import FrozenCsc
 from .residuals import Injections, _real_values, network_current
@@ -255,7 +255,8 @@ def nr_solve(
     fixed once per call (:class:`NewtonSystem`), or once per structure
     when ``held`` keeps the system of ``model``'s structure between calls;
     each iteration refills values only.  A singular Jacobian, or a Newton
-    step or trial residual that is not finite, raises
+    step or trial residual that is not finite, or a trial point with zero
+    voltage where a load or generator divides by it, raises
     :class:`SingularJacobianError` naming the iteration.
 
     A Newton step is accepted only if it lowers the max residual; it is
@@ -272,12 +273,9 @@ def nr_solve(
     trace), and the solve goes on as Newton from the last accepted point,
     its newest factor becoming the held one.  Without ``held`` every step
     is a Newton step.
-
-    A PV setpoint that is not positive raises ValueError before any step.
     """
     if opts is None:
         opts = PfOptions()
-    check_setpoints(model)
     t0 = time.perf_counter()
     system = NewtonSystem(model) if held is None else held.system(model)
     v = flat_start(model) if opts.start == "flat" else warm_start(model)
@@ -289,7 +287,11 @@ def nr_solve(
         # a full step adds dx as it is: 1.0 * dx is dx, bit for bit
         x_try = x + dx if alpha == 1.0 else x + alpha * dx
         v_try, s_try = system.point(x_try, v, s_g)
-        f_try = system.residual(v_try, s_try)
+        try:
+            f_try = system.residual(v_try, s_try)
+        except ZeroVoltageError as exc:
+            raise SingularJacobianError(
+                f"{exc} after the step at iteration {iterations}") from None
         norm_try = float(np.abs(f_try).max()) if len(f_try) else 0.0
         return x_try, v_try, s_try, f_try, norm_try
 

@@ -108,6 +108,8 @@ class SimNetwork(SimComponent):
     def solve(self, t: float) -> None:
         try:
             sol = solve_network(self.network, self.pf_options, held=self._held)
+        except ValueError:
+            raise  # an input error the model found, not a failed solve
         except Exception as exc:
             raise PowerFlowAbort(t, exc) from exc
         if not sol.converged:

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import re
 import textwrap
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridsim.cli import main, report_schema
 
@@ -62,61 +65,164 @@ def test_pf_singular_jacobian_exit_code(capsys, monkeypatch):
     assert "singular Jacobian at iteration 1" in capsys.readouterr().err
 
 
-def test_pf_input_error_exit_code(tmp_path, capsys):
-    assert main(["pf", str(tmp_path / "missing.m")]) == 1
-    bad = tmp_path / "bad.m"
-    bad.write_text("this is not a case file")
-    assert main(["pf", str(bad)]) == 1
-    capsys.readouterr()
-    # gen row 2, on PV bus 2, with Vg 0: rejected before any step
-    zero_vg = tmp_path / "zero_vg.m"
+# One edit of case14 each (old None: the file is ``new``, or no file at
+# all), the commands run on it, and the one `error:` line they print,
+# where `{path}` is the edited file; an error found in reading the case
+# names it.
+@pytest.mark.parametrize("old,new,commands,message", [
+    (None, None, ("pf",),
+     "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+    (None, "this is not a case file", ("pf",),
+     "{path}: line 1: missing mpc.baseMVA assignment"),
+    # gen row 2, on PV bus 2, with Vg 0; and gen row 1, on the slack bus
+    ("\t-40\t1.045\t", "\t-40\t0\t", ("pf", "opf"),
+     "PV bus '2': generator 'gen_1_2' has voltage setpoint 0.0, which must "
+     "be positive and finite"),
+    ("\t0\t1.06\t100\t", "\t0\t0\t100\t", ("pf", "opf"),
+     "slack node 1:BAL has voltage magnitude 0.0, which must be positive "
+     "and finite"),
+    # branch row 1, bus 1 to bus 2, with r = x = 0
+    ("\t1\t2\t0.01938\t0.05917\t", "\t1\t2\t0\t0\t", ("pf", "opf"),
+     "{path}: mpc.branch row 1 (bus 1 to bus 2) has zero series impedance "
+     "(r = x = 0)"),
+    # bus row 2's Pd, type and id; gen row 2's bus and status
+    ("\t21.7\t", "\tNaN\t", ("pf", "opf"),
+     "{path}: mpc.bus row 2 (bus 2): Pd is nan, which must be finite"),
+    ("\t21.7\t", "\tInf\t", ("pf", "opf"),
+     "{path}: mpc.bus row 2 (bus 2): Pd is inf, which must be finite"),
+    ("\t21.7\t", "\t-Inf\t", ("pf", "opf"),
+     "{path}: mpc.bus row 2 (bus 2): Pd is -inf, which must be finite"),
+    ("\t2\t2\t21.7\t", "\t2\tInf\t21.7\t", ("pf", "opf"),
+     "{path}: mpc.bus row 2 (bus 2): type is inf, which must be finite"),
+    ("\t2\t2\t21.7\t", "\t2\t2.5\t21.7\t", ("pf", "opf"),
+     "{path}: mpc.bus row 2 (bus 2): type is 2.5, which must be a whole "
+     "number in 1..4"),
+    ("\t2\t2\t21.7\t", "\t2.5\t2\t21.7\t", ("pf", "opf"),
+     "{path}: mpc.bus row 2 (bus 2.5): bus_i is 2.5, which must be a whole "
+     "number in 1..2147483647"),
+    ("\t2\t2\t21.7\t", "\t1e30\t2\t21.7\t", ("pf", "opf"),
+     "{path}: mpc.bus row 2 (bus 1e+30): bus_i is 1e+30, which must be a "
+     "whole number in 1..2147483647"),
+    ("\t2\t40\t42.4\t", "\tInf\t40\t42.4\t", ("pf", "opf"),
+     "{path}: mpc.gen row 2 (bus inf): bus is inf, which must be finite"),
+    ("\t100\t1\t140\t", "\t100\t1.5\t140\t", ("pf", "opf"),
+     "{path}: mpc.gen row 2 (bus 2): status is 1.5, which must be a whole "
+     "number"),
+    # gencost row 1's NCOST
+    ("\t0\t3\t0.0430293\t", "\t0\t2.5\t0.0430293\t", ("pf", "opf"),
+     "{path}: mpc.gencost row 1: column 4 is 2.5, which must be a whole "
+     "number in 0..3"),
+    # a base of 0 MVA would divide every per-unit value by zero
+    ("mpc.baseMVA = 100;", "mpc.baseMVA = 0;", ("pf", "opf"),
+     "{path}: mpc.baseMVA is 0.0, which must be positive and finite"),
+], ids=["missing", "not-a-case", "pv-vg-0", "slack-vg-0", "zero-z", "pd-nan",
+        "pd-inf", "pd-minus-inf", "type-inf", "type-2.5", "bus-id-2.5",
+        "bus-id-1e30", "gen-bus-inf", "gen-status-1.5", "ncost-2.5",
+        "base-mva-0"])
+def test_pf_input_error_exit_code(tmp_path, capsys, old, new, commands,
+                                  message):
+    path = tmp_path / "case.m"
+    if old is not None:
+        text = (CASES / "case14.m").read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+    elif new is not None:
+        path.write_text(new)
+    for command in commands:
+        assert main([command, str(path), "--quiet"]) == 1
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err == ["error: " + message.format(path=path)]
+
+
+# The Matpower column contract, by table: the integer columns (ids,
+# types, statuses, gencost MODEL and NCOST) and the limit columns, which
+# alone may be infinite.  Columns count from 0.
+_INT_COLS = {"bus": (0, 1), "gen": (0, 7), "branch": (0, 1, 10),
+             "gencost": (0, 3)}
+_LIMIT_COLS = {"bus": (11, 12), "gen": (3, 4, 8, 9), "branch": (5, 6, 7)}
+_CELL_VALUES = ("NaN", "Inf", "-Inf", "2.5", "1e30", "-1", "0", "1e", "abc")
+
+
+def _table_rows(lines):
+    """(line number, table) of each data row of a case's tables."""
+    rows, table = [], None
+    for i, line in enumerate(lines):
+        start = re.match(r"mpc\.(\w+) = \[", line)
+        if start:
+            table = start.group(1)
+        elif line.startswith("]"):
+            table = None
+        elif table:
+            rows.append((i, table))
+    return rows
+
+
+@st.composite
+def _mutated_case(draw):
+    """A bundled case with one cell set to a drawn value, or with one row,
+    cell, row terminator or closing bracket dropped; the mutated text and
+    the (table, column, value) of a set cell."""
+    lines = (CASES / f"{draw(st.sampled_from(['case3', 'case14']))}.m"
+             ).read_text().split("\n")
+    i, table = draw(st.sampled_from(_table_rows(lines)))
+    cells = lines[i].rstrip(";").split("\t")[1:]
+    # half the cells drawn are in integer columns, and most mutations set a
+    # cell, since the contract says most about those
+    col = draw(st.sampled_from(_INT_COLS[table]) | st.integers(0, len(cells) - 1))
+    kind = draw(st.sampled_from(["set", "set", "set", "drop-row", "drop-cell",
+                                 "drop-;", "drop-]"]))
+    value = draw(st.sampled_from(_CELL_VALUES)) if kind == "set" else None
+    if kind in ("set", "drop-cell"):
+        cells[col:col + 1] = [value] if kind == "set" else []
+        lines[i] = "\t" + "\t".join(cells) + ";"
+    elif kind == "drop-;":
+        lines[i] = lines[i].rstrip(";")
+    elif kind == "drop-]":
+        end = next(j for j in range(i, len(lines)) if lines[j] == "];")
+        lines[end] = ";"
+    else:
+        del lines[i]
+    return "\n".join(lines), table, col, value
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(mutant=_mutated_case())
+def test_a_mutated_case_exits_by_the_contract(tmp_path_factory, mutant):
+    text, table, col, value = mutant
+    path = tmp_path_factory.getbasetemp() / "mutant.m"
+    path.write_text(text)
+    for command in ("pf", "opf"):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, str(path), "--quiet"])
+        assert code in (0, 1, 2)
+        if value == "2.5" and col in _INT_COLS[table]:
+            assert code == 1, "a non-whole number in an integer column"
+        if value in ("NaN", "Inf", "-Inf") and \
+                col not in _LIMIT_COLS.get(table, ()):
+            assert code == 1, "a non-finite number outside the limit columns"
+
+
+@pytest.mark.parametrize("old,new", [
+    ("\t14\t1\t14.9\t5\t0\t0\t", "\t14\t1\t14.9\t5\t1e30\t0\t"),
+    ("\t14\t1\t14.9\t5\t0\t0\t", "\t14\t1\t14.9\t5\t0\t1e30\t"),
+    ("\t6\t11\t0.09498\t0.1989\t0\t", "\t6\t11\t0.09498\t0.1989\t1e30\t"),
+], ids=["bus-14-gs", "bus-14-bs", "branch-11-b"])
+def test_pf_zero_voltage_after_a_step_is_a_breakdown(tmp_path, capsys, old,
+                                                     new):
+    # a huge shunt pulls a loaded node to 0 V in the first trial step, where
+    # its load divides by the voltage
+    path = tmp_path / "case.m"
     text = (CASES / "case14.m").read_text()
-    zero_vg.write_text(text.replace("\t-40\t1.045\t", "\t-40\t0\t"))
-    assert main(["pf", str(zero_vg), "--quiet"]) == 1
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    assert main(["pf", str(path), "--quiet"]) == 2
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1
-    assert err[0].startswith("error: PV bus '2': generator 'gen_1_2' ")
-    # branch row 1, bus 1 to bus 2, with r = x = 0: rejected before its
-    # admittance is taken
-    zero_z = tmp_path / "zero_z.m"
-    zero_z.write_text(
-        text.replace("\t1\t2\t0.01938\t0.05917\t", "\t1\t2\t0\t0\t"))
-    for command in ("pf", "opf"):
-        assert main([command, str(zero_z), "--quiet"]) == 1
-        err = capsys.readouterr().err.strip().split("\n")
-        assert err == ["error: mpc.branch row 1 (bus 1 to bus 2) has zero "
-                       "series impedance (r = x = 0)"]
-    # bus row 2 with a Pd of NaN or of ±Inf: rejected before any solve
-    for bad in ("NaN", "Inf", "-Inf"):
-        non_finite = tmp_path / "non_finite.m"
-        non_finite.write_text(text.replace("\t21.7\t", f"\t{bad}\t"))
-        for command in ("pf", "opf"):
-            assert main([command, str(non_finite), "--quiet"]) == 1
-            err = capsys.readouterr().err.strip().split("\n")
-            assert err == [f"error: {non_finite}: mpc.bus row 2 (bus 2): "
-                           f"Pd is {float(bad)}, which must be finite"]
-    # an infinite bus type (bus row 2) or generator bus (gen row 2):
-    # rejected before either is read as an integer
-    for name, old, new, message in (
-            ("inf_type.m", "\t2\t2\t21.7\t", "\t2\tInf\t21.7\t",
-             "mpc.bus row 2 (bus 2): type is inf"),
-            ("inf_gen_bus.m", "\t2\t40\t42.4\t", "\tInf\t40\t42.4\t",
-             "mpc.gen row 2 (bus inf): bus is inf")):
-        non_finite = tmp_path / name
-        non_finite.write_text(text.replace(old, new))
-        for command in ("pf", "opf"):
-            assert main([command, str(non_finite), "--quiet"]) == 1
-            err = capsys.readouterr().err.strip().split("\n")
-            assert err == [f"error: {non_finite}: {message}, which must be "
-                           f"finite"]
-    # a base of 0 MVA would divide every per-unit value by zero
-    zero_base = tmp_path / "zero_base.m"
-    zero_base.write_text(text.replace("mpc.baseMVA = 100;", "mpc.baseMVA = 0;"))
-    for command in ("pf", "opf"):
-        assert main([command, str(zero_base), "--quiet"]) == 1
-        err = capsys.readouterr().err.strip().split("\n")
-        assert err == [f"error: {zero_base}: mpc.baseMVA is 0.0, which must "
-                       f"be positive and finite"]
+    assert re.fullmatch(r"error: case: power flow broke down: zero voltage at "
+                        r"node \d+:BAL with nonzero power term after the step "
+                        r"at iteration 1", err[0]), err[0]
 
 
 @pytest.mark.parametrize("argv", [
@@ -293,13 +399,8 @@ def test_sim_config_errors(tmp_path, capsys):
                        f"at t={interval}, not after t=0"]
 
 
-@pytest.mark.parametrize("edit,message", [
-    (lambda row: row.replace(",37.230900,", ",nan,"),
-     r"value is not finite: \[nan, 11\.507733\]"),
-    (lambda row: row.rsplit(",", 1)[0], r"1 values, where the first row has 2"),
-], ids=["nan", "short-row"])
-def test_sim_bad_load_series_is_an_input_error(tmp_path, capsys, edit, message):
-    # a copy of pvdemo whose first load series has one bad row, on line 3
+def _pvdemo_copy(tmp_path):
+    """A copy of the pvdemo scenario and its case; the path of its config."""
     (tmp_path / "cases").mkdir()
     (tmp_path / "cases" / "case57.m").write_text(
         (CASES / "case57.m").read_text())
@@ -309,7 +410,18 @@ def test_sim_bad_load_series_is_an_input_error(tmp_path, capsys, edit, message):
     config.write_text((DATA / "pvdemo" / "pvdemo_ieee57.yaml").read_text())
     for csv in (DATA / "pvdemo" / "loads").iterdir():
         (pvdemo / "loads" / csv.name).write_text(csv.read_text())
-    load_1 = pvdemo / "loads" / "load_1.csv"
+    return config
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda row: row.replace(",37.230900,", ",nan,"),
+     r"value is not finite: \[nan, 11\.507733\]"),
+    (lambda row: row.rsplit(",", 1)[0], r"1 values, where the first row has 2"),
+], ids=["nan", "short-row"])
+def test_sim_bad_load_series_is_an_input_error(tmp_path, capsys, edit, message):
+    # a copy of pvdemo whose first load series has one bad row, on line 3
+    config = _pvdemo_copy(tmp_path)
+    load_1 = config.parent / "loads" / "load_1.csv"
     lines = load_1.read_text().split("\n")
     assert lines[2] == "600,37.230900,11.507733"
     lines[2] = edit(lines[2])
@@ -319,6 +431,21 @@ def test_sim_bad_load_series_is_an_input_error(tmp_path, capsys, edit, message):
     assert len(err) == 1
     assert re.search(f"^error: .*{re.escape(str(load_1))}:3: {message}$",
                      err[0]), err[0]
+
+
+def test_sim_input_error_at_the_first_solve_exits_1(tmp_path, capsys):
+    # a copy of pvdemo whose case has gen row 2, on PV bus 2, at Vg 0: the
+    # model rejects it at the first solve, and that is no failed solve
+    config = _pvdemo_copy(tmp_path)
+    case = tmp_path / "cases" / "case57.m"
+    text = case.read_text()
+    assert text.count("\t-17\t1.01\t") == 1
+    case.write_text(text.replace("\t-17\t1.01\t", "\t-17\t0\t"))
+    assert main(["sim", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert err == ["error: simulation failed: component 'grid' failed at "
+                   "t=0.0: PV bus '2': generator 'gen_1_2' has voltage "
+                   "setpoint 0.0, which must be positive and finite"]
 
 
 def test_schema_is_valid_draft():

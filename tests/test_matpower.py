@@ -2,6 +2,9 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from gridsim.network import Phase
 from gridsim.parsers import (
@@ -13,6 +16,8 @@ from gridsim.parsers import (
     load_case,
     matpower_parse,
 )
+
+from gridsim.parsers.matpower import _islands
 
 from conftest import CASES, GOLDEN
 
@@ -170,6 +175,36 @@ def test_non_finite_numbers_rejected(table, row, col, value, message):
         case_to_network(case)
 
 
+@pytest.mark.parametrize("table,col,value,message", [
+    ("bus", 1, 5.0, "mpc.bus row 2 (bus 2): type is 5.0, which must be a "
+                    "whole number in 1..4"),
+    ("branch", 1, 0.0, "mpc.branch row 1 (bus 1 to bus 0): tbus is 0.0, which "
+                       "must be a whole number in 1..2147483647"),
+    ("gen", 7, 0.5, "mpc.gen row 1 (bus 1): status is 0.5, which must be a "
+                    "whole number"),
+    ("gencost", 0, 1.0, "mpc.gencost row 1: column 1 is 1.0, which must be a "
+                        "whole number in 2..2"),
+    ("gencost", 3, 4.0, "mpc.gencost row 1: column 4 is 4.0, which must be a "
+                        "whole number in 0..3"),
+])
+def test_integer_columns_hold_whole_numbers_in_range(table, col, value,
+                                                     message):
+    case = matpower_parse(MINI)
+    getattr(case, table)[-1, col] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        case_to_network(case)
+
+
+def test_gencost_coefficients_fit_in_the_row():
+    text = MINI.replace("2  0  0  3  0.02  5  0;", "2  0  0  3  0.02  5;")
+    with pytest.raises(ValueError, match=re.escape(
+            "mpc.gencost row 1: column 4 is 3.0, which must be a whole number "
+            "in 0..2")):
+        matpower_parse(text)
+    linear = matpower_parse(text.replace("2  0  0  3", "2  0  0  2"))
+    assert case_to_network(linear).gens["gen_0_1"].cost == (5.0, 0.02, 0.0)
+
+
 @pytest.mark.parametrize("bad", ["NaN", "Inf", "-Inf"])
 def test_parse_rejects_a_non_finite_number_before_reading_bus_types(bad):
     text = MINI.replace("2  1  90  30", f"2  {bad}  90  30")
@@ -179,11 +214,19 @@ def test_parse_rejects_a_non_finite_number_before_reading_bus_types(bad):
         matpower_parse(text)
 
 
-@pytest.mark.parametrize("base", ["0", "-100"])
+@pytest.mark.parametrize("base", ["0", "-100", "Inf", "-Inf", "NaN"])
 def test_parse_rejects_a_base_mva_that_is_not_positive(base):
     text = MINI.replace("mpc.baseMVA = 100;", f"mpc.baseMVA = {base};")
     with pytest.raises(ValueError, match=re.escape(
             f"mpc.baseMVA is {float(base)}, which must be positive and finite")):
+        matpower_parse(text)
+
+
+@pytest.mark.parametrize("base", ["1e", "abc", "100 200"])
+def test_parse_names_the_line_of_a_base_mva_that_is_no_number(base):
+    text = MINI.replace("mpc.baseMVA = 100;", f"mpc.baseMVA = {base};")
+    with pytest.raises(MatpowerSyntaxError, match=re.escape(
+            f"line 4: bad number in mpc.baseMVA: {base!r}")):
         matpower_parse(text)
 
 
@@ -198,6 +241,21 @@ def test_infinite_limits_accepted():
     net = case_to_network(case)
     assert net.gens["gen_0_1"].q_max == np.inf
     assert net.branches["branch_0_1_2"].s_max_mva == np.inf
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=60))))
+def test_islands_match_connected_components(graph):
+    n, edges = graph
+    a, b = np.array(edges, dtype=int).reshape(-1, 2).T
+    count, ref = connected_components(
+        sp.coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n)), directed=False)
+    label = _islands(n, a, b)
+    # the same partition, each island named by its smallest node
+    assert len(set(zip(ref, label))) == count == len(set(label))
+    assert all(label[i] == np.flatnonzero(label == label[i])[0] for i in range(n))
 
 
 @pytest.mark.parametrize("case", ["case14", "case30", "case57"])
