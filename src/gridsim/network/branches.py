@@ -76,7 +76,7 @@ class CommonBranch(BranchModel):
         tap: float = 1.0,
         phase_shift_deg: float = 0.0,
     ):
-        if not np.isfinite(complex(y_series)):
+        if not cmath.isfinite(complex(y_series)):
             raise NetworkModelError("CommonBranch series admittance must be finite")
         if tap <= 0.0:
             raise NetworkModelError(f"CommonBranch tap must be positive, got {tap}")

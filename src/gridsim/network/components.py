@@ -21,6 +21,14 @@ class TerminalIndexError(NetworkModelError):
     pass
 
 
+def _per_phase(value, n: int, dtype) -> np.ndarray:
+    """``value`` for each of ``n`` phases, as a new array: a number
+    repeated, or an array broadcast to ``n`` entries and copied."""
+    if isinstance(value, (int, float, complex)):
+        return np.array([value] * n, dtype=dtype)
+    return np.broadcast_to(np.asarray(value, dtype), (n,)).copy()
+
+
 class Terminal:
     """Connection of one device terminal to a bus.
 
@@ -70,9 +78,9 @@ class Bus:
         if self.v_nom.shape != (n,):
             raise NetworkModelError(f"bus {id}: v_nom must have {n} entries")
         self.v = self.v_nom.copy()  # solution state, per unit
-        self.v_mag_min = np.broadcast_to(np.asarray(v_mag_min, float), (n,)).copy()
-        self.v_mag_max = np.broadcast_to(np.asarray(v_mag_max, float), (n,)).copy()
-        if np.any(self.v_mag_min > self.v_mag_max):
+        self.v_mag_min = _per_phase(v_mag_min, n, float)
+        self.v_mag_max = _per_phase(v_mag_max, n, float)
+        if np.count_nonzero(self.v_mag_min > self.v_mag_max):
             raise NetworkModelError(f"bus {id}: v_mag_min > v_mag_max")
 
     @property
@@ -107,7 +115,7 @@ class Gen:
             raise NetworkModelError(f"gen {id}: needs at least one phase")
         self.id = id
         self.terminal = Terminal()
-        self.s = np.broadcast_to(np.asarray(s, complex), (n_phase,)).copy()
+        self.s = _per_phase(s, n_phase, complex)
         self.p_min = float(p_min)
         self.p_max = float(p_max)
         self.q_min = float(q_min)

@@ -14,6 +14,7 @@ from .components import (
     Gen,
     NetworkModelError,
     PhaseNotOnBusError,
+    Terminal,
     TerminalIndexError,
     Zip,
 )
@@ -54,8 +55,6 @@ class Branch:
         s_max_mva: float = np.inf,
         in_service: bool = True,
     ):
-        from .components import Terminal
-
         self.id = id
         self.model = model
         self.terminals = (Terminal(), Terminal())
@@ -112,8 +111,18 @@ class NodeIndex:
 
     def terminal_nodes(self, terminal) -> list[int]:
         """Node of each phase slot of a connected terminal."""
-        start, phases = self._buses[terminal.bus_id]
-        return [start + phases.index(p) for p in terminal.phase_map]
+        return self.gather([terminal]).tolist()
+
+    def gather(self, terminals) -> np.ndarray:
+        """Node of each phase slot of each connected terminal, the
+        terminals' slots concatenated in order."""
+        buses = self._buses
+        nodes = []
+        for terminal in terminals:
+            start, phases = buses[terminal.bus_id]
+            for phase in terminal.phase_map:
+                nodes.append(start + phases.index(phase))
+        return np.array(nodes, dtype=int)
 
 
 class Network:
@@ -183,7 +192,7 @@ class Network:
                     f"branch terminal index must be 0 or 1, got {terminal_index}"
                 )
             terminal = device.terminals[terminal_index]
-            n_slot = (device.model.n_phase0, device.model.n_phase1)[terminal_index]
+            n_slot = device.model.n_phase1 if terminal_index else device.model.n_phase0
         else:
             if terminal_index != 0:
                 raise TerminalIndexError(
@@ -192,15 +201,18 @@ class Network:
                 )
             terminal = device.terminal
             n_slot = device.n_phase
-        if phase_map is None:
+        explicit = phase_map is not None
+        if explicit:
+            phase_map = tuple(parse_phase(p) for p in phase_map)
+        else:
             phase_map = bus.phases[:n_slot]
-        phase_map = tuple(parse_phase(p) for p in phase_map)
         if len(phase_map) != n_slot:
             raise NetworkModelError(
                 f"{device.id}: phase map has {len(phase_map)} entries, "
                 f"terminal has {n_slot} slots"
             )
-        for phase in phase_map:
+        # the default map is the bus's own phases: on the bus and distinct
+        for phase in phase_map if explicit else ():
             if phase not in bus.phases:
                 raise PhaseNotOnBusError(
                     f"{device.id}: phase {phase.name} not on bus {bus_id}"
@@ -275,22 +287,19 @@ class Network:
                 )
 
         groups = []
-        for (cls, _), group in branches.items():
+        for (cls, m), group in branches.items():
             scale = np.array([self._pu_scale(b) for b in group])
             groups.append(BranchGroup(
                 group,
-                np.array([
-                    index.terminal_nodes(b.terminals[0])
-                    + index.terminal_nodes(b.terminals[1])
-                    for b in group
-                ]),
+                index.gather([t for b in group for t in b.terminals])
+                .reshape(len(group), m),
                 cls.y_stack([b.model for b in group]) * scale[:, None, None],
             ))
         # (k, m) node numbers and (k, m, m) admittance blocks per group
         blocks = [(g.nodes, g.y) for g in groups]
-        for group in zips.values():
+        for m, group in zips.items():
             blocks.append((
-                np.array([index.terminal_nodes(z.terminal) for z in group]),
+                index.gather([z.terminal for z in group]).reshape(len(group), m),
                 _zip_blocks(np.stack([z.y_const for z in group])),
             ))
 

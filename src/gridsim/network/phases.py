@@ -43,6 +43,8 @@ def phase_sort_key(phase: Phase) -> int:
 def sorted_phases(phases) -> tuple[Phase, ...]:
     """Validate a phase set and return it in canonical order."""
     phases = tuple(phases)
+    if len(phases) < 2:  # distinct and in order
+        return phases
     if len(set(phases)) != len(phases):
         raise ValueError(f"duplicate phases in {phases}")
     return tuple(sorted(phases, key=phase_sort_key))

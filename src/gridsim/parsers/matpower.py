@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import operator
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -64,6 +65,9 @@ class DuplicateBusError(ValueError):
 
 @dataclass
 class MatpowerCase:
+    """A Matpower case.  :func:`matpower_parse` returns its tables
+    read-only: to edit a parsed case, assign a copy of a table."""
+
     base_mva: float
     bus: np.ndarray
     gen: np.ndarray
@@ -71,6 +75,10 @@ class MatpowerCase:
     gencost: np.ndarray | None = None
     name: str = "case"
     extra_fields: list[str] = field(default_factory=list)
+    # the inputs (see _inputs) matpower_parse checked against the case
+    # contract; dataclasses.replace leaves it unset
+    _checked: tuple | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     @property
     def n_bus(self) -> int:
@@ -172,6 +180,9 @@ def matpower_parse(text: str, name: str = "case") -> MatpowerCase:
         extra_fields=sorted(extra),
     )
     _validate(case)
+    for table in tables.values():
+        table.flags.writeable = False
+    case._checked = _inputs(case)
     return case
 
 
@@ -226,6 +237,11 @@ def _islands(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return label
 
 
+def _inputs(case: MatpowerCase) -> tuple:
+    """What the case contract is checked on."""
+    return (case.base_mva, case.bus, case.gen, case.branch, case.gencost)
+
+
 def _validate(case: MatpowerCase) -> None:
     """Raise ValueError at the first break of the case contract: a bad
     ``baseMVA`` or column (:func:`_check_columns`), a bus id twice, an
@@ -275,80 +291,88 @@ def case_to_network(case: MatpowerCase) -> Network:
     """Build a single-phase (BAL) network from a parsed case.
 
     A case that breaks the case contract (see :func:`_validate`) raises
-    ValueError.
+    ValueError.  A case from :func:`matpower_parse` that still holds the
+    tables and ``baseMVA`` it was parsed with was checked there and is not
+    checked again.
     """
-    _validate(case)
-    net = Network(s_base_mva=case.base_mva)
+    if case._checked is None or not all(map(operator.is_, _inputs(case),
+                                             case._checked)):
+        _validate(case)
+    base_mva = case.base_mva
+    net = Network(s_base_mva=base_mva)
 
+    gens = case.gen.tolist()
     vg_by_bus: dict[int, float] = {}
-    for row in case.gen:
+    for row in gens:
         if int(row[7]) > 0 and int(row[0]) not in vg_by_bus:
-            vg_by_bus[int(row[0])] = float(row[5])
+            vg_by_bus[int(row[0])] = row[5]
 
     type_map = {3: "SL", 2: "PV", 1: "PQ", 4: "PQ"}
-    for row in case.bus:
+    # a slack or PV bus holds the setpoint of its first in-service generator
+    vm = np.array([
+        vg_by_bus[int(i)] if int(t) in (2, 3) and int(i) in vg_by_bus
+        else m if m > 0 else 1.0
+        for i, t, m in case.bus[:, [0, 1, 7]].tolist()
+    ])
+    v_nom = (vm * np.exp(1j * np.deg2rad(case.bus[:, 8]))).tolist()
+    # each row as Python floats, read one at a time: a list of the whole
+    # table would raise the peak memory of a large case
+    for row, v in zip(map(np.ndarray.tolist, case.bus), v_nom):
         bus_id = str(int(row[0]))
-        btype = type_map[int(row[1])]
-        vm = float(row[7]) if row[7] > 0 else 1.0
-        if btype in ("SL", "PV") and int(row[0]) in vg_by_bus:
-            vm = vg_by_bus[int(row[0])]
-        va = np.deg2rad(float(row[8]))
-        base_kv = float(row[9])
-        bus = Bus(
+        base_kv = row[9]
+        net.add_bus(Bus(
             id=bus_id,
             phases=(Phase.BAL,),
             v_base=base_kv * 1e3 if base_kv > 0 else 1.0,
-            bus_type=btype,
-            v_nom=[vm * np.exp(1j * va)],
-            v_mag_min=float(row[12]),
-            v_mag_max=float(row[11]),
-        )
-        net.add_bus(bus)
-        pd, qd = float(row[2]), float(row[3])
-        gs, bs = float(row[4]), float(row[5])
+            bus_type=type_map[int(row[1])],
+            v_nom=[v],
+            v_mag_min=row[12],
+            v_mag_max=row[11],
+        ))
+        pd, qd, gs, bs = row[2:6]
         if pd != 0.0 or qd != 0.0 or gs != 0.0 or bs != 0.0:
             zip_ = Zip(f"load_{bus_id}", n_phase=1)
             zip_.set_wye(
                 0,
-                s=(pd + 1j * qd) / case.base_mva,
-                y=(gs + 1j * bs) / case.base_mva,
+                s=(pd + 1j * qd) / base_mva,
+                y=(gs + 1j * bs) / base_mva,
             )
             net.add_zip(zip_, bus=bus_id)
 
-    for idx, row in enumerate(case.gen):
+    costs = [] if case.gencost is None else case.gencost.tolist()
+    for idx, row in enumerate(gens):
         if int(row[7]) <= 0:
             continue  # out of service
         bus_id = str(int(row[0]))
         cost = (0.0, 1.0, 0.0)
-        if case.gencost is not None and idx < case.gencost.shape[0]:
+        if idx < len(costs):
             # (c0, c1, c2) of NCOST coefficients, the highest order first
-            n, coeffs = int(case.gencost[idx, 3]), case.gencost[idx, 4:]
-            cost = tuple(float(c) for c in coeffs[:n][::-1]) + (0.0,) * (3 - n)
+            n, coeffs = int(costs[idx][3]), costs[idx][4:]
+            cost = tuple(coeffs[:n][::-1]) + (0.0,) * (3 - n)
         gen = Gen(
             id=f"gen_{idx}_{bus_id}",
             n_phase=1,
             s=complex(row[1], row[2]),
-            p_min=float(row[9]),
-            p_max=float(row[8]),
-            q_min=float(row[4]),
-            q_max=float(row[3]),
-            v_setpoint=float(row[5]),
+            p_min=row[9],
+            p_max=row[8],
+            q_min=row[4],
+            q_max=row[3],
+            v_setpoint=row[5],
             cost=cost,
         )
         net.add_gen(gen, bus=bus_id)
 
-    for idx, row in enumerate(case.branch):
+    for idx, row in enumerate(map(np.ndarray.tolist, case.branch)):
         if int(row[10]) <= 0:
             continue  # out of service
         fbus, tbus = str(int(row[0])), str(int(row[1]))
-        ratio = float(row[8]) if row[8] != 0.0 else 1.0
         model = CommonBranch(
             y_series=1.0 / complex(row[2], row[3]),
-            y_shunt=1j * float(row[4]),
-            tap=ratio,
-            phase_shift_deg=float(row[9]),
+            y_shunt=1j * row[4],
+            tap=row[8] if row[8] != 0.0 else 1.0,
+            phase_shift_deg=row[9],
         )
-        rate_a = float(row[5])
+        rate_a = row[5]
         branch = Branch(
             id=f"branch_{idx}_{fbus}_{tbus}",
             model=model,

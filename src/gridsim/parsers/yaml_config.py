@@ -346,7 +346,11 @@ def plugin_simulation(config, ctx, scope):
 
 def plugin_matpower(config, ctx, scope):
     _require(config, ("input_file",), "matpower")
-    net, _case = load_network(ctx.resolve_path(config["input_file"]))
+    path = ctx.resolve_path(config["input_file"])
+    try:
+        net, _case = load_network(path)
+    except ValueError as exc:       # name the case file, as `gridsim pf` does
+        raise ValueError(f"{path}: {exc}") from exc
     comp_id = config.get("id", "network")
     comp = SimNetwork(comp_id, net,
                       PfOptions(start="warm", **_present(config, ("tol_pu",))))

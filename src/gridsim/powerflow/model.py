@@ -138,18 +138,13 @@ def model_build(net: Network) -> PowerFlowModel:
     y, index, branch_groups = net.ybus()
     n = len(index)
     node_type = np.full(n, PQ, dtype=int)
-    bus_type = np.full(n, PQ, dtype=int)
-    v_nom = np.zeros(n, dtype=complex)
-
     gens = [g for g in net.gens if g.in_service and g.terminal.connected]
-    gen_node = np.array(
-        [node for g in gens for node in index.terminal_nodes(g.terminal)],
-        dtype=int,
-    )
-    for bus in net.buses:
-        sl = index.bus_nodes(bus.id)
-        v_nom[sl] = bus.v_nom
-        bus_type[sl] = _TYPE_CODE[bus.bus_type]
+    gen_node = index.gather([g.terminal for g in gens])
+    # node order is bus order, then phase order within a bus
+    buses = list(net.buses)
+    v_nom = np.concatenate([np.zeros(0, complex)] + [b.v_nom for b in buses])
+    bus_type = np.repeat(np.array([_TYPE_CODE[b.bus_type] for b in buses], int),
+                         [len(b.phases) for b in buses])
     node_type[gen_node] = bus_type[gen_node]
     v_sl = np.where(node_type == SL, v_nom, 0.0)
     mag = np.abs(v_sl)
@@ -220,10 +215,7 @@ def _plan(net: Network, index: NodeIndex, node_type: np.ndarray,
     which :func:`model_build` sets from the values."""
     empty = np.zeros(0, dtype=int)
     zips = [z for z in net.zips if z.in_service and z.terminal.connected]
-    zip_node = np.array(
-        [node for z in zips for node in index.terminal_nodes(z.terminal)],
-        dtype=int,
-    )
+    zip_node = index.gather([z.terminal for z in zips])
     wye = pos = di = dk = empty
     if zips:
         # per phase slot: its ZIP, its row in that ZIP and the flat
@@ -329,10 +321,10 @@ def _check_islands(y: sp.csr_matrix, node_type: np.ndarray, index: NodeIndex):
         (np.ones(len(y.data)), y.indices, y.indptr), shape=(n, n)
     )
     n_comp, labels = connected_components(structure, directed=False)
-    for comp in range(n_comp):
-        members = np.flatnonzero(labels == comp)
-        if not np.any(node_type[members] == SL):
-            names = [f"{b}:{p.name}" for b, p in (index.nodes[i] for i in members[:5])]
-            raise NoSlackInIslandError(
-                f"island containing nodes {names} has no slack bus"
-            )
+    slacks = np.bincount(labels[node_type == SL], minlength=n_comp)
+    if (slacks == 0).any():
+        members = np.flatnonzero(labels == np.argmin(slacks))
+        names = [f"{b}:{p.name}" for b, p in (index.nodes[i] for i in members[:5])]
+        raise NoSlackInIslandError(
+            f"island containing nodes {names} has no slack bus"
+        )

@@ -30,6 +30,7 @@ def test_pf_json_report_matches_schema(tmp_path, capsys):
     assert report["status"] == "converged"
     assert report["residual_pu"] < 1e-8
     assert len(report["solution"]["nodes"]) == 14
+    assert report["timing"]["network_s"] > 0
     assert report["timing"]["build_s"] > 0
     assert report["timing"]["solve_s"] > 0
     trace = report["trace"]
@@ -42,6 +43,10 @@ def test_pf_json_report_matches_schema(tmp_path, capsys):
         jsonschema.validate(report, report_schema())
     trace[0]["alpha"] = 1.0
     trace[0]["factored"] = 1
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(report, report_schema())
+    trace[0]["factored"] = True
+    del report["timing"]["network_s"]
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(report, report_schema())
 
@@ -277,6 +282,7 @@ def test_opf_json_report(tmp_path, capsys):
     assert report["objective"] == pytest.approx(8081.53, rel=1e-3)
     assert max(report["kkt"].values()) <= 1e-6
     assert report["solution"]["gens"]
+    assert report["timing"]["network_s"] > 0
     # one trace entry per iteration; the last finds the point optimal and
     # takes no step
     trace = report["trace"]
@@ -431,6 +437,20 @@ def test_sim_bad_load_series_is_an_input_error(tmp_path, capsys, edit, message):
     assert len(err) == 1
     assert re.search(f"^error: .*{re.escape(str(load_1))}:3: {message}$",
                      err[0]), err[0]
+
+
+def test_sim_names_the_case_file_of_a_matpower_contract_error(tmp_path, capsys):
+    # a copy of pvdemo whose case57 gives bus 2 a type that is no whole number
+    config = _pvdemo_copy(tmp_path)
+    case = tmp_path / "cases" / "case57.m"
+    text = case.read_text()
+    assert "\n\t2\t2\t3\t88\t" in text
+    case.write_text(text.replace("\n\t2\t2\t3\t88\t", "\n\t2\t2.5\t3\t88\t", 1))
+    assert main(["sim", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert err == [f"error: 2: matpower: {config.parent / '../cases/case57.m'}: "
+                   f"mpc.bus row 2 (bus 2): type is 2.5, which must be a whole "
+                   f"number in 1..4"]
 
 
 def test_sim_input_error_at_the_first_solve_exits_1(tmp_path, capsys):

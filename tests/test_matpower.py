@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import re
 
 import numpy as np
@@ -14,9 +16,11 @@ from gridsim.parsers import (
     MatpowerSyntaxError,
     case_to_network,
     load_case,
+    load_network,
     matpower_parse,
 )
 
+from gridsim.parsers import matpower as mp_mod
 from gridsim.parsers.matpower import _islands
 
 from conftest import CASES, GOLDEN
@@ -115,6 +119,43 @@ def test_island_slack_counting():
         matpower_parse(text)
 
 
+def _pairs(values) -> list:
+    """Complex values as (re, im) pairs: JSON round-trips every float
+    exactly."""
+    return [[z.real, z.imag] for z in np.ravel(values).astype(complex).tolist()]
+
+
+def _network_doc(net) -> dict:
+    """What a network built from a case holds, component by component."""
+    return {
+        "buses": [{"id": b.id, "phases": [p.name for p in b.phases],
+                   "type": b.bus_type, "v_base": b.v_base,
+                   "v_nom": _pairs(b.v_nom), "v_mag_min": b.v_mag_min.tolist(),
+                   "v_mag_max": b.v_mag_max.tolist()} for b in net.buses],
+        "zips": [{"id": z.id, "bus": z.terminal.bus_id,
+                  "y": _pairs(z.y_const), "i": _pairs(z.i_const),
+                  "s": _pairs(z.s_const)} for z in net.zips],
+        "gens": [{"id": g.id, "bus": g.terminal.bus_id, "s": _pairs(g.s),
+                  "p": [g.p_min, g.p_max], "q": [g.q_min, g.q_max],
+                  "v_setpoint": g.v_setpoint, "cost": list(g.cost)}
+                 for g in net.gens],
+        "branches": [{"id": br.id, "bus0": br.terminals[0].bus_id,
+                      "bus1": br.terminals[1].bus_id,
+                      "y_series": _pairs(br.model.y_series),
+                      "y_shunt": _pairs(br.model.y_shunt), "tap": br.model.tap,
+                      "phase_shift_deg": br.model.phase_shift_deg,
+                      "s_max_mva": br.s_max_mva} for br in net.branches],
+    }
+
+
+@pytest.mark.parametrize("case", ["case3", "case14", "case30", "case57"])
+def test_case_network_golden(case):
+    # recorded before the constructors and case_to_network were made
+    # leaner; every value must stay bit-identical
+    golden = json.loads((GOLDEN / "matpower_networks.json").read_text())[case]
+    assert _network_doc(load_network(CASES / f"{case}.m")[0]) == golden
+
+
 def test_case_to_network_structure():
     case = matpower_parse(MINI, name="mini")
     net = case_to_network(case)
@@ -169,7 +210,9 @@ def test_zero_ratio_means_unity_tap():
 ])
 def test_non_finite_numbers_rejected(table, row, col, value, message):
     case = matpower_parse(MINI)
-    getattr(case, table)[row, col] = value
+    data = getattr(case, table).copy()       # a parsed table is read-only
+    data[row, col] = value
+    setattr(case, table, data)
     full = f"{message}, which must be finite"
     with pytest.raises(ValueError, match=f"^{re.escape(full)}$"):
         case_to_network(case)
@@ -190,7 +233,9 @@ def test_non_finite_numbers_rejected(table, row, col, value, message):
 def test_integer_columns_hold_whole_numbers_in_range(table, col, value,
                                                      message):
     case = matpower_parse(MINI)
-    getattr(case, table)[-1, col] = value
+    data = getattr(case, table).copy()
+    data[-1, col] = value
+    setattr(case, table, data)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         case_to_network(case)
 
@@ -230,8 +275,32 @@ def test_parse_names_the_line_of_a_base_mva_that_is_no_number(base):
         matpower_parse(text)
 
 
-def test_infinite_limits_accepted():
+def test_a_parsed_case_is_read_only_and_checked_once(monkeypatch):
     case = matpower_parse(MINI)
+    for table in ("bus", "gen", "branch", "gencost"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(case, table)[0, 0] = 1.0
+    checked = []
+    validate = mp_mod._validate
+    monkeypatch.setattr(mp_mod, "_validate",
+                        lambda c: checked.append(c) or validate(c))
+    case_to_network(case)
+    assert checked == []
+    # a case that no longer holds what the parse checked is checked again
+    replaced = dataclasses.replace(case)
+    case_to_network(replaced)
+    assert checked == [replaced]
+    case.base_mva = 0.0
+    with pytest.raises(ValueError, match=re.escape(
+            "mpc.baseMVA is 0.0, which must be positive and finite")):
+        case_to_network(case)
+
+
+def test_infinite_limits_accepted():
+    parsed = matpower_parse(MINI)
+    case = dataclasses.replace(parsed, bus=parsed.bus.copy(),
+                               gen=parsed.gen.copy(),
+                               branch=parsed.branch.copy())
     case.bus[:, 11] = np.inf         # Vmax
     case.gen[0, [3, 8]] = np.inf     # Qmax, Pmax
     case.gen[0, 4] = -np.inf         # Qmin

@@ -1,12 +1,15 @@
 import copy
 import dataclasses
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from gridsim.cli import main
 from gridsim.network import (
@@ -16,6 +19,7 @@ from gridsim.network import (
     Gen,
     GenericBranch,
     Network,
+    NodeIndex,
     Phase,
     Zip,
 )
@@ -37,8 +41,8 @@ from gridsim.powerflow import (
     solve_network,
     total_balance,
 )
-from gridsim.powerflow.model import (PQ, PV, SL, generation_refresh,
-                                    model_refresh)
+from gridsim.powerflow.model import (PQ, PV, SL, _check_islands,
+                                    generation_refresh, model_refresh)
 from gridsim.powerflow.pattern import FrozenCsc
 from gridsim.powerflow.solver import HELD_CONTRACTION, NewtonSystem
 
@@ -77,12 +81,14 @@ def _model_arrays(model) -> dict:
                 else v.tolist()) for k, v in out.items()}
 
 
-@pytest.mark.parametrize("name", ["mixed", "pv_delta"])
+@pytest.mark.parametrize("name", ["mixed", "pv_delta", "case57"])
 def test_model_build_arrays_pinned(name):
-    # recorded before the ZIP terms were scattered in one pass; the
+    # recorded before the ZIP terms were scattered in one pass (case57
+    # before the terminal nodes were gathered per device kind); the
     # arrays must stay bit-identical
     pinned = json.loads((GOLDEN / "model_build_arrays.json").read_text())[name]
-    net = _loaded_mixed_net() if name == "mixed" else _pv_delta_net()
+    net = {"mixed": _loaded_mixed_net, "pv_delta": _pv_delta_net,
+           "case57": lambda: load_network(CASES / "case57.m")[0]}[name]()
     assert _model_arrays(model_build(net)) == pinned
 
 
@@ -318,6 +324,37 @@ def test_island_without_slack_rejected():
     with pytest.raises(NoSlackInIslandError):
         model_build(net)
 
+
+def _slackless_island_by_loop(y, node_type, index):
+    """The first five nodes of the first island without a slack node,
+    island by island: the reference for ``_check_islands``."""
+    n_comp, labels = connected_components(y, directed=False)
+    for comp in range(n_comp):
+        members = np.flatnonzero(labels == comp)
+        if not np.any(node_type[members] == SL):
+            return [f"{b}:{p.name}" for b, p in (index.nodes[i] for i in members[:5])]
+    return None
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.lists(st.booleans(), min_size=n, max_size=n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+             max_size=60))))
+def test_island_check_matches_a_loop(graph):
+    slack, edges = graph
+    n = len(slack)
+    a, b = np.array(edges, dtype=int).reshape(-1, 2).T
+    y = sp.csr_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+    node_type = np.where(slack, SL, PQ)
+    index = NodeIndex([Bus(str(i)) for i in range(n)])
+    names = _slackless_island_by_loop(y, node_type, index)
+    if names is None:
+        _check_islands(y, node_type, index)
+    else:
+        with pytest.raises(NoSlackInIslandError, match=re.escape(
+                f"island containing nodes {names} has no slack bus")):
+            _check_islands(y, node_type, index)
 
 def test_nr_converges_small_net():
     model = model_build(_small_net())
