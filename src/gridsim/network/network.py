@@ -29,6 +29,8 @@ def _zip_blocks(y_const: np.ndarray) -> np.ndarray:
     and k (read from the upper triangle) adds to both diagonals and
     subtracts from the (i, k) and (k, i) entries.
     """
+    if y_const.shape[1] == 2:  # one slot: its wye term plus no delta term
+        return y_const[:, 1:, :1] + 0j
     upper = np.triu(y_const[:, 1:, 1:], 1)
     delta = upper + upper.transpose(0, 2, 1)
     out = -delta
@@ -245,15 +247,18 @@ class Network:
             )
         return zb0
 
-    def ybus(self) -> tuple[sp.csr_matrix, NodeIndex, list[BranchGroup]]:
+    def ybus(self) -> tuple[sp.csr_matrix, NodeIndex, list[BranchGroup],
+                            np.ndarray]:
         """Assemble the sparse nodal admittance matrix, per unit on S_base.
 
         In-service branches are grouped by model class and block size, and
         each group's admittance blocks come from one ``y_stack`` call; ZIP
         constant-admittance terms become nodal blocks grouped by phase
-        count.  Every nonzero block entry is then stamped in one COO build.
-        Returns the matrix, its node index and the branch groups it
-        stamped, in order of each group's first branch.
+        count.  The terminal nodes of all of them come from one gather, and
+        every nonzero block entry is then stamped at once.
+        Returns the matrix, its node index, the branch groups it stamped,
+        in order of each group's first branch, and the node of each phase
+        slot of the in-service ZIPs, in network order.
         """
         index = self.node_index()
         n = len(index)
@@ -261,46 +266,46 @@ class Network:
         for branch in self.branches:
             if not branch.in_service:
                 continue
-            for t_idx, terminal in enumerate(branch.terminals):
-                if not terminal.connected:
-                    raise UnconnectedTerminalError(
-                        f"branch {branch.id} terminal {t_idx} is not connected"
-                    )
-            model = branch.model
-            key = (type(model), model.n_phase0 + model.n_phase1)
+            t0, t1 = branch.terminals
+            if t0.bus_id is None or t1.bus_id is None:
+                raise UnconnectedTerminalError(
+                    f"branch {branch.id} terminal {int(t0.bus_id is not None)} "
+                    "is not connected"
+                )
+            # a connected terminal has one phase per slot of its model
+            key = (type(branch.model), len(t0.phase_map) + len(t1.phase_map))
             branches.setdefault(key, []).append(branch)
 
-        zips: dict[int, list[Zip]] = {}
-        for zip_ in self.zips:
-            if not zip_.in_service:
-                continue
-            if not zip_.terminal.connected:
-                raise UnconnectedTerminalError(
-                    f"zip {zip_.id} terminal is not connected"
-                )
-            zips.setdefault(zip_.n_phase, []).append(zip_)
+        for kind, devices in (("zip", self.zips), ("gen", self.gens)):
+            for device in devices:
+                if device.in_service and device.terminal.bus_id is None:
+                    raise UnconnectedTerminalError(
+                        f"{kind} {device.id} terminal is not connected"
+                    )
 
-        for gen in self.gens:
-            if gen.in_service and not gen.terminal.connected:
-                raise UnconnectedTerminalError(
-                    f"gen {gen.id} terminal is not connected"
-                )
-
-        groups = []
+        zips = [z for z in self.zips if z.in_service]
+        term_node = index.gather([t for group in branches.values()
+                                  for b in group for t in b.terminals]
+                                 + [z.terminal for z in zips])
+        groups, start = [], 0
         for (cls, m), group in branches.items():
-            scale = np.array([self._pu_scale(b) for b in group])
-            groups.append(BranchGroup(
-                group,
-                index.gather([t for b in group for t in b.terminals])
-                .reshape(len(group), m),
-                cls.y_stack([b.model for b in group]) * scale[:, None, None],
-            ))
+            y = cls.y_stack([b.model for b in group])
+            if cls.physical_units:
+                y = y * np.array([self._pu_scale(b) for b in group])[:, None, None]
+            end = start + len(group) * m
+            nodes = term_node[start:end].reshape(len(group), m)
+            groups.append(BranchGroup(group, nodes, y))
+            start = end
+        zip_node = term_node[start:]
         # (k, m) node numbers and (k, m, m) admittance blocks per group
         blocks = [(g.nodes, g.y) for g in groups]
-        for m, group in zips.items():
+        m_zip = [len(z.terminal.phase_map) for z in zips]
+        m_slot = np.repeat(m_zip, m_zip)  # the slot count of each slot's ZIP
+        for m in dict.fromkeys(m_zip):
             blocks.append((
-                index.gather([z.terminal for z in group]).reshape(len(group), m),
-                _zip_blocks(np.stack([z.y_const for z in group])),
+                zip_node[m_slot == m].reshape(m_zip.count(m), m),
+                _zip_blocks(np.array([z.y_const for z, k in zip(zips, m_zip)
+                                      if k == m])),
             ))
 
         # entry (a, b) of a block sits at (nodes[a], nodes[b])
@@ -309,21 +314,30 @@ class Network:
         vals = [np.zeros(0, complex)]
         for nodes, y in blocks:
             m = nodes.shape[1]
-            rows.append(np.repeat(nodes, m, axis=1).ravel())
-            cols.append(np.repeat(nodes[:, None, :], m, axis=1).ravel())
+            rows.append(nodes.repeat(m, axis=1).ravel())
+            cols.append(nodes[:, None, :].repeat(m, axis=1).ravel())
             vals.append(y.ravel())
         vals = np.concatenate(vals)
         keep = vals != 0.0
+        vals = vals[keep]
         rows = np.concatenate(rows)[keep]
         cols = np.concatenate(cols)[keep]
-        y = sp.coo_matrix((vals[keep], (rows, cols)), shape=(n, n)).tocsr()
-        return y, index, groups
+        # scipy's COO-to-CSR, whose order of summing duplicates the pinned
+        # Y-bus holds: a stable bucketing by row, then sum_duplicates
+        small = n <= 1 << 16  # 16-bit rows sort by radix
+        order = (rows.astype(np.uint16) if small else rows).argsort(kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.bincount(rows, minlength=n).cumsum(out=indptr[1:])
+        y = sp.csr_matrix((vals[order], cols[order].astype(np.int32), indptr),
+                          shape=(n, n))
+        y.sum_duplicates()
+        return y, index, groups, zip_node
 
     # -- diagnostics --------------------------------------------------------
 
     def to_json_dict(self) -> dict:
         """Diagnostic dump: ids, phases, and Y-bus triplets."""
-        y, index, _ = self.ybus()
+        y, index = self.ybus()[:2]
         coo = y.tocoo()
         return {
             "s_base_mva": self.s_base_mva,

@@ -135,17 +135,17 @@ def model_build(net: Network) -> PowerFlowModel:
     first generator serving it, a slack node its bus's ``v_nom``.  Every
     electrical island must contain at least one slack node.
     """
-    y, index, branch_groups = net.ybus()
+    y, index, branch_groups, zip_node = net.ybus()
     n = len(index)
     node_type = np.full(n, PQ, dtype=int)
     gens = [g for g in net.gens if g.in_service and g.terminal.connected]
     gen_node = index.gather([g.terminal for g in gens])
+    buses = net.buses
+    node_type[gen_node] = np.repeat(
+        np.array([_TYPE_CODE[buses[g.terminal.bus_id].bus_type] for g in gens], int),
+        [len(g.terminal.phase_map) for g in gens])
     # node order is bus order, then phase order within a bus
-    buses = list(net.buses)
     v_nom = np.concatenate([np.zeros(0, complex)] + [b.v_nom for b in buses])
-    bus_type = np.repeat(np.array([_TYPE_CODE[b.bus_type] for b in buses], int),
-                         [len(b.phases) for b in buses])
-    node_type[gen_node] = bus_type[gen_node]
     v_sl = np.where(node_type == SL, v_nom, 0.0)
     mag = np.abs(v_sl)
     bad = (node_type == SL) & ~((mag > 0.0) & (mag < np.inf))
@@ -156,7 +156,7 @@ def model_build(net: Network) -> PowerFlowModel:
 
     _check_islands(y, node_type, index)
 
-    plan = _plan(net, index, node_type, gens, gen_node)
+    plan = _plan(net, node_type, gens, gen_node, zip_node)
     terms, plan.delta_keep = _zip_terms(plan, n)
     return PowerFlowModel(
         y=y,
@@ -209,26 +209,27 @@ def generation_refresh(model: PowerFlowModel, net: Network) -> PowerFlowModel:
                                         model.plan, model.n_node))
 
 
-def _plan(net: Network, index: NodeIndex, node_type: np.ndarray,
-          gens: list, gen_node: np.ndarray) -> InjectionPlan:
+def _plan(net: Network, node_type: np.ndarray, gens: list,
+          gen_node: np.ndarray, zip_node: np.ndarray) -> InjectionPlan:
     """The refresh plan of a model's structure, but for ``delta_keep``,
-    which :func:`model_build` sets from the values."""
+    which :func:`model_build` sets from the values.  ``zip_node`` is the
+    node of each phase slot of the in-service ZIPs (see Network.ybus)."""
     empty = np.zeros(0, dtype=int)
-    zips = [z for z in net.zips if z.in_service and z.terminal.connected]
-    zip_node = index.gather([z.terminal for z in zips])
+    zips = [z for z in net.zips if z.in_service]
     wye = pos = di = dk = empty
     if zips:
         # per phase slot: its ZIP, its row in that ZIP and the flat
         # position of its wye entry (row, 0)
         m = np.array([z.n_phase for z in zips])
         size = (m + 1) ** 2
-        zip_of = np.repeat(np.arange(len(zips)), m)
-        slot = np.arange(len(zip_of)) - (np.cumsum(m) - m)[zip_of]
-        wye = (np.cumsum(size) - size)[zip_of] + (slot + 1) * (m + 1)[zip_of]
+        zip_of = np.arange(len(zips)).repeat(m)
+        slot = np.arange(len(zip_of)) - (m.cumsum() - m)[zip_of]
+        wye = (size.cumsum() - size)[zip_of] + (slot + 1) * (m + 1)[zip_of]
+    if len(zip_node) > len(zips):
         # each slot paired with every other slot k of its ZIP
         width = m[zip_of]
-        row = np.repeat(np.arange(len(zip_of)), width)
-        k = np.arange(len(row)) - np.repeat(np.cumsum(width) - width, width)
+        row = np.arange(len(zip_of)).repeat(width)
+        k = np.arange(len(row)) - (width.cumsum() - width).repeat(width)
         pair = k != slot[row]
         row, k = row[pair], k[pair]
         pos = wye[row] + 1 + k
@@ -303,8 +304,8 @@ def _zip_terms(plan: InjectionPlan, n: int) -> tuple[dict, np.ndarray]:
     ds = dc = np.zeros(0, dtype=complex)
     if plan.zips:
         # every ZIP's (m+1)x(m+1) term matrices, flattened end to end
-        s_all = np.concatenate([z.s_const.ravel() for z in plan.zips])
-        i_all = np.concatenate([z.i_const.ravel() for z in plan.zips])
+        s_all = np.concatenate([z.s_const for z in plan.zips], axis=None)
+        i_all = np.concatenate([z.i_const for z in plan.zips], axis=None)
         # np.add.at adds in index order: the slots' order in the network
         np.add.at(s_wye, plan.zip_node, s_all[plan.zip_wye])
         np.add.at(i_wye, plan.zip_node, i_all[plan.zip_wye])
@@ -320,10 +321,16 @@ def _check_islands(y: sp.csr_matrix, node_type: np.ndarray, index: NodeIndex):
     structure = sp.csr_matrix(
         (np.ones(len(y.data)), y.indices, y.indptr), shape=(n, n)
     )
-    n_comp, labels = connected_components(structure, directed=False)
+    # the strong components are the islands when no entry joins two, as in
+    # a structurally symmetric Y, and their search builds no transpose
+    n_comp, labels = connected_components(structure, connection="strong")
+    rows = np.repeat(np.arange(n), np.diff(y.indptr))
+    if not np.array_equal(labels[rows], labels[y.indices]):
+        n_comp, labels = connected_components(structure, directed=False)
     slacks = np.bincount(labels[node_type == SL], minlength=n_comp)
-    if (slacks == 0).any():
-        members = np.flatnonzero(labels == np.argmin(slacks))
+    orphan = np.flatnonzero(slacks[labels] == 0)
+    if len(orphan):
+        members = np.flatnonzero(labels == labels[orphan[0]])
         names = [f"{b}:{p.name}" for b, p in (index.nodes[i] for i in members[:5])]
         raise NoSlackInIslandError(
             f"island containing nodes {names} has no slack bus"

@@ -32,31 +32,33 @@ class FrozenCsc:
     def __init__(self, rows, cols, shape):
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        kept = np.flatnonzero((rows >= 0) & (cols >= 0))
+        kept = ((rows | cols) >= 0).nonzero()[0]  # neither negative
         key = cols[kept] * shape[0] + rows[kept]
-        sort = np.argsort(key, kind="stable")
+        # a stable sort of keys that fit 16 bits is a radix sort
+        sort = (key.astype(np.uint16) if shape[0] * shape[1] <= 1 << 16
+                else key).argsort(kind="stable")
         key = key[sort]
-        new_run = np.ones(len(key), dtype=bool)
-        new_run[1:] = key[1:] != key[:-1]
-        starts = np.flatnonzero(new_run)
+        new_run = np.empty(len(key), dtype=bool)
+        new_run[:1] = True
+        np.not_equal(key[1:], key[:-1], out=new_run[1:])
+        starts = new_run.nonzero()[0]
         self.shape = shape
-        self._order = kept[sort]
+        self._order = order = kept[sort]
         self._n_given = len(rows)
         self._new_run = new_run
         self._starts = starts
         self._key = key[starts]
-        self.rows = self._key % shape[0]
-        self.cols = self._key // shape[0]
+        first = order[starts]  # the first given entry of each stored one
+        self.rows, self.cols = rows[first], cols[first]
         self._indices = self.rows.astype(np.int32)
-        self._indptr = np.searchsorted(
-            self.cols, np.arange(shape[1] + 1)
-        ).astype(np.int32)
+        self._indptr = self.cols.searchsorted(
+            np.arange(shape[1] + 1)).astype(np.int32)
 
     @cached_property
     def slots(self) -> np.ndarray:
         """Stored-entry index of each given entry, -1 where dropped."""
         slots = np.full(self._n_given, -1, dtype=np.int64)
-        slots[self._order] = np.cumsum(self._new_run) - 1
+        slots[self._order] = self._new_run.cumsum() - 1
         return slots
 
     def sum(self, data: np.ndarray) -> np.ndarray:
@@ -105,7 +107,7 @@ class FrozenCsc:
         if kept and self.perm_c is not None:
             if self._permuted is None:
                 self._permute()
-            np.take(values, self._gather, out=self._permuted.data)
+            values.take(self._gather, out=self._permuted.data)
             lu = spla.splu(self._permuted, permc_spec="NATURAL")
             p, q = self._to_permuted, self.perm_c
             return lambda rhs: lu.solve(rhs[p])[q]
@@ -128,7 +130,7 @@ class FrozenCsc:
         self._to_permuted = np.empty_like(perm_c)
         self._to_permuted[perm_c] = np.arange(n)
         indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+        np.bincount(cols, minlength=n).cumsum(out=indptr[1:])
         self._permuted = sp.csc_matrix(
             (np.empty(len(gather)), rows[gather].astype(np.int32), indptr),
             shape=self.shape,

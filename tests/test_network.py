@@ -105,7 +105,7 @@ def test_ybus_single_phase_line():
     net.add_bus(Bus("l"))
     ys = 1.0 / (0.01 + 0.1j)
     net.add_branch(Branch("ln", CommonBranch(ys, y_shunt=0.02j)), "s", "l")
-    y, idx, _ = net.ybus()
+    y, idx, _, _ = net.ybus()
     dense = y.toarray()
     np.testing.assert_allclose(dense[0, 0], ys + 0.01j)
     np.testing.assert_allclose(dense[0, 1], -ys)
