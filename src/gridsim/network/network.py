@@ -29,8 +29,6 @@ def _zip_blocks(y_const: np.ndarray) -> np.ndarray:
     and k (read from the upper triangle) adds to both diagonals and
     subtracts from the (i, k) and (k, i) entries.
     """
-    if y_const.shape[1] == 2:  # one slot: its wye term plus no delta term
-        return y_const[:, 1:, :1] + 0j
     upper = np.triu(y_const[:, 1:, 1:], 1)
     delta = upper + upper.transpose(0, 2, 1)
     out = -delta
@@ -322,8 +320,11 @@ class Network:
         vals = vals[keep]
         rows = np.concatenate(rows)[keep]
         cols = np.concatenate(cols)[keep]
-        # scipy's COO-to-CSR, whose order of summing duplicates the pinned
-        # Y-bus holds: a stable bucketing by row, then sum_duplicates
+        # What coo_matrix(...).tocsr() does, with less Python around it,
+        # mirrored from scipy 1.17 (checked on 1.17.1): its C++ coo_tocsr
+        # buckets the entries by row, stably, then tocsr calls
+        # sum_duplicates, which sorts each row and sums duplicates in that
+        # order.  test_model_build_arrays_pinned holds the result.
         small = n <= 1 << 16  # 16-bit rows sort by radix
         order = (rows.astype(np.uint16) if small else rows).argsort(kind="stable")
         indptr = np.zeros(n + 1, dtype=np.int32)

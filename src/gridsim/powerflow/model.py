@@ -225,7 +225,6 @@ def _plan(net: Network, node_type: np.ndarray, gens: list,
         zip_of = np.arange(len(zips)).repeat(m)
         slot = np.arange(len(zip_of)) - (m.cumsum() - m)[zip_of]
         wye = (size.cumsum() - size)[zip_of] + (slot + 1) * (m + 1)[zip_of]
-    if len(zip_node) > len(zips):
         # each slot paired with every other slot k of its ZIP
         width = m[zip_of]
         row = np.arange(len(zip_of)).repeat(width)

@@ -16,7 +16,7 @@ loops fell below 10.  It exits 0 whatever the ratios: the test is the
 gate.  Unless the environment sets them, each process runs with one BLAS
 thread.
 
-Usage: python tools/criterion5.py [--processes N] [--loops L] [TREE ...]
+Usage: python tools/criterion5.py [--processes N] [TREE ...]
 
 A TREE is the root of a checkout (the directory holding ``src/gridsim``);
 the default is this one.
@@ -34,6 +34,7 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+LOOPS = 16  # loops of the test per process
 
 # The calls and the repeat count of test_criterion_5_pf_much_faster_than_opf;
 # argv is (case57 path, loops), and the output one JSON object.
@@ -70,14 +71,14 @@ print(json.dumps(out))
 """
 
 
-def run_process(tree: pathlib.Path, loops: int) -> dict:
+def run_process(tree: pathlib.Path) -> dict:
     env = dict(os.environ)
     for name in THREADS:
         env.setdefault(name, "1")
     env["PYTHONPATH"] = str(tree / "src")
     case = tree / "src" / "gridsim" / "data" / "cases" / "case57.m"
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, str(case), str(loops)],
+        [sys.executable, "-c", CHILD, str(case), str(LOOPS)],
         env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(done.stdout)
@@ -88,18 +89,16 @@ def main(argv=None) -> int:
     parser.add_argument("trees", nargs="*", type=pathlib.Path, default=[ROOT])
     parser.add_argument("--processes", type=int, default=3,
                         help="fresh processes per tree (default 3)")
-    parser.add_argument("--loops", type=int, default=16,
-                        help="loops of the test per process (default 16)")
     args = parser.parse_args(argv)
     trees = [tree.resolve() for tree in args.trees]
-    print(f"{args.processes} processes x {args.loops} loops per tree; "
+    print(f"{args.processes} processes x {LOOPS} loops per tree; "
           f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', '1')}")
     print(f"{'tree':<40} {'ratio':>7} {'nr_solve ms':>12} "
           f"{'ipm_solve ms':>13} {'below 10':>9}")
     ratios = {tree: [] for tree in trees}
     for _ in range(args.processes):
         for tree in trees:
-            out = run_process(tree, args.loops)
+            out = run_process(tree)
             below = sum(r < 10.0 for r in out["ratio"])
             ratios[tree].append(out["ratio"])
             print(f"{str(tree)[-40:]:<40} {statistics.median(out['ratio']):7.2f} "
