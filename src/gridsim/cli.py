@@ -4,7 +4,8 @@ Exit codes: 0 success/converged, 1 input or configuration error (a
 command-line usage error among them), 2 solver non-convergence.  Solve
 timings exclude file I/O but include model building, measured on a
 monotonic clock; a report's ``network_s`` is the time to build the network
-from the parsed case.
+from the parsed case, and its ``factor_s`` the part of ``solve_s`` spent in
+LU factors.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def cmd_pf(args) -> int:
         "iterations": sol.iterations,
         "residual_pu": sol.residual_norm,
         "timing": {"network_s": network_s, "build_s": sol.build_s,
-                   "solve_s": sol.solve_s},
+                   "solve_s": sol.solve_s, "factor_s": sol.factor_s},
         "solution": sol.to_json_dict() if sol.converged else None,
         "trace": sol.trace,
     }
@@ -127,7 +128,7 @@ def cmd_opf(args) -> int:
         "objective": sol.objective,
         "kkt": {k: float(v) for k, v in sol.kkt.items()},
         "timing": {"network_s": network_s, "build_s": sol.build_s,
-                   "solve_s": sol.solve_s},
+                   "solve_s": sol.solve_s, "factor_s": sol.factor_s},
         "solution": sol.to_json_dict() if sol.converged else None,
         "trace": sol.trace,
     }

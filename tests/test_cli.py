@@ -32,7 +32,7 @@ def test_pf_json_report_matches_schema(tmp_path, capsys):
     assert len(report["solution"]["nodes"]) == 14
     assert report["timing"]["network_s"] > 0
     assert report["timing"]["build_s"] > 0
-    assert report["timing"]["solve_s"] > 0
+    assert 0 < report["timing"]["factor_s"] < report["timing"]["solve_s"]
     trace = report["trace"]
     assert len(trace) == report["iterations"]
     assert trace[0]["residual_pu"] > trace[-1]["residual_pu"] > report["residual_pu"]
@@ -46,9 +46,11 @@ def test_pf_json_report_matches_schema(tmp_path, capsys):
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(report, report_schema())
     trace[0]["factored"] = True
-    del report["timing"]["network_s"]
-    with pytest.raises(jsonschema.ValidationError):
-        jsonschema.validate(report, report_schema())
+    for field in ("network_s", "factor_s"):
+        value = report["timing"].pop(field)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(report, report_schema())
+        report["timing"][field] = value
 
 
 def test_pf_non_convergence_exit_code(tmp_path, capsys):
@@ -283,6 +285,7 @@ def test_opf_json_report(tmp_path, capsys):
     assert max(report["kkt"].values()) <= 1e-6
     assert report["solution"]["gens"]
     assert report["timing"]["network_s"] > 0
+    assert 0 < report["timing"]["factor_s"] < report["timing"]["solve_s"]
     # one trace entry per iteration; the last finds the point optimal and
     # takes no step
     trace = report["trace"]
@@ -304,6 +307,11 @@ def test_opf_json_report(tmp_path, capsys):
     trace[0]["mu_b"] = 0.0
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(report, report_schema())
+    trace[0]["mu_b"] = mu_b[0]
+    factor_s = report["timing"].pop("factor_s")
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(report, report_schema())
+    report["timing"]["factor_s"] = factor_s
     # a power-flow iteration is no optimization iteration
     report["trace"] = [{"residual_pu": 1.0, "alpha": 1.0, "halvings": 0,
                         "factored": True, "factor_s": 1e-3}]

@@ -5,9 +5,10 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from gridsim.opf import opf_build
+from gridsim.opf.ipm import _solve_reg
 from gridsim.parsers import load_network
 from gridsim.powerflow import model_build
-from gridsim.powerflow.pattern import FrozenCsc
+from gridsim.powerflow.pattern import COLUMN_MODE, FrozenCsc
 from gridsim.powerflow.solver import NewtonSystem, flat_start
 
 from conftest import CASES
@@ -34,7 +35,7 @@ def _kkt(rng):
 
 def _error(solve, pattern, values, rhs) -> float:
     """Largest difference from a fresh COLAMD solve, relative to it."""
-    fresh = spla.splu(pattern.matrix(values)).solve(rhs)
+    fresh = spla.splu(pattern.matrix(values), **COLUMN_MODE).solve(rhs)
     return float(np.abs(solve(rhs) - fresh).max() / np.abs(fresh).max())
 
 
@@ -90,3 +91,31 @@ def test_a_layout_gathered_for_another_order_fails_the_comparison(system):
     other._permute()
     pattern._gather = other._gather
     assert _error(pattern.factor(values), pattern, values, rhs) > 1e-12
+
+
+def test_every_factor_runs_in_column_mode(monkeypatch):
+    calls = []
+    splu = spla.splu
+
+    def spy(matrix, permc_spec="COLAMD", **kwargs):
+        calls.append((permc_spec, kwargs.get("panel_size"), kwargs.get("relax")))
+        return splu(matrix, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    rng = np.random.default_rng(11)
+    pattern, values = _newton(rng)
+    pattern.factor(values)                # the first, COLAMD
+    pattern.factor(values)                # kept
+    pattern.factor(values, kept=False)    # unkept
+    # an all-zero KKT matrix is singular: each solve retries regularized,
+    # first while no order is recorded, then in the kept one
+    kkt = opf_build(load_network(CASES / "case57.m")[0]).kkt
+    zeros = np.zeros(len(kkt.pattern.rows))
+    rhs = rng.standard_normal(kkt.pattern.shape[0])
+    for _ in range(2):
+        entry = {"factor_s": 0.0}
+        _solve_reg(kkt, zeros, rhs, True, entry)
+        assert entry["reg"] == 1e-10
+    assert [spec for spec, _, _ in calls] == [
+        "COLAMD", "NATURAL", "COLAMD", "COLAMD", "COLAMD", "NATURAL", "NATURAL"]
+    assert all((panel, relax) == (1, 1) for _, panel, relax in calls)
