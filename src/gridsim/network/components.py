@@ -33,25 +33,33 @@ class Terminal:
     """Connection of one device terminal to a bus.
 
     phase_map lists, per device phase slot, the bus phase the slot is
-    wired to.  It is ordered: slot j maps to phase_map[j].
+    wired to.  It is ordered: slot j maps to phase_map[j].  A terminal
+    cannot be changed, so devices share them: every unconnected device
+    holds :data:`OPEN`, and every device wired onto all of a bus's phases
+    in order holds that bus's own ``terminal``.
     """
 
     __slots__ = ("bus_id", "phase_map")
 
     def __init__(self, bus_id: Optional[str] = None, phase_map: tuple[Phase, ...] = ()):
-        self.bus_id = bus_id
-        self.phase_map = tuple(phase_map)
+        object.__setattr__(self, "bus_id", bus_id)
+        object.__setattr__(self, "phase_map", tuple(phase_map))
+
+    def __setattr__(self, *args):
+        raise AttributeError("a Terminal cannot be changed: connect its device again")
+
+    def __reduce__(self):  # copies and pickles construct it, never assign
+        return Terminal, (self.bus_id, self.phase_map)
 
     @property
     def connected(self) -> bool:
         return self.bus_id is not None
 
-    @property
-    def n_phase(self) -> int:
-        return len(self.phase_map)
-
     def __repr__(self) -> str:
         return f"Terminal(bus={self.bus_id!r}, phases={[p.name for p in self.phase_map]})"
+
+
+OPEN = Terminal()
 
 
 class Bus:
@@ -67,6 +75,7 @@ class Bus:
     ):
         self.id = id
         self.phases = sorted_phases(phases)
+        self.terminal = Terminal(id, self.phases)  # onto all its phases
         self.v_base = float(v_base)
         if bus_type not in ("SL", "PV", "PQ"):
             raise NetworkModelError(f"bus {id}: unknown type {bus_type!r}")
@@ -114,7 +123,7 @@ class Gen:
         if n_phase < 1:
             raise NetworkModelError(f"gen {id}: needs at least one phase")
         self.id = id
-        self.terminal = Terminal()
+        self.terminal = OPEN
         self.s = _per_phase(s, n_phase, complex)
         self.p_min = float(p_min)
         self.p_max = float(p_max)
@@ -153,7 +162,7 @@ class Zip:
 
     def __init__(self, id: str, n_phase: int = 1, in_service: bool = True):
         self.id = id
-        self.terminal = Terminal()
+        self.terminal = OPEN
         m = n_phase + 1
         self.y_const = np.zeros((m, m), dtype=complex)
         self.i_const = np.zeros((m, m), dtype=complex)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -10,6 +11,7 @@ import scipy.sparse as sp
 from ..core import ComponentCollection
 from .branches import BranchModel
 from .components import (
+    OPEN,
     Bus,
     Gen,
     NetworkModelError,
@@ -57,7 +59,7 @@ class Branch:
     ):
         self.id = id
         self.model = model
-        self.terminals = (Terminal(), Terminal())
+        self.terminals = (OPEN, OPEN)
         self.s_max_mva = float(s_max_mva)
         self.in_service = bool(in_service)
 
@@ -80,34 +82,36 @@ class NodeIndex:
 
     Nodes are ordered by bus insertion order, then by the canonical phase
     order within each bus.  This ordering is part of the public contract.
-    Lookups go through a per-bus (first node, phases) table: a bus id
-    hashes as a string, and a phase is found in its bus's short tuple by
-    identity, so no lookup hashes a :class:`Phase`.
+    A lookup goes through the bus's first node (``starts``) and its own
+    phase tuple, where a phase is found by identity, so the index makes no
+    object per bus for the cyclic GC to track (``nodes`` is built on use).
     """
 
     def __init__(self, buses: Iterable[Bus]):
-        self.nodes: list[tuple[str, Phase]] = []
-        self.bus_slices: dict[str, slice] = {}
-        self._buses: dict[str, tuple[int, tuple[Phase, ...]]] = {}
+        self.starts: dict[str, int] = {}
+        self._phases: dict[str, tuple[Phase, ...]] = {}
+        n = 0
         for bus in buses:
-            start = len(self.nodes)
-            bus_id, phases = bus.id, bus.phases
-            for phase in phases:
-                self.nodes.append((bus_id, phase))
-            self.bus_slices[bus_id] = slice(start, len(self.nodes))
-            self._buses[bus_id] = (start, phases)
+            self.starts[bus.id], self._phases[bus.id] = n, bus.phases
+            n += len(bus.phases)
+        self._n = n
+
+    @functools.cached_property
+    def nodes(self) -> list[tuple[str, Phase]]:
+        return [(b, p) for b, phases in self._phases.items() for p in phases]
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return self._n
 
     def index(self, bus_id: str, phase: Phase) -> int:
-        start, phases = self._buses[bus_id]
+        phases = self._phases[bus_id]
         if phase not in phases:
             raise KeyError((bus_id, phase))
-        return start + phases.index(phase)
+        return self.starts[bus_id] + phases.index(phase)
 
     def bus_nodes(self, bus_id: str) -> slice:
-        return self.bus_slices[bus_id]
+        start = self.starts[bus_id]
+        return slice(start, start + len(self._phases[bus_id]))
 
     def terminal_nodes(self, terminal) -> list[int]:
         """Node of each phase slot of a connected terminal."""
@@ -116,10 +120,10 @@ class NodeIndex:
     def gather(self, terminals) -> np.ndarray:
         """Node of each phase slot of each connected terminal, the
         terminals' slots concatenated in order."""
-        buses = self._buses
+        starts, bus_phases = self.starts, self._phases
         nodes = []
         for terminal in terminals:
-            start, phases = buses[terminal.bus_id]
+            start, phases = starts[terminal.bus_id], bus_phases[terminal.bus_id]
             for phase in terminal.phase_map:
                 nodes.append(start + phases.index(phase))
         return np.array(nodes, dtype=int)
@@ -179,7 +183,7 @@ class Network:
 
         phase_map lists the bus phase wired to each device phase slot, each
         bus phase at most once; by default slots map onto the bus phases in
-        order.
+        order.  The device's terminal is replaced (see :class:`Terminal`).
         """
         if isinstance(device, str):
             device = self.find_device(device)
@@ -191,7 +195,6 @@ class Network:
                 raise TerminalIndexError(
                     f"branch terminal index must be 0 or 1, got {terminal_index}"
                 )
-            terminal = device.terminals[terminal_index]
             n_slot = device.model.n_phase1 if terminal_index else device.model.n_phase0
         else:
             if terminal_index != 0:
@@ -199,7 +202,6 @@ class Network:
                     f"{type(device).__name__.lower()} has a single terminal 0, "
                     f"got index {terminal_index}"
                 )
-            terminal = device.terminal
             n_slot = device.n_phase
         explicit = phase_map is not None
         if explicit:
@@ -221,8 +223,12 @@ class Network:
                 raise NetworkModelError(
                     f"{device.id}: phase map names bus phase {phase.name} twice"
                 )
-        terminal.bus_id = bus_id
-        terminal.phase_map = phase_map
+        terminal = bus.terminal if phase_map == bus.phases else Terminal(bus_id, phase_map)
+        if isinstance(device, Branch):
+            t0, t1 = device.terminals
+            device.terminals = (t0, terminal) if terminal_index else (terminal, t1)
+        else:
+            device.terminal = terminal
 
     # -- assembly ---------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import operator
 import re
@@ -47,6 +48,9 @@ _INT_COLS = {
     # MODEL 2 is a polynomial, of at most NCOST = 3 coefficients
     "gencost": {"column 1": (2, 2), "column 4": (0, 3)},
 }
+
+_BAL = (Phase.BAL,)  # the phases of every bus of a case, shared
+_NO_NUMBER = re.compile(r"^[^\S\n]*,(?:[^\S\n]|,)*$", re.M)  # a row of commas
 
 
 class MatpowerSyntaxError(ValueError):
@@ -100,15 +104,21 @@ class MatpowerCase:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _strip_comments(text: str) -> list[str]:
-    lines = []
-    for raw in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
-        pos = raw.find("%")
-        lines.append(raw if pos < 0 else raw[:pos])
-    return lines
-
-
 def _parse_matrix(name: str, body: str, start_line: int) -> np.ndarray:
+    """A table body as a 2-D float array, read in one numpy call if it can
+    be, else row by row (:func:`_parse_rows`), which names the bad line."""
+    rows = body.replace(";", "\n")
+    # loadtxt warns on no input and skips a row of commas alone
+    if rows.strip() and not ("," in rows and _NO_NUMBER.search(rows)):
+        try:  # float() rejects a "#", where loadtxt would start a comment
+            return np.loadtxt(io.StringIO(rows.replace(",", " ")), ndmin=2,
+                              comments=None)
+        except ValueError:
+            pass
+    return _parse_rows(name, body, start_line)
+
+
+def _parse_rows(name: str, body: str, start_line: int) -> np.ndarray:
     rows = []
     width = None
     for offset, chunk in enumerate(body.split("\n")):
@@ -137,8 +147,8 @@ def _parse_matrix(name: str, body: str, start_line: int) -> np.ndarray:
 
 
 def matpower_parse(text: str, name: str = "case") -> MatpowerCase:
-    lines = _strip_comments(text)
-    clean = "\n".join(lines)
+    # every line break made "\n", and each "%" comment cut off its line
+    clean = re.sub(r"%[^\n]*", "", text.replace("\r\n", "\n").replace("\r", "\n"))
 
     base = re.search(r"mpc\.baseMVA\s*=([^;\n]*)", clean)
     if base is None:
@@ -322,7 +332,7 @@ def case_to_network(case: MatpowerCase) -> Network:
         base_kv = row[9]
         net.add_bus(Bus(
             id=bus_id,
-            phases=(Phase.BAL,),
+            phases=_BAL,
             v_base=base_kv * 1e3 if base_kv > 0 else 1.0,
             bus_type=type_map[int(row[1])],
             v_nom=[v],

@@ -118,13 +118,6 @@ class PowerFlowModel:
     def n_node(self) -> int:
         return len(self.node_type)
 
-    def partition_counts(self) -> dict[str, int]:
-        return {
-            "SL": int(np.sum(self.node_type == SL)),
-            "PV": int(np.sum(self.node_type == PV)),
-            "PQ": int(np.sum(self.node_type == PQ)),
-        }
-
 
 def model_build(net: Network) -> PowerFlowModel:
     """Assemble the power-flow model from a network.

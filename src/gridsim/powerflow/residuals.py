@@ -110,14 +110,17 @@ class Injections:
         return self.model.y @ v + self.load_current(v)
 
     def residual(self, v: np.ndarray, s_g: np.ndarray) -> np.ndarray:
-        """Complex current mismatch per node; zero iff v solves the network."""
+        """Complex current mismatch per node; zero iff v solves the network.
+        ``drawn`` keeps the currents it subtracts, (Y v, ZIP draw)."""
         i_load = self.load_current(v)
         g = self.gens
         # i_gen - Y v - i_load, subtracted in place in that order
         r = np.zeros(self.model.n_node, dtype=complex)
         r[g] = s_g[g].conj() / v[g].conj()
-        r -= self.model.y @ v
+        yv = self.model.y @ v
+        r -= yv
         r -= i_load
+        self.drawn = yv, i_load
         return r
 
     def wirtinger_parts(

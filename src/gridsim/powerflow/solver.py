@@ -283,7 +283,8 @@ def nr_solve(
     x = system.unknowns(v, s_g)
 
     def trial(alpha):
-        """Unknowns, state, residual and its max norm at ``x + alpha * dx``."""
+        """Unknowns, state, residual, the currents it subtracted (see
+        :meth:`Injections.residual`) and its max norm at ``x + alpha * dx``."""
         # a full step adds dx as it is: 1.0 * dx is dx, bit for bit
         x_try = x + dx if alpha == 1.0 else x + alpha * dx
         v_try, s_try = system.point(x_try, v, s_g)
@@ -293,7 +294,7 @@ def nr_solve(
             raise SingularJacobianError(
                 f"{exc} after the step at iteration {iterations}") from None
         norm_try = float(np.abs(f_try).max()) if len(f_try) else 0.0
-        return x_try, v_try, s_try, f_try, norm_try
+        return x_try, v_try, s_try, f_try, system.inj.drawn, norm_try
 
     trace = []
     iterations = 0
@@ -301,6 +302,7 @@ def nr_solve(
     converged = False
     stalled_at = None
     fvec = system.residual(v, s_g)
+    drawn = system.inj.drawn
     norm = float(np.abs(fvec).max()) if len(fvec) else 0.0
     held_solve = system.last_solve
 
@@ -318,7 +320,7 @@ def nr_solve(
                     trace.append({"residual_pu": norm, "alpha": 1.0,
                                   "halvings": 0, "factored": False,
                                   "factor_s": 0.0})
-                    x, v, s_g, fvec, norm = step
+                    x, v, s_g, fvec, drawn, norm = step
                     continue
             held_solve = None
 
@@ -357,17 +359,17 @@ def nr_solve(
         trace.append({"residual_pu": norm, "alpha": alpha,
                       "halvings": halvings, "factored": True,
                       "factor_s": factor_s})
-        x, v, s_g, fvec, norm = step
+        x, v, s_g, fvec, drawn, norm = step
 
     if norm <= opts.tol_pu:
         converged = True
 
-    # Recover generation at slack (and final PV reactive power).
+    # Recover slack generation (and final PV Q) from the accepted point's currents.
     s_g_out = s_g.copy()
     sl = (model.node_type == SL).nonzero()[0]
     if len(sl):
-        inj = system.inj.network_current(v)
-        s_g_out[sl] = v[sl] * np.conj(inj[sl])
+        yv, i_load = drawn
+        s_g_out[sl] = v[sl] * np.conj(yv[sl] + i_load[sl])
 
     return PfSolution(
         v=v,
@@ -392,10 +394,10 @@ def apply_solution(net: Network, sol: PfSolution) -> None:
     Generators on PQ nodes keep their output.
     """
     model = sol.model
-    # one copy, split along the index's bus slices, which run in bus order
+    # one copy, split at the buses' first nodes, which run in bus order
     v = sol.v.copy()
-    for bus, nodes in zip(net.buses, model.index.bus_slices.values()):
-        bus.v = v[nodes]
+    for bus, start in zip(net.buses, model.index.starts.values()):
+        bus.v = v[start:start + len(bus.phases)]
     # only the generators on slack and PV nodes change (see InjectionPlan)
     plan = model.plan
     if not plan.set_gens:

@@ -95,9 +95,6 @@ class Battery(SimComponent):
             self.power_changed.trigger()
         return p
 
-    def set_setpoint(self, kw: float) -> None:
-        self.requested_kw = float(kw)
-
     def initialize(self, sim) -> None:
         self._last_t = sim.start_time
         if self.update_interval_s is not None:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridsim.cli import main, report_schema
+from gridsim.parsers import load_case
 
 from conftest import CASES, DATA
 
@@ -122,10 +123,17 @@ def test_pf_singular_jacobian_exit_code(capsys, monkeypatch):
     # a base of 0 MVA would divide every per-unit value by zero
     ("mpc.baseMVA = 100;", "mpc.baseMVA = 0;", ("pf", "opf"),
      "{path}: mpc.baseMVA is 0.0, which must be positive and finite"),
+    # bus row 2, on line 13, with a cell that is no number, and with a cell
+    # too many
+    ("\t21.7\t", "\tabc\t", ("pf", "opf"),
+     "{path}: line 13: bad number in mpc.bus: could not convert string to "
+     "float: 'abc'"),
+    ("\t2\t2\t21.7\t", "\t2\t2\t21.7\t0\t", ("pf", "opf"),
+     "{path}: line 13: row width 14 != 13 in mpc.bus"),
 ], ids=["missing", "not-a-case", "pv-vg-0", "slack-vg-0", "zero-z", "pd-nan",
         "pd-inf", "pd-minus-inf", "type-inf", "type-2.5", "bus-id-2.5",
         "bus-id-1e30", "gen-bus-inf", "gen-status-1.5", "ncost-2.5",
-        "base-mva-0"])
+        "base-mva-0", "bad-number", "row-width"])
 def test_pf_input_error_exit_code(tmp_path, capsys, old, new, commands,
                                   message):
     path = tmp_path / "case.m"
@@ -139,6 +147,16 @@ def test_pf_input_error_exit_code(tmp_path, capsys, old, new, commands,
         assert main([command, str(path), "--quiet"]) == 1
         err = capsys.readouterr().err.strip().split("\n")
         assert err == ["error: " + message.format(path=path)]
+
+
+def test_a_number_with_an_underscore_reads_as_python_reads_it(tmp_path):
+    # float() reads 2_1.7 as 21.7, where numpy does not: such a table is
+    # read row by row, and read the same
+    text = (CASES / "case14.m").read_text()
+    path = tmp_path / "case.m"
+    path.write_text(text.replace("\t21.7\t", "\t2_1.7\t"))
+    assert main(["pf", str(path), "--quiet"]) == 0
+    assert load_case(path).bus.tobytes() == load_case(CASES / "case14.m").bus.tobytes()
 
 
 # The Matpower column contract, by table: the integer columns (ids,

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,67 @@ def test_comments_and_separators_ignored():
     case = matpower_parse(text)
     assert case.bus[1, 2] == 90.0
     assert case.bus.shape == (2, 13)
+
+
+# Cells a table body may hold: numbers float() reads, numbers it reads
+# that loadtxt does not (1_0, an Arabic-Indic one), and tokens neither
+# reads; "#" must not start a comment.
+_CELL = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(str),
+    st.sampled_from(["nan", "-NaN", "Inf", "-Infinity", "1e500", "-0",
+                     "1_0", "\u0661", "#", "1e", "abc", ""]),
+)
+
+
+@st.composite
+def _table_body(draw):
+    """A table body: rows of cells split by blanks, tabs or commas, ended
+    by ";" or a line break, several rows on a line or a row over none,
+    of one width mostly and of another at times, and rows of commas
+    alone, which hold no number."""
+    width = draw(st.integers(1, 4))
+    body = draw(st.sampled_from(["", "\n", " "]))
+    for _ in range(draw(st.integers(0, 5))):
+        n = draw(st.sampled_from([width] * 4 + [0, width + 1, width - 1]))
+        cells = draw(st.lists(_CELL | st.just("1.5") | st.just("-2"),
+                              min_size=n, max_size=n))
+        sep = draw(st.sampled_from([" ", "\t", ",", ", ", "  \t"]))
+        row = draw(st.sampled_from([sep.join(cells)] * 6 + [",", " ,\t, "]))
+        body += row + draw(st.sampled_from(
+            [";", ";\n", "\n", "; ", ";;\n", "\n\n", "\t;\n  "]))
+    return body
+
+
+def _read(parse, body):
+    """What ``parse`` makes of a body: an array, or the line and message
+    of the MatpowerSyntaxError it raised."""
+    try:
+        return parse("bus", body, 12)
+    except MatpowerSyntaxError as exc:
+        return exc.line, str(exc)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(body=_table_body())
+def test_a_table_reads_as_it_does_row_by_row(body):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = _read(mp_mod._parse_matrix, body)
+        slow = _read(mp_mod._parse_rows, body)
+    if isinstance(slow, tuple):
+        assert fast == slow
+    else:
+        assert (fast.dtype, fast.shape) == (slow.dtype, slow.shape)
+        assert fast.tobytes() == slow.tobytes()
+
+
+def test_a_clean_table_is_read_in_one_call(monkeypatch):
+    monkeypatch.setattr(mp_mod, "_parse_rows", None)
+    case = load_case(CASES / "case57.m")
+    assert case.bus.shape == (57, 13)
+    text = MINI.replace("2  1  90  30", "2, 1, 90, 30")
+    assert matpower_parse(text).bus[1, 2] == 90.0
 
 
 def test_unknown_fields_warn_and_are_recorded():

@@ -14,12 +14,13 @@ from gridsim.network import (
     OverheadLine,
     Phase,
     PhaseNotOnBusError,
+    Terminal,
     TerminalIndexError,
     UnconnectedTerminalError,
     UnknownIdError,
     Zip,
 )
-from gridsim.parsers import load_network
+from gridsim.parsers import case_to_network, load_case, load_network
 
 from conftest import CASES
 from networks import ABC, _mixed_net
@@ -90,6 +91,64 @@ def test_connect_terminal_rejects_repeated_phase():
         net.connect_terminal(br, 1, "b1", phase_map=("A", "B", "B"))
     with pytest.raises(NetworkModelError, match="twice"):
         net.add_zip(Zip("z", n_phase=2), "b1", phase_map=("C", "C"))
+
+
+@pytest.mark.parametrize("field", ["bus_id", "phase_map"])
+def test_a_terminal_cannot_be_changed(field):
+    # devices share terminals, so a write into one would move them all
+    net = _two_bus_net()
+    gen = net.add_gen(Gen("g", n_phase=3), "b0")
+    for terminal in (gen.terminal, Gen("open").terminal):
+        with pytest.raises(AttributeError, match="cannot be changed"):
+            setattr(terminal, field, "b1" if field == "bus_id" else ABC)
+    assert (gen.terminal.bus_id, gen.terminal.phase_map) == ("b0", ABC)
+
+
+def test_reconnecting_a_device_leaves_the_others_where_they_were():
+    net = _two_bus_net()
+    br = net.add_branch(Branch("ln", GenericBranch(np.eye(6), 3, 3)), "b0", "b1")
+    gen = net.add_gen(Gen("g", n_phase=3), "b1")
+    zip_ = net.add_zip(Zip("z", n_phase=3), "b1")
+    # a map onto all of a bus's phases in order is the bus's own terminal
+    assert gen.terminal is zip_.terminal is br.terminals[1]
+    net.connect_terminal(gen, 0, "b0")
+    assert gen.terminal is br.terminals[0]
+    assert (zip_.terminal.bus_id, zip_.terminal.phase_map) == ("b1", ABC)
+    assert [t.bus_id for t in br.terminals] == ["b0", "b1"]
+    net.connect_terminal(br, 1, "b0")
+    assert [t.bus_id for t in br.terminals] == ["b0", "b0"]
+    assert zip_.terminal.bus_id == "b1" and gen.terminal.bus_id == "b0"
+    # unconnected devices share one open terminal, which nothing moves
+    open_gen, open_zip = net.add_gen(Gen("g2")), net.add_zip(Zip("z2"))
+    assert open_gen.terminal is open_zip.terminal
+    net.connect_terminal(open_gen, 0, "b0", phase_map=("A",))
+    assert not open_zip.terminal.connected
+
+
+@pytest.mark.parametrize("phase_map", [("A",), ("C", "B", "A"), ("A", "B")])
+def test_a_partial_or_reordered_phase_map_gets_its_own_terminal(phase_map):
+    net = _two_bus_net()
+    gen = net.add_gen(Gen("g", n_phase=len(phase_map)), "b0", phase_map)
+    other = net.add_gen(Gen("h", n_phase=len(phase_map)), "b0", phase_map)
+    assert gen.terminal is not other.terminal
+    assert gen.terminal is not net.buses["b0"].terminal
+    assert gen.terminal.phase_map == tuple(Phase[p] for p in phase_map)
+
+
+def test_a_matpower_network_holds_at_most_one_terminal_per_bus(monkeypatch):
+    # every device of a single-phase case is wired onto its bus's one phase
+    case = load_case(CASES / "case57.m")
+    made = []
+    init = Terminal.__init__
+
+    def counting(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Terminal, "__init__", counting)
+    net = case_to_network(case)
+    assert 0 < len(made) <= case.n_bus
+    assert len({id(b.phases) for b in net.buses}) == 1
 
 
 @pytest.mark.parametrize("n_phase", [0, -1])

@@ -34,6 +34,7 @@ from gridsim.powerflow import (
     apply_solution,
     flat_start,
     model_build,
+    network_current,
     nr_solve,
     recover_flows,
     residual_current,
@@ -44,6 +45,7 @@ from gridsim.powerflow import (
 from gridsim.powerflow.model import (PQ, PV, SL, _check_islands,
                                     generation_refresh, model_refresh)
 from gridsim.powerflow.pattern import FrozenCsc
+from gridsim.powerflow import solver as solver_mod
 from gridsim.powerflow.solver import HELD_CONTRACTION, NewtonSystem
 
 from conftest import CASES, DATA, GOLDEN
@@ -156,7 +158,9 @@ def test_model_zip_terms_match_a_slot_loop(name):
 
 def test_model_build_gathers_each_terminal_once(monkeypatch):
     # Network.ybus gathers the nodes of the ZIPs it stamps, and the refresh
-    # plan takes them from it instead of gathering them again
+    # plan takes them from it instead of gathering them again.  Devices
+    # share terminals, so the gathered ones are counted, not told apart:
+    # two per stamped branch, one per in-service ZIP and generator.
     gathered = []
     gather = NodeIndex.gather
 
@@ -166,10 +170,15 @@ def test_model_build_gathers_each_terminal_once(monkeypatch):
         return gather(self, terminals)
 
     monkeypatch.setattr(NodeIndex, "gather", counting)
-    net = _pv_delta_net()
-    model_build(net)
-    assert len(gathered) == len(set(gathered))
-    assert {z.terminal for z in net.zips} <= set(gathered)
+    for net in (_pv_delta_net(), _loaded_mixed_net()):
+        gathered.clear()
+        model_build(net)
+        in_service = [sum(d.in_service for d in devices)
+                      for devices in (net.branches, net.zips, net.gens)]
+        assert in_service[1] and in_service[2]
+        assert len(gathered) == (2 * in_service[0] + in_service[1]
+                                 + in_service[2])
+        assert {z.terminal for z in net.zips if z.in_service} <= set(gathered)
 
 
 def _assert_same_fields(held, fresh, skip=()):
@@ -314,7 +323,6 @@ def test_a_told_holder_refreshes_what_each_change_touched():
 
 def test_model_build_partition():
     model = model_build(_small_net())
-    assert model.partition_counts() == {"SL": 1, "PV": 1, "PQ": 1}
     assert model.node_type.tolist() == [SL, PV, PQ]
     assert model.v_set_pv[1] == 1.02
     assert model.s_g[1] == pytest.approx(0.4)
@@ -592,6 +600,39 @@ def test_non_finite_residual_reported(monkeypatch):
     net, _ = load_network(CASES / "case14.m")
     with pytest.raises(SingularJacobianError, match="residual .* at iteration 2"):
         nr_solve(model_build(net))
+
+
+def _slack_power_recomputed(sol):
+    """``sol.s_g`` with the slack generation recomputed at ``sol.v``."""
+    model = sol.model
+    sl = model.node_type == SL
+    s_g = sol.s_g.copy()
+    s_g[sl] = sol.v[sl] * np.conj(network_current(model, sol.v)[sl])
+    return s_g
+
+
+@pytest.mark.parametrize("case", ["case3", "case14", "case30", "case57",
+                                  "stalled", "stalled-unhalved", "held"])
+def test_slack_power_is_the_one_at_the_final_point(case, monkeypatch):
+    # nr_solve recovers it from the currents its residual at the last
+    # accepted point subtracted; a stalled solve's last residual is that of
+    # a rejected trial, which must not be the one read.  With no halving,
+    # that trial is a whole Newton step away from the final point.
+    if case.startswith("stalled"):
+        if case == "stalled-unhalved":
+            monkeypatch.setattr(solver_mod, "MAX_HALVINGS", 0)
+        sol = nr_solve(model_build(_loaded_mixed_net()))
+        assert sol.stalled_at == (4 if case == "stalled-unhalved" else 10)
+    elif case == "held":
+        net, held = load_network(CASES / "case57.m")[0], HeldPowerFlow()
+        solve_network(net, held=held)
+        net.zips["load_3"].set_wye(0, s=0.5 + 0.21j)
+        sol = solve_network(net, PfOptions(start="warm"), held)
+        assert sol.converged and not sol.trace[0]["factored"]
+    else:
+        sol = nr_solve(model_build(load_network(CASES / f"{case}.m")[0]))
+        assert sol.converged
+    assert sol.s_g.tobytes() == _slack_power_recomputed(sol).tobytes()
 
 
 def test_non_convergence_reported():
