@@ -91,6 +91,7 @@ def cmd_pf(args) -> int:
         "case": case.name,
         "status": status,
         "iterations": sol.iterations,
+        "factorizations": sol.factorizations,
         "residual_pu": sol.residual_norm,
         "timing": {"network_s": network_s, "build_s": sol.build_s,
                    "solve_s": sol.solve_s, "factor_s": sol.factor_s},
@@ -125,6 +126,7 @@ def cmd_opf(args) -> int:
         "case": case.name,
         "status": sol.status,
         "iterations": sol.iterations,
+        "factorizations": sol.factorizations,
         "objective": sol.objective,
         "kkt": {k: float(v) for k, v in sol.kkt.items()},
         "timing": {"network_s": network_s, "build_s": sol.build_s,
@@ -190,10 +192,15 @@ def cmd_sim(args) -> int:
     return EXIT_OK
 
 
+# the columns of a bench row, in order; an unmeasured value prints as "-"
+_BENCH_COLUMNS = ("case", "n_bus", "pf_ms", "opf_ms", "pf_iters", "opf_iters",
+                  "pf_factors", "opf_factors", "status")
+
+
 def _bench_case(path, repeat, opts):
     case = _read_case(path)
-    row = {"case": case.name, "n_bus": case.n_bus, "status": "ok",
-           "pf_ms": None, "opf_ms": None, "pf_iters": None, "opf_iters": None}
+    row = dict.fromkeys(_BENCH_COLUMNS)
+    row.update(case=case.name, n_bus=case.n_bus, status="ok")
     try:
         pf_times = []
         for _ in range(repeat):
@@ -203,7 +210,7 @@ def _bench_case(path, repeat, opts):
             pf_times.append(time.perf_counter() - t0)
             if not sol.converged:
                 raise RuntimeError("power flow did not converge")
-            row["pf_iters"] = sol.iterations
+            row["pf_iters"], row["pf_factors"] = sol.iterations, sol.factorizations
         opf_times = []
         for _ in range(repeat):
             net = case_to_network(case)
@@ -213,7 +220,7 @@ def _bench_case(path, repeat, opts):
             opf_times.append(time.perf_counter() - t0)
             if osol.status != "optimal":
                 raise RuntimeError(f"opf status {osol.status}")
-            row["opf_iters"] = osol.iterations
+            row["opf_iters"], row["opf_factors"] = osol.iterations, osol.factorizations
         row["pf_ms"] = statistics.median(pf_times) * 1e3
         row["opf_ms"] = statistics.median(opf_times) * 1e3
     except Exception as exc:
@@ -231,18 +238,14 @@ def cmd_bench(args) -> int:
         opts = PfOptions(tol_pu=args.tol)
     except ValueError as exc:
         return _fail(str(exc))
-    print("case\tn_bus\tpf_ms\topf_ms\tpf_iters\topf_iters\tstatus")
+    print("\t".join(_BENCH_COLUMNS))
     any_ok = False
     for path in paths:
         row = _bench_case(path, args.repeat, opts)
         any_ok = any_ok or row["status"] == "ok"
-
-        def num(x, fmt="{:.2f}"):
-            return fmt.format(x) if x is not None else "-"
-
-        print(f"{row['case']}\t{row['n_bus']}\t{num(row['pf_ms'])}\t"
-              f"{num(row['opf_ms'])}\t{num(row['pf_iters'], '{}')}\t"
-              f"{num(row['opf_iters'], '{}')}\t{row['status']}")
+        print("\t".join("-" if row[k] is None
+                         else f"{row[k]:.2f}" if k.endswith("_ms")
+                         else str(row[k]) for k in _BENCH_COLUMNS))
     return EXIT_OK if any_ok else EXIT_NO_CONVERGENCE
 
 

@@ -12,14 +12,12 @@ near a previous optimum of the same structure: the equality multipliers
 carry over, slacks and inequality multipliers are shifted away from zero,
 and the barrier restarts at :data:`WARM_MU_B` instead of :data:`MU0`, in the
 manner of Gondzio & Grothey, "Reoptimization with the primal-dual interior
-point method", SIAM J. Optim. 13(3), 2003.  A warm solve also takes the
-column order of the structure's first factor: COLAMD's order depends on
-the sparsity pattern alone (Davis, Gilbert, Larimore & Ng, ACM TOMS 30(3),
-2004), so no factor of a warm solve orders again.  A cold solve still
-orders every factor with COLAMD.  The acceptance test requires a cold
-case57 OPF to take at least 10x a cold power flow; reusing the order inside
-cold solves dropped that ratio from about 11 to below 10, so it waits for a
-cold power-flow gain that pays for it.
+point method", SIAM J. Optim. 13(3), 2003.
+
+Every KKT factor after the structure's first, cold or warm, takes that
+first factor's column order: COLAMD's order depends on the sparsity
+pattern alone (Davis, Gilbert, Larimore & Ng, ACM TOMS 30(3), 2004), so
+a structure is ordered once.
 """
 
 from __future__ import annotations
@@ -180,9 +178,8 @@ def ipm_solve(problem, opts: IpmOptions | None = None,
     ``max(warm.mu, WARM_MU_B / s)``.  Without ``warm`` the solve starts
     cold: zero equality multipliers, the barrier at :data:`MU0`.
 
-    Every KKT factor of a warm solve reuses the column order that the first
-    COLAMD factor on ``problem.kkt`` recorded; a cold solve orders each of
-    its factors with COLAMD.
+    Every KKT factor reuses the column order that the first COLAMD factor
+    on ``problem.kkt`` recorded (see ``FrozenCsc.factor``).
     """
     opts = opts or IpmOptions()
     t0 = time.perf_counter()
@@ -227,9 +224,8 @@ def ipm_solve(problem, opts: IpmOptions | None = None,
         H = res.hess(lam, mu, sigma=1.0)
         rhs_x = -r_d - res.jac_h.T @ ((mu * r_h - r_c) / s)
         kkt_values = problem.kkt.values(H, res.jac_g, res.jac_h, mu / s)
-        kept = warm is not None and problem.kkt.pattern.perm_c is not None
         step, factors = _solve_reg(problem.kkt, kkt_values,
-                                   np.concatenate([rhs_x, -r_g]), kept, entry)
+                                   np.concatenate([rhs_x, -r_g]), entry)
         factorizations += factors
         dx = step[:nx]
         dlam = step[nx:]
@@ -306,28 +302,27 @@ def _max_step(z, dz, tau) -> float:
     return float(min(1.0, tau * np.min(-z[neg] / dz[neg])))
 
 
-def _solve_reg(kkt, values, rhs, kept, entry):
+def _solve_reg(kkt, values, rhs, entry):
     """Solve the KKT system, adding diagonal regularization on breakdown.
 
-    Every factor, the retries too, takes the pattern's kept column order
-    when ``kept`` is true (see ``FrozenCsc.factor``).  The iteration's
-    trace ``entry`` gets the time spent in factors, the regularization of
-    the step returned and ``kept``.  Returns the step and the number of LU
+    The iteration's trace ``entry`` gets the time spent in factors, the
+    regularization of the step returned and whether its factor took the
+    pattern's kept column order.  Returns the step and the number of LU
     factors computed.
     """
     nx = kkt.n_var
     reg = 0.0
     factors = 0
-    entry["kept_order"] = kept
     for attempt in range(6):
         m = values
         if reg > 0.0:
             m = values.copy()
             m[kkt.diag[:nx]] += reg
             m[kkt.diag[nx:]] -= reg
+        entry["kept_order"] = kkt.pattern.perm_c is not None
         t0 = time.perf_counter()
         try:
-            solve = kkt.pattern.factor(m, kept)
+            solve = kkt.pattern.factor(m)
         except RuntimeError:        # SuperLU: factor is exactly singular
             reg = max(reg * 100.0, 1e-10)
             continue

@@ -27,11 +27,11 @@ class FrozenCsc:
 
     ``perm_c`` is the column order of the pattern's first LU factor (None
     before it), which depends on the pattern alone (Davis, Gilbert,
-    Larimore & Ng, ACM TOMS 30(3), 2004); :meth:`factor` can reuse it.
+    Larimore & Ng, ACM TOMS 30(3), 2004); every later :meth:`factor` reuses
+    it.
     """
 
     perm_c = None
-    _permuted = None
 
     def __init__(self, rows, cols, shape):
         rows = np.asarray(rows, dtype=np.int64)
@@ -91,21 +91,20 @@ class FrozenCsc:
     @cached_property
     def refilled(self) -> sp.csc_matrix:
         """The matrix of the pattern that :meth:`factor` copies the values
-        of a COLAMD factor into.  A caller that refills its own matrix of
+        of its first, COLAMD, factor into.  A caller that refills its own matrix of
         the pattern in place can set it here, so that factoring its
         ``data`` builds no matrix."""
         return self.matrix(np.zeros(len(self._key)))
 
-    def factor(self, values: np.ndarray, kept: bool = True):
+    def factor(self, values: np.ndarray):
         """LU-factor the matrix holding ``values`` (its stored entries, in
         CSC order); returns its ``solve``.
 
         The first call orders the columns with COLAMD, as ``splu`` does by
-        default, and records that order in ``perm_c``.  A later call with
-        ``kept`` runs no ordering: it refills one symmetrically permuted
-        matrix P A P^T, P from ``perm_c``, in place and factors it in
-        natural order with SuperLU's default pivoting threshold.  Without
-        ``kept`` every call runs COLAMD.  A singular matrix raises
+        default, and records that order in ``perm_c``.  A later call runs
+        no ordering: it refills one symmetrically permuted matrix P A P^T,
+        P from ``perm_c``, in place and factors it in natural order with
+        SuperLU's default pivoting threshold.  A singular matrix raises
         SuperLU's ``RuntimeError``.
 
         Every factor runs in SuperLU's column mode (``COLUMN_MODE``): one
@@ -119,20 +118,16 @@ class FrozenCsc:
         2010).  The column order and the pivoting threshold stay as they
         are.
         """
-        if kept and self.perm_c is not None:
-            if self._permuted is None:
-                self._permute()
+        if self.perm_c is not None:
             values.take(self._gather, out=self._permuted.data)
             lu = spla.splu(self._permuted, permc_spec="NATURAL", **COLUMN_MODE)
             p, q = self._to_permuted, self.perm_c
             return lambda rhs: lu.solve(rhs[p])[q]
         np.copyto(self.refilled.data, values)
         lu = spla.splu(self.refilled, **COLUMN_MODE)
-        if self.perm_c is None:
-            # a copy: the array SuperLU hands out keeps the whole factor alive
-            self.perm_c = lu.perm_c.astype(np.int64)
-            if kept:  # laid out now, as the next factor will keep the order
-                self._permute()
+        # a copy: the array SuperLU hands out keeps the whole factor alive
+        self.perm_c = lu.perm_c.astype(np.int64)
+        self._permute()  # laid out now, for the next factor
         return lu.solve
 
     def _permute(self) -> None:

@@ -15,11 +15,11 @@ from .pattern import FrozenCsc
 from .residuals import Injections, _real_values, network_current
 
 
-# A held step (one taken with the factor a held system kept from an
-# earlier solve) is accepted only if it cuts the max residual to at most
-# this fraction of the residual before it.  On pvdemo it leaves 0.19 LU
-# factors per re-solve instead of 2.51, at 4.45 steps instead of 2.51.
-HELD_CONTRACTION = 0.1
+# A chord step (a full step with the newest LU factor, no new one) is
+# accepted only if it cuts the max residual to at most this fraction of
+# the residual before it.  A pvdemo day then takes 20 LU factors in 687
+# steps; with chord steps on a held factor alone it took 28 in 649.
+CHORD_CONTRACTION = 0.1
 
 # A Newton step is halved until it lowers the max residual, at most this
 # often; when no length does, the solve stops as stalled.
@@ -46,8 +46,8 @@ class PfSolution:
     stalled_at: int | None = None
     # One entry per step taken: max residual before the step (pu), the
     # step length, how often it was halved, whether the step factored a
-    # new Jacobian or took the held factor, and the factor time (0 when
-    # held).
+    # new Jacobian or was a chord step, and the factor time (0 on a chord
+    # step).
     trace: list[dict] = field(default_factory=list, repr=False)
     model: PowerFlowModel | None = field(default=None, repr=False)
 
@@ -259,20 +259,19 @@ def nr_solve(
     voltage where a load or generator divides by it, raises
     :class:`SingularJacobianError` naming the iteration.
 
+    Each iteration first tries a chord step (Kelley, *Iterative Methods
+    for Linear and Nonlinear Equations*, SIAM 1995, ch. 5): a full step
+    with the system's newest LU factor, no Jacobian and no new factor.
+    That factor is this solve's last Newton factor, or, on a system from
+    ``held``, the one an earlier solve left.  A chord step counts only if
+    it cuts the max residual to at most :data:`CHORD_CONTRACTION` times
+    the residual before it; one that misses is discarded (it is neither an
+    iteration nor in the trace), and the iteration takes a Newton step.
+
     A Newton step is accepted only if it lowers the max residual; it is
     halved up to :data:`MAX_HALVINGS` times until it does.  When no length
     does, the solve stops unconverged with ``stalled_at`` set to that
     iteration, which is then neither counted in ``iterations`` nor traced.
-
-    A system from ``held`` also keeps the newest LU factor across calls.
-    A solve on it first takes held steps: full chord steps with that
-    factor, no Jacobian and no new factor.  A
-    held step counts only if it cuts the max residual to at most
-    :data:`HELD_CONTRACTION` times the residual before it; the first
-    that misses is discarded (it is neither an iteration nor in the
-    trace), and the solve goes on as Newton from the last accepted point,
-    its newest factor becoming the held one.  Without ``held`` every step
-    is a Newton step.
     """
     if opts is None:
         opts = PfOptions()
@@ -304,7 +303,6 @@ def nr_solve(
     fvec = system.residual(v, s_g)
     drawn = system.inj.drawn
     norm = float(np.abs(fvec).max()) if len(fvec) else 0.0
-    held_solve = system.last_solve
 
     while iterations < opts.max_iter:
         if norm <= opts.tol_pu:
@@ -312,17 +310,16 @@ def nr_solve(
             break
         iterations += 1
 
-        if held_solve is not None:
-            dx = held_solve(-fvec)
+        if system.last_solve is not None:
+            dx = system.last_solve(-fvec)
             if np.isfinite(dx).all():
                 step = trial(1.0)
-                if step[-1] <= HELD_CONTRACTION * norm:
+                if step[-1] <= CHORD_CONTRACTION * norm:
                     trace.append({"residual_pu": norm, "alpha": 1.0,
                                   "halvings": 0, "factored": False,
                                   "factor_s": 0.0})
                     x, v, s_g, fvec, drawn, norm = step
                     continue
-            held_solve = None
 
         jac = system.jacobian(v, s_g)
         system.last_solve = None  # free the last factor before the next
@@ -430,8 +427,8 @@ class HeldPowerFlow:
     until :meth:`invalidate` says the structure changed.  The
     :class:`NewtonSystem` of that structure, with its Jacobian pattern,
     kept LU ordering and newest LU factor, is built by the first
-    :func:`nr_solve` on it and reloaded by the later ones, which start with
-    held steps on that factor.  Invalidating drops all of it, the factor
+    :func:`nr_solve` on it and reloaded by the later ones, whose first
+    chord step takes that factor.  Invalidating drops all of it, the factor
     too.  The holder never notices a structural edit by itself: whoever
     edits the network calls :meth:`invalidate`.
 

@@ -37,8 +37,15 @@ def test_pf_json_report_matches_schema(tmp_path, capsys):
     trace = report["trace"]
     assert len(trace) == report["iterations"]
     assert trace[0]["residual_pu"] > trace[-1]["residual_pu"] > report["residual_pu"]
-    # a cold solve factors at every step
-    assert all(it["factored"] is True and it["factor_s"] > 0 for it in trace)
+    # the first step factors; a chord step reuses the newest factor and
+    # cut the max residual at least tenfold, and the report counts factors
+    after = [it["residual_pu"] for it in trace[1:]] + [report["residual_pu"]]
+    assert trace[0]["factored"] is True
+    for it, new in zip(trace, after):
+        assert it["factored"] is (it["factor_s"] > 0)
+        assert it["factored"] or new <= 0.1 * it["residual_pu"]
+    assert report["factorizations"] == sum(it["factored"] for it in trace)
+    assert 1 <= report["factorizations"] < report["iterations"]
     trace[0]["alpha"] = 0.0
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(report, report_schema())
@@ -47,11 +54,14 @@ def test_pf_json_report_matches_schema(tmp_path, capsys):
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(report, report_schema())
     trace[0]["factored"] = True
-    for field in ("network_s", "factor_s"):
-        value = report["timing"].pop(field)
+    for part, field in [(report["timing"], "network_s"),
+                        (report["timing"], "factor_s"),
+                        (report, "factorizations")]:
+        value = part.pop(field)
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(report, report_schema())
-        report["timing"][field] = value
+        part[field] = value
+    jsonschema.validate(report, report_schema())
 
 
 def test_pf_non_convergence_exit_code(tmp_path, capsys):
@@ -315,9 +325,13 @@ def test_opf_json_report(tmp_path, capsys):
     mu_b = [it["mu_b"] for it in trace]
     assert mu_b == sorted(mu_b, reverse=True) and mu_b[-1] < mu_b[0]
     assert trace[0]["primal"] > trace[-1]["primal"]
-    # a cold solve: COLAMD orders every factor, none needs regularization
-    assert all(it["kept_order"] is False and it["reg"] == 0.0 for it in trace)
+    # COLAMD orders the first factor, every later one keeps its order,
+    # none needs regularization, and the report counts the factors
+    assert [it["kept_order"] for it in trace[:-1]] == \
+        [False] + [True] * (len(trace) - 2)
+    assert all(it["reg"] == 0.0 for it in trace)
     assert all(it["factor_s"] > 0 for it in trace[:-1])
+    assert report["factorizations"] == report["iterations"] - 1
     trace[0]["kept_order"] = 1
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(report, report_schema())
@@ -330,6 +344,10 @@ def test_opf_json_report(tmp_path, capsys):
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(report, report_schema())
     report["timing"]["factor_s"] = factor_s
+    factorizations = report.pop("factorizations")
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(report, report_schema())
+    report["factorizations"] = factorizations
     # a power-flow iteration is no optimization iteration
     report["trace"] = [{"residual_pu": 1.0, "alpha": 1.0, "halvings": 0,
                         "factored": True, "factor_s": 1e-3}]
@@ -353,11 +371,16 @@ def test_bench_table(capsys):
     ]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0].split("\t") == [
-        "case", "n_bus", "pf_ms", "opf_ms", "pf_iters", "opf_iters", "status"
+        "case", "n_bus", "pf_ms", "opf_ms", "pf_iters", "opf_iters",
+        "pf_factors", "opf_factors", "status"
     ]
     assert len(lines) == 3
     for line in lines[1:]:
-        assert line.split("\t")[-1] == "ok"
+        row = dict(zip(lines[0].split("\t"), line.split("\t")))
+        assert row["status"] == "ok"
+        # a chord step reuses a factor; every IPM step but the last factors
+        assert 1 <= int(row["pf_factors"]) <= int(row["pf_iters"])
+        assert int(row["opf_factors"]) == int(row["opf_iters"]) - 1
 
 
 def test_sim_run_writes_outputs(tmp_path, capsys):

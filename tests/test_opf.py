@@ -619,14 +619,17 @@ def test_warm_resolve_from_its_own_optimum_takes_two_steps(case):
     assert max(kkt_residual(prob, again).values()) <= 1e-6
 
 
-# -- the kept column order of warm solves -------------------------------------
+# -- the kept column order ----------------------------------------------------
 
-def test_cold_solves_order_every_factor_and_warm_ones_keep_it():
+def test_the_first_factor_orders_and_every_later_one_keeps_it():
+    # COLAMD orders a structure's first factor; every later one, in the
+    # same cold solve or in a warm one, keeps that order
     net, _ = load_network(CASES / "case57.m")
     prob = opf_build(net)
     sol = ipm_solve(prob)
     steps = sol.trace[:-1]
-    assert not any(it["kept_order"] for it in sol.trace)
+    assert [it["kept_order"] for it in sol.trace] == \
+        [False] + [True] * (len(steps) - 1) + [False]
     assert all(it["reg"] == 0.0 for it in sol.trace)
     assert all(it["factor_s"] > 0 for it in steps)
     assert sol.trace[-1]["factor_s"] == 0.0

@@ -59,28 +59,6 @@ def test_a_kept_factor_solves_as_a_fresh_colamd_one(system):
     assert pattern.perm_c is perm_c
 
 
-def test_an_unkept_factor_leaves_the_recorded_order(system, monkeypatch):
-    pattern, values, rhs = system
-    pattern.factor(values)
-    perm_c = pattern.perm_c
-    recorded = perm_c.copy()
-    specs = []
-    splu = spla.splu
-
-    def spy(matrix, permc_spec="COLAMD", **kwargs):
-        specs.append(permc_spec)
-        return splu(matrix, permc_spec=permc_spec, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", spy)
-    solve = pattern.factor(values, kept=False)
-    assert _error(solve, pattern, values, rhs) == 0.0
-    assert pattern.perm_c is perm_c
-    assert np.array_equal(perm_c, recorded)
-    pattern.factor(values)
-    # the unkept factor, the comparison's fresh one, then a kept factor
-    assert specs == ["COLAMD", "COLAMD", "NATURAL"]
-
-
 def test_a_layout_gathered_for_another_order_fails_the_comparison(system):
     # the mutation check of the comparison above
     pattern, values, rhs = system
@@ -106,16 +84,15 @@ def test_every_factor_runs_in_column_mode(monkeypatch):
     pattern, values = _newton(rng)
     pattern.factor(values)                # the first, COLAMD
     pattern.factor(values)                # kept
-    pattern.factor(values, kept=False)    # unkept
     # an all-zero KKT matrix is singular: each solve retries regularized,
     # first while no order is recorded, then in the kept one
     kkt = opf_build(load_network(CASES / "case57.m")[0]).kkt
     zeros = np.zeros(len(kkt.pattern.rows))
     rhs = rng.standard_normal(kkt.pattern.shape[0])
-    for _ in range(2):
+    for kept in (False, True):
         entry = {"factor_s": 0.0}
-        _solve_reg(kkt, zeros, rhs, True, entry)
-        assert entry["reg"] == 1e-10
+        _solve_reg(kkt, zeros, rhs, entry)
+        assert entry["reg"] == 1e-10 and entry["kept_order"] is kept
     assert [spec for spec, _, _ in calls] == [
-        "COLAMD", "NATURAL", "COLAMD", "COLAMD", "COLAMD", "NATURAL", "NATURAL"]
+        "COLAMD", "NATURAL", "COLAMD", "COLAMD", "NATURAL", "NATURAL"]
     assert all((panel, relax) == (1, 1) for _, panel, relax in calls)

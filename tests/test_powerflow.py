@@ -46,7 +46,8 @@ from gridsim.powerflow.model import (PQ, PV, SL, _check_islands,
                                     generation_refresh, model_refresh)
 from gridsim.powerflow.pattern import FrozenCsc
 from gridsim.powerflow import solver as solver_mod
-from gridsim.powerflow.solver import HELD_CONTRACTION, NewtonSystem
+from gridsim.powerflow.solver import CHORD_CONTRACTION, NewtonSystem
+from gridsim.simlib import network as simnet_mod
 
 from conftest import CASES, DATA, GOLDEN
 from networks import _loaded_mixed_net, _mixed_net, _pv_delta_net
@@ -445,14 +446,18 @@ def test_zero_voltage_guard_on_solver_path():
 
 @pytest.mark.parametrize("case", ["case3", "case14", "case30", "case57"])
 def test_flat_start_iterates_pinned(case):
-    # recorded before the injection index sets were located once per
-    # solve; the arithmetic is the same, so neither may move
+    # recorded when every solve began trying chord steps; neither the
+    # counts nor the voltages may move.  ``newton`` is the record of the
+    # solver before, which factored at every step: the chord steps land
+    # within 1e-9 pu of where it landed
     pinned = json.loads((GOLDEN / "pf_flat_iterates.json").read_text())[case]
     net, _ = load_network(CASES / f"{case}.m")
     sol = nr_solve(model_build(net), PfOptions(tol_pu=1e-8))
     assert sol.iterations == pinned["iterations"]
-    v = np.array(pinned["v_re"]) + 1j * np.array(pinned["v_im"])
-    np.testing.assert_allclose(sol.v, v, rtol=0, atol=1e-12)
+    assert sol.factorizations == pinned["factorizations"]
+    for record, atol in [(pinned, 1e-12), (pinned["newton"], 1e-9)]:
+        v = np.array(record["v_re"]) + 1j * np.array(record["v_im"])
+        np.testing.assert_allclose(sol.v, v, rtol=0, atol=atol)
 
 
 def test_solve_trace():
@@ -467,18 +472,70 @@ def test_solve_trace():
     assert all(a > b for a, b in zip(norms, norms[1:]))
     assert all(it["alpha"] == 1.0 and it["halvings"] == 0 for it in sol.trace)
     assert sol.factor_s == pytest.approx(sum(it["factor_s"] for it in sol.trace))
-    assert all(it["factor_s"] > 0 for it in sol.trace)
+    # two Newton steps factor, then chord steps reuse the second factor
+    assert [it["factored"] for it in sol.trace] == [True, True] + [False] * 4
+    assert all((it["factor_s"] > 0) is it["factored"] for it in sol.trace)
 
 
-def _assert_held_steps_contract(sol):
-    """Every held step in ``sol.trace`` cut the max residual to at most
-    HELD_CONTRACTION times the residual before it, and factored nothing."""
+def _assert_chord_steps_contract(sol, tight_v):
+    """Every chord step in ``sol.trace`` cut the max residual to at most
+    CHORD_CONTRACTION times the residual before it, was taken whole and
+    factored nothing; ``factorizations`` counts the steps that factored;
+    and ``sol.v`` lies within 1e-8 pu of ``tight_v``, the voltages of a
+    ``tol_pu=1e-12`` solve of the same network."""
     after = [it["residual_pu"] for it in sol.trace[1:]] + [sol.residual_norm]
     for it, new in zip(sol.trace, after):
         if not it["factored"]:
-            assert new <= HELD_CONTRACTION * it["residual_pu"]
+            assert new <= CHORD_CONTRACTION * it["residual_pu"]
             assert it["factor_s"] == 0.0 and it["halvings"] == 0
     assert sol.factorizations == sum(it["factored"] for it in sol.trace)
+    assert np.abs(sol.v - tight_v).max() <= 1e-8
+
+
+def _tight_v(net):
+    """The voltages of a flat, ``tol_pu=1e-12`` solve of a copy of ``net``."""
+    tight = solve_network(copy.deepcopy(net), PfOptions(tol_pu=1e-12))
+    assert tight.converged
+    return tight.v
+
+
+def _pvdemo_held_solves(monkeypatch, hours=3):
+    """The held solves of the first ``hours`` of pvdemo, each with a copy
+    of the network as the solve found it."""
+    real, solves = simnet_mod.solve_network, []
+
+    def solve(net, *args, **kwargs):
+        before = copy.deepcopy(net)
+        sol = real(net, *args, **kwargs)
+        solves.append((before, sol))
+        return sol
+
+    monkeypatch.setattr(simnet_mod, "solve_network", solve)
+    sim = apply_yaml_file(DATA / "pvdemo" / "pvdemo_ieee57.yaml").sim
+    sim.end_time = hours * 3600.0
+    sim.run()
+    return solves
+
+
+@pytest.mark.parametrize("case", ["case3", "case14", "case30", "case57",
+                                  "pv_delta", "pvdemo"])
+def test_chord_steps_contract(case, monkeypatch):
+    """Cold flat solves, and held pvdemo re-solves that start on an
+    earlier solve's factor: each solve tries chord steps on its newest
+    factor, keeps only those that contract tenfold, and lands as close
+    to the answer as a Newton solve would."""
+    if case == "pvdemo":
+        solves = _pvdemo_held_solves(monkeypatch)
+        assert len(solves) == 20
+    else:
+        net = (_pv_delta_net() if case == "pv_delta"
+               else load_network(CASES / f"{case}.m")[0])
+        solves = [(copy.deepcopy(net), solve_network(net))]
+    for before, sol in solves:
+        assert sol.converged
+        _assert_chord_steps_contract(sol, _tight_v(before))
+    # every solve here takes chord steps, and reuses a factor
+    assert all(sol.factorizations < sol.iterations for _, sol in solves)
 
 
 def test_held_factor_absorbs_small_steps_and_falls_back_on_a_jump():
@@ -489,23 +546,26 @@ def test_held_factor_absorbs_small_steps_and_falls_back_on_a_jump():
     def resolve(scale):
         for z in net.zips:
             z.s_const *= scale
-        cold = solve_network(copy.deepcopy(net), PfOptions(tol_pu=1e-12))
+        tight_v = _tight_v(net)
         sol = solve_network(net, opts, held=held)
         assert sol.converged
-        _assert_held_steps_contract(sol)
-        np.testing.assert_allclose(sol.v, cold.v, rtol=0, atol=1e-9)
+        _assert_chord_steps_contract(sol, tight_v)
+        np.testing.assert_allclose(sol.v, tight_v, rtol=0, atol=1e-9)
         return sol
 
-    # nothing is held yet: Newton, factoring at every step
+    # nothing is held yet: the first step factors, and chord steps on
+    # that factor finish the solve
     first = resolve(1.0)
-    assert first.factorizations == first.iterations >= 1
-    # a 1% load step: held steps alone
+    assert [it["factored"] for it in first.trace] == [True, False, False]
+    # a 1% load step: held chord steps alone
     small = resolve(1.01)
     assert small.factorizations == 0 and small.iterations >= 2
-    # an 80% load jump: the first held step misses and is discarded, and
-    # Newton from the start point converges
+    # an 80% load jump: the first held chord step misses and is discarded,
+    # and a Newton step from the start point factors; the solve then
+    # reuses its newest factor
     jump = resolve(1.8)
-    assert jump.factorizations == jump.iterations >= 2
+    assert jump.trace[0]["factored"] and 1 <= jump.factorizations
+    assert jump.factorizations < jump.iterations
     # the jump's newest factor is the one held next
     assert resolve(1.01).factorizations == 0
 
@@ -528,8 +588,8 @@ def test_a_newton_step_no_length_helps_stalls(monkeypatch, tmp_path, capsys):
     # an ascent direction: every length raises the max residual
     factor = FrozenCsc.factor
 
-    def ascent(self, values, kept=True):
-        solve = factor(self, values, kept)
+    def ascent(self, values):
+        solve = factor(self, values)
         return lambda rhs: -solve(rhs)
 
     monkeypatch.setattr(FrozenCsc, "factor", ascent)
@@ -551,7 +611,8 @@ def test_a_newton_step_no_length_helps_stalls(monkeypatch, tmp_path, capsys):
 
 
 def test_singular_later_factor_reported(monkeypatch):
-    # a factor in the kept ordering fails as the first (COLAMD) one would
+    # a factor in the kept ordering fails as the first (COLAMD) one would;
+    # case57's second step factors (its chord step misses)
     splu = spla.splu
 
     def failing(jac, permc_spec="COLAMD", **kwargs):
@@ -560,7 +621,7 @@ def test_singular_later_factor_reported(monkeypatch):
         return splu(jac, permc_spec=permc_spec, **kwargs)
 
     monkeypatch.setattr(spla, "splu", failing)
-    net, _ = load_network(CASES / "case14.m")
+    net, _ = load_network(CASES / "case57.m")
     with pytest.raises(SingularJacobianError, match="at iteration 2"):
         nr_solve(model_build(net))
 
@@ -580,7 +641,7 @@ def test_non_finite_step_reported(monkeypatch):
         return Overflowing(lu) if permc_spec == "NATURAL" else lu
 
     monkeypatch.setattr(spla, "splu", natural_overflows)
-    net, _ = load_network(CASES / "case14.m")
+    net, _ = load_network(CASES / "case57.m")
     with pytest.raises(SingularJacobianError,
                        match="non-finite Newton step at iteration 2"):
         nr_solve(model_build(net))
@@ -740,10 +801,39 @@ def _shared_gen_net():
     return net
 
 
-# gen.s (MVA) after solve_network, recorded before model_build kept the
-# generator-to-node map: slack output split equally, the missing PV
-# reactive power split equally, PQ and out-of-service gens untouched
+# gen.s (MVA) after solve_network: slack output split equally, the
+# missing PV reactive power split equally, PQ and out-of-service gens
+# untouched.  Recorded when every solve began trying chord steps.
 SHARED_GEN_S = {
+    "s1": [
+        1.2738863862686067 + 0.1914165922212696j,
+        0.8485116969094203 + 0.23872875517336858j,
+        1.6339872551684522 - 0.01023074720771653j,
+    ],
+    "s2": [
+        1.2738863862686067 + 0.1914165922212696j,
+        0.8485116969094203 + 0.23872875517336858j,
+        1.6339872551684522 - 0.01023074720771653j,
+    ],
+    "s3": [0.8485116969094203 + 0.23872875517336858j],
+    "q1": [0.5 + 0.1j],
+    "p1": [
+        2 + 1.2107666205625474j,
+        2 + 1.1019305447365153j,
+        2 + 0.33790656262964885j,
+    ],
+    "p2": [
+        1 + 0.5107666205625474j,
+        1 + 0.9019305447365152j,
+        1 + 0.7379065626296488j,
+    ],
+    "off": [5 + 5j, 5 + 5j, 5 + 5j],
+    "p3": [0.8 + 0.23790656262964888j],
+}
+
+# the same, recorded before model_build kept the generator-to-node map,
+# by the solver of then, which factored at every step
+NEWTON_SHARED_GEN_S = {
     "s1": [1.273886376024319 + 0.19141659631083385j,
            0.8485116933672205 + 0.23872875669656812j,
            1.63398725516506 - 0.01023074720390111j],
@@ -770,10 +860,13 @@ def test_apply_solution_shares_generation():
     ]
     # the PV bus holds the setpoint of its first generator
     np.testing.assert_allclose(np.abs(net.buses["p"].v), 1.02, atol=1e-8)
-    for gen in net.gens:
-        np.testing.assert_allclose(
-            gen.s, SHARED_GEN_S[gen.id], rtol=0, atol=1e-12, err_msg=gen.id
-        )
+    # the Newton record holds to the solve's tolerance, 1e-8 pu
+    for pinned, atol in [(SHARED_GEN_S, 1e-12),
+                         (NEWTON_SHARED_GEN_S, 1e-8 * net.s_base_mva)]:
+        for gen in net.gens:
+            np.testing.assert_allclose(
+                gen.s, pinned[gen.id], rtol=0, atol=atol, err_msg=gen.id
+            )
     assert net.gens["off"].s.tolist() == [5 + 5j] * 3
 
 

@@ -42,7 +42,7 @@ from gridsim.simlib import network as simnet_mod
 from gridsim.simulation import ComponentError, Simulation
 
 from conftest import CASES, DATA
-from test_powerflow import _assert_held_steps_contract, _assert_same_model
+from test_powerflow import _assert_chord_steps_contract, _assert_same_model
 
 
 NOON = 12 * 3600.0
@@ -619,11 +619,10 @@ def test_held_model_matches_a_fresh_build_over_pvdemo(monkeypatch):
     assert len(structures) == len({id(y) for y in structures}) == 1
     assert vvc.problem_builds == 1
     assert vvc.solve_count == 1 + len(compared) == 37
-    # a held solve resumes from the last state on the last factor: it
-    # rarely factors (2.51 factors per solve before the factor was held),
-    # and its cheaper held steps stay few (4.2 per solve measured)
-    assert grid.factorizations < 0.5 * grid.solve_count
-    assert grid.newton_iterations < 4.5 * grid.solve_count
+    # a held solve resumes from the last state on the last factor, and
+    # its chord steps reuse its newest factor: it rarely factors (0.053
+    # factors per solve measured)
+    assert grid.factorizations < 0.1 * grid.solve_count
     # the slack total sums every slack of the last solution
     sol, ext = vvc.last_solution, compared[-1]
     slacks = [sol.extension_value(ext.name, var.name) for var in ext.variables]
@@ -711,15 +710,14 @@ def test_an_inverter_leaving_its_q_box_open_fails_the_bound_check(monkeypatch):
 
 
 def test_held_factor_over_pvdemo_rarely_factors_and_stays_exact(monkeypatch):
-    """Six hours of pvdemo: re-solves take held steps on the last solve's
-    factor and rarely factor, and each solve lands within 1e-7 pu of a
+    """Six hours of pvdemo: re-solves take chord steps on the last solve's
+    factor and rarely factor, and each solve lands within 1e-8 pu of a
     cold, tight solve of the network as it stood."""
     solves = []
 
     def check(before, sol, _fresh):
         cold = solve_network(before, PfOptions(start="flat", tol_pu=1e-12))
-        assert np.abs(sol.v - cold.v).max() < 1e-7
-        _assert_held_steps_contract(sol)
+        _assert_chord_steps_contract(sol, cold.v)
         solves.append(sol)
 
     _after_each_solve(monkeypatch, check)
@@ -729,8 +727,10 @@ def test_held_factor_over_pvdemo_rarely_factors_and_stays_exact(monkeypatch):
     assert len(resolves) == 37
     assert sum(sol.factorizations for sol in resolves) < 0.5 * len(resolves)
     assert grid.factorizations == sum(sol.factorizations for sol in solves)
-    # the first solve has nothing held and factors at every step
-    assert solves[0].factorizations == solves[0].iterations
+    # the first solve has nothing held: its first step factors, and chord
+    # steps on its own factors follow
+    assert solves[0].trace[0]["factored"]
+    assert 1 <= solves[0].factorizations < solves[0].iterations
 
 
 def test_a_tap_move_drops_the_held_factor(monkeypatch):
@@ -813,14 +813,16 @@ def _kept_step_error(solve, matrix, rhs) -> float:
 
 
 def test_warm_kept_order_steps_match_a_fresh_factor_over_pvdemo(monkeypatch):
-    """Every KKT step of a warm volt-VAR solve, factored in the order kept
-    on the held pattern, equals the step of a fresh COLAMD factor."""
+    """Every KKT step of a volt-VAR solve, warm or the cold first one,
+    factored in the order kept on the held pattern after its first
+    factor, equals the step of a fresh COLAMD factor."""
     solves, builds = _vvc_solves(monkeypatch)
     errors = []
     factor = FrozenCsc.factor
 
-    def checked(self, values, kept=True):
-        solve = factor(self, values, kept)
+    def checked(self, values):
+        kept = self.perm_c is not None
+        solve = factor(self, values)
         # the power flow's Newton patterns factor here too
         if not kept or self not in [b.kkt.pattern for b in builds]:
             return solve
@@ -835,9 +837,11 @@ def test_warm_kept_order_steps_match_a_fresh_factor_over_pvdemo(monkeypatch):
     sim, _, _ = _pvdemo_6h()
     sim.run()
     assert len(builds) == 1 and len(solves) == 37
-    kept = [it["kept_order"] for _, warm, sol in solves if warm is not None
+    kept = [it["kept_order"] for _, _, sol in solves
             for it in sol.trace if it["alpha_p"] is not None]
-    assert all(kept) and len(errors) == len(kept) >= 36
+    # only the cold first solve's first step orders with COLAMD
+    assert kept == [False] + [True] * (len(kept) - 1)
+    assert len(errors) == len(kept) - 1 >= 36
     assert max(errors) <= 1e-9, max(errors)
 
 

@@ -13,7 +13,8 @@ processes; with two trees, their processes alternate.
 For each process it prints the median ratio over its loops, the median
 ``nr_solve`` and ``ipm_solve`` times (of the loops' medians), each side's
 median factor share (the solution's ``factor_s`` over the timed call, over
-every call) and how many loops fell below 10.  A change to the LU moves
+every call), each side's median LU factors per call (its
+``factorizations``) and how many loops fell below 10.  A change to the LU moves
 both sides of the ratio; the shares show by how much.  It exits 0
 whatever the ratios: the test is the gate.  Unless the environment sets
 them, each process runs with one BLAS thread.
@@ -49,7 +50,8 @@ from gridsim.powerflow import PfOptions, model_build, nr_solve
 case, loops = sys.argv[1], int(sys.argv[2])
 net, _ = load_network(case)
 nr_solve(model_build(net), PfOptions(tol_pu=1e-8))
-out = {"ratio": [], "pf_s": [], "opf_s": [], "pf_share": [], "opf_share": []}
+out = {"ratio": [], "pf_s": [], "opf_s": [], "pf_share": [], "opf_share": [],
+       "pf_factors": [], "opf_factors": []}
 for _ in range(loops):
     pf_times, opf_times = [], []
     for _ in range(5):
@@ -60,6 +62,7 @@ for _ in range(loops):
         pf_times.append(time.perf_counter() - t0)
         assert sol.converged
         out["pf_share"].append(sol.factor_s / pf_times[-1])
+        out["pf_factors"].append(sol.factorizations)
         net, _ = load_network(case)
         prob = opf_build(net)
         t0 = time.perf_counter()
@@ -67,6 +70,7 @@ for _ in range(loops):
         opf_times.append(time.perf_counter() - t0)
         assert osol.status == "optimal"
         out["opf_share"].append(osol.factor_s / opf_times[-1])
+        out["opf_factors"].append(osol.factorizations)
     pf, opf = statistics.median(pf_times), statistics.median(opf_times)
     out["ratio"].append(opf / pf)
     out["pf_s"].append(pf)
@@ -98,7 +102,8 @@ def main(argv=None) -> int:
     print(f"{args.processes} processes x {LOOPS} loops per tree; "
           f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', '1')}")
     print(f"{'tree':<40} {'ratio':>7} {'nr_solve ms':>12} "
-          f"{'ipm_solve ms':>13} {'nr LU %':>8} {'ipm LU %':>9} {'below 10':>9}")
+          f"{'ipm_solve ms':>13} {'nr LU %':>8} {'ipm LU %':>9} "
+          f"{'nr LUs':>7} {'ipm LUs':>8} {'below 10':>9}")
     ratios = {tree: [] for tree in trees}
     for _ in range(args.processes):
         for tree in trees:
@@ -110,6 +115,8 @@ def main(argv=None) -> int:
                   f"{1e3 * statistics.median(out['opf_s']):13.2f} "
                   f"{1e2 * statistics.median(out['pf_share']):8.1f} "
                   f"{1e2 * statistics.median(out['opf_share']):9.1f} "
+                  f"{statistics.median(out['pf_factors']):7g} "
+                  f"{statistics.median(out['opf_factors']):8g} "
                   f"{below:>5} of {len(out['ratio'])}", flush=True)
     for tree, per_process in ratios.items():
         loops = [r for process in per_process for r in process]
