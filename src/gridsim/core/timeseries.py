@@ -125,35 +125,76 @@ class TimeSeries:
         """Load `time,value1[,value2...]` rows; '#' starts a comment line.
 
         Every row must carry as many values as the first, each a finite
-        number; an error names the file and line of the first row that
-        does not.
+        number, and a time later than the row before; an error names the
+        file and line of the first row that does not.
         """
-        times: list[int] = []
-        values: list[list[float]] = []
-        lines: list[int] = []
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            try:
-                if len(parts) < 2:
-                    raise ValueError("expected time,value[,...]")
-                times.append(parse_time(parts[0]))
-                values.append([float(p) for p in parts[1:]])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            lines.append(lineno)
-        try:
-            array = np.array(values, dtype=float)
-        except ValueError:
-            # the rows are not all of one length
-            k = next(k for k, row in enumerate(values)
-                     if len(row) != len(values[0]))
-            raise ValueError(f"{path}:{lines[k]}: {len(values[k])} values, "
-                             f"where the first row has {len(values[0])}") from None
-        k = _first_non_finite(array)
+        rows, lines = _data_rows(Path(path).read_text())
+        times, values = _read_columns(path, rows, lines)
+        k = _first_non_finite(values)
         if k is not None:
             raise ValueError(f"{path}:{lines[k]}: value is not finite: "
-                             f"{values[k]}")
-        return cls(times, array, interpolation, out_of_range)
+                             f"{values[k].tolist()}")
+        if len(times) == 0:
+            raise ValueError(f"{path}: time series must contain at least one point")
+        falls = np.flatnonzero(np.diff(times) <= 0)
+        if len(falls):
+            k = int(falls[0]) + 1
+            raise ValueError(f"{path}:{lines[k]}: times must be strictly "
+                             f"increasing: {times[k]} after {times[k - 1]}")
+        return cls(times, values, interpolation, out_of_range)
+
+
+def _data_rows(text: str) -> tuple[list[str], list[int]]:
+    """The stripped text and the line number of each line of a CSV text
+    that is neither blank nor a '#' comment."""
+    rows, lines = [], []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            rows.append(line)
+            lines.append(lineno)
+    return rows, lines
+
+
+def _read_columns(path, rows, lines) -> tuple[np.ndarray, np.ndarray]:
+    """The times and values of a CSV file's data rows.
+
+    If every row has as many cells as the first, the time column and the
+    value cells go through one numpy call each, which applies ``int()``
+    and ``float()`` to every cell.  Rows those calls reject (ISO-8601
+    times, bad cells) or that differ in width are read again by
+    :func:`_read_rows`, which gives the same result or names the bad line.
+    """
+    width = rows[0].count(",") + 1 if rows else 0
+    if width > 1 and all(row.count(",") == width - 1 for row in rows):
+        cells = ",".join(rows).split(",")
+        times = cells[::width]
+        del cells[::width]
+        try:
+            return (np.array(times, dtype=np.int64),
+                    np.array(cells, dtype=float).reshape(len(rows), -1))
+        except (ValueError, OverflowError):
+            pass
+    return _read_rows(path, rows, lines)
+
+
+def _read_rows(path, rows, lines) -> tuple[np.ndarray, np.ndarray]:
+    """Parse data rows one by one through :func:`parse_time` and ``float``:
+    the reference for :func:`_read_columns`, and the reader that names
+    the line of the first bad row."""
+    times: list[int] = []
+    values: list[list[float]] = []
+    for lineno, line in zip(lines, rows):
+        parts = [p.strip() for p in line.split(",")]
+        try:
+            if len(parts) < 2:
+                raise ValueError("expected time,value[,...]")
+            times.append(parse_time(parts[0]))
+            values.append([float(p) for p in parts[1:]])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    for k, row in enumerate(values):
+        if len(row) != len(values[0]):
+            raise ValueError(f"{path}:{lines[k]}: {len(row)} values, "
+                             f"where the first row has {len(values[0])}")
+    return np.array(times, dtype=np.int64), np.array(values, dtype=float)

@@ -454,6 +454,27 @@ def test_sim_config_errors(tmp_path, capsys):
                        f"at t={interval}, not after t=0"]
 
 
+@pytest.mark.parametrize("text, where", [
+    (b"- simulation:\n    start_time: 0\n    end_time: [1\n", "line 4, column 1"),
+    (b"- simulation:\n    start_time: 0\n    end_time: [1\n- heartbeat:\n"
+     b"    id: hb\n", "line 4, column 12"),
+    (b"\xff\xfe- simulation:\n    start_time: 0\n", "byte 0"),
+    (b"- simulation:\n    start_time: \x07\n", "offset 30"),
+], ids=["unclosed-at-end", "unclosed", "not-utf-8", "control-character"])
+def test_sim_config_that_does_not_parse_names_the_file_and_the_place(
+        tmp_path, capsys, text, where):
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(text)
+    assert main(["sim", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    # libyaml and PyYAML word the problem differently, so only the place
+    # is pinned
+    lines = err.strip().split("\n")
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {path}: {where}: ")
+
+
 def _pvdemo_copy(tmp_path):
     """A copy of the pvdemo scenario and its case; the path of its config."""
     (tmp_path / "cases").mkdir()

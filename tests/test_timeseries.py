@@ -1,9 +1,11 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from gridsim.core import timeseries as ts_mod
 from gridsim.core import (
     CLAMP,
     ERROR,
@@ -13,6 +15,8 @@ from gridsim.core import (
     TimeSeriesRangeError,
     parse_time,
 )
+
+from conftest import DATA
 
 
 def test_parse_time_integers_and_iso():
@@ -95,12 +99,87 @@ def test_non_finite_values_are_rejected(bad):
     ("60,2.0", r"1 values, where the first row has 2"),
     ("60,2.0,20.0,7.0", r"3 values, where the first row has 2"),
     ("60,2.0,abc", r"could not convert string to float"),
-], ids=["nan", "inf", "short", "long", "not-a-number"])
+    ("0,2.0,20.0", r"times must be strictly increasing: 0 after 0"),
+    ("-60,2.0,20.0", r"times must be strictly increasing: -60 after 0"),
+    (None, r"time series must contain at least one point"),
+], ids=["nan", "inf", "short", "long", "not-a-number", "repeat", "decreasing",
+        "empty"])
 def test_from_csv_names_the_line_of_a_bad_row(tmp_path, row, message):
     path = tmp_path / "series.csv"
-    path.write_text(f"# header\n0,1.0,10.0\n{row}\n120,3.0,30.0\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: {message}"):
+    if row is None:  # comments and a blank line, and no row: only the file
+        path.write_text("# header\n\n# time,P,Q\n")
+        where = ""
+    else:
+        path.write_text(f"# header\n0,1.0,10.0\n{row}\n120,3.0,30.0\n")
+        where = ":3"
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(path))}{where}: {message}"):
         TimeSeries.from_csv(path)
+
+
+# Cells a time or a value may be: integers signed, padded or underscored,
+# numbers float() reads and int() does not, tokens neither reads, and
+# ISO-8601 times, which only parse_time reads.
+_TIME = st.one_of(
+    st.integers(-10**12, 10**12).map(str),
+    st.builds("{}{:_}{}".format, st.sampled_from(["", " ", "+", "\xa0"]),
+              st.integers(0, 10**7), st.sampled_from(["", " ", "\u2003"])),
+    st.sampled_from(["600.0", "1970-01-01T00:10:00", "1970-01-01 00:20:00+00:00",
+                     "\u0661", "1_0", "99999999999999999999", "1e3", "abc", ""]),
+)
+_VALUE = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1_0", "\u0661", "nan", "-inf", "inf", "1e500", "-0",
+                     "600.0", " 2.5 ", "1e", "abc", ""]),
+)
+
+
+@st.composite
+def _csv_text(draw):
+    """A CSV text: rows of one width mostly and of another at times, '#'
+    lines, blank lines and '#' in a row, with LF or CRLF line ends."""
+    width = draw(st.integers(1, 3))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 5 + ["ragged", "comment", "blank"]))
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["# time_s,P_MW", "  #", "#,1"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+        else:
+            n = width if kind == "row" else width + draw(st.sampled_from([-1, 1]))
+            row = ",".join([draw(_TIME | st.just("60"))] + draw(st.lists(
+                _VALUE | st.sampled_from(["1.5", "2"]), min_size=n, max_size=n)))
+            lines.append(row + draw(st.sampled_from([""] * 5 + [" # note"])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def _read(read, text):
+    """What ``read`` makes of a CSV text: the bytes of its times and
+    values, or the message of the error it raised."""
+    rows, lines = ts_mod._data_rows(text)
+    try:
+        times, values = read("s.csv", rows, lines)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return (times.dtype, times.shape, times.tobytes(),
+            values.dtype, values.shape, values.tobytes())
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(text=_csv_text())
+def test_a_series_reads_as_it_does_row_by_row(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _read(ts_mod._read_columns, text) == _read(ts_mod._read_rows, text)
+
+
+def test_a_clean_series_is_read_in_one_call(monkeypatch):
+    monkeypatch.setattr(ts_mod, "_read_rows", None)
+    for path in (DATA / "pvdemo" / "loads").iterdir():
+        assert TimeSeries.from_csv(path).values.shape == (145, 2)
 
 
 def test_from_csv(tmp_path):

@@ -1,3 +1,4 @@
+import re
 import textwrap
 
 import pytest
@@ -210,21 +211,33 @@ def test_duplicate_keyword_registration_rejected():
     assert "x" in registry.keywords()
 
 
+SIM_DOC = textwrap.dedent(
+    """
+    - parameters:
+        span: 3600
+    - simulation:
+        start_time: 0
+        end_time: <span>
+    - heartbeat:
+        id: hb
+        interval_s: 600
+    """
+)
+NET_DOC = textwrap.dedent(
+    f"""
+    - simulation:
+        start_time: 0
+        end_time: 10
+    - matpower:
+        input_file: {DATA / 'cases' / 'case14.m'}
+        id: grid
+    """
+)
+
+
 def test_parameters_and_simulation_plugins(tmp_path):
-    cfg = textwrap.dedent(
-        """
-        - parameters:
-            span: 3600
-        - simulation:
-            start_time: 0
-            end_time: <span>
-        - heartbeat:
-            id: hb
-            interval_s: 600
-        """
-    )
     path = tmp_path / "sim.yaml"
-    path.write_text(cfg)
+    path.write_text(SIM_DOC)
     ctx = apply_yaml_file(path)
     assert ctx.sim.start_time == 0.0
     assert ctx.sim.end_time == 3600.0
@@ -233,18 +246,8 @@ def test_parameters_and_simulation_plugins(tmp_path):
 
 
 def test_matpower_plugin_builds_network(tmp_path):
-    cfg = textwrap.dedent(
-        f"""
-        - simulation:
-            start_time: 0
-            end_time: 10
-        - matpower:
-            input_file: {DATA / 'cases' / 'case14.m'}
-            id: grid
-        """
-    )
     path = tmp_path / "net.yaml"
-    path.write_text(cfg)
+    path.write_text(NET_DOC)
     ctx = apply_yaml_file(path)
     assert ctx.default_network_id == "grid"
     assert len(ctx.networks["grid"].network.buses) == 14
@@ -284,3 +287,23 @@ def test_unknown_series_error_names_the_id_and_the_entry(entry):
     assert err.value.path == path
     assert str(err.value).startswith("/".join(map(str, path)) + ": ")
     assert "unknown time series 'nope'" in str(err.value)
+
+
+@pytest.mark.parametrize("c_loader", [True, False], ids=["libyaml", "python"])
+def test_load_yaml_file_reads_as_safe_load(tmp_path, monkeypatch, c_loader):
+    # every document the repo ships or tests loads to the same objects, and
+    # without libyaml a file still loads and a fault is still placed
+    if not c_loader:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    paths = [DATA / "pvdemo" / "pvdemo_ieee57.yaml",
+             GOLDEN / "pvdemo_loop_expanded.yaml"]
+    for name, doc in (("sim.yaml", SIM_DOC), ("net.yaml", NET_DOC)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(doc)
+    for path in paths:
+        assert repr(load_yaml_file(path)) == repr(yaml.safe_load(path.read_text()))
+    broken = tmp_path / "broken.yaml"
+    broken.write_text("- simulation:\n    end_time: [1\n- heartbeat:\n    id: hb\n")
+    with pytest.raises(YamlConfigError,
+                       match=f"^{re.escape(str(broken))}: line 3, column 12: "):
+        load_yaml_file(broken)
