@@ -184,12 +184,16 @@ def _read_rows(path, rows, lines) -> tuple[np.ndarray, np.ndarray]:
     the line of the first bad row."""
     times: list[int] = []
     values: list[list[float]] = []
+    t_range = np.iinfo(np.int64)
     for lineno, line in zip(lines, rows):
         parts = [p.strip() for p in line.split(",")]
         try:
             if len(parts) < 2:
                 raise ValueError("expected time,value[,...]")
-            times.append(parse_time(parts[0]))
+            t = parse_time(parts[0])
+            if not t_range.min <= t <= t_range.max:
+                raise ValueError(f"time {t} does not fit in 64 bits")
+            times.append(t)
             values.append([float(p) for p in parts[1:]])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None

@@ -83,8 +83,9 @@ class OpfSolution:
     # parameter mu_b in force, the primal and dual step lengths it took
     # (None on the iteration that found the point optimal and stopped), the
     # time in its KKT factors, retries included, the diagonal regularization
-    # its step used, and whether it factored in the kept column order (0.0,
-    # 0.0 and false on the iteration that stopped)
+    # its step used, whether it factored in the kept column order and the
+    # entries SuperLU stored for L and U of the factor its step came from
+    # (0.0, 0.0, false and 0 on the iteration that stopped)
     trace: list = field(default_factory=list)
 
     @property
@@ -209,7 +210,7 @@ def ipm_solve(problem, opts: IpmOptions | None = None,
     for it in range(1, opts.max_iter + 1):
         norms = _kkt_norms(res, r_d, lam, mu, s)
         entry = {**norms, "mu_b": mu_b, "alpha_p": None, "alpha_d": None,
-                 "factor_s": 0.0, "reg": 0.0, "kept_order": False}
+                 "factor_s": 0.0, "reg": 0.0, "kept_order": False, "fill": 0}
         trace.append(entry)
         if max(norms.values()) <= opts.tol:
             status = "optimal"
@@ -306,9 +307,9 @@ def _solve_reg(kkt, values, rhs, entry):
     """Solve the KKT system, adding diagonal regularization on breakdown.
 
     The iteration's trace ``entry`` gets the time spent in factors, the
-    regularization of the step returned and whether its factor took the
-    pattern's kept column order.  Returns the step and the number of LU
-    factors computed.
+    regularization of the step returned, whether its factor took the
+    pattern's kept column order and that factor's fill.  Returns the step
+    and the number of LU factors computed.
     """
     nx = kkt.n_var
     reg = 0.0
@@ -331,7 +332,7 @@ def _solve_reg(kkt, values, rhs, entry):
         factors += 1
         step = solve(rhs)
         if np.all(np.isfinite(step)):
-            entry["reg"] = reg
+            entry["reg"], entry["fill"] = reg, kkt.pattern.fill
             return step, factors
         reg = max(reg * 100.0, 1e-10)
     raise NumericalBreakdownError("KKT system is numerically singular")

@@ -72,7 +72,8 @@ class KktPattern:
     the stored position of each diagonal entry.
 
     ``pattern`` is that :class:`~gridsim.powerflow.pattern.FrozenCsc`, and
-    its ``factor`` keeps the column order of its first factor.  Problems
+    its ``factor`` keeps the column order of its first factor, a COLAMD
+    one: the zero (2,2) block rules out an order of A + A^T.  Problems
     that :func:`opf_refresh` makes share their pattern, so the order
     outlives the problem it was found on.
     """
@@ -88,7 +89,8 @@ class KktPattern:
             [hess.rows, jac_h.cols[p1], nx + jac_g.rows, jac_g.cols, d])
         cols = np.concatenate(
             [hess.cols, jac_h.cols[p2], jac_g.cols, nx + jac_g.rows, d])
-        self.pattern = FrozenCsc(rows, cols, (nx + n_eq, nx + n_eq))
+        self.pattern = FrozenCsc(rows, cols, (nx + n_eq, nx + n_eq),
+                                 permc_spec="COLAMD")
         self.diag = self.pattern.position(d, d)
         self._zeros = np.zeros(nx + n_eq)
 

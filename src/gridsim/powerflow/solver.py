@@ -46,8 +46,8 @@ class PfSolution:
     stalled_at: int | None = None
     # One entry per step taken: max residual before the step (pu), the
     # step length, how often it was halved, whether the step factored a
-    # new Jacobian or was a chord step, and the factor time (0 on a chord
-    # step).
+    # new Jacobian or was a chord step, and the factor time and the
+    # entries SuperLU stored for L and U (both 0 on a chord step).
     trace: list[dict] = field(default_factory=list, repr=False)
     model: PowerFlowModel | None = field(default=None, repr=False)
 
@@ -114,7 +114,8 @@ class NewtonSystem:
     the delta-load triplets, the PV rows and columns) are built once, for
     at least a whole solve, in ``pattern`` and in one CSC matrix of it,
     its ``refilled`` one, that :meth:`jacobian` refills; ``pattern.factor``
-    keeps the LU ordering of its first factor.  They depend
+    orders its first factor by minimum degree on A + A^T, as befits a
+    structurally symmetric matrix, and keeps that ordering.  They depend
     on the model's structure only, and ``y`` is the Y-bus they were built
     on: :meth:`load` moves the system to another model of that structure
     (new injection values, so new :class:`Injections`) and keeps them.
@@ -151,7 +152,7 @@ class NewtonSystem:
                             pv_cols, nf + pv_cols, mag, mag]),
             np.concatenate([c, nf + c, c, nf + c,
                             mag, mag, pv_cols, nf + pv_cols]),
-            (size, size),
+            (size, size), permc_spec="MMD_AT_PLUS_A",
         )
         slots = pattern.slots[: 4 * m].reshape(4, m)
         self._diag_pos = slots[:, ny : ny + nf].ravel()
@@ -317,7 +318,7 @@ def nr_solve(
                 if step[-1] <= CHORD_CONTRACTION * norm:
                     trace.append({"residual_pu": norm, "alpha": 1.0,
                                   "halvings": 0, "factored": False,
-                                  "factor_s": 0.0})
+                                  "factor_s": 0.0, "fill": 0})
                     x, v, s_g, fvec, drawn, norm = step
                     continue
 
@@ -355,7 +356,7 @@ def nr_solve(
             break
         trace.append({"residual_pu": norm, "alpha": alpha,
                       "halvings": halvings, "factored": True,
-                      "factor_s": factor_s})
+                      "factor_s": factor_s, "fill": system.pattern.fill})
         x, v, s_g, fvec, drawn, norm = step
 
     if norm <= opts.tol_pu:

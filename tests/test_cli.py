@@ -39,10 +39,11 @@ def test_pf_json_report_matches_schema(tmp_path, capsys):
     assert trace[0]["residual_pu"] > trace[-1]["residual_pu"] > report["residual_pu"]
     # the first step factors; a chord step reuses the newest factor and
     # cut the max residual at least tenfold, and the report counts factors
+    # and gives each one's fill
     after = [it["residual_pu"] for it in trace[1:]] + [report["residual_pu"]]
     assert trace[0]["factored"] is True
     for it, new in zip(trace, after):
-        assert it["factored"] is (it["factor_s"] > 0)
+        assert it["factored"] is (it["factor_s"] > 0) is (it["fill"] > 0)
         assert it["factored"] or new <= 0.1 * it["residual_pu"]
     assert report["factorizations"] == sum(it["factored"] for it in trace)
     assert 1 <= report["factorizations"] < report["iterations"]
@@ -54,6 +55,12 @@ def test_pf_json_report_matches_schema(tmp_path, capsys):
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(report, report_schema())
     trace[0]["factored"] = True
+    fill = trace[0]["fill"]
+    for bad in (-1, 0.5 + fill):
+        trace[0]["fill"] = bad
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(report, report_schema())
+    trace[0]["fill"] = fill
     for part, field in [(report["timing"], "network_s"),
                         (report["timing"], "factor_s"),
                         (report, "factorizations")]:
@@ -326,11 +333,13 @@ def test_opf_json_report(tmp_path, capsys):
     assert mu_b == sorted(mu_b, reverse=True) and mu_b[-1] < mu_b[0]
     assert trace[0]["primal"] > trace[-1]["primal"]
     # COLAMD orders the first factor, every later one keeps its order,
-    # none needs regularization, and the report counts the factors
+    # none needs regularization, and the report counts the factors and
+    # gives each one's fill
     assert [it["kept_order"] for it in trace[:-1]] == \
         [False] + [True] * (len(trace) - 2)
     assert all(it["reg"] == 0.0 for it in trace)
-    assert all(it["factor_s"] > 0 for it in trace[:-1])
+    assert all(it["factor_s"] > 0 and it["fill"] > 0 for it in trace[:-1])
+    assert trace[-1]["fill"] == 0
     assert report["factorizations"] == report["iterations"] - 1
     trace[0]["kept_order"] = 1
     with pytest.raises(jsonschema.ValidationError):
@@ -340,6 +349,10 @@ def test_opf_json_report(tmp_path, capsys):
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(report, report_schema())
     trace[0]["mu_b"] = mu_b[0]
+    trace[0]["fill"] = None
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(report, report_schema())
+    trace[0]["fill"] = trace[1]["fill"]
     factor_s = report["timing"].pop("factor_s")
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(report, report_schema())
@@ -350,7 +363,7 @@ def test_opf_json_report(tmp_path, capsys):
     report["factorizations"] = factorizations
     # a power-flow iteration is no optimization iteration
     report["trace"] = [{"residual_pu": 1.0, "alpha": 1.0, "halvings": 0,
-                        "factored": True, "factor_s": 1e-3}]
+                        "factored": True, "factor_s": 1e-3, "fill": 100}]
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(report, report_schema())
 

@@ -177,22 +177,27 @@ def _cold_opf(net):
     return ipm_solve(opf_build(net))
 
 
-@pytest.mark.parametrize("solve,net_fn,tol", [
-    (_cold_pf, lambda: load_network(CASES / "case57.m")[0], 1e-12),
-    (_cold_pf, _pv_delta_net, 1e-12),
-    (_cold_opf, lambda: load_network(CASES / "case57.m")[0], 1e-9),
+@pytest.mark.parametrize("solve,net_fn,tol,first", [
+    (_cold_pf, lambda: load_network(CASES / "case57.m")[0], 1e-12,
+     "MMD_AT_PLUS_A"),
+    (_cold_pf, _pv_delta_net, 1e-12, "MMD_AT_PLUS_A"),
+    (_cold_opf, lambda: load_network(CASES / "case57.m")[0], 1e-9, "COLAMD"),
 ], ids=["case57", "pv_delta", "case57-opf"])
-def test_kept_ordering_step_matches_fresh_factor(solve, net_fn, tol,
+def test_kept_ordering_step_matches_fresh_factor(solve, net_fn, tol, first,
                                                  monkeypatch):
     # every step of a cold solve, chord steps included, against a fresh
-    # default splu of the same matrix: the first factor orders with
-    # COLAMD, and every later one takes the kept symmetric ordering
-    errors, specs = [], []
+    # default (COLAMD) splu of the same matrix: the first factor orders
+    # by the pattern's own order, minimum degree on A + A^T for a Newton
+    # Jacobian and COLAMD for a KKT matrix, and every later one takes the
+    # kept symmetric ordering
+    errors, specs, fills = [], [], []
     factor, splu = FrozenCsc.factor, spla.splu
 
     def spy(matrix, permc_spec="COLAMD", **kwargs):
         specs.append(permc_spec)
-        return splu(matrix, permc_spec=permc_spec, **kwargs)
+        lu = splu(matrix, permc_spec=permc_spec, **kwargs)
+        fills.append(lu.nnz)
+        return lu
 
     def checked(self, values):
         kept, fresh = factor(self, values), splu(self.matrix(values)).solve
@@ -208,7 +213,9 @@ def test_kept_ordering_step_matches_fresh_factor(solve, net_fn, tol,
     monkeypatch.setattr(spla, "splu", spy)
     sol = solve(net_fn())
     assert sol.converged
-    assert specs == ["COLAMD"] + ["NATURAL"] * (sol.factorizations - 1)
+    assert specs == [first] + ["NATURAL"] * (sol.factorizations - 1)
+    # each step that factored reports its factor's fill, every other 0
+    assert [it["fill"] for it in sol.trace if it["fill"]] == fills
     assert sol.factorizations >= 2 and len(errors) >= sol.iterations - 1
     assert max(errors) <= tol, max(errors)
 

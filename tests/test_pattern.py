@@ -12,6 +12,7 @@ from gridsim.powerflow.pattern import COLUMN_MODE, FrozenCsc
 from gridsim.powerflow.solver import NewtonSystem, flat_start
 
 from conftest import CASES
+from networks import _loaded_mixed_net
 
 
 def _newton(rng):
@@ -34,8 +35,10 @@ def _kkt(rng):
 
 
 def _error(solve, pattern, values, rhs) -> float:
-    """Largest difference from a fresh COLAMD solve, relative to it."""
-    fresh = spla.splu(pattern.matrix(values), **COLUMN_MODE).solve(rhs)
+    """Largest difference from a fresh solve in the pattern's own order,
+    relative to it."""
+    fresh = spla.splu(pattern.matrix(values), permc_spec=pattern.permc_spec,
+                      **COLUMN_MODE).solve(rhs)
     return float(np.abs(solve(rhs) - fresh).max() / np.abs(fresh).max())
 
 
@@ -46,7 +49,7 @@ def system(request):
     return pattern, values, rng.standard_normal(pattern.shape[0])
 
 
-def test_a_kept_factor_solves_as_a_fresh_colamd_one(system):
+def test_a_kept_factor_solves_as_a_fresh_one(system):
     pattern, values, rhs = system
     assert pattern.perm_c is None
     first = pattern.factor(values)
@@ -82,7 +85,7 @@ def test_every_factor_runs_in_column_mode(monkeypatch):
     monkeypatch.setattr(spla, "splu", spy)
     rng = np.random.default_rng(11)
     pattern, values = _newton(rng)
-    pattern.factor(values)                # the first, COLAMD
+    pattern.factor(values)                # the first, MMD_AT_PLUS_A
     pattern.factor(values)                # kept
     # an all-zero KKT matrix is singular: each solve retries regularized,
     # first while no order is recorded, then in the kept one
@@ -94,5 +97,26 @@ def test_every_factor_runs_in_column_mode(monkeypatch):
         _solve_reg(kkt, zeros, rhs, entry)
         assert entry["reg"] == 1e-10 and entry["kept_order"] is kept
     assert [spec for spec, _, _ in calls] == [
-        "COLAMD", "NATURAL", "COLAMD", "COLAMD", "NATURAL", "NATURAL"]
+        "MMD_AT_PLUS_A", "NATURAL", "COLAMD", "COLAMD", "NATURAL", "NATURAL"]
     assert all((panel, relax) == (1, 1) for _, panel, relax in calls)
+
+
+@pytest.mark.parametrize("net_fn", [
+    lambda: load_network(CASES / "case14.m")[0],
+    lambda: load_network(CASES / "case30.m")[0],
+    lambda: load_network(CASES / "case57.m")[0],
+    _loaded_mixed_net,
+], ids=["case14", "case30", "case57", "loaded_mixed"])
+def test_the_newton_order_fills_no_more_than_colamd(net_fn):
+    # the first factor at flat start, in the Newton pattern's own order
+    # against COLAMD's (350 against 459 stored entries on case14).
+    # _pv_delta_net, 15 unknowns, is the one small network where minimum
+    # degree on A + A^T fills more: 111 against 101.
+    model = model_build(net_fn())
+    system = NewtonSystem(model)
+    values = system.jacobian(flat_start(model), model.s_g).data.copy()
+    pattern = system.pattern
+    assert pattern.permc_spec == "MMD_AT_PLUS_A" and pattern.fill == 0
+    pattern.factor(values)
+    colamd = spla.splu(pattern.matrix(values), **COLUMN_MODE)
+    assert 0 < pattern.fill <= colamd.nnz

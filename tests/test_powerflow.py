@@ -113,8 +113,10 @@ def _newton_arrays(net) -> dict:
 
 @pytest.mark.parametrize("name", ["mixed", "pv_delta", "case57"])
 def test_newton_system_pinned(name):
-    # recorded before the set-up of a cold power flow was trimmed: the
-    # Jacobian SuperLU sees, so its COLAMD order, must stay bit-identical
+    # recorded before the set-up of a cold power flow was trimmed, the
+    # order and layout again when the Newton pattern's first factor took
+    # minimum degree on A + A^T: the Jacobian SuperLU sees, so its order,
+    # must stay bit-identical
     pinned = json.loads((GOLDEN / "newton_system.json").read_text())[name]
     net = {"mixed": _loaded_mixed_net, "pv_delta": _pv_delta_net,
            "case57": lambda: load_network(CASES / "case57.m")[0]}[name]()
@@ -475,6 +477,7 @@ def test_solve_trace():
     # two Newton steps factor, then chord steps reuse the second factor
     assert [it["factored"] for it in sol.trace] == [True, True] + [False] * 4
     assert all((it["factor_s"] > 0) is it["factored"] for it in sol.trace)
+    assert all((it["fill"] > 0) is it["factored"] for it in sol.trace)
 
 
 def _assert_chord_steps_contract(sol, tight_v):
@@ -611,7 +614,7 @@ def test_a_newton_step_no_length_helps_stalls(monkeypatch, tmp_path, capsys):
 
 
 def test_singular_later_factor_reported(monkeypatch):
-    # a factor in the kept ordering fails as the first (COLAMD) one would;
+    # a factor in the kept ordering fails as the first one would;
     # case57's second step factors (its chord step misses)
     splu = spla.splu
 
@@ -632,6 +635,7 @@ def test_non_finite_step_reported(monkeypatch):
     class Overflowing:
         def __init__(self, lu):
             self.lu = lu
+            self.nnz = lu.nnz
 
         def solve(self, rhs):
             return self.lu.solve(rhs) * np.inf

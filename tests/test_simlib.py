@@ -763,11 +763,12 @@ def test_a_tap_move_drops_the_held_factor(monkeypatch):
     assert [t for t, rebuilt, _ in solves if rebuilt] == [0, 1200, 2400]
     for t, rebuilt, factored in solves:
         if rebuilt:
-            # the structure and its factor are gone: COLAMD orders again
-            assert factored[0] == "COLAMD"
+            # the structure and its factor are gone: the Newton pattern's
+            # own order, minimum degree on A + A^T, runs again
+            assert factored[0] == "MMD_AT_PLUS_A"
             assert factored[1:] == ["NATURAL"] * (len(factored) - 1)
         else:
-            assert "COLAMD" not in factored
+            assert "MMD_AT_PLUS_A" not in factored
     assert sum(not factored for _, _, factored in solves) >= 6
 
 

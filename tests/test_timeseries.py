@@ -101,9 +101,11 @@ def test_non_finite_values_are_rejected(bad):
     ("60,2.0,abc", r"could not convert string to float"),
     ("0,2.0,20.0", r"times must be strictly increasing: 0 after 0"),
     ("-60,2.0,20.0", r"times must be strictly increasing: -60 after 0"),
+    ("99999999999999999999,2.0,20.0",
+     r"time 99999999999999999999 does not fit in 64 bits"),
     (None, r"time series must contain at least one point"),
 ], ids=["nan", "inf", "short", "long", "not-a-number", "repeat", "decreasing",
-        "empty"])
+        "past-int64", "empty"])
 def test_from_csv_names_the_line_of_a_bad_row(tmp_path, row, message):
     path = tmp_path / "series.csv"
     if row is None:  # comments and a blank line, and no row: only the file

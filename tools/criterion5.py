@@ -14,8 +14,10 @@ For each process it prints the median ratio over its loops, the median
 ``nr_solve`` and ``ipm_solve`` times (of the loops' medians), each side's
 median factor share (the solution's ``factor_s`` over the timed call, over
 every call), each side's median LU factors per call (its
-``factorizations``) and how many loops fell below 10.  A change to the LU moves
-both sides of the ratio; the shares show by how much.  It exits 0
+``factorizations``), the median ``fill`` of the Newton factors (the
+entries SuperLU stored for L and U, from the trace; "-" for a tree whose
+trace has none) and how many loops fell below 10.  A change to the LU
+moves both sides of the ratio; the shares show by how much.  It exits 0
 whatever the ratios: the test is the gate.  Unless the environment sets
 them, each process runs with one BLAS thread.
 
@@ -51,7 +53,7 @@ case, loops = sys.argv[1], int(sys.argv[2])
 net, _ = load_network(case)
 nr_solve(model_build(net), PfOptions(tol_pu=1e-8))
 out = {"ratio": [], "pf_s": [], "opf_s": [], "pf_share": [], "opf_share": [],
-       "pf_factors": [], "opf_factors": []}
+       "pf_factors": [], "opf_factors": [], "pf_fill": []}
 for _ in range(loops):
     pf_times, opf_times = [], []
     for _ in range(5):
@@ -63,6 +65,8 @@ for _ in range(loops):
         assert sol.converged
         out["pf_share"].append(sol.factor_s / pf_times[-1])
         out["pf_factors"].append(sol.factorizations)
+        out["pf_fill"] += [it["fill"] for it in sol.trace
+                           if it["factored"] and "fill" in it]
         net, _ = load_network(case)
         prob = opf_build(net)
         t0 = time.perf_counter()
@@ -103,12 +107,14 @@ def main(argv=None) -> int:
           f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', '1')}")
     print(f"{'tree':<40} {'ratio':>7} {'nr_solve ms':>12} "
           f"{'ipm_solve ms':>13} {'nr LU %':>8} {'ipm LU %':>9} "
-          f"{'nr LUs':>7} {'ipm LUs':>8} {'below 10':>9}")
+          f"{'nr LUs':>7} {'ipm LUs':>8} {'nr fill':>8} {'below 10':>9}")
     ratios = {tree: [] for tree in trees}
     for _ in range(args.processes):
         for tree in trees:
             out = run_process(tree)
             below = sum(r < 10.0 for r in out["ratio"])
+            fill = (f"{statistics.median(out['pf_fill']):g}"
+                    if out["pf_fill"] else "-")
             ratios[tree].append(out["ratio"])
             print(f"{str(tree)[-40:]:<40} {statistics.median(out['ratio']):7.2f} "
                   f"{1e3 * statistics.median(out['pf_s']):12.3f} "
@@ -117,6 +123,7 @@ def main(argv=None) -> int:
                   f"{1e2 * statistics.median(out['opf_share']):9.1f} "
                   f"{statistics.median(out['pf_factors']):7g} "
                   f"{statistics.median(out['opf_factors']):8g} "
+                  f"{fill:>8} "
                   f"{below:>5} of {len(out['ratio'])}", flush=True)
     for tree, per_process in ratios.items():
         loops = [r for process in per_process for r in process]
