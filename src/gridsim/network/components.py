@@ -142,10 +142,6 @@ class Gen:
     def n_phase(self) -> int:
         return len(self.s)
 
-    def total_cost(self, p_mw: float) -> float:
-        c0, c1, c2 = self.cost
-        return c0 + c1 * p_mw + c2 * p_mw * p_mw
-
     def __repr__(self) -> str:
         return f"Gen({self.id!r}, S={self.s})"
 

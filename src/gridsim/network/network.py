@@ -339,46 +339,3 @@ class Network:
                           shape=(n, n))
         y.sum_duplicates()
         return y, index, groups, zip_node
-
-    # -- diagnostics --------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        """Diagnostic dump: ids, phases, and Y-bus triplets."""
-        y, index = self.ybus()[:2]
-        coo = y.tocoo()
-        return {
-            "s_base_mva": self.s_base_mva,
-            "frequency_hz": self.frequency_hz,
-            "buses": [
-                {
-                    "id": b.id,
-                    "type": b.bus_type,
-                    "phases": [p.name for p in b.phases],
-                    "v_base": b.v_base,
-                }
-                for b in self.buses
-            ],
-            "branches": [
-                {
-                    "id": br.id,
-                    "model": type(br.model).__name__,
-                    "bus0": br.terminals[0].bus_id,
-                    "bus1": br.terminals[1].bus_id,
-                    "in_service": br.in_service,
-                }
-                for br in self.branches
-            ],
-            "gens": [
-                {"id": g.id, "bus": g.terminal.bus_id, "in_service": g.in_service}
-                for g in self.gens
-            ],
-            "zips": [
-                {"id": z.id, "bus": z.terminal.bus_id, "in_service": z.in_service}
-                for z in self.zips
-            ],
-            "nodes": [[bus_id, phase.name] for bus_id, phase in index.nodes],
-            "ybus_triplets": [
-                [int(i), int(k), v.real, v.imag]
-                for i, k, v in zip(coo.row, coo.col, coo.data)
-            ],
-        }

@@ -1,5 +1,4 @@
 from .extensions import (
-    CallbackConstraint,
     ExtVariable,
     LinearConstraint,
     OpfExtension,
@@ -35,7 +34,6 @@ __all__ = [
     "OpfExtension",
     "ExtVariable",
     "LinearConstraint",
-    "CallbackConstraint",
     "voltage_slack_extension",
     "IpmOptions",
     "OpfSolution",

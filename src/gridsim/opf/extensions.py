@@ -35,30 +35,10 @@ class LinearConstraint:
 
 
 @dataclass
-class CallbackConstraint:
-    """A smooth scalar inequality value(x) <= 0 over the full variable vector.
-
-    ``grad`` returns the gradient as a dense vector over the full
-    variables; ``hess``, if given, returns the multiplier-weighted Hessian
-    contribution as a dense full-by-full array.  The sparse model stores
-    both as dense rows and blocks, so every callback couples all free
-    variables in the KKT matrix: keep them few, and state linear
-    constraints as :class:`LinearConstraint`.  Callbacks must be pure
-    functions of x.
-    """
-
-    name: str
-    value: object
-    grad: object
-    hess: object = None
-
-
-@dataclass
 class OpfExtension:
     name: str
     variables: list = field(default_factory=list)
     linear_constraints: list = field(default_factory=list)
-    callback_constraints: list = field(default_factory=list)
 
     def add_variable(self, *args, **kwargs) -> ExtVariable:
         var = ExtVariable(*args, **kwargs)

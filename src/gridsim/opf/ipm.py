@@ -115,9 +115,6 @@ class OpfSolution:
                 out.append(names[i])
         return out
 
-    def extension_value(self, ext_name: str, var_name: str) -> float:
-        return float(self.x[self.problem.var_index(f"x:{ext_name}:{var_name}")])
-
     def to_json_dict(self) -> dict:
         V = self.node_voltages()
         return {

@@ -135,7 +135,6 @@ class OpfProblem:
         self.flow_ids: list[str] = []   # branch id of each pair of flow rows
         self.lin_eq: list[_LinearRow] = []
         self.lin_ineq: list[_LinearRow] = []
-        self.callback_ineq: list = []    # ExtConstraint objects
         self.q_cost = None          # direct quadratic coefficients per full var
         self.c_cost = None          # linear coefficients per full var
         self.cost0 = 0.0
@@ -172,7 +171,7 @@ class OpfProblem:
     @property
     def n_ineq(self) -> int:
         return (len(self.box_ub) + len(self.box_lb) + 2 * len(self.flow_ids)
-                + len(self.lin_ineq) + len(self.callback_ineq))
+                + len(self.lin_ineq))
 
     # -- variable lookup -----------------------------------------------------
 
@@ -272,35 +271,25 @@ class OpfProblem:
         self._flow_grad = fg = FrozenCsc(t_row[fr], fc, (n_flow, nx))
 
         nb_u, nb_l = len(self.box_ub), len(self.box_lb)
-        base_lin = nb_u + nb_l + n_flow
-        base_cb = base_lin + len(self.lin_ineq)
-        n_cb = len(self.callback_ineq)
         self._jac_h = FrozenCsc(
-            np.concatenate([
-                np.arange(nb_u + nb_l), nb_u + nb_l + fg.rows,
-                base_lin + a_in.row, base_cb + np.repeat(np.arange(n_cb), nx),
-            ]),
-            np.concatenate([
-                col[self.box_ub], col[self.box_lb], fg.cols,
-                col[a_in.col], np.tile(np.arange(nx), n_cb),
-            ]),
+            np.concatenate([np.arange(nb_u + nb_l), nb_u + nb_l + fg.rows,
+                            nb_u + nb_l + n_flow + a_in.row]),
+            np.concatenate([col[self.box_ub], col[self.box_lb], fg.cols,
+                            col[a_in.col]]),
             (self.n_ineq, nx),
         )
         self._box_coeffs = np.concatenate([np.ones(nb_u), -np.ones(nb_l)])
 
-        # Hessian: cost diagonal, network and flow second derivatives, the
-        # flow rows' outer product of gradients, and a dense block for callbacks
+        # Hessian: cost diagonal, network and flow second derivatives, and the
+        # flow rows' outer product of gradients
         self._flow_pairs = _row_pairs(fg.rows)
         p1, p2 = self._flow_pairs
         h2_r, h2_c = _d2s_pattern(y.row, y.col, nodes, th, vm)
         f2_r, f2_c = _d2s_pattern(t_r, t_c, t_node, th, vm)
         free = np.arange(nx)
-        rows = [free, h2_r, f2_r, fg.cols[p1]]
-        cols = [free, h2_c, f2_c, fg.cols[p2]]
-        if any(c.hess is not None for c in self.callback_ineq):
-            rows.append(np.repeat(free, nx))
-            cols.append(np.tile(free, nx))
-        self._hess = FrozenCsc(np.concatenate(rows), np.concatenate(cols), (nx, nx))
+        self._hess = FrozenCsc(np.concatenate([free, h2_r, f2_r, fg.cols[p1]]),
+                               np.concatenate([free, h2_c, f2_c, fg.cols[p2]]),
+                               (nx, nx))
         self._hess_t = self._hess.position(self._hess.cols, self._hess.rows)
 
         self.kkt = KktPattern(self._hess, self._jac_g, self._jac_h)
@@ -339,7 +328,7 @@ class OpfProblem:
         jac_g = self._jac_g.assemble(
             np.concatenate([-ds.real, -ds.imag, self._jac_g_const]))
 
-        # inequalities: boxes, branch flows, linear rows, callbacks
+        # inequalities: boxes, branch flows, linear rows
         t_node, t_row, t_r, t_c, t_y = self._flow
         Vt = V[t_node]
         It = self._y_term @ Vt
@@ -349,43 +338,32 @@ class OpfProblem:
                   + 1j * np.bincount(t_row, St.imag, n_flow))
         fg = self._flow_grad
         gs = fg.sum(_ds(t_r, t_c, t_y, Vt, It))    # dS_row/dx, complex
-        cbs = self.callback_ineq
         h = np.concatenate([
             x[self.box_ub] - self.ub[self.box_ub],
             self.lb[self.box_lb] - x[self.box_lb],
             np.abs(s_flow) ** 2 - self._s_max2,
             self._lin_in.values(x),
-            [float(con.value(x)) for con in cbs],
         ])
         jac_h = self._jac_h.assemble(np.concatenate([
             self._box_coeffs,
             2.0 * (np.conj(s_flow[fg.rows]) * gs).real,
             self._lin_in.coeffs,
-            *(np.asarray(con.grad(x), dtype=float)[self.free] for con in cbs),
         ]))
 
         problem = self
         base_flow = len(self.box_ub) + len(self.box_lb)
-        base_cb = self.n_ineq - len(cbs)
 
         def hess(lam_eq, mu_ineq, sigma=1.0):
             lam_c = lam_eq[:n] - 1j * lam_eq[n:2 * n]
             mu_flow = mu_ineq[base_flow:base_flow + n_flow]
             p1, p2 = problem._flow_pairs
-            parts = [
+            vals = problem._hess.sum(np.concatenate([
                 sigma * 2.0 * problem.q_cost[problem.free],
                 _d2s(y_r, y_c, y_v, V, I, -lam_c),
                 # d²|S|² = 2 Re(conj(S) d²S) + 2 Re(conj(dS) dSᵀ)
                 _d2s(t_r, t_c, t_y, Vt, It, 2.0 * (mu_flow * np.conj(s_flow))[t_row]),
                 2.0 * mu_flow[fg.rows[p1]] * (np.conj(gs[p1]) * gs[p2]).real,
-            ]
-            if any(con.hess is not None for con in cbs):
-                Hc = np.zeros((problem.n_full, problem.n_full))
-                for k, con in enumerate(cbs):
-                    if con.hess is not None:
-                        Hc += con.hess(x, mu_ineq[base_cb + k])
-                parts.append(Hc[np.ix_(problem.free, problem.free)].ravel())
-            vals = problem._hess.sum(np.concatenate(parts))
+            ]))
             return problem._hess.matrix(0.5 * (vals + vals[problem._hess_t]))
 
         return EvalResult(
@@ -612,7 +590,6 @@ def opf_build(net, extensions=(), hold_power_flow=False,
             row = _LinearRow(name=f"{ext.name}:{con.name}", cols=cols,
                              coeffs=coeffs, const=con.const)
             (p.lin_eq if con.equality else p.lin_ineq).append(row)
-        p.callback_ineq.extend(ext.callback_constraints)
 
     p.eq_names = (
         [f"P_bal:{bid}:{ph.name}" for bid, ph in model.index.nodes]
@@ -624,8 +601,6 @@ def opf_build(net, extensions=(), hold_power_flow=False,
         + [f"lb:{names[j]}" for j in p.box_lb]
         + [f"flow:{key}:{side}" for key in p.flow_ids for side in (0, 1)]
         + [row.name for row in p.lin_ineq]
-        + [getattr(c, "name", f"callback:{k}")
-           for k, c in enumerate(p.callback_ineq)]
     )
     p._freeze(model, [rated[key] for key in p.flow_ids])
     return p
@@ -641,7 +616,7 @@ def opf_refresh(problem, net, model, extensions=()):
     solutions that refer to it keep their own values.  Everything else is
     shared with ``problem`` unchanged: the frozen derivative and KKT
     structure, the names, generator costs, branch limits, and the
-    extensions' constraint rows and callbacks, so ``extensions`` must
+    extensions' constraint rows, so ``extensions`` must
     state the same rows as at the build.  ``model`` must be a model of
     ``net`` on the power-flow structure ``problem`` was built on.
 

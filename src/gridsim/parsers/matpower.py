@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import io
 import json
-import operator
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -67,10 +66,11 @@ class DuplicateBusError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class MatpowerCase:
-    """A Matpower case.  :func:`matpower_parse` returns its tables
-    read-only: to edit a parsed case, assign a copy of a table."""
+    """A Matpower case, checked against the case contract (see
+    :func:`_validate`) when it is made, with read-only tables: to edit a
+    case, ``dataclasses.replace`` it with edited copies of its tables."""
 
     base_mva: float
     bus: np.ndarray
@@ -79,10 +79,12 @@ class MatpowerCase:
     gencost: np.ndarray | None = None
     name: str = "case"
     extra_fields: list[str] = field(default_factory=list)
-    # the inputs (see _inputs) matpower_parse checked against the case
-    # contract; dataclasses.replace leaves it unset
-    _checked: tuple | None = field(default=None, init=False, repr=False,
-                                   compare=False)
+
+    def __post_init__(self):
+        _validate(self)
+        for table in (self.bus, self.gen, self.branch, self.gencost):
+            if table is not None:
+                table.flags.writeable = False
 
     @property
     def n_bus(self) -> int:
@@ -180,7 +182,7 @@ def matpower_parse(text: str, name: str = "case") -> MatpowerCase:
     for required in ("bus", "gen", "branch"):
         if required not in tables:
             raise MatpowerSyntaxError(1, f"missing mpc.{required} table")
-    case = MatpowerCase(
+    return MatpowerCase(
         base_mva=base_mva,
         bus=tables["bus"],
         gen=tables["gen"],
@@ -189,11 +191,6 @@ def matpower_parse(text: str, name: str = "case") -> MatpowerCase:
         name=name,
         extra_fields=sorted(extra),
     )
-    _validate(case)
-    for table in tables.values():
-        table.flags.writeable = False
-    case._checked = _inputs(case)
-    return case
 
 
 def load_case(path) -> MatpowerCase:
@@ -247,11 +244,6 @@ def _islands(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return label
 
 
-def _inputs(case: MatpowerCase) -> tuple:
-    """What the case contract is checked on."""
-    return (case.base_mva, case.bus, case.gen, case.branch, case.gencost)
-
-
 def _validate(case: MatpowerCase) -> None:
     """Raise ValueError at the first break of the case contract: a bad
     ``baseMVA`` or column (:func:`_check_columns`), a bus id twice, an
@@ -298,16 +290,8 @@ def _validate(case: MatpowerCase) -> None:
 
 
 def case_to_network(case: MatpowerCase) -> Network:
-    """Build a single-phase (BAL) network from a parsed case.
-
-    A case that breaks the case contract (see :func:`_validate`) raises
-    ValueError.  A case from :func:`matpower_parse` that still holds the
-    tables and ``baseMVA`` it was parsed with was checked there and is not
-    checked again.
-    """
-    if case._checked is None or not all(map(operator.is_, _inputs(case),
-                                             case._checked)):
-        _validate(case)
+    """Build a single-phase (BAL) network from a case, which was checked
+    when it was made."""
     base_mva = case.base_mva
     net = Network(s_base_mva=base_mva)
 

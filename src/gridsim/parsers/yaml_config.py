@@ -360,8 +360,6 @@ def plugin_simulation(config, ctx, scope):
     ctx.sim.start_time = _time_value(config["start_time"])
     ctx.sim.end_time = _time_value(config["end_time"])
     ctx.sim.current_time = ctx.sim.start_time
-    if "contingent_round_cap" in config:
-        ctx.sim.contingent_round_cap = int(config["contingent_round_cap"])
     ctx.sim_configured = True
 
 

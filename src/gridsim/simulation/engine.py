@@ -25,6 +25,9 @@ import weakref
 
 from ..core import ComponentCollection, Event
 
+# the most contingent updates one component may take at one instant
+CONTINGENT_ROUND_CAP = 100
+
 
 class SimulationError(RuntimeError):
     pass
@@ -117,13 +120,11 @@ def _no_sim():
 class Simulation:
     """Component container, clock, and the two-phase update loop."""
 
-    def __init__(self, start_time: float = 0.0, end_time: float = 0.0,
-                 contingent_round_cap: int = 100):
+    def __init__(self, start_time: float = 0.0, end_time: float = 0.0):
         self.components = ComponentCollection()
         self.start_time = float(start_time)
         self.end_time = float(end_time)
         self.current_time = float(start_time)
-        self.contingent_round_cap = int(contingent_round_cap)
         self.sinks: list = []
         self.timestep_listeners: list = []
         self._initialized = False
@@ -271,10 +272,10 @@ class Simulation:
                 self._contingent.remove(slot)
                 counts[slot] = counts.get(slot, 0) + 1
                 comp = self._order[slot]
-                if counts[slot] > self.contingent_round_cap:
+                if counts[slot] > CONTINGENT_ROUND_CAP:
                     raise LivelockError(
                         f"component {comp.id!r} exceeded "
-                        f"{self.contingent_round_cap} contingent updates at t={t}"
+                        f"{CONTINGENT_ROUND_CAP} contingent updates at t={t}"
                     )
                 self._run_update(comp, t, "contingent")
         finally:

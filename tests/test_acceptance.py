@@ -179,7 +179,8 @@ def _case3_sample_cost(rng):
     s_lim = flows["branch_1_1_3"]
     if max(abs(s_lim["S0"][0]), abs(s_lim["S1"][0])) > 0.6:
         return False, math.inf
-    cost = net.gens["gen_0_1"].total_cost(p1) + net.gens["gen_1_2"].total_cost(p2)
+    cost = sum(c0 + c1 * p + c2 * p * p for p, (c0, c1, c2) in (
+        (p1, net.gens["gen_0_1"].cost), (p2, net.gens["gen_1_2"].cost)))
     return True, cost
 
 

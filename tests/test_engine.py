@@ -19,6 +19,7 @@ from gridsim.simulation import (
     SimulationError,
     UnknownPhaseError,
 )
+from gridsim.simulation.engine import CONTINGENT_ROUND_CAP
 
 
 class Ticker(SimComponent):
@@ -209,7 +210,7 @@ def test_contingent_drain_in_rank_then_insertion_order():
 
 
 def test_livelock_detection():
-    sim = Simulation(0, 0, contingent_round_cap=10)
+    sim = Simulation(0, 0)
 
     class SelfPoker(SimComponent):
         def initialize(self, sim):
@@ -220,7 +221,8 @@ def test_livelock_detection():
 
     sim.add(SelfPoker("loop"))
     sim.initialize()
-    with pytest.raises(LivelockError):
+    with pytest.raises(LivelockError, match=f"^component 'loop' exceeded "
+                       f"{CONTINGENT_ROUND_CAP} contingent updates at t=0.0$"):
         sim.do_timestep()
 
 

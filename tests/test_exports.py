@@ -7,6 +7,7 @@ PACKAGES = [
     "gridsim.network",
     "gridsim.powerflow",
     "gridsim.opf",
+    "gridsim.parsers",
     "gridsim.simlib",
     "gridsim.simulation",
 ]

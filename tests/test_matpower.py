@@ -272,12 +272,11 @@ def test_zero_ratio_means_unity_tap():
 ])
 def test_non_finite_numbers_rejected(table, row, col, value, message):
     case = matpower_parse(MINI)
-    data = getattr(case, table).copy()       # a parsed table is read-only
+    data = getattr(case, table).copy()       # a case's tables are read-only
     data[row, col] = value
-    setattr(case, table, data)
     full = f"{message}, which must be finite"
     with pytest.raises(ValueError, match=f"^{re.escape(full)}$"):
-        case_to_network(case)
+        dataclasses.replace(case, **{table: data})
 
 
 @pytest.mark.parametrize("table,col,value,message", [
@@ -297,9 +296,8 @@ def test_integer_columns_hold_whole_numbers_in_range(table, col, value,
     case = matpower_parse(MINI)
     data = getattr(case, table).copy()
     data[-1, col] = value
-    setattr(case, table, data)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        case_to_network(case)
+        dataclasses.replace(case, **{table: data})
 
 
 def test_gencost_coefficients_fit_in_the_row():
@@ -342,33 +340,34 @@ def test_a_parsed_case_is_read_only_and_checked_once(monkeypatch):
     for table in ("bus", "gen", "branch", "gencost"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(case, table)[0, 0] = 1.0
-    checked = []
-    validate = mp_mod._validate
-    monkeypatch.setattr(mp_mod, "_validate",
-                        lambda c: checked.append(c) or validate(c))
-    case_to_network(case)
-    assert checked == []
-    # a case that no longer holds what the parse checked is checked again
-    replaced = dataclasses.replace(case)
-    case_to_network(replaced)
-    assert checked == [replaced]
-    case.base_mva = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        case.base_mva = 0.0
+    # an edited case is a new case, checked as it is made
     with pytest.raises(ValueError, match=re.escape(
             "mpc.baseMVA is 0.0, which must be positive and finite")):
-        case_to_network(case)
+        dataclasses.replace(case, base_mva=0.0)
+    bus = case.bus.copy()
+    bus[1, 2] = 45.0
+    edited = dataclasses.replace(case, bus=bus)
+    with pytest.raises(ValueError, match="read-only"):
+        bus[1, 2] = 0.0
+    checked = []
+    monkeypatch.setattr(mp_mod, "_validate", checked.append)
+    case_to_network(case)
+    assert case_to_network(edited).zips["load_2"].s_const[1, 0] == 0.45 + 0.3j
+    assert checked == []
 
 
 def test_infinite_limits_accepted():
     parsed = matpower_parse(MINI)
-    case = dataclasses.replace(parsed, bus=parsed.bus.copy(),
-                               gen=parsed.gen.copy(),
-                               branch=parsed.branch.copy())
-    case.bus[:, 11] = np.inf         # Vmax
-    case.gen[0, [3, 8]] = np.inf     # Qmax, Pmax
-    case.gen[0, 4] = -np.inf         # Qmin
-    case.branch[0, 5] = np.inf       # rateA
+    bus, gen, branch = parsed.bus.copy(), parsed.gen.copy(), parsed.branch.copy()
+    bus[:, 11] = np.inf         # Vmax
+    gen[0, [3, 8]] = np.inf     # Qmax, Pmax
+    gen[0, 4] = -np.inf         # Qmin
+    branch[0, 5] = np.inf       # rateA
     # a column past the named ones (PC1) is never read
-    case.gen = np.hstack([case.gen, [[np.inf]]])
+    gen = np.hstack([gen, [[np.inf]]])
+    case = dataclasses.replace(parsed, bus=bus, gen=gen, branch=branch)
     net = case_to_network(case)
     assert net.gens["gen_0_1"].q_max == np.inf
     assert net.branches["branch_0_1_2"].s_max_mva == np.inf

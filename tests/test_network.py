@@ -265,19 +265,6 @@ def test_out_of_service_branch_skipped():
     assert net.ybus()[0].nnz == 0
 
 
-def test_to_json_dict_shape():
-    net = Network()
-    net.add_bus(Bus("s", bus_type="SL"))
-    net.add_bus(Bus("l"))
-    net.add_branch(Branch("ln", CommonBranch(5.0)), "s", "l")
-    net.add_gen(Gen("g"), "s")
-    d = net.to_json_dict()
-    assert [b["id"] for b in d["buses"]] == ["s", "l"]
-    assert d["branches"][0]["bus0"] == "s"
-    assert d["nodes"] == [["s", "BAL"], ["l", "BAL"]]
-    assert all(len(t) == 4 for t in d["ybus_triplets"])
-
-
 def _ybus_entry_loop(net):
     """Reference Y-bus: every nonzero entry of every branch block and ZIP
     term stamped one at a time, in network order."""

@@ -15,7 +15,6 @@ from gridsim.network import (
     clock_ratio,
 )
 from gridsim.opf import (
-    CallbackConstraint,
     InconsistentBoundsError,
     IpmOptions,
     LinearConstraint,
@@ -266,30 +265,7 @@ def test_extension_variable_with_cost():
     sol = ipm_solve(prob, IpmOptions(tol=1e-10))
     assert sol.status == "optimal"
     # a pure-cost variable is driven to its lower bound
-    assert sol.extension_value("aux", "t") == pytest.approx(0.0, abs=1e-4)
-
-
-def test_callback_constraint():
-    net = _opf_net()
-    prob0 = opf_build(net)
-    j = prob0.var_index("pg:g1")
-
-    def value(x):
-        return x[j] - 0.7
-
-    def grad(x):
-        g = np.zeros(len(x))
-        g[j] = 1.0
-        return g
-
-    ext = OpfExtension(
-        name="cap",
-        callback_constraints=[CallbackConstraint("g1_cap", value, grad)],
-    )
-    prob = opf_build(net, extensions=(ext,))
-    sol = ipm_solve(prob)
-    assert sol.status == "optimal"
-    assert sol.gen_dispatch()["g1"]["P_MW"] <= 70.0 + 1e-3
+    assert sol.x[prob.var_index("x:aux:t")] == pytest.approx(0.0, abs=1e-4)
 
 
 def test_voltage_slack_extension_soft_band():
@@ -301,7 +277,7 @@ def test_voltage_slack_extension_soft_band():
     assert sol.status == "optimal"
     V = np.abs(sol.node_voltages())
     for i, (bid, ph) in enumerate(prob.index.nodes):
-        sigma = sol.extension_value("vslack", f"s_{bid}_{ph.name}")
+        sigma = sol.x[prob.var_index(f"x:vslack:s_{bid}_{ph.name}")]
         assert sigma >= -1e-8
         assert V[i] <= 1.0 + sigma + 1e-6
         assert V[i] >= 0.999 - sigma - 1e-6
@@ -334,8 +310,7 @@ def _three_phase_opf():
 
     It carries every row family of the model: the equal-magnitude and
     angle-spacing rows of multi-phase generators (``lin_eq``), a soft
-    voltage band (``lin_ineq``), a callback constraint with a Hessian, and
-    a branch flow limit.
+    voltage band (``lin_ineq``), and a branch flow limit.
     """
     abc = (Phase.A, Phase.B, Phase.C)
     net = Network(s_base_mva=1.0)
@@ -364,30 +339,8 @@ def _three_phase_opf():
 
     vslack = voltage_slack_extension(net, v_min=0.95, v_max=1.05, weight=10.0,
                                       bus_ids=["l"])
-    names = opf_build(net, extensions=(vslack,)).names
-    j, a, b = (names.index(k) for k in ("pg:g2", "v:l:A", "v:l:B"))
-
-    def value(x):
-        return x[j] ** 2 + x[a] * x[b] - 1.5
-
-    def grad(x):
-        g = np.zeros(len(x))
-        g[j] = 2.0 * x[j]
-        g[a] = x[b]
-        g[b] = x[a]
-        return g
-
-    def hess(x, mu):
-        h = np.zeros((len(x), len(x)))
-        h[j, j] = 2.0 * mu
-        h[a, b] = h[b, a] = mu
-        return h
-
-    cap = OpfExtension(name="cap", callback_constraints=[
-        CallbackConstraint("cap", value, grad, hess)])
-    prob = opf_build(net, extensions=(vslack, cap))
+    prob = opf_build(net, extensions=(vslack,))
     assert prob.lin_eq and prob.lin_ineq and prob.flow_ids
-    assert prob.callback_ineq[0].hess is not None
     return prob
 
 
