@@ -3,7 +3,7 @@ from .collections import (
     DuplicateKeyError,
     MissingKeyError,
 )
-from .events import ActionToken, Event, StaleTokenError
+from .events import Event
 from .timeseries import (
     CLAMP,
     ERROR,
@@ -18,9 +18,7 @@ __all__ = [
     "ComponentCollection",
     "DuplicateKeyError",
     "MissingKeyError",
-    "ActionToken",
     "Event",
-    "StaleTokenError",
     "TimeSeries",
     "TimeSeriesRangeError",
     "parse_time",

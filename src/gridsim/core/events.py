@@ -2,8 +2,8 @@
 
 Components expose Events; interested parties register actions on them.
 Triggering runs the actions registered at trigger time, in registration
-order.  Registrations and deregistrations made while a trigger is running
-take effect from the next trigger.
+order.  Registrations made while a trigger is running take effect from the
+next trigger.
 """
 
 from __future__ import annotations
@@ -11,48 +11,18 @@ from __future__ import annotations
 from typing import Callable
 
 
-class StaleTokenError(RuntimeError):
-    """Raised when deregistering an action token twice."""
-
-
-class ActionToken:
-    __slots__ = ("event", "owner", "action", "active")
-
-    def __init__(self, event: "Event", owner: str, action: Callable[[], None]):
-        self.event = event
-        self.owner = owner
-        self.action = action
-        self.active = True
-
-    def deregister(self) -> None:
-        self.event.deregister(self)
-
-
 class Event:
     def __init__(self, description: str = ""):
         self.description = description
-        self._actions: list[ActionToken] = []
+        self._actions: list[Callable[[], None]] = []
 
-    def register(self, owner: str, action: Callable[[], None]) -> ActionToken:
-        token = ActionToken(self, owner, action)
-        self._actions.append(token)
-        return token
-
-    def deregister(self, token: ActionToken) -> None:
-        if not token.active or token.event is not self:
-            raise StaleTokenError(
-                f"token owned by {token.owner!r} already deregistered"
-            )
-        token.active = False
-        self._actions.remove(token)
+    def register(self, action: Callable[[], None]) -> None:
+        self._actions.append(action)
 
     def trigger(self) -> None:
-        # Snapshot so mid-trigger (de)registrations apply next trigger only.
-        for token in list(self._actions):
-            token.action()
-
-    def __len__(self) -> int:
-        return len(self._actions)
+        # Snapshot so mid-trigger registrations apply next trigger only.
+        for action in list(self._actions):
+            action()
 
     def __repr__(self) -> str:
         return f"Event({self.description!r}, {len(self._actions)} actions)"

@@ -1,17 +1,19 @@
-"""YAML-driven configuration: plugin registry, substitution, loop expansion.
+"""YAML-driven configuration: keyword table, substitution, loop expansion.
 
 A configuration document is a sequence of single-key maps.  Each key names
-a registered plugin which consumes the entry's value and mutates the build
-context (network, simulation, shared scope).  Strings may reference scope
-variables with single angle brackets — ``<name>`` or indexed
-``<arr(<i>)>`` — resolved innermost-first; a literal ``<`` is written
-``<<``.  A ``loop`` entry replicates its body over a half-open integer
-range (start inclusive, stop exclusive).
+a keyword whose plugin consumes the entry's value and mutates the build
+context (network, simulation, shared scope).  Each keyword but
+``parameters`` takes a fixed set of keys; any other key is an error.
+Strings may reference scope variables with single angle brackets —
+``<name>`` or indexed ``<arr(<i>)>`` — resolved innermost-first; a literal
+``<`` is written ``<<``.  A ``loop`` entry replicates its body over a
+half-open integer range (start inclusive, stop exclusive).
 """
 
 from __future__ import annotations
 
 import re
+from functools import partial
 from pathlib import Path
 
 import yaml
@@ -170,6 +172,9 @@ def loop_expand(node, scope: YamlScope, path=()):
     if not isinstance(node, dict) or "loop_variable" not in node \
             or "loop_body" not in node:
         raise LoopSpecError("loop needs loop_variable and loop_body", path)
+    for key in node:
+        if key not in ("loop_variable", "loop_body"):
+            raise LoopSpecError(f"loop: unknown field {key!r}", path)
     spec = substitute(node["loop_variable"], scope, strict=True, path=path)
     if not isinstance(spec, list) or len(spec) != 4:
         raise LoopSpecError(
@@ -196,29 +201,6 @@ def loop_expand(node, scope: YamlScope, path=()):
     return out
 
 
-class ParserRegistry:
-    """Keyword -> plugin mapping; unknown keywords are hard errors."""
-
-    def __init__(self):
-        self._plugins: dict[str, object] = {}
-
-    def register(self, keyword: str, plugin) -> None:
-        if keyword in self._plugins:
-            raise YamlConfigError(f"keyword {keyword!r} already registered")
-        self._plugins[keyword] = plugin
-
-    def get(self, keyword: str, path=()):
-        try:
-            return self._plugins[keyword]
-        except KeyError:
-            raise UnknownKeywordError(
-                f"unknown configuration keyword {keyword!r}", path
-            ) from None
-
-    def keywords(self):
-        return sorted(self._plugins)
-
-
 class YamlContext:
     """Mutable build state shared by plugins."""
 
@@ -231,10 +213,13 @@ class YamlContext:
         self.networks: dict[str, SimNetwork] = {}
         self.default_network_id: str | None = None
 
-    def network(self, network_id=None, path=()) -> SimNetwork:
+    def network(self, network_id=None) -> SimNetwork:
         nid = network_id or self.default_network_id
-        if nid is None or nid not in self.networks:
-            raise YamlConfigError(f"no network component {nid!r}", path)
+        if nid is None:
+            raise YamlConfigError(
+                "needs a network, but no `matpower` entry comes before it")
+        if nid not in self.networks:
+            raise YamlConfigError(f"no network component {nid!r}")
         return self.networks[nid]
 
     def resolve_path(self, p) -> Path:
@@ -242,9 +227,10 @@ class YamlContext:
         return p if p.is_absolute() else self.base_dir / p
 
 
-def yaml_apply(doc, registry: ParserRegistry, ctx: YamlContext,
+def yaml_apply(doc, registry: dict, ctx: YamlContext,
                scope: YamlScope | None = None, path=()) -> None:
-    """Dispatch each document entry to its plugin, in document order."""
+    """Dispatch each document entry to its plugin in ``registry``, a map of
+    keyword -> plugin(config, ctx, scope), in document order."""
     if not isinstance(doc, list):
         raise YamlConfigError("configuration must be a sequence of entries", path)
     scope = scope or ctx.scope
@@ -252,10 +238,11 @@ def yaml_apply(doc, registry: ParserRegistry, ctx: YamlContext,
         _apply_entry(entry, registry, ctx, scope, tuple(path) + (i,))
 
 
-def _apply_entry(entry, registry: ParserRegistry, ctx: YamlContext,
+def _apply_entry(entry, registry: dict, ctx: YamlContext,
                  scope: YamlScope, entry_path: tuple) -> None:
     """Apply one entry; an entry a loop produces has the path (loop's
-    path, iteration, body index)."""
+    path, iteration, body index).  A plugin's error gets the entry's path
+    and keyword unless it has a path."""
     if not isinstance(entry, dict) or len(entry) != 1:
         raise YamlConfigError("each entry must be a single-key map", entry_path)
     (keyword, config), = entry.items()
@@ -265,14 +252,16 @@ def _apply_entry(entry, registry: ParserRegistry, ctx: YamlContext,
             _apply_entry(sub_entry, registry, ctx, child,
                          entry_path + divmod(k, len(config["loop_body"])))
         return
-    plugin = registry.get(keyword, entry_path)
+    if keyword not in registry:
+        raise UnknownKeywordError(
+            f"unknown configuration keyword {keyword!r}", entry_path)
     config = substitute(config, scope, strict=True, path=entry_path)
     try:
-        plugin(config, ctx, scope)
+        registry[keyword](config, ctx, scope)
     except YamlConfigError as exc:
         if exc.path:
             raise
-        raise type(exc)(str(exc), entry_path) from exc
+        raise type(exc)(f"{keyword}: {exc}", entry_path) from exc
     except Exception as exc:
         raise YamlConfigError(f"{keyword}: {exc}", entry_path) from exc
 
@@ -311,35 +300,106 @@ def apply_yaml_file(path, registry=None, ctx=None) -> YamlContext:
     return ctx
 
 
-# -- built-in plugins -------------------------------------------------------
+# -- built-in keywords ------------------------------------------------------
+
+_MODES = ("interpolation", "out_of_range")
+# keyword -> (class, required keys, optional keys) of each component entry
+_COMPONENTS = {
+    "time_series_zip": (TimeSeriesZip, ("id", "zip"), (
+        "network", "series", "input_file", *_MODES, "units", "scale",
+        "resample_interval_s")),
+    "weather": (Weather, ("id",), (
+        "latitude_deg", "longitude_deg", "temperature_c", "cloud_cover",
+        "cloud_exponent", "update_interval_s", "temperature_series",
+        "cloud_series")),
+    "solar_pv": (SolarPv, ("id", "weather", "efficiency", "area_m2"),
+                 ("zenith_degrees", "azimuth_degrees")),
+    "battery": (Battery, ("id", "capacity_kwh"), (
+        "charge_kwh", "max_charge_kw", "max_discharge_kw", "eta_charge",
+        "eta_discharge", "update_interval_s")),
+    "inverter": (Inverter, ("id",), ("sources", "efficiency", "s_max_kva")),
+    "pv_inverter": (PvInverter, ("id", "bus"), (
+        "network", "gen", "sources", "q_mode", "efficiency", "s_max_kva",
+        "power_factor", "q_setpoint_kvar", "update_interval_s")),
+    "heartbeat": (Heartbeat, ("id", "interval_s"), ()),
+    "auto_tap_changer": (AutoTapChanger, ("id", "branch", "monitored_bus"), (
+        "network", "v_ref_pu", "deadband_pu", "tap_step", "tap_min",
+        "tap_max", "delay_s")),
+    "tap_changer_series": (TimeSeriesTapChanger, ("id", "branch"),
+                           ("network", "series", "input_file", *_MODES)),
+    "building": (Building, ("id", "weather", "r_deg_per_kw", "c_kwh_per_deg"), (
+        "t_initial_c", "hvac_thermal_kw", "cop", "q_gain_kw", "t_set_c",
+        "t_deadband_c", "update_interval_s", "zip", "network")),
+    "volt_var_controller": (VoltVarController, ("id", "inverters"), (
+        "network", "interval_s", "v_min_pu", "v_max_pu", "margin_pu",
+        "slack_weight")),
+}
+# the constructor argument of each key whose name differs
+_ARG = {"network": "network_id", "zip": "zip_id", "weather": "weather_id",
+        "branch": "branch_id", "gen": "gen_id", "sources": "source_ids",
+        "inverters": "inverter_ids"}
 
 
-def _require(config, keys, keyword):
-    for key in keys:
+def _ids(values):
+    return tuple(map(str, values))
+
+
+# the converter of each key whose value is no float
+_CONVERT = {**dict.fromkeys(("id", "network", "zip", "weather", "gen", "branch",
+                             "bus", "monitored_bus", "units", "q_mode"), str),
+            "sources": _ids, "inverters": _ids}
+_SERIES_IDS = ("series", "temperature_series", "cloud_series")
+_DEVICE_KEYS = ("zip", "branch", "bus", "inverters")    # keys into a network
+
+
+def _check_keys(config, required, optional=()):
+    """Reject an entry that lacks a required key or sets any other."""
+    if not isinstance(config, dict):
+        raise YamlConfigError("expected a mapping")
+    for key in required:
         if key not in config:
-            raise YamlConfigError(f"{keyword}: missing required field {key!r}")
+            raise YamlConfigError(f"missing required field {key!r}")
+    for key in config:
+        if key not in required and key not in optional:
+            raise YamlConfigError(f"unknown field {key!r}")
 
 
-def _present(config, keys, convert=float) -> dict:
-    """The ``keys`` that ``config`` sets, converted; the constructor they
-    go to holds the default of every other."""
-    return {key: convert(config[key]) for key in keys if key in config}
+def _modes(config) -> dict:
+    return {key: str(config[key]) for key in _MODES if key in config}
 
 
-def _series_for(config, ctx, keyword, key="series"):
-    """The time series ``config[key]`` names, or else the one read from
-    ``config["input_file"]``."""
-    if key in config:
-        sid = config[key]
-        if sid not in ctx.series:
-            raise YamlConfigError(f"{keyword}: unknown time series {sid!r}")
-        return ctx.series[sid]
-    if "input_file" in config:
-        return TimeSeries.from_csv(
-            ctx.resolve_path(config["input_file"]),
-            **_present(config, ("interpolation", "out_of_range"), str),
-        )
-    raise YamlConfigError(f"{keyword}: needs `{key}` or `input_file`")
+def _read_series(config, ctx) -> TimeSeries:
+    if "input_file" not in config:
+        raise YamlConfigError("needs `series` or `input_file`")
+    return TimeSeries.from_csv(ctx.resolve_path(config["input_file"]),
+                               **_modes(config))
+
+
+def _arguments(config, ctx, required, optional) -> dict:
+    """The constructor arguments of a component entry: each key checked,
+    converted and renamed, the network and each series resolved.  An entry
+    with ``input_file`` among its keys takes a ``series``, named or read."""
+    _check_keys(config, required, optional)
+    args = {}
+    for key, value in config.items():
+        if key in _SERIES_IDS:
+            if str(value) not in ctx.series:
+                raise YamlConfigError(f"unknown time series {value!r}")
+            args[key] = ctx.series[str(value)]
+        elif key != "input_file" and key not in _MODES:
+            args[_ARG.get(key, key)] = _CONVERT.get(key, float)(value)
+    if any(key in config for key in _DEVICE_KEYS):
+        args["network_id"] = ctx.network(args.get("network_id")).id
+    elif "network" in config:
+        raise YamlConfigError("field 'network' needs " + " or ".join(
+            repr(key) for key in _DEVICE_KEYS if key in optional))
+    if "input_file" in optional and "series" not in args:
+        args["series"] = _read_series(config, ctx)
+    return args
+
+
+def _add_component(cls, required, optional, config, ctx, scope):
+    ctx.sim.add(cls(**_arguments(config, ctx, required, optional)))
 
 
 def _time_value(value):
@@ -350,13 +410,13 @@ def _time_value(value):
 
 def plugin_parameters(config, ctx, scope):
     if not isinstance(config, dict):
-        raise YamlConfigError("parameters: expected a mapping")
+        raise YamlConfigError("expected a mapping")
     for name, value in config.items():
         scope.bind(str(name), value)
 
 
 def plugin_simulation(config, ctx, scope):
-    _require(config, ("start_time", "end_time"), "simulation")
+    _check_keys(config, ("start_time", "end_time"))
     ctx.sim.start_time = _time_value(config["start_time"])
     ctx.sim.end_time = _time_value(config["end_time"])
     ctx.sim.current_time = ctx.sim.start_time
@@ -364,15 +424,15 @@ def plugin_simulation(config, ctx, scope):
 
 
 def plugin_matpower(config, ctx, scope):
-    _require(config, ("input_file",), "matpower")
+    _check_keys(config, ("input_file",), ("id", "tol_pu"))
     path = ctx.resolve_path(config["input_file"])
     try:
         net, _case = load_network(path)
     except ValueError as exc:       # name the case file, as `gridsim pf` does
         raise ValueError(f"{path}: {exc}") from exc
-    comp_id = config.get("id", "network")
-    comp = SimNetwork(comp_id, net,
-                      PfOptions(start="warm", **_present(config, ("tol_pu",))))
+    comp_id = str(config.get("id", "network"))
+    tol_pu = float(config.get("tol_pu", PfOptions.tol_pu))
+    comp = SimNetwork(comp_id, net, PfOptions(start="warm", tol_pu=tol_pu))
     ctx.sim.add(comp)
     ctx.networks[comp_id] = comp
     if ctx.default_network_id is None:
@@ -380,153 +440,33 @@ def plugin_matpower(config, ctx, scope):
 
 
 def plugin_time_series(config, ctx, scope):
-    _require(config, ("id",), "time_series")
-    if "input_file" in config:
-        series = _series_for(config, ctx, "time_series")
-    else:
-        _require(config, ("times", "values"), "time_series")
-        series = TimeSeries(
-            config["times"], config["values"],
-            **_present(config, ("interpolation", "out_of_range"), str),
-        )
-    ctx.series[config["id"]] = series
-
-
-def plugin_time_series_zip(config, ctx, scope):
-    _require(config, ("id", "zip"), "time_series_zip")
-    net = ctx.network(config.get("network"))
-    ctx.sim.add(TimeSeriesZip(
-        config["id"], net.id, config["zip"],
-        _series_for(config, ctx, "time_series_zip"),
-        **_present(config, ("units",), str),
-        **_present(config, ("scale", "resample_interval_s")),
-    ))
-
-
-def plugin_weather(config, ctx, scope):
-    _require(config, ("id",), "weather")
-    kwargs = _present(config, ("latitude_deg", "longitude_deg", "temperature_c",
-                               "cloud_cover", "cloud_exponent",
-                               "update_interval_s"))
-    for key in ("temperature_series", "cloud_series"):
-        if key in config:
-            kwargs[key] = _series_for(config, ctx, "weather", key)
-    ctx.sim.add(Weather(config["id"], **kwargs))
-
-
-def plugin_solar_pv(config, ctx, scope):
-    _require(config, ("id", "weather", "efficiency", "area_m2"), "solar_pv")
-    ctx.sim.add(SolarPv(
-        config["id"], config["weather"],
-        area_m2=float(config["area_m2"]),
-        efficiency=float(config["efficiency"]),
-        **_present(config, ("zenith_degrees", "azimuth_degrees")),
-    ))
-
-
-def plugin_battery(config, ctx, scope):
-    _require(config, ("id", "capacity_kwh"), "battery")
-    ctx.sim.add(Battery(
-        config["id"], float(config["capacity_kwh"]),
-        **_present(config, ("charge_kwh", "max_charge_kw", "max_discharge_kw",
-                            "eta_charge", "eta_discharge", "update_interval_s")),
-    ))
-
-
-def plugin_inverter(config, ctx, scope):
-    _require(config, ("id",), "inverter")
-    ctx.sim.add(Inverter(
-        config["id"], tuple(config.get("sources", ())),
-        **_present(config, ("efficiency", "s_max_kva")),
-    ))
+    from_file = "input_file" in config
+    _check_keys(config, ("id",) if from_file else ("id", "times", "values"),
+                ("input_file", "times", "values", *_MODES))
+    ctx.series[str(config["id"])] = (
+        _read_series(config, ctx) if from_file
+        else TimeSeries(config["times"], config["values"], **_modes(config)))
 
 
 def plugin_pv_inverter(config, ctx, scope):
-    _require(config, ("id", "bus"), "pv_inverter")
-    net = ctx.network(config.get("network"))
-    gen_id = config.get("gen", f"{config['id']}_gen")
-    if net.network.gens.get(gen_id) is None:
-        net.network.add_gen(
-            Gen(gen_id, n_phase=1, s=0.0, cost=(0.0, 0.0, 0.0)),
-            bus=str(config["bus"]),
-        )
-    ctx.sim.add(PvInverter(
-        config["id"], net.id, gen_id,
-        source_ids=tuple(config.get("sources", ())),
-        **_present(config, ("q_mode",), str),
-        **_present(config, ("efficiency", "s_max_kva", "power_factor",
-                            "q_setpoint_kvar", "update_interval_s")),
-    ))
+    """Add the inverter's generator, ``gen`` or else ``<id>_gen``, at
+    ``bus`` unless the network has it, then the inverter."""
+    cls, required, optional = _COMPONENTS["pv_inverter"]
+    args = _arguments(config, ctx, required, optional)
+    bus = args.pop("bus")
+    gen_id = args.setdefault("gen_id", f"{args['id']}_gen")
+    net = ctx.networks[args["network_id"]].network
+    if net.gens.get(gen_id) is None:
+        net.add_gen(Gen(gen_id, n_phase=1, s=0.0, cost=(0.0, 0.0, 0.0)),
+                    bus=bus)
+    ctx.sim.add(cls(**args))
 
 
-def plugin_heartbeat(config, ctx, scope):
-    _require(config, ("id", "interval_s"), "heartbeat")
-    ctx.sim.add(Heartbeat(config["id"], float(config["interval_s"])))
-
-
-def plugin_auto_tap_changer(config, ctx, scope):
-    _require(config, ("id", "branch", "monitored_bus"), "auto_tap_changer")
-    net = ctx.network(config.get("network"))
-    ctx.sim.add(AutoTapChanger(
-        config["id"], net.id, str(config["branch"]),
-        str(config["monitored_bus"]),
-        **_present(config, ("v_ref_pu", "deadband_pu", "tap_step", "tap_min",
-                            "tap_max", "delay_s")),
-    ))
-
-
-def plugin_tap_changer_series(config, ctx, scope):
-    _require(config, ("id", "branch"), "tap_changer_series")
-    net = ctx.network(config.get("network"))
-    ctx.sim.add(TimeSeriesTapChanger(
-        config["id"], net.id, str(config["branch"]),
-        _series_for(config, ctx, "tap_changer_series"),
-    ))
-
-
-def plugin_building(config, ctx, scope):
-    _require(config, ("id", "weather", "r_deg_per_kw", "c_kwh_per_deg"),
-             "building")
-    kwargs = _present(config, ("t_initial_c", "hvac_thermal_kw", "cop",
-                               "q_gain_kw", "t_set_c", "t_deadband_c",
-                               "update_interval_s"))
-    if "zip" in config:
-        net = ctx.network(config.get("network"))
-        kwargs["network_id"] = net.id
-        kwargs["zip_id"] = config["zip"]
-    ctx.sim.add(Building(
-        config["id"], config["weather"],
-        r_deg_per_kw=float(config["r_deg_per_kw"]),
-        c_kwh_per_deg=float(config["c_kwh_per_deg"]),
-        **kwargs,
-    ))
-
-
-def plugin_volt_var_controller(config, ctx, scope):
-    _require(config, ("id", "inverters"), "volt_var_controller")
-    net = ctx.network(config.get("network"))
-    ctx.sim.add(VoltVarController(
-        config["id"], net.id, tuple(config["inverters"]),
-        **_present(config, ("interval_s", "v_min_pu", "v_max_pu", "margin_pu",
-                            "slack_weight")),
-    ))
-
-
-def default_registry() -> ParserRegistry:
-    registry = ParserRegistry()
-    registry.register("parameters", plugin_parameters)
-    registry.register("simulation", plugin_simulation)
-    registry.register("matpower", plugin_matpower)
-    registry.register("time_series", plugin_time_series)
-    registry.register("time_series_zip", plugin_time_series_zip)
-    registry.register("weather", plugin_weather)
-    registry.register("solar_pv", plugin_solar_pv)
-    registry.register("battery", plugin_battery)
-    registry.register("inverter", plugin_inverter)
-    registry.register("pv_inverter", plugin_pv_inverter)
-    registry.register("heartbeat", plugin_heartbeat)
-    registry.register("auto_tap_changer", plugin_auto_tap_changer)
-    registry.register("tap_changer_series", plugin_tap_changer_series)
-    registry.register("building", plugin_building)
-    registry.register("volt_var_controller", plugin_volt_var_controller)
+def default_registry() -> dict:
+    """Keyword -> plugin(config, ctx, scope) of every built-in keyword."""
+    registry = {keyword: partial(_add_component, *spec)
+                for keyword, spec in _COMPONENTS.items()}
+    registry.update(parameters=plugin_parameters, simulation=plugin_simulation,
+                    matpower=plugin_matpower, time_series=plugin_time_series,
+                    pv_inverter=plugin_pv_inverter)
     return registry

@@ -280,9 +280,7 @@ class AutoTapChanger(SimComponent):
     def resolve(self, sim) -> None:
         self._net = sim.get(self.network_id)
         self._branch = self._net.network.branches[self.branch_id]
-        self._net.did_update.register(
-            self.id, self.needs_update.trigger
-        )
+        self._net.did_update.register(self.needs_update.trigger)
 
     def _voltage(self) -> float:
         return abs(self._net.node_voltage(self.monitored_bus))

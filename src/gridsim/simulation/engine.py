@@ -204,8 +204,7 @@ class Simulation:
         for comp in self._order:
             self._call(comp, comp.resolve, self)
             comp.needs_update.register(
-                "engine", lambda cid=comp.id: sim().flag_contingent(cid)
-            )
+                lambda cid=comp.id: sim().flag_contingent(cid))
         self._initialized = True
 
     def _call(self, comp, method, arg) -> None:

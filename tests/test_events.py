@@ -1,35 +1,14 @@
-import pytest
-
-from gridsim.core import Event, StaleTokenError
+from gridsim.core import Event
 
 
 def test_actions_run_in_registration_order():
     ev = Event("test")
     log = []
-    ev.register("a", lambda: log.append("a"))
-    ev.register("b", lambda: log.append("b"))
-    ev.register("c", lambda: log.append("c"))
+    ev.register(lambda: log.append("a"))
+    ev.register(lambda: log.append("b"))
+    ev.register(lambda: log.append("c"))
     ev.trigger()
     assert log == ["a", "b", "c"]
-
-
-def test_deregister_stops_delivery():
-    ev = Event()
-    log = []
-    token = ev.register("a", lambda: log.append("a"))
-    ev.register("b", lambda: log.append("b"))
-    token.deregister()
-    ev.trigger()
-    assert log == ["b"]
-    assert len(ev) == 1
-
-
-def test_double_deregister_raises():
-    ev = Event()
-    token = ev.register("a", lambda: None)
-    token.deregister()
-    with pytest.raises(StaleTokenError):
-        token.deregister()
 
 
 def test_mid_trigger_registration_takes_effect_next_trigger():
@@ -38,9 +17,9 @@ def test_mid_trigger_registration_takes_effect_next_trigger():
 
     def first():
         log.append("first")
-        ev.register("late", lambda: log.append("late"))
+        ev.register(lambda: log.append("late"))
 
-    ev.register("first", first)
+    ev.register(first)
     ev.trigger()
     assert log == ["first"]
     log.clear()
@@ -49,26 +28,6 @@ def test_mid_trigger_registration_takes_effect_next_trigger():
     # the first trigger registered one 'late' action; the second trigger
     # registers another, which must not run until the third
     assert log.count("late") == 1
-
-
-def test_mid_trigger_deregistration_still_runs_current_pass():
-    ev = Event()
-    log = []
-    tokens = {}
-
-    def first():
-        log.append("first")
-        if tokens["second"].active:
-            tokens["second"].deregister()
-
-    tokens["first"] = ev.register("first", first)
-    tokens["second"] = ev.register("second", lambda: log.append("second"))
-    ev.trigger()
-    # snapshot semantics: the already-started pass still delivers
-    assert log == ["first", "second"]
-    log.clear()
-    ev.trigger()
-    assert log == ["first"]
 
 
 def test_trigger_with_no_actions_is_noop():

@@ -86,13 +86,13 @@ def test_battery_charge_discharge_with_efficiency():
 def test_battery_saturation_and_events():
     bat = Battery("b", capacity_kwh=1.0, max_charge_kw=5.0)
     full_events = []
-    bat.charge_full.register("t", lambda: full_events.append(1))
+    bat.charge_full.register(lambda: full_events.append(1))
     got = bat.step(3600.0, 10.0)
     assert got == pytest.approx(1.0)  # clipped by headroom, not the 5 kW limit
     assert bat.charge_kwh == pytest.approx(1.0)
     assert full_events == [1]
     empty_events = []
-    bat.charge_empty.register("t", lambda: empty_events.append(1))
+    bat.charge_empty.register(lambda: empty_events.append(1))
     got = bat.step(3600.0, -10.0)
     assert got == pytest.approx(-1.0)
     assert bat.charge_kwh == pytest.approx(0.0)

@@ -1,12 +1,14 @@
 import re
 import textwrap
 
+import numpy as np
 import pytest
 import yaml
 
+from gridsim.cli import main
+from gridsim.core import Event, TimeSeries
 from gridsim.parsers import (
     LoopSpecError,
-    ParserRegistry,
     UnboundVariableError,
     UnknownKeywordError,
     YamlConfigError,
@@ -19,6 +21,20 @@ from gridsim.parsers import (
     substitute,
     substitute_string,
     yaml_apply,
+)
+from gridsim.powerflow import PfOptions
+from gridsim.simlib import (
+    AutoTapChanger,
+    Battery,
+    Building,
+    Heartbeat,
+    Inverter,
+    PvInverter,
+    SolarPv,
+    TimeSeriesTapChanger,
+    TimeSeriesZip,
+    VoltVarController,
+    Weather,
 )
 
 from conftest import DATA, GOLDEN
@@ -146,10 +162,9 @@ def test_loop_golden_expansion():
 
 
 def test_yaml_apply_dispatch_order_and_errors():
-    registry = ParserRegistry()
     seen = []
-    registry.register("alpha", lambda cfg, ctx, scope: seen.append(("a", cfg)))
-    registry.register("beta", lambda cfg, ctx, scope: seen.append(("b", cfg)))
+    registry = {"alpha": lambda cfg, ctx, scope: seen.append(("a", cfg)),
+                "beta": lambda cfg, ctx, scope: seen.append(("b", cfg))}
     ctx = YamlContext()
     yaml_apply([{"alpha": 1}, {"beta": 2}, {"alpha": 3}], registry, ctx)
     assert seen == [("a", 1), ("b", 2), ("a", 3)]
@@ -162,9 +177,8 @@ def test_yaml_apply_dispatch_order_and_errors():
 
 
 def test_yaml_apply_loop_entries():
-    registry = ParserRegistry()
     seen = []
-    registry.register("item", lambda cfg, ctx, scope: seen.append(cfg["id"]))
+    registry = {"item": lambda cfg, ctx, scope: seen.append(cfg["id"])}
     doc = [
         {
             "loop": {
@@ -179,9 +193,8 @@ def test_yaml_apply_loop_entries():
 
 @pytest.mark.parametrize("bindings", [{}, {"b": 5}], ids=["unbound", "bound"])
 def test_a_literal_angle_bracket_reads_the_same_inside_a_loop(bindings):
-    registry = ParserRegistry()
     seen = []
-    registry.register("item", lambda cfg, ctx, scope: seen.append(cfg["text"]))
+    registry = {"item": lambda cfg, ctx, scope: seen.append(cfg["text"])}
     ctx = YamlContext()
     for name, value in bindings.items():
         ctx.scope.bind(name, value)
@@ -193,22 +206,11 @@ def test_a_literal_angle_bracket_reads_the_same_inside_a_loop(bindings):
 
 
 def test_plugin_exceptions_are_wrapped():
-    registry = ParserRegistry()
-
     def boom(cfg, ctx, scope):
         raise RuntimeError("inner failure")
 
-    registry.register("boom", boom)
     with pytest.raises(YamlConfigError, match="inner failure"):
-        yaml_apply([{"boom": {}}], registry, YamlContext())
-
-
-def test_duplicate_keyword_registration_rejected():
-    registry = ParserRegistry()
-    registry.register("x", lambda *a: None)
-    with pytest.raises(YamlConfigError):
-        registry.register("x", lambda *a: None)
-    assert "x" in registry.keywords()
+        yaml_apply([{"boom": {}}], {"boom": boom}, YamlContext())
 
 
 SIM_DOC = textwrap.dedent(
@@ -254,7 +256,7 @@ def test_matpower_plugin_builds_network(tmp_path):
 
 
 def test_registry_default_keywords_complete():
-    kws = default_registry().keywords()
+    kws = default_registry()
     for expected in (
         "parameters", "simulation", "matpower", "time_series",
         "time_series_zip", "weather", "solar_pv", "battery", "inverter",
@@ -307,3 +309,275 @@ def test_load_yaml_file_reads_as_safe_load(tmp_path, monkeypatch, c_loader):
     with pytest.raises(YamlConfigError,
                        match=f"^{re.escape(str(broken))}: line 3, column 12: "):
         load_yaml_file(broken)
+
+
+# -- every component keyword, every key ------------------------------------
+
+LD_CSV = "# time,p,q\n0,1.0,0.5\n600,2.0,1.0\n"
+CASE3 = str(DATA / "cases" / "case3.m")
+
+
+def _prefix(tmp_path):
+    """A network and two named series for the entries under test."""
+    (tmp_path / "ld.csv").write_text(LD_CSV)
+    return [
+        {"matpower": {"input_file": CASE3, "id": "grid", "tol_pu": 1e-7}},
+        {"time_series": {"id": "ld", "times": [0, 600],
+                         "values": [[1.0, 0.5], [2.0, 1.0]],
+                         "interpolation": "linear", "out_of_range": "error"}},
+        {"time_series": {"id": "temp", "times": [0, 600],
+                         "values": [10.0, 20.0]}},
+    ]
+
+
+# keyword, entry with every key set, and the direct constructor call it
+# stands for; (ctx, csv) -> component.  The `series` form and the
+# `input_file` form of a series between them set every series key.
+EVERY_KEY = [
+    ("time_series_zip",
+     {"id": "z", "network": "grid", "zip": "load_3", "series": "ld",
+      "units": "pu", "scale": 2, "resample_interval_s": 300},
+     lambda ctx, csv: TimeSeriesZip("z", "grid", "load_3", ctx.series["ld"],
+                                    units="pu", scale=2.0,
+                                    resample_interval_s=300.0)),
+    ("time_series_zip",
+     {"id": "z", "network": "grid", "zip": "load_3", "input_file": "ld.csv",
+      "interpolation": "linear", "out_of_range": "error", "units": "MW",
+      "scale": 0.5, "resample_interval_s": 60},
+     lambda ctx, csv: TimeSeriesZip(
+         "z", "grid", "load_3", TimeSeries.from_csv(csv, "linear", "error"),
+         units="MW", scale=0.5, resample_interval_s=60.0)),
+    ("weather",
+     {"id": "w", "latitude_deg": 35, "longitude_deg": 1.5,
+      "temperature_c": 20, "cloud_cover": 0.1, "cloud_exponent": 2,
+      "update_interval_s": 300, "temperature_series": "temp",
+      "cloud_series": "temp"},
+     lambda ctx, csv: Weather(
+         "w", latitude_deg=35.0, longitude_deg=1.5, temperature_c=20.0,
+         cloud_cover=0.1, cloud_exponent=2.0, update_interval_s=300.0,
+         temperature_series=ctx.series["temp"],
+         cloud_series=ctx.series["temp"])),
+    ("solar_pv",
+     {"id": "p", "weather": "w", "efficiency": 0.2, "area_m2": 100,
+      "zenith_degrees": 10, "azimuth_degrees": 170},
+     lambda ctx, csv: SolarPv("p", "w", area_m2=100.0, efficiency=0.2,
+                              zenith_degrees=10.0, azimuth_degrees=170.0)),
+    ("battery",
+     {"id": "b", "capacity_kwh": 10, "charge_kwh": 4, "max_charge_kw": 3,
+      "max_discharge_kw": 2, "eta_charge": 0.9, "eta_discharge": 0.8,
+      "update_interval_s": 60},
+     lambda ctx, csv: Battery("b", 10.0, charge_kwh=4.0, max_charge_kw=3.0,
+                              max_discharge_kw=2.0, eta_charge=0.9,
+                              eta_discharge=0.8, update_interval_s=60.0)),
+    ("inverter",
+     {"id": "i", "sources": ["p", "b"], "efficiency": 0.95, "s_max_kva": 5},
+     lambda ctx, csv: Inverter("i", ("p", "b"), efficiency=0.95,
+                               s_max_kva=5.0)),
+    ("pv_inverter",
+     {"id": "v", "network": "grid", "bus": 3, "gen": "g", "sources": ["p"],
+      "q_mode": "setpoint", "efficiency": 0.97, "s_max_kva": 50,
+      "power_factor": 0.9, "q_setpoint_kvar": 5, "update_interval_s": 300},
+     lambda ctx, csv: PvInverter(
+         "v", "grid", "g", source_ids=("p",), efficiency=0.97, s_max_kva=50.0,
+         q_mode="setpoint", power_factor=0.9, q_setpoint_kvar=5.0,
+         update_interval_s=300.0)),
+    ("heartbeat",
+     {"id": "h", "interval_s": 30},
+     lambda ctx, csv: Heartbeat("h", 30.0)),
+    ("auto_tap_changer",
+     {"id": "a", "network": "grid", "branch": "branch_1_1_3",
+      "monitored_bus": 3, "v_ref_pu": 1.01, "deadband_pu": 0.02,
+      "tap_step": 0.01, "tap_min": 0.95, "tap_max": 1.05, "delay_s": 10},
+     lambda ctx, csv: AutoTapChanger(
+         "a", "grid", "branch_1_1_3", "3", v_ref_pu=1.01, deadband_pu=0.02,
+         tap_step=0.01, tap_min=0.95, tap_max=1.05, delay_s=10.0)),
+    ("tap_changer_series",
+     {"id": "t", "network": "grid", "branch": "branch_1_1_3",
+      "series": "temp"},
+     lambda ctx, csv: TimeSeriesTapChanger("t", "grid", "branch_1_1_3",
+                                           ctx.series["temp"])),
+    ("tap_changer_series",
+     {"id": "t", "network": "grid", "branch": "branch_1_1_3",
+      "input_file": "ld.csv", "interpolation": "linear",
+      "out_of_range": "clamp"},
+     lambda ctx, csv: TimeSeriesTapChanger(
+         "t", "grid", "branch_1_1_3",
+         TimeSeries.from_csv(csv, "linear", "clamp"))),
+    ("building",
+     {"id": "bl", "weather": "w", "r_deg_per_kw": 2, "c_kwh_per_deg": 3,
+      "t_initial_c": 18, "hvac_thermal_kw": 4, "cop": 2.5, "q_gain_kw": 0.5,
+      "t_set_c": 21, "t_deadband_c": 2, "update_interval_s": 120,
+      "zip": "load_3", "network": "grid"},
+     lambda ctx, csv: Building(
+         "bl", "w", r_deg_per_kw=2.0, c_kwh_per_deg=3.0, t_initial_c=18.0,
+         hvac_thermal_kw=4.0, cop=2.5, q_gain_kw=0.5, t_set_c=21.0,
+         t_deadband_c=2.0, network_id="grid", zip_id="load_3",
+         update_interval_s=120.0)),
+    ("volt_var_controller",
+     {"id": "c", "network": "grid", "inverters": ["v", "u"],
+      "interval_s": 300, "v_min_pu": 0.95, "v_max_pu": 1.05,
+      "margin_pu": 0.001, "slack_weight": 100},
+     lambda ctx, csv: VoltVarController(
+         "c", "grid", ("v", "u"), interval_s=300.0, v_min_pu=0.95,
+         v_max_pu=1.05, margin_pu=0.001, slack_weight=100.0)),
+]
+
+
+def _state(obj):
+    """What a component holds once made, by value and type: events and the
+    link to its simulation aside, a time series by its knots and modes."""
+    out = {}
+    for key, value in vars(obj).items():
+        if isinstance(value, Event) or key == "_sim":
+            continue
+        if isinstance(value, TimeSeries):
+            value = {k: v.tolist() if isinstance(v, np.ndarray) else v
+                     for k, v in vars(value).items()}
+        out[key] = (type(value).__name__, value)
+    return out
+
+
+@pytest.mark.parametrize("keyword, config, make", EVERY_KEY,
+                         ids=[f"{kw}-{i}" for i, (kw, _, _) in
+                              enumerate(EVERY_KEY)])
+def test_every_key_reaches_the_constructor(tmp_path, keyword, config, make):
+    ctx = YamlContext(base_dir=tmp_path)
+    yaml_apply(_prefix(tmp_path) + [{keyword: config}], default_registry(),
+               ctx)
+    assert ctx.networks["grid"].pf_options == PfOptions(start="warm",
+                                                       tol_pu=1e-7)
+    built = ctx.sim.get(config["id"])
+    assert _state(built) == _state(make(ctx, tmp_path / "ld.csv"))
+    if keyword == "pv_inverter":
+        gen = ctx.networks["grid"].network.gens.get("g")
+        assert gen.terminal.bus_id == "3" and gen.cost == (0.0, 0.0, 0.0)
+
+
+def test_a_scenario_with_integer_ids_runs(tmp_path):
+    doc = [
+        {"simulation": {"start_time": 0, "end_time": 1200}},
+        {"matpower": {"input_file": CASE3, "id": 1}},
+        {"weather": {"id": 2, "update_interval_s": 600}},
+        {"solar_pv": {"id": 3, "weather": 2, "efficiency": 0.2,
+                      "area_m2": 1000}},
+        {"pv_inverter": {"id": 4, "network": 1, "bus": 3, "gen": 5,
+                         "sources": [3], "q_mode": "opf-controlled"}},
+        {"auto_tap_changer": {"id": 6, "network": 1, "branch": "branch_1_1_3",
+                              "monitored_bus": 3}},
+        {"building": {"id": 7, "weather": 2, "r_deg_per_kw": 2,
+                      "c_kwh_per_deg": 3, "network": 1, "zip": "load_3"}},
+        {"volt_var_controller": {"id": 8, "network": 1, "inverters": [4]}},
+    ]
+    ctx = YamlContext()
+    yaml_apply(doc, default_registry(), ctx)
+    ctx.sim.initialize()
+    ctx.sim.run()
+    assert ctx.sim.current_time == 1200
+    assert sorted(str(comp.id) for comp in ctx.sim.components) == [
+        "1", "2", "3", "4", "6", "7", "8"]
+
+
+# -- each keyword takes a fixed set of keys --------------------------------
+
+# a valid entry after _prefix for each keyword but parameters: the first of
+# EVERY_KEY's, and a few more
+VALID = {kw: config for kw, config, _ in reversed(EVERY_KEY)}
+VALID.update({
+    "simulation": {"start_time": 0, "end_time": 10},
+    "matpower": {"input_file": CASE3, "id": "grid2"},
+    "time_series": {"id": "s", "times": [0], "values": [1.0]},
+    "loop": {"loop_variable": ["i", 0, 1, 1], "loop_body": []},
+})
+REQUIRED = {
+    "simulation": ("start_time", "end_time"),
+    "matpower": ("input_file",),
+    "time_series": ("id", "times", "values"),
+    "time_series_zip": ("id", "zip"),
+    "weather": ("id",),
+    "solar_pv": ("id", "weather", "efficiency", "area_m2"),
+    "battery": ("id", "capacity_kwh"),
+    "inverter": ("id",),
+    "pv_inverter": ("id", "bus"),
+    "heartbeat": ("id", "interval_s"),
+    "auto_tap_changer": ("id", "branch", "monitored_bus"),
+    "tap_changer_series": ("id", "branch"),
+    "building": ("id", "weather", "r_deg_per_kw", "c_kwh_per_deg"),
+    "volt_var_controller": ("id", "inverters"),
+    "loop": ("loop_variable", "loop_body"),
+}
+
+
+def _apply_after_prefix(tmp_path, keyword, config):
+    yaml_apply(_prefix(tmp_path) + [{keyword: config}], default_registry(),
+               YamlContext(base_dir=tmp_path))
+
+
+def test_every_keyword_is_covered():
+    keywords = set(default_registry()) - {"parameters"} | {"loop"}
+    assert set(VALID) == set(REQUIRED) == keywords
+
+
+@pytest.mark.parametrize("keyword", sorted(VALID))
+def test_an_unknown_key_names_the_entry_the_keyword_and_the_key(
+        tmp_path, keyword):
+    config = VALID[keyword]
+    _apply_after_prefix(tmp_path, keyword, config)
+    with pytest.raises(YamlConfigError) as err:
+        _apply_after_prefix(tmp_path, keyword, {**config, "no_such_key": 1})
+    assert str(err.value) == f"3: {keyword}: unknown field 'no_such_key'"
+
+
+@pytest.mark.parametrize("keyword, key", [
+    (keyword, key) for keyword in sorted(REQUIRED) for key in REQUIRED[keyword]])
+def test_a_missing_required_key_is_named(tmp_path, keyword, key):
+    config = {k: v for k, v in VALID[keyword].items() if k != key}
+    with pytest.raises(YamlConfigError) as err:
+        _apply_after_prefix(tmp_path, keyword, config)
+    if keyword == "loop":
+        assert str(err.value) == "3: loop needs loop_variable and loop_body"
+    else:
+        assert str(err.value) == f"3: {keyword}: missing required field {key!r}"
+
+
+def test_a_removed_key_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "capped.yaml"
+    path.write_text("- simulation:\n    start_time: 0\n    end_time: 60\n"
+                    "    contingent_round_cap: 10\n")
+    assert main(["sim", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: 0: simulation: unknown field 'contingent_round_cap'\n")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([{"building": {"id": "b", "weather": "w", "r_deg_per_kw": 2,
+                    "c_kwh_per_deg": 3, "network": "grid"}}],
+     "1: building: field 'network' needs 'zip'"),
+    ([{"time_series_zip": {"id": "z", "zip": "load_3", "series": "ld"}}],
+     "1: time_series_zip: needs a network, but no `matpower` entry comes "
+     "before it"),
+    ([{"matpower": {"input_file": CASE3, "id": "grid"}},
+      {"auto_tap_changer": {"id": "a", "network": "grod",
+                            "branch": "branch_1_1_3", "monitored_bus": 3}}],
+     "2: auto_tap_changer: no network component 'grod'"),
+], ids=["network-without-device", "no-matpower", "unknown-network"])
+def test_a_network_error_names_the_keyword(doc, message):
+    series = {"time_series": {"id": "ld", "times": [0], "values": [[1.0, 0.5]]}}
+    with pytest.raises(YamlConfigError) as err:
+        yaml_apply([series] + doc, default_registry(), YamlContext())
+    assert str(err.value) == message
+
+
+def test_ids_read_as_strings():
+    doc = [{"matpower": {"input_file": CASE3, "id": 1}},
+           {"time_series": {"id": 2, "times": [0], "values": [20.0]}},
+           {"weather": {"id": 3, "temperature_series": 2}},
+           {"pv_inverter": {"id": 4, "network": 1, "bus": 3, "gen": 5,
+                            "sources": [6]}}]
+    ctx = YamlContext()
+    yaml_apply(doc, default_registry(), ctx)
+    assert sorted(comp.id for comp in ctx.sim.components) == ["1", "3", "4"]
+    assert ctx.sim.get("3").temperature_series is ctx.series["2"]
+    inverter = ctx.sim.get("4")
+    assert (inverter.network_id, inverter.gen_id, inverter.source_ids) == (
+        "1", "5", ("6",))
+    assert ctx.networks["1"].network.gens.get("5").terminal.bus_id == "3"
