@@ -17,6 +17,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .opf import IpmOptions, NumericalBreakdownError, ipm_solve, opf_build
 from .parsers import (
     YamlConfigError,
@@ -62,9 +64,34 @@ def report_schema() -> dict:
     return json.loads(raw)
 
 
-def _write_json(path, report) -> None:
+def _write_report(path, command, case, status, sol, network_s, fields,
+                  index, v, **extra) -> None:
+    """Validate the JSON report of a pf or opf solve and write it to path.
+
+    ``fields`` are the solver's own top-level facts.  The ``solution``
+    holds only what no other key states: the voltage ``v`` of each node of
+    ``index``, and ``extra``; it is None unless the solve converged.
+    """
     import jsonschema
 
+    report = {
+        "command": command,
+        "case": case.name,
+        "status": status,
+        "iterations": sol.iterations,
+        "factorizations": sol.factorizations,
+        **fields,
+        "timing": {"network_s": network_s, "build_s": sol.build_s,
+                   "solve_s": sol.solve_s, "factor_s": sol.factor_s},
+        "solution": None,
+        "trace": sol.trace,
+    }
+    if sol.converged:
+        nodes = zip(index.nodes, np.abs(v).tolist(),
+                    np.angle(v, deg=True).tolist())
+        report["solution"] = {"nodes": [
+            {"bus": bus, "phase": phase.name, "Vmag_pu": mag, "Varg_deg": arg}
+            for (bus, phase), mag, arg in nodes], **extra}
     jsonschema.validate(report, report_schema())
     Path(path).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
 
@@ -86,22 +113,12 @@ def cmd_pf(args) -> int:
         print(f"error: {case.name}: power flow stalled at iteration "
               f"{sol.stalled_at}: no step length lowers the max residual",
               file=sys.stderr)
-    report = {
-        "command": "pf",
-        "case": case.name,
-        "status": status,
-        "iterations": sol.iterations,
-        "factorizations": sol.factorizations,
-        "residual_pu": sol.residual_norm,
-        "timing": {"network_s": network_s, "build_s": sol.build_s,
-                   "solve_s": sol.solve_s, "factor_s": sol.factor_s},
-        "solution": sol.to_json_dict() if sol.converged else None,
-        "trace": sol.trace,
-    }
     if args.json:
-        _write_json(args.json, report)
+        _write_report(args.json, "pf", case, status, sol, network_s,
+                      {"residual_pu": sol.residual_norm}, sol.model.index,
+                      sol.v)
     if not args.quiet:
-        print(f"{case.name}: {report['status']} in {sol.iterations} iterations, "
+        print(f"{case.name}: {status} in {sol.iterations} iterations, "
               f"residual {sol.residual_norm:.3e} pu")
     return EXIT_OK if sol.converged else EXIT_NO_CONVERGENCE
 
@@ -121,21 +138,13 @@ def cmd_opf(args) -> int:
     except NumericalBreakdownError as exc:
         print(f"error: {case.name}: optimization broke down: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    report = {
-        "command": "opf",
-        "case": case.name,
-        "status": sol.status,
-        "iterations": sol.iterations,
-        "factorizations": sol.factorizations,
-        "objective": sol.objective,
-        "kkt": {k: float(v) for k, v in sol.kkt.items()},
-        "timing": {"network_s": network_s, "build_s": sol.build_s,
-                   "solve_s": sol.solve_s, "factor_s": sol.factor_s},
-        "solution": sol.to_json_dict() if sol.converged else None,
-        "trace": sol.trace,
-    }
     if args.json:
-        _write_json(args.json, report)
+        _write_report(args.json, "opf", case, sol.status, sol, network_s,
+                      {"objective": sol.objective,
+                       "kkt": {k: float(v) for k, v in sol.kkt.items()}},
+                      problem.index, sol.node_voltages(),
+                      gens=sol.gen_dispatch(),
+                      binding_constraints=sol.binding_constraints())
     if not args.quiet:
         print(f"{case.name}: {sol.status} in {sol.iterations} iterations, "
               f"objective {sol.objective:.2f}")

@@ -115,27 +115,6 @@ class OpfSolution:
                 out.append(names[i])
         return out
 
-    def to_json_dict(self) -> dict:
-        V = self.node_voltages()
-        return {
-            "status": self.status,
-            "objective": self.objective,
-            "iterations": self.iterations,
-            "kkt": {k: float(v) for k, v in self.kkt.items()},
-            "gens": self.gen_dispatch(),
-            "nodes": [
-                {
-                    "bus": bid,
-                    "phase": ph.name,
-                    "Vmag_pu": float(abs(V[i])),
-                    "Varg_deg": float(np.degrees(np.angle(V[i]))),
-                }
-                for i, (bid, ph) in enumerate(self.problem.index.nodes)
-            ],
-            "binding_constraints": self.binding_constraints(),
-            "timing": {"build_s": self.build_s, "solve_s": self.solve_s},
-        }
-
 
 def _dual_residual(res, lam, mu):
     """Gradient of the Lagrangian."""

@@ -12,6 +12,7 @@ half-open integer range (start inclusive, stop exclusive).
 
 from __future__ import annotations
 
+import math
 import re
 from functools import partial
 from pathlib import Path
@@ -341,6 +342,8 @@ _ARG = {"network": "network_id", "zip": "zip_id", "weather": "weather_id",
 
 
 def _ids(values):
+    if not isinstance(values, list):
+        raise ValueError(f"expected a list of ids, got {values!r}")
     return tuple(map(str, values))
 
 
@@ -362,6 +365,14 @@ def _check_keys(config, required, optional=()):
     for key in config:
         if key not in required and key not in optional:
             raise YamlConfigError(f"unknown field {key!r}")
+
+
+def _field(key, convert, value):
+    """``convert(value)``; an error that names ``key`` if it rejects it."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise YamlConfigError(f"field {key!r}: {exc}") from None
 
 
 def _modes(config) -> dict:
@@ -387,7 +398,8 @@ def _arguments(config, ctx, required, optional) -> dict:
                 raise YamlConfigError(f"unknown time series {value!r}")
             args[key] = ctx.series[str(value)]
         elif key != "input_file" and key not in _MODES:
-            args[_ARG.get(key, key)] = _CONVERT.get(key, float)(value)
+            args[_ARG.get(key, key)] = _field(key, _CONVERT.get(key, float),
+                                              value)
     if any(key in config for key in _DEVICE_KEYS):
         args["network_id"] = ctx.network(args.get("network_id")).id
     elif "network" in config:
@@ -403,9 +415,12 @@ def _add_component(cls, required, optional, config, ctx, scope):
 
 
 def _time_value(value):
-    if isinstance(value, (int, float)):
-        return float(value)
-    return float(parse_time(value))
+    """Seconds from a number or a timestamp.  NaN and infinity are
+    rejected: a run that ends at either never stops."""
+    t = float(value if isinstance(value, (int, float)) else parse_time(value))
+    if not math.isfinite(t):
+        raise ValueError(f"must be finite, got {value!r}")
+    return t
 
 
 def plugin_parameters(config, ctx, scope):
@@ -417,8 +432,8 @@ def plugin_parameters(config, ctx, scope):
 
 def plugin_simulation(config, ctx, scope):
     _check_keys(config, ("start_time", "end_time"))
-    ctx.sim.start_time = _time_value(config["start_time"])
-    ctx.sim.end_time = _time_value(config["end_time"])
+    ctx.sim.start_time = _field("start_time", _time_value, config["start_time"])
+    ctx.sim.end_time = _field("end_time", _time_value, config["end_time"])
     ctx.sim.current_time = ctx.sim.start_time
     ctx.sim_configured = True
 
@@ -431,7 +446,7 @@ def plugin_matpower(config, ctx, scope):
     except ValueError as exc:       # name the case file, as `gridsim pf` does
         raise ValueError(f"{path}: {exc}") from exc
     comp_id = str(config.get("id", "network"))
-    tol_pu = float(config.get("tol_pu", PfOptions.tol_pu))
+    tol_pu = _field("tol_pu", float, config.get("tol_pu", PfOptions.tol_pu))
     comp = SimNetwork(comp_id, net, PfOptions(start="warm", tol_pu=tol_pu))
     ctx.sim.add(comp)
     ctx.networks[comp_id] = comp

@@ -51,31 +51,6 @@ class PfSolution:
     trace: list[dict] = field(default_factory=list, repr=False)
     model: PowerFlowModel | None = field(default=None, repr=False)
 
-    def to_json_dict(self) -> dict:
-        model = self.model
-        per_node = []
-        if model is not None:
-            for i, (bus, phase) in enumerate(model.index.nodes):
-                per_node.append(
-                    {
-                        "bus": bus,
-                        "phase": phase.name,
-                        "Vmag_pu": float(np.abs(self.v[i])),
-                        "Varg_deg": float(np.angle(self.v[i], deg=True)),
-                    }
-                )
-        return {
-            "converged": bool(self.converged),
-            "iterations": int(self.iterations),
-            "residual_pu": float(self.residual_norm),
-            "timing": {
-                "build_s": self.build_s,
-                "solve_s": self.solve_s,
-                "factor_s": self.factor_s,
-            },
-            "nodes": per_node,
-        }
-
 
 def flat_start(model: PowerFlowModel) -> np.ndarray:
     """Nominal angles, unit magnitude at PQ, setpoint magnitude at PV."""

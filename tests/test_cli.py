@@ -377,6 +377,27 @@ def test_opf_binding_constraints_reported(tmp_path, capsys):
     assert "flow:branch_1_1_3:0" in report["solution"]["binding_constraints"]
 
 
+@pytest.mark.parametrize("case", ["case3", "case14"])
+@pytest.mark.parametrize("command, keys", [
+    ("pf", {"nodes"}), ("opf", {"nodes", "gens", "binding_constraints"})],
+    ids=["pf", "opf"])
+def test_a_report_states_each_fact_once(tmp_path, capsys, case, command,
+                                        keys):
+    # the solution holds only what no other key states; the status, the
+    # counts, the solver's norms and the timing are top-level facts
+    report_path = tmp_path / "report.json"
+    assert main([command, str(CASES / f"{case}.m"), "--json",
+                 str(report_path), "--quiet"]) == 0
+    report = json.loads(report_path.read_text())
+    assert set(report["solution"]) == keys
+    assert len(report["solution"]["nodes"]) == load_case(
+        CASES / f"{case}.m").n_bus
+    assert report_path.read_text().count('"timing"') == 1
+    report["solution"]["timing"] = report["timing"]
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(report, report_schema())
+
+
 def test_bench_table(capsys):
     assert main([
         "bench", str(CASES / "case14.m"), str(CASES / "case30.m"),

@@ -539,6 +539,42 @@ def test_a_missing_required_key_is_named(tmp_path, keyword, key):
         assert str(err.value) == f"3: {keyword}: missing required field {key!r}"
 
 
+@pytest.mark.parametrize("keyword, key, value, message", [
+    ("inverter", "sources", 7, "expected a list of ids, got 7"),
+    ("pv_inverter", "sources", "p", "expected a list of ids, got 'p'"),
+    ("solar_pv", "efficiency", "abc",
+     "could not convert string to float: 'abc'"),
+    ("matpower", "tol_pu", "x", "could not convert string to float: 'x'"),
+    ("simulation", "start_time", float("-inf"), "must be finite, got -inf"),
+    ("simulation", "end_time", "soon",
+     "Invalid isoformat string: 'soon'"),
+])
+def test_a_rejected_value_names_its_key(tmp_path, keyword, key, value,
+                                        message):
+    with pytest.raises(YamlConfigError) as err:
+        _apply_after_prefix(tmp_path, keyword, {**VALID[keyword], key: value})
+    assert str(err.value) == f"3: {keyword}: field {key!r}: {message}"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("- simulation:\n    start_time: 0\n    end_time: .nan\n",
+     "0: simulation: field 'end_time': must be finite, got nan"),
+    ("- simulation:\n    start_time: 0\n    end_time: .inf\n",
+     "0: simulation: field 'end_time': must be finite, got inf"),
+    (f"- matpower:\n    input_file: {CASE3}\n- volt_var_controller:\n"
+     "    id: vvc\n    inverters: inv_3\n",
+     "1: volt_var_controller: field 'inverters': expected a list of ids, "
+     "got 'inv_3'"),
+], ids=["nan-end", "inf-end", "bare-id"])
+def test_a_rejected_value_exits_1(tmp_path, capsys, text, message):
+    # an end time of NaN or infinity would run forever; a bare id where a
+    # list belongs was split into characters
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    assert main(["sim", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_a_removed_key_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "capped.yaml"
     path.write_text("- simulation:\n    start_time: 0\n    end_time: 60\n"
