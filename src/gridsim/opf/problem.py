@@ -143,7 +143,6 @@ class OpfProblem:
         self.v_free = None          # free-vector positions of the free v's
         self.box_ub = None          # free-var box rows (indices into full vector)
         self.box_lb = None
-        self.eq_names: list[str] = []
         self.ineq_names: list[str] = []
         self.kkt: KktPattern | None = None
         self._options: dict = {}    # opf_build's keyword options
@@ -151,10 +150,6 @@ class OpfProblem:
         self._ext_keys: list = []   # (extension, variable) name pairs
 
     # -- sizes ---------------------------------------------------------------
-
-    @property
-    def n_full(self) -> int:
-        return len(self.names)
 
     @property
     def n_var(self) -> int:
@@ -220,7 +215,7 @@ class OpfProblem:
         """
         n = self.n_nodes
         nx = self.n_var
-        col = np.full(self.n_full, -1)      # free position of each variable
+        col = np.full(len(self.names), -1)  # free position of each variable
         col[self.free] = np.arange(nx)
         th, vm = col[self.ith], col[self.iv]
         self.v_free = vm[vm >= 0]
@@ -591,11 +586,6 @@ def opf_build(net, extensions=(), hold_power_flow=False,
                              coeffs=coeffs, const=con.const)
             (p.lin_eq if con.equality else p.lin_ineq).append(row)
 
-    p.eq_names = (
-        [f"P_bal:{bid}:{ph.name}" for bid, ph in model.index.nodes]
-        + [f"Q_bal:{bid}:{ph.name}" for bid, ph in model.index.nodes]
-        + [row.name for row in p.lin_eq]
-    )
     p.ineq_names = (
         [f"ub:{names[j]}" for j in p.box_ub]
         + [f"lb:{names[j]}" for j in p.box_lb]

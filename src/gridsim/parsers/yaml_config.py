@@ -17,6 +17,7 @@ import re
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from ..core import TimeSeries, parse_time
@@ -347,9 +348,19 @@ def _ids(values):
     return tuple(map(str, values))
 
 
-# the converter of each key whose value is no float
+def _finite(value):
+    """``value`` as a float, neither NaN nor infinite."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {value!r}")
+    return x
+
+
+# the converter of each key whose value is no plain float
 _CONVERT = {**dict.fromkeys(("id", "network", "zip", "weather", "gen", "branch",
                              "bus", "monitored_bus", "units", "q_mode"), str),
+            **dict.fromkeys(("interval_s", "update_interval_s",
+                             "resample_interval_s", "delay_s"), _finite),
             "sources": _ids, "inverters": _ids}
 _SERIES_IDS = ("series", "temperature_series", "cloud_series")
 _DEVICE_KEYS = ("zip", "branch", "bus", "inverters")    # keys into a network
@@ -417,10 +428,8 @@ def _add_component(cls, required, optional, config, ctx, scope):
 def _time_value(value):
     """Seconds from a number or a timestamp.  NaN and infinity are
     rejected: a run that ends at either never stops."""
-    t = float(value if isinstance(value, (int, float)) else parse_time(value))
-    if not math.isfinite(t):
-        raise ValueError(f"must be finite, got {value!r}")
-    return t
+    return _finite(value if isinstance(value, (int, float))
+                   else parse_time(value))
 
 
 def plugin_parameters(config, ctx, scope):
@@ -458,9 +467,16 @@ def plugin_time_series(config, ctx, scope):
     from_file = "input_file" in config
     _check_keys(config, ("id",) if from_file else ("id", "times", "values"),
                 ("input_file", "times", "values", *_MODES))
-    ctx.series[str(config["id"])] = (
-        _read_series(config, ctx) if from_file
-        else TimeSeries(config["times"], config["values"], **_modes(config)))
+    if from_file:
+        series = _read_series(config, ctx)
+    else:
+        # the arrays TimeSeries makes, made here to name the key they reject
+        times = _field("times", partial(np.asarray, dtype=np.int64),
+                       config["times"])
+        values = _field("values", partial(np.asarray, dtype=float),
+                        config["values"])
+        series = TimeSeries(times, values, **_modes(config))
+    ctx.series[str(config["id"])] = series
 
 
 def plugin_pv_inverter(config, ctx, scope):

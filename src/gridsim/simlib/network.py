@@ -24,9 +24,11 @@ class PowerFlowAbort(SimulationError):
 class SimNetwork(SimComponent):
     """Holds a network and re-solves it when members mark it dirty.
 
-    Components that change network state call :meth:`mark_dirty`; the engine
-    then runs this component's contingent update, which performs exactly one
-    solve per timestep no matter how many members changed.
+    Components, and code stepping the simulation, call :meth:`mark_dirty`
+    after they change network state; the engine then runs this component's
+    contingent update, in the timestep under way or else the next one,
+    which performs one solve for each burst of marks however many members
+    changed.
 
     The power-flow structure (Y-bus, model, Newton pattern and LU order) is
     held across solves and rebuilt only after a structural change; each
@@ -52,7 +54,6 @@ class SimNetwork(SimComponent):
         self.solve_count = 0
         self.newton_iterations = 0
         self.factorizations = 0
-        self.dirty = True
         self._held = HeldPowerFlow()
 
     @property
@@ -77,7 +78,8 @@ class SimNetwork(SimComponent):
                 self.depends_on(comp.id)
 
     def mark_dirty(self, change: str = "structure") -> None:
-        """Ask for a re-solve after an edit of the network.
+        """Ask for a re-solve after an edit of the network, in the timestep
+        under way or, between timesteps, in the next one.
 
         ``change`` declares what the edit touched.  ``"generation"``
         promises generator outputs or voltage setpoints only, and the next
@@ -89,16 +91,10 @@ class SimNetwork(SimComponent):
         model before the next solve.
         """
         self._held.changed(change)
-        self.dirty = True
-        # between timesteps the flag alone is enough: the next update
-        # (scheduled or contingent) performs the solve
-        sim = getattr(self, "sim", None)
-        if sim is not None and sim.in_timestep:
-            self.needs_update.trigger()
+        self.needs_update.trigger()
 
     def initialize(self, sim) -> None:
         self._held.invalidate()
-        self.dirty = True
         self.next_update_time = sim.start_time
 
     def pf_model(self):
@@ -118,11 +114,9 @@ class SimNetwork(SimComponent):
         self.solve_count += 1
         self.newton_iterations += sol.iterations
         self.factorizations += sol.factorizations
-        self.dirty = False
 
     def update(self, t: float) -> None:
-        if self.dirty:
-            self.solve(t)
+        self.solve(t)
 
     def node_voltage(self, bus_id):
         """The complex voltage of the first node of ``bus_id`` (pu)."""

@@ -9,7 +9,6 @@ from .engine import (
     SimComponent,
     Simulation,
     SimulationError,
-    UnknownPhaseError,
 )
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "DependencyCycleError",
     "MissingDependencyError",
     "NoPendingUpdateError",
-    "UnknownPhaseError",
     "LivelockError",
     "ComponentError",
     "ListSink",

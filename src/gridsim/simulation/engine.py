@@ -4,12 +4,12 @@ Components declare dependencies on other components; the engine ranks them
 by longest-path depth in the dependency DAG so that, whenever several
 components act at the same instant, dependencies always run before their
 dependents.  Each timestep first runs every update scheduled for that
-instant, then drains the set of contingent updates raised by those updates
-until a fixpoint.  :meth:`Simulation.initialize` sorts the components
-once by rank, insertion order breaking ties, and both phases run in that
-order.  Time only moves forward: a component left scheduled at or before
-the instant that just ran is an error, and work at one instant goes
-through contingent updates.
+instant, then drains, until a fixpoint, the set of contingent updates
+raised by those updates or since the last timestep.
+:meth:`Simulation.initialize` sorts the components once by rank, insertion
+order breaking ties, and both phases run in that order.  Time only moves
+forward: a component left scheduled at or before the instant that just ran
+is an error, and work at one instant goes through contingent updates.
 
 The engine holds its components, and each component refers back to its
 simulation only weakly, engine actions on component events included, so a
@@ -42,10 +42,6 @@ class MissingDependencyError(SimulationError):
 
 
 class NoPendingUpdateError(SimulationError):
-    pass
-
-
-class UnknownPhaseError(SimulationError):
     pass
 
 
@@ -128,16 +124,10 @@ class Simulation:
         self.sinks: list = []
         self.timestep_listeners: list = []
         self._initialized = False
-        self._in_timestep = False
         self._order: list[SimComponent] = []    # by rank, then insertion
         self._slot: dict[str, int] = {}         # id -> index into _order
         self._pending_scheduled: set[int] = set()
         self._contingent: set[int] = set()
-
-    @property
-    def in_timestep(self) -> bool:
-        """True while a timestep is executing (contingent flags allowed)."""
-        return self._in_timestep
 
     # -- construction -------------------------------------------------------
 
@@ -220,17 +210,21 @@ class Simulation:
     # -- execution ----------------------------------------------------------
 
     def flag_contingent(self, component_id: str) -> None:
-        if component_id not in self.components:
-            raise MissingDependencyError(
-                f"cannot flag unknown component {component_id!r}"
-            )
-        if not self._in_timestep:
-            raise UnknownPhaseError(
-                f"component {component_id!r} flagged outside an active timestep"
-            )
-        slot = self._slot[component_id]
+        """Owe ``component_id`` a contingent update.
+
+        A flag raised during a timestep runs in its contingent phase; one
+        raised between timesteps, or while :meth:`initialize` runs, waits
+        for the next timestep's.  A scheduled update still pending at the
+        instant the flag runs absorbs it, so the component updates once.
+        """
+        slot = self._slot.get(component_id)
+        if slot is None:
+            if component_id not in self.components:
+                raise MissingDependencyError(
+                    f"cannot flag unknown component {component_id!r}")
+            raise SimulationError(
+                f"cannot flag component {component_id!r} before initialize")
         if slot not in self._pending_scheduled:
-            # a pending scheduled update at this instant absorbs the flag
             self._contingent.add(slot)
 
     def _emit(self, t, component_id, kind, rank):
@@ -255,32 +249,28 @@ class Simulation:
         scheduled = [slot for slot, comp in enumerate(self._order)
                      if comp.next_update_time == t]
         self.current_time = t
-        self._in_timestep = True
         self._pending_scheduled = set(scheduled)
-        try:
-            for slot in scheduled:
-                comp = self._order[slot]
-                self._pending_scheduled.discard(slot)
-                if comp.next_update_time == t:
-                    comp.next_update_time = math.inf
-                self._run_update(comp, t, "scheduled")
+        # a flag raised since the last timestep is absorbed too
+        self._contingent -= self._pending_scheduled
+        for slot in scheduled:
+            comp = self._order[slot]
+            self._pending_scheduled.discard(slot)
+            if comp.next_update_time == t:
+                comp.next_update_time = math.inf
+            self._run_update(comp, t, "scheduled")
 
-            counts: dict[int, int] = {}
-            while self._contingent:
-                slot = min(self._contingent)
-                self._contingent.remove(slot)
-                counts[slot] = counts.get(slot, 0) + 1
-                comp = self._order[slot]
-                if counts[slot] > CONTINGENT_ROUND_CAP:
-                    raise LivelockError(
-                        f"component {comp.id!r} exceeded "
-                        f"{CONTINGENT_ROUND_CAP} contingent updates at t={t}"
-                    )
-                self._run_update(comp, t, "contingent")
-        finally:
-            self._in_timestep = False
-            self._pending_scheduled = set()
-            self._contingent = set()
+        counts: dict[int, int] = {}
+        while self._contingent:
+            slot = min(self._contingent)
+            self._contingent.remove(slot)
+            counts[slot] = counts.get(slot, 0) + 1
+            comp = self._order[slot]
+            if counts[slot] > CONTINGENT_ROUND_CAP:
+                raise LivelockError(
+                    f"component {comp.id!r} exceeded "
+                    f"{CONTINGENT_ROUND_CAP} contingent updates at t={t}"
+                )
+            self._run_update(comp, t, "contingent")
         for comp in self._order:
             if comp.next_update_time is not None and not comp.next_update_time > t:
                 raise SimulationError(

@@ -17,7 +17,6 @@ from gridsim.simulation import (
     SimComponent,
     Simulation,
     SimulationError,
-    UnknownPhaseError,
 )
 from gridsim.simulation.engine import CONTINGENT_ROUND_CAP
 
@@ -230,10 +229,63 @@ def test_flag_outside_timestep_rejected():
     sim = Simulation(0, 0)
     sim.add(Ticker("a", 1))
     sim.initialize()
-    with pytest.raises(UnknownPhaseError):
-        sim.flag_contingent("a")
     with pytest.raises(MissingDependencyError):
         sim.flag_contingent("ghost")
+
+
+def test_a_flag_before_initialize_is_an_error():
+    sim = Simulation(0, 0)
+    sim.add(Ticker("a", 1))
+    with pytest.raises(SimulationError, match="^cannot flag component 'a' "
+                       "before initialize$"):
+        sim.flag_contingent("a")
+
+
+class Flagger(Ticker):
+    """Ticker that flags ``target`` while the simulation initializes."""
+
+    def __init__(self, id, period, target, log=None):
+        super().__init__(id, period, log)
+        self.target = target
+
+    def initialize(self, sim):
+        super().initialize(sim)
+        sim.flag_contingent(self.target)
+
+
+def test_a_flag_between_timesteps_runs_once_at_the_next():
+    sink = ListSink()
+    sim = Simulation(0, 30)
+    sim.add(Flagger("a", 10, "target"))
+    target = sim.add(Ticker("target", math.inf))
+    sim.add_sink(sink)
+    sim.initialize()
+    target.next_update_time = math.inf  # only contingent runs for it
+    sim.do_timestep()
+    sim.flag_contingent("target")
+    sim.flag_contingent("target")
+    sim.do_timestep()
+    sim.do_timestep()
+    # the flag raised while initialize ran is taken at t=0, the two
+    # raised between t=0 and t=10 once at t=10, and none is left for t=20
+    assert sink.records == [
+        (0, "a", "scheduled", 0), (0, "target", "contingent", 0),
+        (10, "a", "scheduled", 0), (10, "target", "contingent", 0),
+        (20, "a", "scheduled", 0)]
+
+
+def test_a_scheduled_update_absorbs_a_flag_raised_between_timesteps():
+    sink = ListSink()
+    sim = Simulation(0, 30)
+    sim.add(Ticker("a", 10))
+    sim.add(Ticker("target", 10))
+    sim.add_sink(sink)
+    sim.initialize()
+    sim.do_timestep()
+    sim.flag_contingent("target")
+    sim.do_timestep()
+    assert [r for r in sink.records if r[0] == 10] == [
+        (10, "a", "scheduled", 0), (10, "target", "scheduled", 0)]
 
 
 @pytest.mark.parametrize("period", [0, -10])

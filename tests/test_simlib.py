@@ -251,6 +251,28 @@ def test_linear_time_series_zip_reaches_a_last_knot_off_its_grid():
     assert net.zips["load"].s_const[1, 0] == pytest.approx(0.20)
 
 
+def test_a_mark_between_timesteps_is_solved_at_the_next():
+    # code that steps a simulation itself may edit the network between
+    # steps; the network, which schedules nothing after t=0, must still
+    # solve the edit at the next step
+    net, _ = load_network(CASES / "case14.m")
+    sim = Simulation(0, 1800)
+    grid = sim.add(SimNetwork("grid", net))
+    sim.add(Heartbeat("hb", 600.0))
+    sim.initialize()
+    sim.do_timestep()
+    assert grid.solve_count == 1
+    v0 = abs(grid.node_voltage("14"))
+    load = net.zips["load_14"]
+    load.set_wye(0, s=3 * load.s_const[1, 0])
+    grid.mark_dirty("injections")
+    assert sim.do_timestep() == 600
+    assert grid.solve_count == 2
+    assert abs(grid.node_voltage("14")) < v0 - 0.03
+    sim.do_timestep()
+    assert grid.solve_count == 2
+
+
 def test_sim_network_solve_failure_aborts():
     net = _grid()
     net.zips["load"].set_wye(0, s=500.0)

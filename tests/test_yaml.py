@@ -548,6 +548,9 @@ def test_a_missing_required_key_is_named(tmp_path, keyword, key):
     ("simulation", "start_time", float("-inf"), "must be finite, got -inf"),
     ("simulation", "end_time", "soon",
      "Invalid isoformat string: 'soon'"),
+    ("time_series", "times", [0, "abc"],
+     "invalid literal for int() with base 10: 'abc'"),
+    ("battery", "update_interval_s", float("inf"), "must be finite, got inf"),
 ])
 def test_a_rejected_value_names_its_key(tmp_path, keyword, key, value,
                                         message):
@@ -565,10 +568,14 @@ def test_a_rejected_value_names_its_key(tmp_path, keyword, key, value,
      "    id: vvc\n    inverters: inv_3\n",
      "1: volt_var_controller: field 'inverters': expected a list of ids, "
      "got 'inv_3'"),
-], ids=["nan-end", "inf-end", "bare-id"])
+    ("- simulation:\n    start_time: 0\n    end_time: 3600\n- heartbeat:\n"
+     "    id: hb\n    interval_s: .nan\n",
+     "1: heartbeat: field 'interval_s': must be finite, got nan"),
+], ids=["nan-end", "inf-end", "bare-id", "nan-interval"])
 def test_a_rejected_value_exits_1(tmp_path, capsys, text, message):
     # an end time of NaN or infinity would run forever; a bare id where a
-    # list belongs was split into characters
+    # list belongs was split into characters; a NaN interval was caught
+    # only once scheduled, naming neither the entry nor the key
     path = tmp_path / "bad.yaml"
     path.write_text(text)
     assert main(["sim", str(path), "--out", str(tmp_path / "out")]) == 1
