@@ -32,6 +32,18 @@ class ComponentCollection:
             raise DuplicateKeyError(key)
         self._items[key] = item
 
+    def insert_all(self, keys: list[str], items: list[Any]) -> None:
+        """Insert each item under its key, in order, with the checks of
+        :meth:`insert`; if a key fails them, nothing is inserted."""
+        new = dict(zip(keys, items))
+        if len(new) < len(keys) or not all(keys) \
+                or not self._items.keys().isdisjoint(new):
+            seen = ComponentCollection()
+            seen._items = dict.fromkeys(self._items)
+            for key in keys:
+                seen.insert(key, None)  # raises at the first bad key
+        self._items.update(new)
+
     def get(self, key: str, default: Any = None) -> Any:
         return self._items.get(key, default)
 

@@ -41,6 +41,16 @@ def parse_time(value) -> int:
     return int(dt.timestamp())
 
 
+def knot_times(times) -> np.ndarray:
+    """``times`` as int64 seconds; a time with a fractional part is an
+    error, where the cast alone would cut it off."""
+    knots = np.asarray(times, dtype=np.int64)
+    given = np.asarray(times)
+    if given.dtype.kind == "f" and (cut := given != knots).any():
+        raise ValueError(f"non-integer timestamp: {given[cut][0].item()!r}")
+    return knots
+
+
 def _first_non_finite(values: np.ndarray) -> int | None:
     """The first row of ``values`` holding a NaN or an infinity, or None."""
     finite = np.isfinite(values)
@@ -57,7 +67,7 @@ class TimeSeries:
         interpolation: str = STEPWISE,
         out_of_range: str = CLAMP,
     ):
-        self.times = np.asarray(times, dtype=np.int64)
+        self.times = knot_times(times)
         values = np.asarray(values, dtype=float)
         if values.ndim == 1:
             values = values[:, None]

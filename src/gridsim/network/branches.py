@@ -80,10 +80,16 @@ class CommonBranch(BranchModel):
             raise NetworkModelError("CommonBranch series admittance must be finite")
         if tap <= 0.0:
             raise NetworkModelError(f"CommonBranch tap must be positive, got {tap}")
-        self.y_series = complex(y_series)
-        self.y_shunt = complex(y_shunt)
-        self.tap = float(tap)
-        self.phase_shift_deg = float(phase_shift_deg)
+        self._set(complex(y_series), complex(y_shunt), float(tap),
+                  float(phase_shift_deg))
+
+    def _set(self, y_series, y_shunt, tap, phase_shift_deg) -> "CommonBranch":
+        """Set every attribute, unchecked; the one place that lists them."""
+        self.y_series = y_series
+        self.y_shunt = y_shunt
+        self.tap = tap
+        self.phase_shift_deg = phase_shift_deg
+        return self
 
     @property
     def n_phase0(self) -> int:

@@ -73,24 +73,36 @@ class Bus:
         v_mag_min: float = 0.0,
         v_mag_max: float = np.inf,
     ):
-        self.id = id
-        self.phases = sorted_phases(phases)
-        self.terminal = Terminal(id, self.phases)  # onto all its phases
-        self.v_base = float(v_base)
+        phases = sorted_phases(phases)
+        v_base = float(v_base)
         if bus_type not in ("SL", "PV", "PQ"):
             raise NetworkModelError(f"bus {id}: unknown type {bus_type!r}")
-        self.bus_type = bus_type
-        n = len(self.phases)
+        n = len(phases)
         if v_nom is None:
-            v_nom = np.array([nominal_voltage(p) for p in self.phases])
-        self.v_nom = np.asarray(v_nom, dtype=complex)
-        if self.v_nom.shape != (n,):
+            v_nom = np.array([nominal_voltage(p) for p in phases])
+        v_nom = np.asarray(v_nom, dtype=complex)
+        if v_nom.shape != (n,):
             raise NetworkModelError(f"bus {id}: v_nom must have {n} entries")
-        self.v = self.v_nom.copy()  # solution state, per unit
-        self.v_mag_min = _per_phase(v_mag_min, n, float)
-        self.v_mag_max = _per_phase(v_mag_max, n, float)
-        if np.count_nonzero(self.v_mag_min > self.v_mag_max):
+        v_mag_min = _per_phase(v_mag_min, n, float)
+        v_mag_max = _per_phase(v_mag_max, n, float)
+        if np.count_nonzero(v_mag_min > v_mag_max):
             raise NetworkModelError(f"bus {id}: v_mag_min > v_mag_max")
+        self._set(id, phases, Terminal(id, phases), v_base, bus_type,
+                  v_nom, v_nom.copy(), v_mag_min, v_mag_max)
+
+    def _set(self, id, phases, terminal, v_base, bus_type, v_nom, v,
+             v_mag_min, v_mag_max) -> "Bus":
+        """Set every attribute, unchecked; the one place that lists them."""
+        self.id = id
+        self.phases = phases
+        self.terminal = terminal  # onto all its phases
+        self.v_base = v_base
+        self.bus_type = bus_type
+        self.v_nom = v_nom
+        self.v = v  # solution state, per unit
+        self.v_mag_min = v_mag_min
+        self.v_mag_max = v_mag_max
+        return self
 
     @property
     def n_phase(self) -> int:
@@ -122,21 +134,30 @@ class Gen:
     ):
         if n_phase < 1:
             raise NetworkModelError(f"gen {id}: needs at least one phase")
-        self.id = id
-        self.terminal = OPEN
-        self.s = _per_phase(s, n_phase, complex)
-        self.p_min = float(p_min)
-        self.p_max = float(p_max)
-        self.q_min = float(q_min)
-        self.q_max = float(q_max)
-        if self.p_min > self.p_max:
+        s = _per_phase(s, n_phase, complex)
+        p_min, p_max, q_min, q_max = map(float, (p_min, p_max, q_min, q_max))
+        if p_min > p_max:
             raise NetworkModelError(f"gen {id}: p_min > p_max")
-        if self.q_min > self.q_max:
+        if q_min > q_max:
             raise NetworkModelError(f"gen {id}: q_min > q_max")
-        self.v_setpoint = float(v_setpoint)
         c0, c1, c2 = cost
-        self.cost = (float(c0), float(c1), float(c2))
-        self.in_service = bool(in_service)
+        self._set(id, OPEN, s, p_min, p_max, q_min, q_max, float(v_setpoint),
+                  (float(c0), float(c1), float(c2)), bool(in_service))
+
+    def _set(self, id, terminal, s, p_min, p_max, q_min, q_max, v_setpoint,
+             cost, in_service) -> "Gen":
+        """Set every attribute, unchecked; the one place that lists them."""
+        self.id = id
+        self.terminal = terminal
+        self.s = s
+        self.p_min = p_min
+        self.p_max = p_max
+        self.q_min = q_min
+        self.q_max = q_max
+        self.v_setpoint = v_setpoint
+        self.cost = cost
+        self.in_service = in_service
+        return self
 
     @property
     def n_phase(self) -> int:
@@ -157,13 +178,20 @@ class Zip:
     """
 
     def __init__(self, id: str, n_phase: int = 1, in_service: bool = True):
-        self.id = id
-        self.terminal = OPEN
         m = n_phase + 1
-        self.y_const = np.zeros((m, m), dtype=complex)
-        self.i_const = np.zeros((m, m), dtype=complex)
-        self.s_const = np.zeros((m, m), dtype=complex)
-        self.in_service = bool(in_service)
+        self._set(id, OPEN, *np.zeros((3, m, m), dtype=complex),
+                  bool(in_service))
+
+    def _set(self, id, terminal, y_const, i_const, s_const,
+             in_service) -> "Zip":
+        """Set every attribute, unchecked; the one place that lists them."""
+        self.id = id
+        self.terminal = terminal
+        self.y_const = y_const
+        self.i_const = i_const
+        self.s_const = s_const
+        self.in_service = in_service
+        return self
 
     @property
     def n_phase(self) -> int:

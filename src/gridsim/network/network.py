@@ -57,11 +57,16 @@ class Branch:
         s_max_mva: float = np.inf,
         in_service: bool = True,
     ):
+        self._set(id, model, (OPEN, OPEN), float(s_max_mva), bool(in_service))
+
+    def _set(self, id, model, terminals, s_max_mva, in_service) -> "Branch":
+        """Set every attribute, unchecked; the one place that lists them."""
         self.id = id
         self.model = model
-        self.terminals = (OPEN, OPEN)
-        self.s_max_mva = float(s_max_mva)
-        self.in_service = bool(in_service)
+        self.terminals = terminals
+        self.s_max_mva = s_max_mva
+        self.in_service = in_service
+        return self
 
     def __repr__(self) -> str:
         return f"Branch({self.id!r}, {type(self.model).__name__})"

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..network import Branch, Bus, CommonBranch, Gen, Network, Phase, Zip
+from ..network import Branch, Bus, CommonBranch, Gen, Network, Phase, Terminal, Zip
 
 BUS_COLS = [
     "bus_i", "type", "Pd", "Qd", "Gs", "Bs", "area", "Vm", "Va",
@@ -49,6 +49,7 @@ _INT_COLS = {
 }
 
 _BAL = (Phase.BAL,)  # the phases of every bus of a case, shared
+_BUS_TYPES = (None, "PQ", "PV", "SL", "PQ")  # by the bus type column
 _NO_NUMBER = re.compile(r"^[^\S\n]*,(?:[^\S\n]|,)*$", re.M)  # a row of commas
 
 
@@ -248,7 +249,8 @@ def _validate(case: MatpowerCase) -> None:
     """Raise ValueError at the first break of the case contract: a bad
     ``baseMVA`` or column (:func:`_check_columns`), a bus id twice, an
     unknown bus, an island over in-service branches without exactly one
-    slack bus, or an in-service branch with r = x = 0."""
+    slack bus, an in-service branch with r = x = 0, or a row that breaks a
+    device rule (:func:`_check_rows`)."""
     if not 0.0 < case.base_mva < np.inf:
         raise ValueError(f"mpc.baseMVA is {case.base_mva}, which must be "
                          f"positive and finite")
@@ -287,93 +289,127 @@ def _validate(case: MatpowerCase) -> None:
         r = int(np.argmax(zero))
         raise ValueError(f"mpc.branch row {r + 1} (bus {int(branch[r, 0])} to bus "
                          f"{int(branch[r, 1])}) has zero series impedance (r = x = 0)")
+    _check_rows(case)
+
+
+def _check_rows(case: MatpowerCase) -> None:
+    """Raise ValueError at the first row that breaks a device rule, naming
+    its row and column: a bus with Vmin > Vmax; an in-service gen with
+    Pmin > Pmax or Qmin > Qmax; an in-service branch whose series
+    admittance 1/(r + jx) is not finite, or whose ratio is below 0 (a
+    ratio of 0 means 1)."""
+    bus, gen, branch = case.bus, case.gen, case.branch
+    gen_on, branch_on = gen[:, 7] > 0, branch[:, 10] > 0
+    with np.errstate(all="ignore"):  # r = x = 0 is rejected before
+        y_series = 1.0 / (branch[:, 2] + 1j * branch[:, 3])
+    rules = [  # (table, the rows that break it, the column named, the rule)
+        ("bus", bus[:, 12] > bus[:, 11], 12, "at most Vmax ({row[11]})"),
+        ("gen", gen_on & (gen[:, 9] > gen[:, 8]), 9, "at most Pmax ({row[8]})"),
+        ("gen", gen_on & (gen[:, 4] > gen[:, 3]), 4, "at most Qmax ({row[3]})"),
+        ("branch", branch_on & ~np.isfinite(y_series), 2,
+         "large enough, with x = {row[3]}, for a finite series admittance "
+         "1/(r + jx)"),
+        ("branch", branch_on & (branch[:, 8] < 0.0), 8, "at least 0"),
+    ]
+    for table, bad, col, rule in rules:
+        if bad.any():
+            k = int(np.argmax(bad))
+            row = getattr(case, table)[k].tolist()
+            where = (f"bus {row[0]:g} to bus {row[1]:g}" if table == "branch"
+                     else f"bus {row[0]:g}")
+            raise ValueError(f"mpc.{table} row {k + 1} ({where}): "
+                             f"{_NAMES[table][col]} is {row[col]}, which must "
+                             f"be {rule.format(row=row)}")
 
 
 def case_to_network(case: MatpowerCase) -> Network:
     """Build a single-phase (BAL) network from a case, which was checked
-    when it was made."""
+    when it was made, one pass per device kind over the case's columns.
+
+    The contract holds every rule the device constructors check, so each
+    object is made by its class's ``_set`` alone and bound to its bus's
+    shared terminal, and each collection takes its devices in one insert.
+    The small arrays of the devices of one kind are views of one array.
+    Each number has the bits the constructors gave it
+    (``tests/golden/matpower_networks.json``): a ZIP's per-unit powers
+    come from real divisions, where numpy's complex division can differ in
+    the last bit, and each series admittance from CPython's 1/complex(r, x).
+    """
     base_mva = case.base_mva
     net = Network(s_base_mva=base_mva)
+    bus, gen, branch = case.bus, case.gen, case.branch
+    new = object.__new__
 
-    gens = case.gen.tolist()
-    vg_by_bus: dict[int, float] = {}
-    for row in gens:
-        if int(row[7]) > 0 and int(row[0]) not in vg_by_bus:
-            vg_by_bus[int(row[0])] = row[5]
+    # the row of each bus id; a slack or PV bus holds the voltage setpoint
+    # of its first in-service generator
+    order = np.argsort(bus[:, 0], kind="stable")
 
-    type_map = {3: "SL", 2: "PV", 1: "PQ", 4: "PQ"}
-    # a slack or PV bus holds the setpoint of its first in-service generator
-    vm = np.array([
-        vg_by_bus[int(i)] if int(t) in (2, 3) and int(i) in vg_by_bus
-        else m if m > 0 else 1.0
-        for i, t, m in case.bus[:, [0, 1, 7]].tolist()
-    ])
-    v_nom = (vm * np.exp(1j * np.deg2rad(case.bus[:, 8]))).tolist()
-    # each row as Python floats, read one at a time: a list of the whole
-    # table would raise the peak memory of a large case
-    for row, v in zip(map(np.ndarray.tolist, case.bus), v_nom):
-        bus_id = str(int(row[0]))
-        base_kv = row[9]
-        net.add_bus(Bus(
-            id=bus_id,
-            phases=_BAL,
-            v_base=base_kv * 1e3 if base_kv > 0 else 1.0,
-            bus_type=type_map[int(row[1])],
-            v_nom=[v],
-            v_mag_min=row[12],
-            v_mag_max=row[11],
-        ))
-        pd, qd, gs, bs = row[2:6]
-        if pd != 0.0 or qd != 0.0 or gs != 0.0 or bs != 0.0:
-            zip_ = Zip(f"load_{bus_id}", n_phase=1)
-            zip_.set_wye(
-                0,
-                s=(pd + 1j * qd) / base_mva,
-                y=(gs + 1j * bs) / base_mva,
-            )
-            net.add_zip(zip_, bus=bus_id)
+    def rows_of(ids):
+        return order[np.searchsorted(bus[:, 0], ids, sorter=order)]
 
-    costs = [] if case.gencost is None else case.gencost.tolist()
-    for idx, row in enumerate(gens):
-        if int(row[7]) <= 0:
-            continue  # out of service
-        bus_id = str(int(row[0]))
-        cost = (0.0, 1.0, 0.0)
-        if idx < len(costs):
-            # (c0, c1, c2) of NCOST coefficients, the highest order first
-            n, coeffs = int(costs[idx][3]), costs[idx][4:]
-            cost = tuple(coeffs[:n][::-1]) + (0.0,) * (3 - n)
-        gen = Gen(
-            id=f"gen_{idx}_{bus_id}",
-            n_phase=1,
-            s=complex(row[1], row[2]),
-            p_min=row[9],
-            p_max=row[8],
-            q_min=row[4],
-            q_max=row[3],
-            v_setpoint=row[5],
-            cost=cost,
-        )
-        net.add_gen(gen, bus=bus_id)
+    g_on = np.flatnonzero(gen[:, 7] > 0)
+    g_bus, first = np.unique(gen[g_on, 0], return_index=True)
+    vm = np.where(bus[:, 7] > 0, bus[:, 7], 1.0)
+    held = rows_of(g_bus)
+    regulated = np.isin(bus[held, 1], (2, 3))
+    vm[held[regulated]] = gen[g_on[first[regulated]], 5]
+    v_nom = (vm * np.exp(1j * np.deg2rad(bus[:, 8])))[:, None]
 
-    for idx, row in enumerate(map(np.ndarray.tolist, case.branch)):
-        if int(row[10]) <= 0:
-            continue  # out of service
-        fbus, tbus = str(int(row[0])), str(int(row[1]))
-        model = CommonBranch(
-            y_series=1.0 / complex(row[2], row[3]),
-            y_shunt=1j * row[4],
-            tap=row[8] if row[8] != 0.0 else 1.0,
-            phase_shift_deg=row[9],
-        )
-        rate_a = row[5]
-        branch = Branch(
-            id=f"branch_{idx}_{fbus}_{tbus}",
-            model=model,
-            s_max_mva=rate_a if rate_a > 0 else np.inf,
-        )
-        net.add_branch(branch, bus0=fbus, bus1=tbus)
+    ids = list(map(str, bus[:, 0].astype(np.int64).tolist()))
+    types = map(_BUS_TYPES.__getitem__, bus[:, 1].astype(np.int64).tolist())
+    # a default is one shared float, as in a constructor call: a float per
+    # device would add a third of a megabyte to a 64-tile network
+    v_base = [kv * 1e3 if kv > 0 else 1.0 for kv in bus[:, 9].tolist()]
+    buses = [new(Bus)._set(i, _BAL, Terminal(i, _BAL), kv, t, vn, v, lo, hi)
+             for i, kv, t, vn, v, lo, hi in zip(
+                 ids, v_base, types, v_nom, v_nom.copy(), bus[:, [12]],
+                 bus[:, [11]])]
+    net.buses.insert_all(ids, buses)
+    terminals = [b.terminal for b in buses]
 
+    # a ZIP at each bus with a load or a shunt; (Pd, Qd) and (Gs, Bs) per
+    # unit, each pair viewed as one complex number
+    loaded = np.flatnonzero(bus[:, 2:6].any(axis=1))
+    y_const, i_const, s_const = np.zeros((3, len(loaded), 2, 2), dtype=complex)
+    s_const[:, 1, 0], y_const[:, 1, 0] = \
+        (bus[loaded, 2:6] / base_mva).view(complex).T
+    zip_ids = [f"load_{ids[k]}" for k in loaded.tolist()]
+    net.zips.insert_all(zip_ids, [
+        new(Zip)._set(i, terminals[k], y, c, s, True)
+        for i, k, y, c, s in zip(zip_ids, loaded.tolist(), y_const, i_const,
+                                 s_const)])
+
+    costs = {} if case.gencost is None else {
+        # (c0, c1, c2) of NCOST coefficients, the highest order first
+        k: tuple(row[4:4 + int(row[3])][::-1]) + (0.0,) * (3 - int(row[3]))
+        for k, row in enumerate(case.gencost[:len(gen)].tolist())}
+    # each in-service gen, at the row of its bus
+    rows = gen[g_on]
+    at = rows_of(rows[:, 0]).tolist()
+    gen_ids = [f"gen_{k}_{ids[b]}" for k, b in zip(g_on.tolist(), at)]
+    net.gens.insert_all(gen_ids, [
+        new(Gen)._set(i, terminals[b], s, pmin, pmax, qmin, qmax, vg,
+                      costs.get(k, (0.0, 1.0, 0.0)), True)
+        for i, k, b, s, (qmax, qmin, vg, pmax, pmin) in zip(
+            gen_ids, g_on.tolist(), at,
+            np.ascontiguousarray(rows[:, 1:3]).view(complex),  # Pg + jQg
+            rows[:, [3, 4, 5, 8, 9]].tolist())])
+
+    # each in-service branch; a ratio of 0 is a tap of 1
+    on = np.flatnonzero(branch[:, 10] > 0)
+    rows = branch[on]
+    ends = rows_of(rows[:, :2]).tolist()
+    tap = [a if a != 0.0 else 1.0 for a in rows[:, 8].tolist()]
+    s_max = [rate if rate > 0 else np.inf for rate in rows[:, 5].tolist()]
+    branch_ids = [f"branch_{k}_{ids[f]}_{ids[t]}"
+                  for k, (f, t) in zip(on.tolist(), ends)]
+    net.branches.insert_all(branch_ids, [
+        new(Branch)._set(
+            i, new(CommonBranch)._set(1.0 / complex(r, x), y_sh, a, shift),
+            (terminals[f], terminals[t]), rate, True)
+        for i, (f, t), r, x, y_sh, a, shift, rate in zip(
+            branch_ids, ends, rows[:, 2].tolist(), rows[:, 3].tolist(),
+            (1j * rows[:, 4]).tolist(), tap, rows[:, 9].tolist(), s_max)])
     return net
 
 

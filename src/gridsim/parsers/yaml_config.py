@@ -21,6 +21,7 @@ import numpy as np
 import yaml
 
 from ..core import TimeSeries, parse_time
+from ..core.timeseries import knot_times
 from ..network import Gen
 from ..powerflow import PfOptions
 from ..simlib import (
@@ -471,8 +472,7 @@ def plugin_time_series(config, ctx, scope):
         series = _read_series(config, ctx)
     else:
         # the arrays TimeSeries makes, made here to name the key they reject
-        times = _field("times", partial(np.asarray, dtype=np.int64),
-                       config["times"])
+        times = _field("times", knot_times, config["times"])
         values = _field("values", partial(np.asarray, dtype=float),
                         config["values"])
         series = TimeSeries(times, values, **_modes(config))

@@ -15,9 +15,7 @@ class Heartbeat(SimComponent):
 
     def __init__(self, id: str, interval_s: float):
         super().__init__(id)
-        if interval_s <= 0:
-            raise ValueError("interval_s must be positive")
-        self.interval_s = float(interval_s)
+        self.interval_s = self._interval("interval_s", interval_s)
         self.tick_count = 0
 
     def initialize(self, sim) -> None:
@@ -59,7 +57,8 @@ class Battery(SimComponent):
         self.charge_empty = Event("battery charge reached zero")
         self.charge_full = Event("battery charge reached capacity")
         self.power_changed = Event("achieved power deviates from setpoint")
-        self.update_interval_s = update_interval_s
+        self.update_interval_s = None if update_interval_s is None \
+            else self._interval("update_interval_s", update_interval_s)
         self._last_t = None
 
     def step(self, dt_s: float, setpoint_kw: float) -> float:
@@ -199,7 +198,8 @@ class PvInverter(Inverter):
         self.q_mode = q_mode
         self.power_factor = float(power_factor)
         self.q_setpoint_kvar = float(q_setpoint_kvar)
-        self.update_interval_s = float(update_interval_s)
+        self.update_interval_s = self._interval("update_interval_s",
+                                                update_interval_s)
         self.p_ac_kw = 0.0
         self.q_ac_kvar = 0.0
         self._net = None
@@ -270,7 +270,7 @@ class AutoTapChanger(SimComponent):
         self.tap_step = float(tap_step)
         self.tap_min = float(tap_min)
         self.tap_max = float(tap_max)
-        self.delay_s = float(delay_s)
+        self.delay_s = self._interval("delay_s", delay_s)
         self.move_count = 0
         self.at_limit_warnings = 0
         self._net = None
@@ -354,7 +354,8 @@ class Building(SimComponent):
         self.t_deadband_c = float(t_deadband_c)
         self.network_id = network_id
         self.zip_id = zip_id
-        self.update_interval_s = float(update_interval_s)
+        self.update_interval_s = self._interval("update_interval_s",
+                                                update_interval_s)
         self.q_hvac_kw = 0.0
         self.p_hvac_kw = 0.0
         self.weather = None

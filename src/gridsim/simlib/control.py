@@ -57,7 +57,7 @@ class VoltVarController(SimComponent):
         super().__init__(id, dependencies={network_id, *inverter_ids})
         self.network_id = network_id
         self.inverter_ids = tuple(inverter_ids)
-        self.interval_s = float(interval_s)
+        self.interval_s = self._interval("interval_s", interval_s)
         self.v_min_pu = float(v_min_pu)
         self.v_max_pu = float(v_max_pu)
         self.margin_pu = float(margin_pu)

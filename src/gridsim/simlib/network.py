@@ -154,7 +154,8 @@ class TimeSeriesZip(SimComponent):
             raise ValueError(f"unknown units {units!r}")
         self.units = units
         self.scale = float(scale)
-        self.resample_interval_s = float(resample_interval_s)
+        self.resample_interval_s = self._interval("resample_interval_s",
+                                                  resample_interval_s)
         self._net = None
         self._zip = None
 

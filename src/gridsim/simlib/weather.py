@@ -95,7 +95,8 @@ class Weather(SimComponent):
         self.temperature_series = temperature_series
         self.cloud_series = cloud_series
         self.cloud_exponent = float(cloud_exponent)
-        self.update_interval_s = update_interval_s
+        self.update_interval_s = None if update_interval_s is None \
+            else self._interval("update_interval_s", update_interval_s)
 
     def temperature(self, t: float) -> float:
         if self.temperature_series is not None:

@@ -86,6 +86,16 @@ class SimComponent:
     def sim(self, sim) -> None:
         self._sim = weakref.ref(sim) if sim is not None else _no_sim
 
+    def _interval(self, name: str, value) -> float:
+        """``value`` of the argument ``name`` as a float, positive and
+        finite: an interval of 0 or NaN never moves the clock past the
+        instant it ran at, and one of infinity schedules nothing."""
+        x = float(value)
+        if not 0.0 < x < math.inf:
+            raise ValueError(f"{type(self).__name__} {self.id!r}: {name} must "
+                             f"be positive and finite, got {value!r}")
+        return x
+
     def depends_on(self, component_id: str) -> None:
         self.dependencies.add(component_id)
 

@@ -110,6 +110,10 @@ def test_pf_singular_jacobian_exit_code(capsys, monkeypatch):
     ("\t1\t2\t0.01938\t0.05917\t", "\t1\t2\t0\t0\t", ("pf", "opf"),
      "{path}: mpc.branch row 1 (bus 1 to bus 2) has zero series impedance "
      "(r = x = 0)"),
+    # and with r = 1e-310, x = 0, whose admittance 1/(r + jx) overflows
+    ("\t1\t2\t0.01938\t0.05917\t", "\t1\t2\t1e-310\t0\t", ("pf", "opf"),
+     "{path}: mpc.branch row 1 (bus 1 to bus 2): r is 1e-310, which must be "
+     "large enough, with x = 0.0, for a finite series admittance 1/(r + jx)"),
     # bus row 2's Pd, type and id; gen row 2's bus and status
     ("\t21.7\t", "\tNaN\t", ("pf", "opf"),
      "{path}: mpc.bus row 2 (bus 2): Pd is nan, which must be finite"),
@@ -147,8 +151,8 @@ def test_pf_singular_jacobian_exit_code(capsys, monkeypatch):
      "float: 'abc'"),
     ("\t2\t2\t21.7\t", "\t2\t2\t21.7\t0\t", ("pf", "opf"),
      "{path}: line 13: row width 14 != 13 in mpc.bus"),
-], ids=["missing", "not-a-case", "pv-vg-0", "slack-vg-0", "zero-z", "pd-nan",
-        "pd-inf", "pd-minus-inf", "type-inf", "type-2.5", "bus-id-2.5",
+], ids=["missing", "not-a-case", "pv-vg-0", "slack-vg-0", "zero-z", "tiny-z",
+        "pd-nan", "pd-inf", "pd-minus-inf", "type-inf", "type-2.5", "bus-id-2.5",
         "bus-id-1e30", "gen-bus-inf", "gen-status-1.5", "ncost-2.5",
         "base-mva-0", "bad-number", "row-width"])
 def test_pf_input_error_exit_code(tmp_path, capsys, old, new, commands,
@@ -474,7 +478,7 @@ def test_sim_config_errors(tmp_path, capsys):
     assert main(["sim", str(unknown)]) == 1
     capsys.readouterr()
     # a component that does not advance its clock would run one instant
-    # forever
+    # forever: its interval is rejected when it is made
     for interval in (0, -10):
         stuck = tmp_path / "stuck.yaml"
         stuck.write_text(
@@ -484,8 +488,8 @@ def test_sim_config_errors(tmp_path, capsys):
         )
         assert main(["sim", str(stuck), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err.strip().split("\n")
-        assert err == [f"error: simulation failed: component 'b' is scheduled "
-                       f"at t={interval}, not after t=0"]
+        assert err == [f"error: 1: battery: Battery 'b': update_interval_s "
+                       f"must be positive and finite, got {float(interval)}"]
 
 
 @pytest.mark.parametrize("text, where", [

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -63,3 +65,24 @@ def test_order_matches_insertion(keys):
     assert list(coll.items()) == [(key, i) for i, key in enumerate(keys)]
     for i, key in enumerate(keys):
         assert coll[key] == i
+
+
+@given(st.lists(st.text(max_size=2), max_size=4),
+       st.lists(st.text(max_size=2), max_size=6))
+def test_insert_all_checks_as_insert_does_and_inserts_all_or_nothing(
+        present, keys):
+    coll, loop = ComponentCollection(), ComponentCollection()
+    for key in dict.fromkeys(k for k in present if k):
+        coll.insert(key, "old")
+        loop.insert(key, "old")
+    before = list(coll.items())
+    try:  # the reference: one insert per key
+        for i, key in enumerate(keys):
+            loop.insert(key, i)
+    except (ValueError, DuplicateKeyError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            coll.insert_all(keys, list(range(len(keys))))
+        assert list(coll.items()) == before
+    else:
+        coll.insert_all(keys, list(range(len(keys))))
+        assert list(coll.items()) == list(loop.items())

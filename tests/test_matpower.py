@@ -240,13 +240,20 @@ def test_case_to_network_structure():
 
 
 def test_out_of_service_rows_skipped():
+    # each out-of-service row breaks a device rule: Pmin > Pmax, Qmin > Qmax,
+    # a ratio below 0, r = x = 0; none is checked, and none is built
     text = MINI.replace(
         "mpc.gen = [\n    1  0  0  300  -300  1.02  100  1  250  10;",
         "mpc.gen = [\n    1  0  0  300  -300  1.02  100  1  250  10;\n"
-        "    2  0  0  300  -300  1.0  100  0  250  10;",
+        "    2  0  0  300  400  1.0  100  0  250  260;",
+    ).replace(
+        "mpc.branch = [",
+        "mpc.branch = [\n    1  2  0.01  0.1  0  0  0  0  -1  0  0;\n"
+        "    2  1  0  0  0  0  0  0  0  0  0;",
     )
     net = case_to_network(matpower_parse(text))
-    assert "gen_1_2" not in net.gens.keys()
+    assert list(net.gens.keys()) == ["gen_0_1"]
+    assert list(net.branches.keys()) == ["branch_2_1_2"]
 
 
 def test_zero_ratio_means_unity_tap():
@@ -290,6 +297,15 @@ def test_non_finite_numbers_rejected(table, row, col, value, message):
                         "whole number in 2..2"),
     ("gencost", 3, 4.0, "mpc.gencost row 1: column 4 is 4.0, which must be a "
                         "whole number in 0..3"),
+    # a row's device rules, checked in the case, not by a device constructor
+    ("bus", 12, 1.2, "mpc.bus row 2 (bus 2): Vmin is 1.2, which must be at "
+                     "most Vmax (1.1)"),
+    ("gen", 9, 300.0, "mpc.gen row 1 (bus 1): Pmin is 300.0, which must be at "
+                      "most Pmax (250.0)"),
+    ("gen", 4, 400.0, "mpc.gen row 1 (bus 1): Qmin is 400.0, which must be at "
+                      "most Qmax (300.0)"),
+    ("branch", 8, -1.0, "mpc.branch row 1 (bus 1 to bus 2): ratio is -1.0, "
+                        "which must be at least 0"),
 ])
 def test_integer_columns_hold_whole_numbers_in_range(table, col, value,
                                                      message):

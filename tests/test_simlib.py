@@ -117,6 +117,33 @@ def test_battery_validation():
         Battery("b", capacity_kwh=1.0).step(0.0, 1.0)
 
 
+_INTERVALS = {  # each component with an interval, made with only that set
+    Heartbeat: lambda v: Heartbeat("c", v),
+    Battery: lambda v: Battery("c", 10.0, update_interval_s=v),
+    Weather: lambda v: Weather("c", update_interval_s=v),
+    Building: lambda v: Building("c", "w", 2.0, 1.0, update_interval_s=v),
+    PvInverter: lambda v: PvInverter("c", "net", "g", update_interval_s=v),
+    TimeSeriesZip: lambda v: TimeSeriesZip(
+        "c", "net", "z", TimeSeries([0], [[0.0, 0.0]]), resample_interval_s=v),
+    AutoTapChanger: lambda v: AutoTapChanger("c", "net", "br", "b", delay_s=v),
+    VoltVarController: lambda v: VoltVarController("c", "net", interval_s=v),
+}
+_ARGUMENT = {Heartbeat: "interval_s", TimeSeriesZip: "resample_interval_s",
+             AutoTapChanger: "delay_s", VoltVarController: "interval_s"}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -600.0])
+@pytest.mark.parametrize("cls", list(_INTERVALS), ids=lambda c: c.__name__)
+def test_an_interval_must_be_positive_and_finite(cls, value):
+    # NaN or 0 would never move the component's clock past the instant it
+    # ran at, and the engine would find that only at the first timestep
+    name = _ARGUMENT.get(cls, "update_interval_s")
+    with pytest.raises(ValueError, match=f"^{cls.__name__} 'c': {name} must be "
+                       f"positive and finite, got {value!r}$"):
+        _INTERVALS[cls](value)
+    assert getattr(_INTERVALS[cls](60), name) == 60.0
+
+
 def test_battery_conservation_random_walk():
     rng = np.random.default_rng(17)
     bat = Battery("b", capacity_kwh=5.0, charge_kwh=2.0,

@@ -85,6 +85,9 @@ def test_validation_errors():
         TimeSeries([0], [1.0], out_of_range="wrap")
     with pytest.raises(ValueError):
         TimeSeries([0, 1], [1.0])
+    # a cast to int64 alone would keep the knots [0, 600]
+    with pytest.raises(ValueError, match=r"^non-integer timestamp: 600\.7$"):
+        TimeSeries([0, 600.7], [1.0, 2.0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -550,6 +550,7 @@ def test_a_missing_required_key_is_named(tmp_path, keyword, key):
      "Invalid isoformat string: 'soon'"),
     ("time_series", "times", [0, "abc"],
      "invalid literal for int() with base 10: 'abc'"),
+    ("time_series", "times", [0, 600.7], "non-integer timestamp: 600.7"),
     ("battery", "update_interval_s", float("inf"), "must be finite, got inf"),
 ])
 def test_a_rejected_value_names_its_key(tmp_path, keyword, key, value,
